@@ -4,20 +4,25 @@
  * fault-isolated sharded dataplane (docs/sharding.md).
  *
  * The driver re-execs itself as a --role=node child: a ShardedChisel
- * behind a sharded ChiselService, every shard running its own control
+ * behind a ChiselService, every shard running its own control
  * thread, health monitor, and journal + snapshot lane under a shared
- * persist directory, with engine-path fault points armed per shard.
+ * persist directory, with engine-path fault points armed per shard
+ * and every connection-level fault point armed on the service
+ * (stalled peers, partial writes, mid-frame resets, accept storms).
  * Client threads storm announces, withdraws, and lookups across the
- * whole keyspace while the driver SIGKILLs the node mid-storm and
- * warm-restarts it on the same port; the final cycle dies by SIGTERM
- * so the graceful drain (per-shard snapshots) is on the audited path.
+ * whole keyspace — deadlines, retries, reconnects — while the driver
+ * SIGKILLs the node mid-storm and warm-restarts it on the same port;
+ * the final cycle dies by SIGTERM so the graceful drain (per-shard
+ * snapshots) is on the audited path.
  *
- * Containment is proven in-process, where the health window is
- * exact: a force-quarantined shard fails fast for its own keyspace
- * slice only, sibling slices keep serving with bounded p99, /healthz
- * stays 200 until a MAJORITY of shards are sick, and a fault-storm on
- * one shard is detected and recovered by that shard's monitor while
- * its siblings never leave Healthy.
+ * Containment and shedding are proven in-process, where the health
+ * window is exact: a force-quarantined shard fails fast for its own
+ * keyspace slice only, sibling slices keep serving with bounded p99,
+ * /healthz stays 200 until a MAJORITY of shards are sick, a plane
+ * induced Degraded answers Overloaded within the client's deadline
+ * and one induced Stressed sheds updates but still serves lookups,
+ * and a fault-storm on one shard is detected and recovered by that
+ * shard's monitor while its siblings never leave Healthy.
  *
  * The audit insists, per shard:
  *
@@ -157,6 +162,13 @@ nodeMain(const SoakOptions &o)
         popts.controlFaultInjectors.push_back(inj.get());
         injectors.push_back(std::move(inj));
     }
+    // The transport is hostile too: every connection-level fault
+    // point is armed on the serving thread.
+    fault::FaultInjector netInj(o.seed + 7);
+    netInj.arm(fault::FaultPoint::NetPartialWrite, 0.25);
+    netInj.arm(fault::FaultPoint::NetStalledPeer, 0.05);
+    netInj.arm(fault::FaultPoint::NetMidFrameReset, 0.01);
+    netInj.arm(fault::FaultPoint::NetAcceptStorm, 0.25, 8);
 
     // Warm restart: each shard recovers from its own journal +
     // snapshot lane; the first incarnation starts empty (the storm
@@ -174,9 +186,11 @@ nodeMain(const SoakOptions &o)
 
     net::ServiceOptions sopts;
     sopts.port = static_cast<uint16_t>(o.port);
+    sopts.maxOutputBytes = 64 * 1024;  // Small: backpressure is live.
     sopts.idleTimeoutMs = 5000;
     sopts.writeStallMs = 800;
     sopts.drainDeadlineMs = 2000;
+    sopts.faultInjector = &netInj;
 
     net::ChiselService service(plane, sopts);
     g_soakService = &service;
@@ -415,7 +429,10 @@ clientThread(const SoakOptions &o, uint16_t port, size_t idx,
  * The containment half of the acceptance bar, run in-process so the
  * health windows are exact: a force-quarantined shard sheds only its
  * own slice, siblings keep a bounded p99, and /healthz follows the
- * majority rule.
+ * majority rule.  Then the shed demo, with health induced on every
+ * shard: a Degraded plane answers Overloaded within the client's
+ * deadline (never queues, never goes dark), and a merely Stressed
+ * one sheds updates while still serving lookups.
  */
 struct ContainmentDemo
 {
@@ -426,6 +443,11 @@ struct ContainmentDemo
     bool healthzRedMajority = false;
     uint64_t healthyP99Us = 0;
     uint64_t forcedQuarantines = 0;
+    bool degradedOverloaded = false;
+    bool withinDeadline = false;
+    bool stressedUpdateShed = false;
+    bool stressedLookupOk = false;
+    int64_t shedMs = 0;
 };
 
 ContainmentDemo
@@ -501,6 +523,36 @@ runContainmentDemo(const SoakOptions &o)
     plane.induceHealth(2, health::HealthState::Degraded);
     demo.healthzRedMajority =
         introspect.handle("GET", "/healthz").status == 503;
+
+    // Shed demo: a known route to look up, and a client whose whole
+    // call, retries included, must fit in 300 ms.
+    plane.announce(Prefix::fromCidr("10.9.2.3/32"), 9);
+    Key128 key = Key128::fromIpv4(0x0A090203u);
+    Update announce;
+    announce.prefix = Prefix::fromCidr("10.10.0.0/16");
+    announce.nextHop = 10;
+    cl.requestTimeoutMs = 300;
+    net::ServiceClient shedClient(cl);
+
+    // Degraded: everything fails fast with a structured status.
+    for (size_t s = 0; s < o.shards; ++s)
+        plane.induceHealth(s, health::HealthState::Degraded, 5000);
+    uint64_t t0 = monotonicNowNs();
+    net::LookupCallResult shed = shedClient.lookup({key});
+    demo.shedMs = int64_t((monotonicNowNs() - t0) / 1000000);
+    demo.degradedOverloaded = shed.status == net::CallStatus::Overloaded;
+    demo.withinDeadline = demo.shedMs <= cl.requestTimeoutMs;
+
+    // Stressed: updates shed, lookups still serve.
+    for (size_t s = 0; s < o.shards; ++s)
+        plane.induceHealth(s, health::HealthState::Stressed, 5000);
+    demo.stressedUpdateShed = shedClient.update({announce}).status ==
+                              net::CallStatus::Overloaded;
+    net::LookupCallResult ok = shedClient.lookup({key});
+    demo.stressedLookupOk = ok.status == net::CallStatus::Ok &&
+                            ok.results.size() == 1 &&
+                            ok.results[0].found &&
+                            ok.results[0].nextHop == 9;
 
     service.stop();
     return demo;
@@ -642,8 +694,15 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
           "/healthz turns 503 on a sick majority");
     check(demo.forcedQuarantines == 1,
           "forced quarantine counted per shard");
-    std::printf("  healthy-shard p99 %llu us\n",
-                static_cast<unsigned long long>(demo.healthyP99Us));
+    check(demo.degradedOverloaded,
+          "degraded plane answers structured Overloaded");
+    check(demo.withinDeadline,
+          "overloaded reply lands within the request deadline");
+    check(demo.stressedUpdateShed, "stressed plane sheds updates first");
+    check(demo.stressedLookupOk, "stressed plane still serves lookups");
+    std::printf("  healthy-shard p99 %llu us, shed reply in %lld ms\n",
+                static_cast<unsigned long long>(demo.healthyP99Us),
+                static_cast<long long>(demo.shedMs));
 
     std::printf("detect/recover drill: fault storm on one shard\n");
     DetectRecover dr = runDetectRecover(o);
@@ -913,6 +972,7 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         reg.gauge("shard.soak.recover_ms").set(double(dr.recoverMs));
         reg.gauge("shard.soak.healthy_p99_us")
             .set(double(demo.healthyP99Us));
+        reg.gauge("shard.soak.shed_demo_ms").set(double(demo.shedMs));
     }
 
     // ---- chisel.shard.v1 artifact -----------------------------------
@@ -944,6 +1004,11 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         w.member("no_global_503", demo.healthzOkOneSick);
         w.member("majority_503", demo.healthzRedMajority);
         w.member("healthy_p99_us", demo.healthyP99Us);
+        w.member("shed_demo_overloaded", demo.degradedOverloaded);
+        w.member("shed_demo_within_deadline", demo.withinDeadline);
+        w.member("shed_demo_ms", uint64_t(demo.shedMs));
+        w.member("stressed_update_shed", demo.stressedUpdateShed);
+        w.member("stressed_lookup_ok", demo.stressedLookupOk);
         w.member("detect_ms", uint64_t(dr.detectMs));
         w.member("recover_ms", uint64_t(dr.recoverMs));
         w.member("siblings_stayed_healthy", dr.siblingsHealthy);
@@ -1001,7 +1066,8 @@ main(int argc, char **argv)
         .stringFlag("ready-file", "node-up handshake file",
                     &o.readyFile)
         .stringFlag("json", "chisel.shard.v1 report path", &o.json)
-        .sizeFlag("shards", "engine shards (default 4)", &o.shards)
+        .sizeFlag("shards", "engine shards, >= 3 (default 4)",
+                  &o.shards)
         .u64Flag("partition-bits",
                  "front-end partition width (default 8)",
                  &o.partitionBits)
@@ -1025,6 +1091,12 @@ main(int argc, char **argv)
     }
     if (o.cycles < 2) {
         std::fprintf(stderr, "shard_soak: --cycles must be >= 2\n");
+        return 2;
+    }
+    if (o.shards < 3) {
+        // The in-process demos quarantine shard 1, storm shard 2, and
+        // need a healthy sibling besides.
+        std::fprintf(stderr, "shard_soak: --shards must be >= 3\n");
         return 2;
     }
 

@@ -16,7 +16,7 @@
  *   example_chisel_tool journal-dump <journal>
  *
  * RPC service subcommands (docs/service.md; strict --flag parsing):
- *   example_chisel_tool serve    --port=N [--table=f] [--journal=f] ...
+ *   example_chisel_tool serve    --port=N [--table=f] [--persist-dir=d] ...
  *   example_chisel_tool lookup   --port=N --key=ADDR [--key=ADDR ...]
  *   example_chisel_tool announce --port=N --prefix=CIDR --next-hop=N
  *   example_chisel_tool withdraw --port=N --prefix=CIDR
@@ -28,11 +28,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <thread>
 
-#include "concurrent/concurrent_engine.hh"
 #include "core/engine.hh"
 #include "health/monitor.hh"
 #include "net/client.hh"
@@ -43,6 +43,7 @@
 #include "route/reader.hh"
 #include "route/synth.hh"
 #include "route/updates.hh"
+#include "shard/sharded.hh"
 #include "sim/stats.hh"
 #include "telemetry/cli.hh"
 
@@ -64,7 +65,7 @@ usage()
         "  chisel_tool recover   <table.txt> <journal|-> [image]\n"
         "  chisel_tool journal-dump <journal>\n"
         "service subcommands (--help on each for flags):\n"
-        "  chisel_tool serve    --port=N [--table=f] [--journal=f]\n"
+        "  chisel_tool serve    --port=N [--table=f] [--persist-dir=d]\n"
         "  chisel_tool lookup   --port=N --key=ADDR [--key=ADDR ...]\n"
         "  chisel_tool announce --port=N --prefix=CIDR --next-hop=N\n"
         "  chisel_tool withdraw --port=N --prefix=CIDR\n");
@@ -369,7 +370,8 @@ serveSignal(int)
 int
 serveCmd(int argc, char **argv)
 {
-    std::string tablePath, journalPath, snapshotPath, portFile;
+    std::string tablePath, persistDir, journalPath, snapshotPath;
+    std::string portFile;
     uint64_t port = 0, induceDegradedMs = 0;
     net::ServiceOptions sopts;
     uint64_t maxConnections = sopts.maxConnections;
@@ -384,12 +386,18 @@ serveCmd(int argc, char **argv)
     flags.u64Flag("port", "loopback port to bind (0 = ephemeral)",
                   &port)
         .stringFlag("table", "initial routing table file", &tablePath)
+        .stringFlag("persist-dir",
+                    "journal + snapshot directory: recover from it, "
+                    "append to it (the durable-ack gate), snapshot "
+                    "into it on drain",
+                    &persistDir)
         .stringFlag("journal",
-                    "journal path: recover from it, then append "
-                    "(the durable-ack gate)",
+                    "flat journal to import while --persist-dir holds "
+                    "no plane yet (input only)",
                     &journalPath)
         .stringFlag("snapshot",
-                    "snapshot path: recovery input and drain output",
+                    "flat snapshot to import with --journal (input "
+                    "only)",
                     &snapshotPath)
         .stringFlag("port-file",
                     "write the bound port here once listening",
@@ -416,36 +424,48 @@ serveCmd(int argc, char **argv)
     if (!flags.parseStrict(argc, argv))
         return flags.helpRequested() ? 0 : 2;
 
-    // Boot state: recover when any durable input is named, else the
-    // table file, else empty.
+    // Boot state: a persist directory that already holds a plane is
+    // the whole truth.  Otherwise a named flat journal/snapshot pair
+    // is recovered once and its routes seed the one-shard plane, else
+    // the table file does, else it starts empty.
+    shard::ShardedOptions popts;
+    popts.shards = 1;
+    popts.persistDir = persistDir;
     RoutingTable table;
-    ChiselConfig config;
-    if (!journalPath.empty() || !snapshotPath.empty()) {
+    if (!tablePath.empty())
+        table = readTableFile(tablePath);
+    popts.config = configFor(table);
+    bool flatInput = !journalPath.empty() || !snapshotPath.empty();
+    if (!persistDir.empty() &&
+        std::filesystem::exists(persistDir + "/shards.meta")) {
+        if (flatInput)
+            std::printf("%s already holds a plane; --journal and "
+                        "--snapshot are ignored\n",
+                        persistDir.c_str());
+    } else if (flatInput) {
         persist::RecoveryOptions ropts;
         ropts.journalPath = journalPath;
         ropts.snapshotPath = snapshotPath;
-        if (!tablePath.empty())
-            ropts.initialTable = readTableFile(tablePath);
-        ropts.config = configFor(ropts.initialTable);
+        ropts.initialTable = table;
+        ropts.config = popts.config;
         persist::RecoveryReport rec = persist::recoverEngine(ropts);
         std::printf("recovered %zu routes (source=%s, last-seq=%llu)\n",
                     rec.engine->routeCount(),
                     persist::recoverySourceName(rec.source),
                     static_cast<unsigned long long>(rec.lastSeq));
         table = rec.engine->exportTable();
-        config = rec.engine->config();
-    } else if (!tablePath.empty()) {
-        table = readTableFile(tablePath);
-        config = configFor(table);
+        popts.config = rec.engine->config();
     }
 
-    std::unique_ptr<persist::UpdateJournal> journal;
-    if (!journalPath.empty())
-        journal = std::make_unique<persist::UpdateJournal>(
-            journalPath, configFingerprint(config));
-
     telemetry::TelemetrySession session(topts);
-    concurrent::ConcurrentChisel engine(table, config);
+    shard::ShardedChisel plane(table, popts);
+    if (!plane.recovery().empty())
+        std::printf("%s: source=%s, %llu journal records replayed\n",
+                    persistDir.c_str(),
+                    persist::recoverySourceName(
+                        plane.recovery()[0].source),
+                    static_cast<unsigned long long>(
+                        plane.recovery()[0].recordsReplayed));
 
     sopts.port = static_cast<uint16_t>(port);
     sopts.maxConnections = maxConnections;
@@ -453,16 +473,15 @@ serveCmd(int argc, char **argv)
     sopts.idleTimeoutMs = static_cast<int>(idleTimeoutMs);
     sopts.writeStallMs = static_cast<int>(writeStallMs);
     sopts.drainDeadlineMs = static_cast<int>(drainDeadlineMs);
-    sopts.drainSnapshotPath = snapshotPath;
     if (session.enabled())
         sopts.metrics = &session.registry();
-    session.attachIntrospection(engine);
-    net::ChiselService service(engine, journal.get(), sopts);
+    session.attachIntrospection(plane.shardEngine(0));
+    net::ChiselService service(plane, sopts);
     if (!service.start())
         return 1;
     if (induceDegradedMs > 0)
-        service.induceHealth(health::HealthState::Degraded,
-                             static_cast<int>(induceDegradedMs));
+        plane.induceHealth(0, health::HealthState::Degraded,
+                           induceDegradedMs);
     if (!portFile.empty()) {
         std::ofstream pf(portFile);
         pf << service.port() << "\n";
@@ -472,8 +491,11 @@ serveCmd(int argc, char **argv)
     std::signal(SIGTERM, serveSignal);
     std::signal(SIGINT, serveSignal);
     std::printf("serving %zu routes on 127.0.0.1:%u "
-                "(SIGTERM drains)\n",
-                engine.routeCount(), service.port());
+                "(SIGTERM drains)%s\n",
+                plane.routeCount(), service.port(),
+                persistDir.empty() ? "; no --persist-dir, so no update "
+                                     "is acked"
+                                   : "");
     std::fflush(stdout);
 
     while (service.running())

@@ -22,11 +22,13 @@ H3Hash::hash(const Key128 &key, unsigned len) const
     assert(len <= Key128::maxBits);
     uint64_t h = 0;
 
-    // XOR the rows selected by set key bits, 64 bits at a time.
+    // XOR the rows selected by set key bits, 64 bits at a time, after
+    // keeping only the top len bits.  Every shift stays below 64: len
+    // 0 keeps nothing, len 64 keeps all of hi and none of lo.
     uint64_t hi = key.hi();
     uint64_t lo = key.lo();
-    if (len < 64) {
-        hi &= ~uint64_t(0) << (64 - len);
+    if (len <= 64) {
+        hi = len == 0 ? 0 : hi & ~uint64_t(0) << (64 - len);
         lo = 0;
     } else if (len < 128) {
         lo &= ~uint64_t(0) << (128 - len);

@@ -11,11 +11,9 @@
 
 #include "common/clock.hh"
 #include "common/logging.hh"
-#include "concurrent/concurrent_engine.hh"
 #include "core/update_outcome.hh"
 #include "fault/fault.hh"
 #include "net/socket.hh"
-#include "persist/journal.hh"
 #include "shard/sharded.hh"
 #include "telemetry/flight.hh"
 #include "telemetry/metrics.hh"
@@ -38,23 +36,12 @@ msToNs(int ms)
 
 } // anonymous namespace
 
-ChiselService::ChiselService(concurrent::ConcurrentChisel &engine,
-                             persist::UpdateJournal *journal,
+ChiselService::ChiselService(shard::ShardedChisel &plane,
                              const ServiceOptions &options)
-    : engine_(&engine), sharded_(nullptr), journal_(journal),
-      options_(options),
+    : plane_(plane), options_(options),
       // The service has no queue to watermark; capacity 16 only seeds
       // sane (unused) defaults for the tryAdmit-only controller.
       admission_(options.admission, 16)
-{}
-
-ChiselService::ChiselService(shard::ShardedChisel &sharded,
-                             const ServiceOptions &options)
-    // No service-level journal: the sharded layer's per-shard hooks
-    // append inside each shard's writer lock, and the ack gate reads
-    // each shard's durable head instead (serveShardedUpdate).
-    : engine_(nullptr), sharded_(&sharded), journal_(nullptr),
-      options_(options), admission_(options.admission, 16)
 {}
 
 ChiselService::~ChiselService()
@@ -128,45 +115,6 @@ ChiselService::requestDrain()
     // Async-signal-safe: one atomic store and one write(2).
     drainRequested_.store(true, std::memory_order_release);
     [[maybe_unused]] ssize_t n = ::write(wakeFd_[1], "d", 1);
-}
-
-void
-ChiselService::induceHealth(health::HealthState state, int duration_ms)
-{
-    inducedUntilNs_.store(monotonicNowNs() + msToNs(duration_ms),
-                          std::memory_order_relaxed);
-    inducedState_.store(static_cast<uint8_t>(state),
-                        std::memory_order_release);
-}
-
-health::HealthState
-ChiselService::effectiveHealth() const
-{
-    uint8_t induced = inducedState_.load(std::memory_order_acquire);
-    if (induced != static_cast<uint8_t>(health::HealthState::kCount) &&
-        monotonicNowNs() <
-            inducedUntilNs_.load(std::memory_order_relaxed))
-        return static_cast<health::HealthState>(induced);
-    // Sharded: the whole-plane view is majority-ruled — one sick
-    // shard must not shed its siblings' traffic (per-shard shedding
-    // happens at the serve sites).
-    if (sharded_ != nullptr)
-        return sharded_->aggregateHealth();
-    return engine_->healthState();
-}
-
-uint64_t
-ChiselService::engineGeneration() const
-{
-    return sharded_ != nullptr ? sharded_->generation()
-                               : engine_->generation();
-}
-
-size_t
-ChiselService::engineRouteCount() const
-{
-    return sharded_ != nullptr ? sharded_->routeCount()
-                               : engine_->routeCount();
 }
 
 ServiceStats
@@ -268,8 +216,7 @@ ChiselService::serveLoop()
             m.gauge("service.stall_disconnects")
                 .set(double(
                     stallDisconnects_.load(std::memory_order_relaxed)));
-            if (sharded_ != nullptr)
-                sharded_->publish(m);
+            plane_.publish(m);
         }
     }
 
@@ -501,13 +448,14 @@ ChiselService::dispatch(Conn &conn, RpcMessage &msg)
         enqueueReply(conn, serveUpdate(msg));
         return;
       case MsgType::Ping:
+        // The health byte is the majority-ruled aggregate: one sick
+        // shard must not make the whole node look down.
         enqueueReply(
             conn,
             makePong(msg.id,
-                     static_cast<uint8_t>(effectiveHealth()),
+                     static_cast<uint8_t>(plane_.aggregateHealth()),
                      drainRequested_.load(std::memory_order_acquire),
-                     engineGeneration(),
-                     engineRouteCount()));
+                     plane_.generation(), plane_.routeCount()));
         return;
       default:
         // A reply type from a client is well-framed nonsense.
@@ -518,45 +466,42 @@ ChiselService::dispatch(Conn &conn, RpcMessage &msg)
 }
 
 RpcMessage
+ChiselService::shed(const RpcMessage &req, health::HealthState why)
+{
+    overloaded_.fetch_add(1, std::memory_order_relaxed);
+    shedUpdates_.fetch_add(req.updates.size(), std::memory_order_relaxed);
+    CHISEL_FLIGHT_EVENT(NetShed, why, req.id, req.type);
+    return makeStatus(req.id, StatusCode::Overloaded,
+                      options_.retryAfterMs);
+}
+
+RpcMessage
 ChiselService::serveLookup(const RpcMessage &req)
 {
-    health::HealthState h = effectiveHealth();
-    if (h == health::HealthState::Degraded ||
-        h == health::HealthState::Quarantined) {
-        // Fail fast instead of queuing behind a sick engine: the
-        // client's deadline stays intact and its backoff spreads the
-        // retry load (docs/service.md).
-        overloaded_.fetch_add(1, std::memory_order_relaxed);
-        CHISEL_FLIGHT_EVENT(NetShed, h, req.id,
-                            MsgType::LookupRequest);
-        return makeStatus(req.id, StatusCode::Overloaded,
-                          options_.retryAfterMs);
-    }
+    // Fail fast instead of queuing behind a sick plane: the client's
+    // deadline stays intact and its backoff spreads the retry load
+    // (docs/service.md).  The aggregate is sick only past the
+    // majority threshold.
+    health::HealthState h = plane_.aggregateHealth();
+    if (h != health::HealthState::Healthy)
+        return shed(req, h);
     if (req.keys.empty()) {
         badRequests_.fetch_add(1, std::memory_order_relaxed);
         return makeStatus(req.id, StatusCode::BadRequest, 0);
     }
-    if (sharded_ != nullptr) {
-        // Per-shard containment: fail fast only when a targeted
-        // shard is sick — requests whose keys all land on healthy
-        // shards serve even while a sibling is quarantined.
-        for (const Key128 &key : req.keys) {
-            size_t s = sharded_->shardOf(key);
-            if (!sharded_->shardServing(s)) {
-                overloaded_.fetch_add(1, std::memory_order_relaxed);
-                CHISEL_FLIGHT_EVENT(NetShed, sharded_->shardHealth(s),
-                                    req.id, MsgType::LookupRequest);
-                return makeStatus(req.id, StatusCode::Overloaded,
-                                  options_.retryAfterMs);
-            }
-        }
+    // Per-shard containment: the whole batch sheds if any key's shard
+    // is sick — a batch whose keys all land on serving shards is
+    // served even while a sibling is quarantined.
+    for (const Key128 &key : req.keys) {
+        size_t s = plane_.shardOf(key);
+        if (!plane_.shardServing(s))
+            return shed(req, plane_.shardHealth(s));
     }
     std::vector<WireLookup> results;
     results.reserve(req.keys.size());
-    uint64_t generation = engineGeneration();
+    uint64_t generation = plane_.generation();
     for (const Key128 &key : req.keys) {
-        LookupResult r = sharded_ != nullptr ? sharded_->lookup(key)
-                                             : engine_->lookup(key);
+        LookupResult r = plane_.lookup(key);
         WireLookup w;
         w.found = r.found;
         w.nextHop = r.nextHop;
@@ -577,20 +522,9 @@ ChiselService::serveUpdate(const RpcMessage &req)
         return makeStatus(req.id, StatusCode::Draining,
                           options_.retryAfterMs);
     }
-    health::HealthState h = effectiveHealth();
-    if (h != health::HealthState::Healthy &&
-        h != health::HealthState::Recovering) {
-        // Shed updates before lookups: Stressed already refuses
-        // writes while reads still serve; Degraded/Quarantined
-        // refuse everything.
-        overloaded_.fetch_add(1, std::memory_order_relaxed);
-        shedUpdates_.fetch_add(req.updates.size(),
-                               std::memory_order_relaxed);
-        CHISEL_FLIGHT_EVENT(NetShed, h, req.id,
-                            MsgType::UpdateRequest);
-        return makeStatus(req.id, StatusCode::Overloaded,
-                          options_.retryAfterMs);
-    }
+    health::HealthState h = plane_.aggregateHealth();
+    if (h != health::HealthState::Healthy)
+        return shed(req, h);
     if (req.updates.empty()) {
         badRequests_.fetch_add(1, std::memory_order_relaxed);
         return makeStatus(req.id, StatusCode::BadRequest, 0);
@@ -604,68 +538,7 @@ ChiselService::serveUpdate(const RpcMessage &req)
             return makeStatus(req.id, StatusCode::BadRequest, 0);
         }
     }
-    if (sharded_ != nullptr)
-        return serveShardedUpdate(req);
-    for (const Update &u : req.updates) {
-        if (!admission_.tryAdmit(u.kind)) {
-            overloaded_.fetch_add(1, std::memory_order_relaxed);
-            shedUpdates_.fetch_add(req.updates.size(),
-                                   std::memory_order_relaxed);
-            CHISEL_FLIGHT_EVENT(NetShed, h, req.id,
-                                MsgType::UpdateRequest);
-            return makeStatus(req.id, StatusCode::Overloaded,
-                              options_.retryAfterMs);
-        }
-    }
 
-    std::vector<WireAck> acks;
-    acks.reserve(req.updates.size());
-    uint64_t maxSeq = 0;
-    for (const Update &u : req.updates) {
-        WireAck a;
-        if (journal_ != nullptr) {
-            a.seq = journal_->append(u);
-            if (a.seq == 0) {
-                // The journal refused (I/O failure latched): state
-                // must not run ahead of the durable history, so the
-                // update is NOT applied either.
-                acks.push_back(a);
-                continue;
-            }
-            maxSeq = a.seq;
-        }
-        UpdateOutcome outcome = engine_->apply(u);
-        updatesApplied_.fetch_add(1, std::memory_order_relaxed);
-        a.status = static_cast<uint8_t>(outcome.status);
-        a.cls = static_cast<uint8_t>(outcome.cls);
-        if (journal_ != nullptr)
-            journal_->appendOutcome(a.seq, outcome);
-        acks.push_back(a);
-    }
-
-    // The ack gate: one fsync for the whole batch, then ack exactly
-    // the records the durable head covers.  A torn write or a failed
-    // sync leaves lastDurableSeq() behind, and those updates go back
-    // to the client un-acked (docs/service.md).
-    uint64_t durableSeq = 0;
-    if (journal_ != nullptr) {
-        if (maxSeq != 0)
-            journal_->ensureDurable(maxSeq);
-        durableSeq = journal_->lastDurableSeq();
-    }
-    for (WireAck &a : acks) {
-        a.acked = a.seq != 0 && a.seq <= durableSeq;
-        if (a.acked)
-            acked_.fetch_add(1, std::memory_order_relaxed);
-        else
-            unacked_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return makeUpdateReply(req.id, durableSeq, std::move(acks));
-}
-
-RpcMessage
-ChiselService::serveShardedUpdate(const RpcMessage &req)
-{
     // Per-shard shedding matrix: refuse the request when ANY update
     // targets a shard that isn't accepting writes (Stressed sheds
     // writes while reads still serve; Degraded/Quarantined refuse
@@ -673,49 +546,32 @@ ChiselService::serveShardedUpdate(const RpcMessage &req)
     // bound only for healthy shards sail through a sibling's
     // quarantine untouched.
     for (const Update &u : req.updates) {
-        size_t target = sharded_->shardOf(u.prefix);
-        size_t lo = target == shard::ShardedChisel::kBroadcast
-                        ? 0
-                        : target;
-        size_t hi = target == shard::ShardedChisel::kBroadcast
-                        ? sharded_->shards()
-                        : target + 1;
+        size_t target = plane_.shardOf(u.prefix);
+        bool broadcast = target == shard::ShardedChisel::kBroadcast;
+        size_t lo = broadcast ? 0 : target;
+        size_t hi = broadcast ? plane_.shards() : target + 1;
         for (size_t s = lo; s < hi; ++s) {
-            health::HealthState h = sharded_->shardHealth(s);
-            if (h != health::HealthState::Healthy &&
-                h != health::HealthState::Recovering) {
-                overloaded_.fetch_add(1, std::memory_order_relaxed);
-                shedUpdates_.fetch_add(req.updates.size(),
-                                       std::memory_order_relaxed);
-                CHISEL_FLIGHT_EVENT(NetShed, h, req.id,
-                                    MsgType::UpdateRequest);
-                return makeStatus(req.id, StatusCode::Overloaded,
-                                  options_.retryAfterMs);
-            }
+            health::HealthState sh = plane_.shardHealth(s);
+            if (sh != health::HealthState::Healthy &&
+                sh != health::HealthState::Recovering)
+                return shed(req, sh);
         }
     }
-    for (const Update &u : req.updates) {
-        if (!admission_.tryAdmit(u.kind)) {
-            overloaded_.fetch_add(1, std::memory_order_relaxed);
-            shedUpdates_.fetch_add(req.updates.size(),
-                                   std::memory_order_relaxed);
-            CHISEL_FLIGHT_EVENT(NetShed, health::HealthState::Healthy,
-                                req.id, MsgType::UpdateRequest);
-            return makeStatus(req.id, StatusCode::Overloaded,
-                              options_.retryAfterMs);
-        }
-    }
+    for (const Update &u : req.updates)
+        if (!admission_.tryAdmit(u.kind))
+            return shed(req, health::HealthState::Healthy);
 
-    // Apply through the sharded facade: each shard's journal hook
-    // assigns its seq inside that shard's writer lock.  Remember the
-    // high-water seq per touched shard for one batched fsync each.
+    // Apply through the plane: each shard's journal hook assigns its
+    // seq inside that shard's writer lock, and a refused append (seq
+    // 0) rejects the update unapplied.  Remember the high-water seq
+    // per touched shard for one batched fsync each.
     std::vector<WireAck> acks;
     acks.reserve(req.updates.size());
     std::vector<std::vector<shard::ShardedChisel::ShardSeq>> parts;
     parts.reserve(req.updates.size());
-    std::vector<uint64_t> maxSeq(sharded_->shards(), 0);
+    std::vector<uint64_t> maxSeq(plane_.shards(), 0);
     for (const Update &u : req.updates) {
-        shard::ShardedChisel::ApplyResult r = sharded_->apply(u);
+        shard::ShardedChisel::ApplyResult r = plane_.apply(u);
         updatesApplied_.fetch_add(1, std::memory_order_relaxed);
         WireAck a;
         a.seq = r.seq;
@@ -730,13 +586,15 @@ ChiselService::serveShardedUpdate(const RpcMessage &req)
 
     // The ack gate, per shard: one fsync per touched shard, then ack
     // exactly the updates whose every (shard, seq) part the owning
-    // shard's durable head covers.
-    std::vector<uint64_t> durable(sharded_->shards(), 0);
+    // shard's durable head covers.  A torn write or a failed sync
+    // leaves lastDurableSeq() behind, and those updates go back to
+    // the client un-acked (docs/service.md).
+    std::vector<uint64_t> durable(plane_.shards(), 0);
     uint64_t replyDurable = 0;
-    for (size_t s = 0; s < sharded_->shards(); ++s) {
+    for (size_t s = 0; s < plane_.shards(); ++s) {
         if (maxSeq[s] != 0)
-            sharded_->ensureDurable(s, maxSeq[s]);
-        durable[s] = sharded_->lastDurableSeq(s);
+            plane_.ensureDurable(s, maxSeq[s]);
+        durable[s] = plane_.lastDurableSeq(s);
         if (maxSeq[s] != 0 && durable[s] > replyDurable)
             replyDurable = durable[s];
     }
@@ -825,19 +683,10 @@ ChiselService::drainLoop()
     CHISEL_FLIGHT_EVENT(NetDrain, 1, conns_.size(), 0);
 
     // Phase 2: the final snapshot — the durable state a warm restart
-    // resumes from without replaying the whole journal.  Sharded
-    // planes snapshot every shard into its own lane (each stamped
-    // with its journal seq and marked); the drainSnapshotPath knob is
-    // the single-engine form.
-    if (sharded_ != nullptr) {
-        sharded_->saveSnapshots();
-    } else if (!options_.drainSnapshotPath.empty()) {
-        engine_->saveSnapshot(options_.drainSnapshotPath);
-        if (journal_ != nullptr)
-            journal_->appendSnapshotMark(journal_->lastSeq());
-    }
-    if (journal_ != nullptr)
-        journal_->sync();
+    // resumes from without replaying the whole journal.  Every shard
+    // snapshots into its own lane, stamped with its journal seq and
+    // marked (a no-op without a persist directory).
+    plane_.saveSnapshots();
     drained_.store(flushed, std::memory_order_relaxed);
     CHISEL_FLIGHT_EVENT(NetDrain, 2, conns_.size(), flushed);
 }

@@ -4,9 +4,10 @@
  * (docs/service.md; ROADMAP item 4's serving half).
  *
  * A dependency-free, nonblocking epoll server on one thread, serving
- * batched lookup and update RPCs (src/net/rpc.hh) over loopback TCP.
- * The engine stays wait-free under it — lookups run on the serving
- * thread against ConcurrentChisel's epoch-protected read path, so a
+ * batched lookup and update RPCs (src/net/rpc.hh) over loopback TCP
+ * in front of a ShardedChisel plane (one shard for a single-engine
+ * node).  The engine stays wait-free under it — lookups run on the
+ * serving thread against each shard's epoch-protected read path, so a
  * slow client can never stall a reader or the writer.
  *
  * Robustness rules, in the order they are applied:
@@ -25,35 +26,30 @@
  *    host); the connection is dropped.
  *  - Idle deadline: no traffic in either direction for idleTimeoutMs
  *    drops the connection (half-open peers otherwise leak fds).
- *  - Load shedding (HealthMonitor wiring): while the engine is
- *    Stressed, updates are answered with a structured Overloaded
- *    status (lookups still serve — shed writes before reads); while
- *    Degraded or Quarantined, every request fails fast with
- *    Overloaded instead of queuing behind a sick engine.  A token
- *    bucket (AdmissionController::tryAdmit) additionally meters
- *    update admission even while Healthy.
- *  - Durable acks: an update is acked only after the journal's
- *    lastDurableSeq() covers its record
- *    (UpdateJournal::ensureDurable) — there is no window where a
- *    client saw an ack for bytes an fsync never covered.
+ *  - Load shedding (HealthMonitor wiring, docs/sharding.md): the
+ *    health matrix is evaluated against the TARGET shard of each
+ *    request.  While a shard is Stressed, updates bound for it are
+ *    answered with a structured Overloaded status (lookups still
+ *    serve — shed writes before reads); while Degraded or
+ *    Quarantined, any request touching it fails fast with Overloaded
+ *    instead of queuing behind a sick engine.  Everything sheds once
+ *    a majority of shards are sick.  A token bucket
+ *    (AdmissionController::tryAdmit) additionally meters update
+ *    admission even while Healthy.
+ *  - Durable acks: an update is acked only after its shard journal's
+ *    lastDurableSeq() covers its record (every shard's, for a
+ *    broadcast) — there is no window where a client saw an ack for
+ *    bytes an fsync never covered.
  *  - Graceful drain (SIGTERM path): requestDrain() is async-signal
  *    safe; the serving thread then stops accepting, stops reading,
  *    finishes requests already received, flushes every queued reply
- *    under drainDeadlineMs, optionally writes a final snapshot, and
- *    exits the loop.
- *  - Shard-aware shedding (the ShardedChisel constructor;
- *    docs/sharding.md): the health matrix above is evaluated against
- *    the TARGET shard of each request, so one Quarantined shard
- *    fails fast for its keyspace slice only while siblings serve;
- *    the whole-plane matrix trips only when a majority of shards are
- *    sick, and acks gate on the owning shard's durable head.
+ *    under drainDeadlineMs, snapshots every shard, and exits the
+ *    loop.
  *
  * Threading: one serving thread owns every connection; start() /
  * stop() / stats() may be called from any thread; requestDrain() from
- * any thread or a signal handler.  The engine and journal must
- * outlive the service.  The service is the journal's only writer
- * while serving — do not also wire engine-level journal hooks to the
- * same journal, or updates would be journaled twice.
+ * any thread or a signal handler.  The plane must outlive the
+ * service.
  */
 
 #ifndef CHISEL_NET_SERVER_HH
@@ -61,7 +57,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -70,8 +65,6 @@
 #include "health/monitor.hh"
 #include "net/rpc.hh"
 
-namespace chisel::concurrent { class ConcurrentChisel; }
-namespace chisel::persist { class UpdateJournal; }
 namespace chisel::fault { class FaultInjector; }
 namespace chisel::shard { class ShardedChisel; }
 namespace chisel::telemetry { class MetricRegistry; }
@@ -101,13 +94,6 @@ struct ServiceOptions
 
     /** Retry-after hint stamped into Overloaded/Draining replies. */
     uint64_t retryAfterMs = 50;
-
-    /**
-     * Final-snapshot path written at the end of a graceful drain
-     * (with a SnapshotMark when a journal is attached); empty skips
-     * the snapshot.
-     */
-    std::string drainSnapshotPath;
 
     /**
      * Update-admission metering for the RPC path (tryAdmit token
@@ -151,7 +137,7 @@ struct ServiceStats
     uint64_t lookupKeys = 0;
     uint64_t updatesApplied = 0;
     uint64_t acked = 0;
-    uint64_t unacked = 0;       ///< Journal refused / sync failed.
+    uint64_t unacked = 0;       ///< No journal, refused, or unsynced.
     uint64_t overloaded = 0;    ///< Requests answered Overloaded.
     uint64_t shedUpdates = 0;   ///< Updates inside those requests.
     uint64_t badRequests = 0;
@@ -166,28 +152,19 @@ class ChiselService
 {
   public:
     /**
-     * @param engine  Serves lookups and applies updates.
-     * @param journal Durability gate for update acks; nullptr serves
-     *        lookups fine but answers every update un-acked (there
-     *        is no durable history to promise).
-     */
-    ChiselService(concurrent::ConcurrentChisel &engine,
-                  persist::UpdateJournal *journal,
-                  const ServiceOptions &options = {});
-
-    /**
-     * Shard-aware service (docs/sharding.md): lookups and updates
-     * route through @p sharded, the shedding matrix consults the
-     * TARGET shard's health per request (one quarantined shard fails
-     * fast for its slice only; requests touching healthy shards keep
+     * Serve @p plane (docs/sharding.md): lookups and updates route
+     * through it, the shedding matrix consults the TARGET shard's
+     * health per request (one quarantined shard fails fast for its
+     * slice only; requests touching only healthy shards keep
      * serving), and the whole-plane matrix trips only past the
-     * majority-sick threshold.  Durability is per shard: the sharded
-     * layer's journal hooks append inside each shard's writer lock,
-     * and an update is acked only once ITS shard's durable head
-     * covers it (every shard, for a broadcast) — so do not pass a
-     * journal here; ShardedChisel owns them.
+     * majority-sick threshold.  Durability is per shard: the plane's
+     * journal hooks append inside each shard's writer lock, and an
+     * update is acked only once ITS shard's durable head covers it
+     * (every shard, for a broadcast).  A plane without a persist
+     * directory serves lookups fine but answers every update un-acked
+     * (there is no durable history to promise).
      */
-    ChiselService(shard::ShardedChisel &sharded,
+    ChiselService(shard::ShardedChisel &plane,
                   const ServiceOptions &options = {});
 
     /** stop()s if still running. */
@@ -212,9 +189,10 @@ class ChiselService
      * Begin a graceful drain: async-signal-safe (an atomic store and
      * a pipe write), so a SIGTERM handler may call it directly.  The
      * serving thread stops accepting, finishes requests already
-     * received, flushes queued replies under drainDeadlineMs, writes
-     * the drain snapshot if configured, then exits; running() turns
-     * false when the drain completes.  Call stop() to join.
+     * received, flushes queued replies under drainDeadlineMs,
+     * snapshots every shard (ShardedChisel::saveSnapshots), then
+     * exits; running() turns false when the drain completes.  Call
+     * stop() to join.
      */
     void requestDrain();
 
@@ -232,17 +210,6 @@ class ChiselService
     uint16_t port() const { return port_; }
 
     ServiceStats stats() const;
-
-    /**
-     * Health-state override for tests and chaos drills: for the next
-     * @p duration_ms the shedding rules see @p state instead of the
-     * engine's own health.  The induced Degraded window of the
-     * service soak's shed demo uses this.
-     */
-    void induceHealth(health::HealthState state, int duration_ms);
-
-    /** The shedding rules' current view (induced or engine). */
-    health::HealthState effectiveHealth() const;
 
   private:
     struct Conn
@@ -278,17 +245,10 @@ class ChiselService
 
     RpcMessage serveLookup(const RpcMessage &req);
     RpcMessage serveUpdate(const RpcMessage &req);
-    RpcMessage serveShardedUpdate(const RpcMessage &req);
+    /** Count a shed request and answer it Overloaded. */
+    RpcMessage shed(const RpcMessage &req, health::HealthState why);
 
-    /** Plane-wide generation (sharded: summed over shards). */
-    uint64_t engineGeneration() const;
-    /** Plane-wide route count (sharded: summed over shards). */
-    size_t engineRouteCount() const;
-
-    /** Exactly one of these is non-null. */
-    concurrent::ConcurrentChisel *engine_;
-    shard::ShardedChisel *sharded_;
-    persist::UpdateJournal *journal_;
+    shard::ShardedChisel &plane_;
     ServiceOptions options_;
 
     health::AdmissionController admission_;
@@ -305,11 +265,6 @@ class ChiselService
     std::atomic<bool> stopRequested_{false};
     std::atomic<bool> drainRequested_{false};
     std::thread thread_;
-
-    /** Health override (induceHealth): state and expiry. */
-    std::atomic<uint8_t> inducedState_{
-        static_cast<uint8_t>(health::HealthState::kCount)};
-    std::atomic<uint64_t> inducedUntilNs_{0};
 
     // Stats (relaxed atomics: serving thread writes, any thread reads).
     std::atomic<uint64_t> accepted_{0}, refused_{0}, disconnects_{0};

@@ -230,9 +230,9 @@ class ShardedChisel
 
     /**
      * Force shard @p i to report @p state for @p ms milliseconds
-     * (0 = until cleared with Healthy).  The containment analogue of
-     * ChiselService::induceHealth, scoped to one shard: drills and
-     * operators quarantine a single slice without faulting it.
+     * (0 = until cleared with Healthy).  Drills, tests and operators
+     * quarantine (or stress) a single slice without faulting it;
+     * ChiselService sheds against this view.
      */
     void induceHealth(size_t i, health::HealthState state,
                       uint64_t ms = 0);
@@ -324,7 +324,7 @@ class ShardedChisel
         std::unique_ptr<persist::UpdateJournal> journal;
         std::unique_ptr<concurrent::ConcurrentChisel> engine;
 
-        /** induceHealth() override (mirrors ChiselService). */
+        /** induceHealth() override: state and expiry (0 = none). */
         std::atomic<uint8_t> inducedState{
             static_cast<uint8_t>(health::HealthState::kCount)};
         std::atomic<uint64_t> inducedUntilNs{0};

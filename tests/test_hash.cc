@@ -57,6 +57,14 @@ TEST(H3Hash, IgnoresBitsBeyondLength)
     Key128 b = a;
     b.setBit(100, true);   // Beyond any IPv4 length.
     EXPECT_EQ(h.hash(a, 32), h.hash(b, 32));
+
+    // The word boundaries: at len 0 no key bit counts, at len 64 no
+    // bit of the low word does.
+    Key128 k(0x0123456789ABCDEFULL, 0xFEDCBA9876543210ULL);
+    for (unsigned len : {0u, 64u})
+        EXPECT_EQ(h.hash(k, len), h.hash(k.masked(len), len))
+            << "len " << len;
+    EXPECT_EQ(h.hash(k, 0), h.hash(Key128(), 0));
 }
 
 TEST(H3Hash, LengthChangesHash)

@@ -4,9 +4,10 @@
  * feed, CRC/length/trailing-byte poisoning), server robustness rules
  * (idle-timeout and write-stall disconnects, bounded output queue
  * with backpressure, shed-before-queue under induced health states,
- * admission-token metering, ack-implies-durable under a torn
- * journal), client retry/backoff/reconnect behaviour, and the
- * graceful-drain reply flush.
+ * admission-token metering, ack-implies-durable under a torn or
+ * refusing journal), client retry/backoff/reconnect behaviour, and
+ * the graceful-drain reply flush.  The service fronts a one-shard
+ * ShardedChisel plane throughout.
  */
 
 #include <gtest/gtest.h>
@@ -14,13 +15,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "concurrent/concurrent_engine.hh"
 #include "core/engine.hh"
 #include "fault/fault.hh"
 #include "health/monitor.hh"
@@ -29,10 +30,10 @@
 #include "net/server.hh"
 #include "net/socket.hh"
 #include "persist/codec.hh"
-#include "persist/journal.hh"
 #include "persist/snapshot.hh"
 #include "route/table.hh"
 #include "route/updates.hh"
+#include "shard/sharded.hh"
 
 namespace chisel {
 namespace {
@@ -47,8 +48,6 @@ namespace {
     GTEST_SKIP() << "fault injection compiled out"
 #endif
 
-using concurrent::ConcurrentChisel;
-using concurrent::ConcurrentOptions;
 using fault::FaultInjector;
 using fault::FaultPoint;
 using net::CallStatus;
@@ -60,7 +59,8 @@ using net::RpcMessage;
 using net::ServiceClient;
 using net::ServiceOptions;
 using net::StatusCode;
-using persist::UpdateJournal;
+using shard::ShardedChisel;
+using shard::ShardedOptions;
 
 // ---- Helpers ---------------------------------------------------------
 
@@ -75,14 +75,14 @@ waitUntil(const std::function<bool()> &cond, int limit_ms = 5000)
     return cond();
 }
 
-struct TempFile
+struct TempDir
 {
-    explicit TempFile(std::string name)
+    explicit TempDir(std::string name)
         : path(::testing::TempDir() + "chisel_net_" + std::move(name))
     {
-        std::remove(path.c_str());
+        std::filesystem::remove_all(path);
     }
-    ~TempFile() { std::remove(path.c_str()); }
+    ~TempDir() { std::filesystem::remove_all(path); }
     std::string path;
 };
 
@@ -102,20 +102,23 @@ announceOf(uint32_t addr, unsigned len, NextHop hop)
     return u;
 }
 
-/** A tiny engine with two known routes and no control thread. */
+/**
+ * A one-shard plane with two known routes and no control thread;
+ * journaled under @p persist_dir when one is given.
+ */
 struct Harness
 {
-    explicit Harness(UpdateJournal *journal_in = nullptr,
+    explicit Harness(const std::string &persist_dir = {},
                      ServiceOptions opts = {})
     {
         table.add(v4Prefix(0x0A000000u, 8), 100);    // 10.0.0.0/8
         table.add(v4Prefix(0x0A010000u, 16), 200);   // 10.1.0.0/16
-        ConcurrentOptions copts;
-        copts.controlThread = false;
-        engine = std::make_unique<ConcurrentChisel>(table, config,
-                                                    copts);
-        service = std::make_unique<ChiselService>(*engine, journal_in,
-                                                  opts);
+        ShardedOptions popts;
+        popts.shards = 1;
+        popts.engine.controlThread = false;
+        popts.persistDir = persist_dir;
+        plane = std::make_unique<ShardedChisel>(table, popts);
+        service = std::make_unique<ChiselService>(*plane, opts);
     }
 
     ClientOptions clientOptions(int attempts = 4,
@@ -131,8 +134,7 @@ struct Harness
     }
 
     RoutingTable table;
-    ChiselConfig config;
-    std::unique_ptr<ConcurrentChisel> engine;
+    std::unique_ptr<ShardedChisel> plane;
     std::unique_ptr<ChiselService> service;
 };
 
@@ -355,20 +357,18 @@ TEST(NetService, ServesLookupsAndPong)
     EXPECT_TRUE(r.results[1].found);
     EXPECT_EQ(r.results[1].nextHop, 100u);   // 10.0.0.0/8.
     EXPECT_FALSE(r.results[2].found);
-    EXPECT_EQ(r.generation, h.engine->generation());
+    EXPECT_EQ(r.generation, h.plane->generation());
 
     net::PingCallResult p = client.ping();
     ASSERT_EQ(p.status, CallStatus::Ok);
-    EXPECT_EQ(p.routes, h.engine->routeCount());
+    EXPECT_EQ(p.routes, h.plane->routeCount());
     EXPECT_FALSE(p.draining);
 }
 
 TEST(NetService, UpdatesApplyAndAckDurably)
 {
-    TempFile jf("acks.journal");
-    ChiselConfig config;
-    UpdateJournal journal(jf.path, configFingerprint(config));
-    Harness h(&journal);
+    TempDir dir("acks");
+    Harness h(dir.path);
     ASSERT_TRUE(h.service->start());
     ServiceClient client(h.clientOptions());
 
@@ -378,7 +378,7 @@ TEST(NetService, UpdatesApplyAndAckDurably)
     ASSERT_EQ(r.acks.size(), 1u);
     EXPECT_TRUE(r.acks[0].acked);
     EXPECT_GE(r.durableSeq, r.acks[0].seq);
-    EXPECT_EQ(journal.lastDurableSeq(), r.durableSeq);
+    EXPECT_EQ(h.plane->lastDurableSeq(0), r.durableSeq);
 
     // The route serves immediately.
     net::LookupCallResult l =
@@ -391,14 +391,12 @@ TEST(NetService, UpdatesApplyAndAckDurably)
 TEST(NetService, TornJournalWriteNeverAcks)
 {
     REQUIRE_INJECTION();
-    TempFile jf("torn.journal");
-    ChiselConfig config;
-    UpdateJournal journal(jf.path, configFingerprint(config));
+    TempDir dir("torn");
     FaultInjector inj(41);
     inj.arm(FaultPoint::JournalTornWrite, 1.0, 1);
     ServiceOptions sopts;
     sopts.faultInjector = &inj;
-    Harness h(&journal, sopts);
+    Harness h(dir.path, sopts);
     ASSERT_TRUE(h.service->start());
     ServiceClient client(h.clientOptions(/*attempts=*/1));
 
@@ -417,6 +415,34 @@ TEST(NetService, TornJournalWriteNeverAcks)
     ASSERT_EQ(r.status, CallStatus::Ok);
     EXPECT_FALSE(r.acks[0].acked);
     EXPECT_GE(h.service->stats().unacked, 3u);
+}
+
+TEST(NetService, RefusedJournalAppendIsNeitherAppliedNorAcked)
+{
+    REQUIRE_INJECTION();
+    TempDir dir("refused");
+    FaultInjector inj(42);
+    inj.arm(FaultPoint::JournalIoError, 1.0);
+    ServiceOptions sopts;
+    sopts.faultInjector = &inj;
+    Harness h(dir.path, sopts);
+    ASSERT_TRUE(h.service->start());
+    ServiceClient client(h.clientOptions(/*attempts=*/1));
+
+    // The append returns seq 0: state must not run ahead of the
+    // durable history, so the route is refused, not applied.
+    net::UpdateCallResult r =
+        client.update({announceOf(0xC0A80000u, 16, 7)});
+    ASSERT_EQ(r.status, CallStatus::Ok);
+    ASSERT_EQ(r.acks.size(), 1u);
+    EXPECT_FALSE(r.acks[0].acked);
+    EXPECT_EQ(r.acks[0].seq, 0u);
+    EXPECT_EQ(r.acks[0].status,
+              static_cast<uint8_t>(UpdateStatus::Rejected));
+    net::LookupCallResult l =
+        client.lookup({Key128::fromIpv4(0xC0A80001u)});
+    ASSERT_EQ(l.status, CallStatus::Ok);
+    EXPECT_FALSE(l.results[0].found);
 }
 
 TEST(NetService, EmptyBatchAndExpireAreRejected)
@@ -441,7 +467,7 @@ TEST(NetService, DegradedShedsEverythingWithinDeadline)
 {
     Harness h;
     ASSERT_TRUE(h.service->start());
-    h.service->induceHealth(health::HealthState::Degraded, 60000);
+    h.plane->induceHealth(0, health::HealthState::Degraded, 60000);
     ServiceClient client(h.clientOptions(/*attempts=*/1,
                                          /*timeout_ms=*/1000));
 
@@ -464,7 +490,7 @@ TEST(NetService, StressedShedsUpdatesButServesLookups)
 {
     Harness h;
     ASSERT_TRUE(h.service->start());
-    h.service->induceHealth(health::HealthState::Stressed, 60000);
+    h.plane->induceHealth(0, health::HealthState::Stressed, 60000);
     ServiceClient client(h.clientOptions(/*attempts=*/1));
 
     EXPECT_EQ(client.update({announceOf(0xC0A80000u, 16, 1)}).status,
@@ -479,7 +505,7 @@ TEST(NetService, InducedHealthExpires)
 {
     Harness h;
     ASSERT_TRUE(h.service->start());
-    h.service->induceHealth(health::HealthState::Degraded, 50);
+    h.plane->induceHealth(0, health::HealthState::Degraded, 50);
     ServiceClient client(h.clientOptions(/*attempts=*/1));
     EXPECT_EQ(client.lookup({Key128::fromIpv4(1u)}).status,
               CallStatus::Overloaded);
@@ -494,7 +520,7 @@ TEST(NetService, AdmissionTokensMeterUpdatesWhileHealthy)
     sopts.admission.enabled = true;
     sopts.admission.announceTokensPerSec = 0.001;
     sopts.admission.tokenBurst = 2.0;
-    Harness h(nullptr, sopts);
+    Harness h({}, sopts);
     ASSERT_TRUE(h.service->start());
     ServiceClient client(h.clientOptions(/*attempts=*/1));
 
@@ -514,7 +540,7 @@ TEST(NetService, IdleConnectionIsDropped)
 {
     ServiceOptions sopts;
     sopts.idleTimeoutMs = 60;
-    Harness h(nullptr, sopts);
+    Harness h({}, sopts);
     ASSERT_TRUE(h.service->start());
 
     int fd = net::connectLoopback(h.service->port());
@@ -541,7 +567,7 @@ TEST(NetService, StalledPeerTripsBackpressureThenWriteStall)
     // queue, reading pauses, and the stall deadline disconnects.
     inj.arm(FaultPoint::NetStalledPeer, 1.0);
     sopts.faultInjector = &inj;
-    Harness h(nullptr, sopts);
+    Harness h({}, sopts);
     ASSERT_TRUE(h.service->start());
 
     int fd = net::connectLoopback(h.service->port());
@@ -564,7 +590,7 @@ TEST(NetService, PartialWritesStillMakeProgress)
     FaultInjector inj(44);
     inj.arm(FaultPoint::NetPartialWrite, 1.0);
     sopts.faultInjector = &inj;
-    Harness h(nullptr, sopts);
+    Harness h({}, sopts);
     ASSERT_TRUE(h.service->start());
     ServiceClient client(h.clientOptions());
 
@@ -580,7 +606,7 @@ TEST(NetService, ClientSurvivesMidFrameReset)
     FaultInjector inj(45);
     inj.arm(FaultPoint::NetMidFrameReset, 1.0, 1);
     sopts.faultInjector = &inj;
-    Harness h(nullptr, sopts);
+    Harness h({}, sopts);
     ASSERT_TRUE(h.service->start());
     ServiceClient client(h.clientOptions());
 
@@ -600,7 +626,7 @@ TEST(NetService, AcceptStormRefusalsAreAbsorbedByRetry)
     FaultInjector inj(46);
     inj.arm(FaultPoint::NetAcceptStorm, 1.0, 2);
     sopts.faultInjector = &inj;
-    Harness h(nullptr, sopts);
+    Harness h({}, sopts);
     ASSERT_TRUE(h.service->start());
     ServiceClient client(h.clientOptions(/*attempts=*/8));
 
@@ -679,14 +705,13 @@ TEST(NetClient, DeadlineCapsASilentServer)
 
 TEST(NetService, DrainFlushesInFlightRepliesThenCloses)
 {
-    TempFile jf("drain.journal");
-    TempFile snap("drain.snapshot");
-    ChiselConfig config;
-    UpdateJournal journal(jf.path, configFingerprint(config));
-    ServiceOptions sopts;
-    sopts.drainSnapshotPath = snap.path;
-    Harness h(&journal, sopts);
+    TempDir dir("drain");
+    Harness h(dir.path);
     ASSERT_TRUE(h.service->start());
+    // The plane snapshotted at boot; remove that image so the one
+    // loaded below can only come from the drain.
+    std::string snapshot = h.plane->shardDir(0) + "/snapshot.chs";
+    std::filesystem::remove(snapshot);
 
     int fd = net::connectLoopback(h.service->port());
     ASSERT_GE(fd, 0);
@@ -724,8 +749,9 @@ TEST(NetService, DrainFlushesInFlightRepliesThenCloses)
     EXPECT_TRUE(h.service->stats().drained);
 
     // The final snapshot restores a working engine.
+    ChiselConfig config;
     persist::SnapshotLoadResult loaded =
-        persist::loadSnapshot(snap.path, &config);
+        persist::loadSnapshot(snapshot, &config);
     EXPECT_EQ(loaded.status, persist::SnapshotLoadStatus::Ok);
 }
 

@@ -4,8 +4,9 @@
  * EpochManager slot lifecycle under many engine instances, front-end
  * partition determinism and Zipf-trace balance, routing correctness
  * against the trie oracle (including broadcast prefixes), per-shard
- * persistence with warm restart and geometry pinning, the shard-aware
- * RPC shedding matrix, and the /healthz + Prometheus shard surfaces.
+ * persistence with warm restart, geometry pinning and the one-time
+ * import of a flat journal + snapshot pair, the shard-aware RPC
+ * shedding matrix, and the /healthz + Prometheus shard surfaces.
  */
 
 #include <gtest/gtest.h>
@@ -22,9 +23,11 @@
 #include "common/logging.hh"
 #include "concurrent/concurrent_engine.hh"
 #include "concurrent/epoch.hh"
+#include "core/engine.hh"
 #include "net/client.hh"
 #include "net/server.hh"
 #include "obs/introspect.hh"
+#include "persist/snapshot.hh"
 #include "route/synth.hh"
 #include "route/table.hh"
 #include "route/updates.hh"
@@ -424,6 +427,91 @@ TEST(ShardedPersist, FingerprintBindsShardIdentity)
     EXPECT_NE(a, 0u);
 }
 
+// A node whose history sits in a flat journal + snapshot pair (one
+// engine, no shard lanes) moves onto a one-shard plane the way
+// `chisel_tool serve --persist-dir` does on first boot: recover the
+// pair once and seed the plane with the recovered routes.  Later
+// boots read only the plane's own directory.
+TEST(ShardedPersist, FlatPairSeedsOneShardPlane)
+{
+    std::string root = tempDir("flat");
+    std::filesystem::create_directories(root);
+    std::string journalPath = root + "/flat.journal";
+    std::string snapshotPath = root + "/flat.snapshot";
+    RoutingTable table = generateScaledTable(500, 32, /*seed=*/23);
+    ChiselConfig config;
+
+    // The flat layout: snapshot halfway, journal tail after it.
+    RoutingTable truth = table;
+    {
+        ChiselEngine engine(table, config);
+        persist::UpdateJournal journal(journalPath,
+                                       configFingerprint(config));
+        UpdateTraceGenerator gen(table, TraceProfile{}, 32, 29);
+        for (int i = 0; i < 300; ++i) {
+            if (i == 150) {
+                persist::saveSnapshot(snapshotPath, engine,
+                                      journal.lastSeq());
+                journal.appendSnapshotMark(journal.lastSeq());
+            }
+            Update u = gen.next();
+            uint64_t seq = journal.append(u);
+            journal.appendOutcome(seq, engine.apply(u));
+            if (u.kind == UpdateKind::Announce)
+                truth.add(u.prefix, u.nextHop);
+            else
+                truth.remove(u.prefix);
+        }
+        journal.sync();
+    }
+
+    persist::RecoveryOptions ro;
+    ro.journalPath = journalPath;
+    ro.snapshotPath = snapshotPath;
+    ro.initialTable = table;
+    ro.config = config;
+    persist::RecoveryReport flat = persist::recoverEngine(ro);
+    EXPECT_EQ(flat.source, persist::RecoverySource::Snapshot);
+
+    ShardedOptions o = smallOptions(1, 8);
+    o.persistDir = root + "/plane";
+    o.config = flat.engine->config();
+
+    BinaryTrie oracle(truth);
+    std::vector<Key128> probes;
+    for (const Route &r : truth.routes())
+        probes.push_back(r.prefix.bits());   // Prefix boundaries.
+    for (uint32_t i = 0; i < 2000; ++i)
+        probes.push_back(Key128::fromIpv4(i * 2654435761u));
+    auto matchesOracle = [&](const ShardedChisel &plane) {
+        for (const Key128 &key : probes) {
+            LookupResult got = plane.lookup(key);
+            std::optional<Route> want = oracle.lookup(key, 32);
+            if (got.found != want.has_value() ||
+                (want && (got.nextHop != want->nextHop ||
+                          got.matchedLength != want->prefix.length())))
+                return false;
+        }
+        return true;
+    };
+
+    {
+        ShardedChisel plane(flat.engine->exportTable(), o);
+        EXPECT_EQ(plane.routeCount(), truth.size());
+        EXPECT_TRUE(matchesOracle(plane));
+    }
+
+    // Reopen: the plane's own snapshot lane serves, warm.
+    ShardedChisel plane(RoutingTable{}, o);
+    ASSERT_EQ(plane.recovery().size(), 1u);
+    EXPECT_EQ(plane.recovery()[0].source,
+              persist::RecoverySource::Snapshot);
+    EXPECT_EQ(plane.recovery()[0].fallbacks, 0u);
+    EXPECT_EQ(plane.routeCount(), truth.size());
+    EXPECT_TRUE(matchesOracle(plane));
+    std::filesystem::remove_all(root);
+}
+
 // ---- Shard-aware service shedding ------------------------------------
 
 struct ShardedServiceHarness
@@ -506,6 +594,22 @@ TEST(ShardedService, QuarantineContainsToOwnSlice)
     h.plane.induceHealth(1, health::HealthState::Healthy);
     EXPECT_EQ(client.lookup({h.keyOn(1)}).status, CallStatus::Ok);
     EXPECT_EQ(h.plane.quarantineEntries(1), 1u);
+}
+
+TEST(ShardedService, MixedBatchShedsWhole)
+{
+    ShardedServiceHarness h;
+    ASSERT_TRUE(h.service.start());
+    ServiceClient client(h.clientOptions());
+
+    h.plane.induceHealth(1, health::HealthState::Quarantined);
+
+    // A lookup reply carries one status for the whole batch, so one
+    // key on a quarantined shard sheds its healthy sibling's key too.
+    EXPECT_EQ(client.lookup({h.keyOn(1), h.keyOn(2)}).status,
+              CallStatus::Overloaded);
+    // Asked alone, the healthy key serves.
+    EXPECT_EQ(client.lookup({h.keyOn(2)}).status, CallStatus::Ok);
 }
 
 TEST(ShardedService, MajoritySickDegradesThePlane)
