@@ -68,6 +68,41 @@ lowMask(unsigned n)
     return n == 64 ? ~uint64_t(0) : ((uint64_t(1) << n) - 1);
 }
 
+/**
+ * Exact x % d for a divisor fixed in advance, with multiplies instead
+ * of a divide (Lemire, Kaser and Kurz, "Faster remainder by direct
+ * computation", 2019): with c = ceil(2^128 / d) precomputed,
+ * x % d = floor(((c * x) mod 2^128) * d / 2^128) for every 64-bit x
+ * and every d >= 1 (d = 1 wraps c to 0, giving 0).
+ */
+class FastRemainder
+{
+  public:
+    explicit FastRemainder(uint64_t d = 1)
+        : d_(d), c_(~static_cast<unsigned __int128>(0) / d + 1)
+    {
+        assert(d >= 1);
+    }
+
+    uint64_t
+    operator()(uint64_t x) const
+    {
+        unsigned __int128 frac = c_ * x;
+        // High 64 bits of the 192-bit product frac * d, which cannot
+        // overflow 128 bits when summed in two halves.
+        unsigned __int128 low =
+            (frac & ~uint64_t(0)) * static_cast<unsigned __int128>(d_);
+        unsigned __int128 high = (frac >> 64) * d_;
+        return static_cast<uint64_t>((high + (low >> 64)) >> 64);
+    }
+
+    uint64_t divisor() const { return d_; }
+
+  private:
+    uint64_t d_;
+    unsigned __int128 c_;
+};
+
 } // namespace chisel
 
 #endif // CHISEL_COMMON_BITOPS_HH

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/bitops.hh"
+#include "common/random.hh"
 #include "core/engine.hh"
 #include "mem/edram.hh"
 #include "route/synth.hh"
@@ -74,6 +78,33 @@ TEST(BitOps, LowMask)
     EXPECT_EQ(lowMask(1), 1u);
     EXPECT_EQ(lowMask(8), 0xFFu);
     EXPECT_EQ(lowMask(64), ~0ULL);
+}
+
+TEST(BitOps, FastRemainderMatchesModulo)
+{
+    const uint64_t top = ~uint64_t(0);
+    std::vector<uint64_t> divisors = {1, 2, 3, 5, 7, 10, 1000003,
+                                      (1ULL << 32) - 1, (1ULL << 32) + 1,
+                                      top - 1, top};
+    for (unsigned b = 0; b < 64; ++b)
+        divisors.push_back(1ULL << b);
+    Rng rng(0xD1F);
+    for (int i = 0; i < 200; ++i) {
+        // Random divisors of every magnitude, not just full-width ones.
+        divisors.push_back(std::max<uint64_t>(
+            1, rng.next64() >> rng.nextBelow(64)));
+    }
+    for (uint64_t d : divisors) {
+        FastRemainder mod(d);
+        EXPECT_EQ(mod.divisor(), d);
+        for (uint64_t x : {uint64_t(0), uint64_t(1), d - 1, d, d + 1,
+                           2 * d - 1, top, top - 1})
+            ASSERT_EQ(mod(x), x % d) << "x " << x << " d " << d;
+        for (int j = 0; j < 500; ++j) {
+            uint64_t x = rng.next64() >> rng.nextBelow(64);
+            ASSERT_EQ(mod(x), x % d) << "x " << x << " d " << d;
+        }
+    }
 }
 
 // ---- Engine exportTable ------------------------------------------------------
