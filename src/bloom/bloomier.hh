@@ -33,7 +33,6 @@
 
 #include "common/bitops.hh"
 #include "common/key128.hh"
-#include "hash/h3.hh"
 #include "hash/mix.hh"
 
 namespace chisel {
@@ -43,7 +42,10 @@ namespace persist { class Encoder; class Decoder; }
 /** Construction parameters for a Bloomier filter. */
 struct BloomierConfig
 {
-    /** Number of hash functions (paper design point: 3). */
+    /**
+     * Number of hash functions (paper design point: 3; at most
+     * BloomierFilter::kMaxHashes).
+     */
     unsigned k = 3;
 
     /** Index-table slots per key, m/n (paper design point: 3). */
@@ -71,6 +73,9 @@ struct BloomierConfig
 class BloomierFilter
 {
   public:
+    /** Largest supported number of hash functions k. */
+    static constexpr unsigned kMaxHashes = 8;
+
     /** How an insert was accomplished (Figure 14's categories). */
     enum class InsertMethod
     {
@@ -248,16 +253,29 @@ class BloomierFilter
     using Registry =
         std::unordered_map<Key128, uint32_t, Key128Hasher>;
 
-    /** Partition index of a key (the hash checksum of Section 4.4.2). */
-    unsigned partitionOf(const Key128 &key) const;
+    /** Where a key lives: its partition and its k Index slots. */
+    struct Probe
+    {
+        unsigned partition;
+        /** One slot per segment of the partition, in function order. */
+        size_t slots[kMaxHashes];
+    };
 
-    /** The k slot indices of a key, one per segment of its partition. */
-    void slotsOf(const Key128 &key, unsigned partition,
-                 size_t out[]) const;
+    /**
+     * The fused hash pass: one walk over the key's nibbles through
+     * lanes_ gives the k segment hashes and the partition checksum
+     * (Section 4.4.2), each reduced to a slot or partition index.
+     */
+    Probe probe(const Key128 &key) const;
 
-    /** Write the encoding of (key, code) into slot @p target. */
-    void encodeAt(const Key128 &key, unsigned partition, uint32_t code,
-                  size_t target);
+    /** Fill lanes_ from the hash functions of config_.seed. */
+    void buildLanes();
+
+    /**
+     * Write the encoding of @p code into slot @p target, one of the
+     * key's k slots @p slots.
+     */
+    void encodeAt(const size_t slots[], uint32_t code, size_t target);
 
     /** Store @p value at @p slot, keeping its parity bit current. */
     void
@@ -284,8 +302,18 @@ class BloomierFilter
     size_t segmentSlots_;     ///< Slots per segment.
     unsigned slotWidthBits_;
 
-    H3Family family_;
-    H3Hash checksum_;         ///< Partition selector.
+    /**
+     * Nibble tables of the k segment functions (lanes 0..k-1) and the
+     * partition checksum (lane k), interleaved so the k + 1 entries a
+     * nibble selects sit side by side: entry [(pos * 16 + value) *
+     * (k + 1) + lane], for the ceil(keyLen / 4) nibble positions.
+     * Bits of the last nibble beyond keyLen select no rows.
+     */
+    std::vector<uint64_t> lanes_;
+    /** Per lane, the length rows of keyLen (every key shares it). */
+    uint64_t laneLengthRows_[kMaxHashes + 1];
+    FastRemainder segmentMod_;    ///< x % segmentSlots_.
+    FastRemainder partitionMod_;  ///< x % partitions_.
 
     std::vector<uint32_t> slots_;     ///< The Index Table D[].
     std::vector<uint8_t> parity_;     ///< Even-parity bit per slot.

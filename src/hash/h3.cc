@@ -7,24 +7,43 @@
 
 namespace chisel {
 
-H3Hash::H3Hash(unsigned out_bits, uint64_t seed)
-    : outBits_(out_bits), outMask_(lowMask(out_bits))
+H3Hash::H3Hash(unsigned out_bits, uint64_t seed) : outBits_(out_bits)
 {
     assert(out_bits >= 1 && out_bits <= 64);
+    // The matrix: 128 rows for key bits plus 8 rows for the length
+    // byte, drawn in that order from the seed.
+    std::array<uint64_t, Key128::maxBits + 8> rows;
     uint64_t state = seed;
-    for (auto &row : rows_)
-        row = splitmix64(state) & outMask_;
+    for (auto &row : rows)
+        row = splitmix64(state) & lowMask(out_bits);
+
+    for (unsigned pos = 0; pos < kNibbles; ++pos) {
+        for (unsigned value = 0; value < 16; ++value) {
+            uint64_t h = 0;
+            for (unsigned b = 0; b < 4; ++b) {
+                if ((value >> (3 - b)) & 1)
+                    h ^= rows[4 * pos + b];
+            }
+            nibbles_[pos][value] = h;
+        }
+    }
+    for (unsigned len = 0; len <= Key128::maxBits; ++len) {
+        uint64_t h = 0;
+        for (unsigned i = 0; i < 8; ++i) {
+            if ((len >> i) & 1)
+                h ^= rows[Key128::maxBits + i];
+        }
+        lengths_[len] = h;
+    }
 }
 
 uint64_t
 H3Hash::hash(const Key128 &key, unsigned len) const
 {
     assert(len <= Key128::maxBits);
-    uint64_t h = 0;
 
-    // XOR the rows selected by set key bits, 64 bits at a time, after
-    // keeping only the top len bits.  Every shift stays below 64: len
-    // 0 keeps nothing, len 64 keeps all of hi and none of lo.
+    // Keep only the top len bits.  Every shift stays below 64: len 0
+    // keeps nothing, len 64 keeps all of hi and none of lo.
     uint64_t hi = key.hi();
     uint64_t lo = key.lo();
     if (len <= 64) {
@@ -34,23 +53,14 @@ H3Hash::hash(const Key128 &key, unsigned len) const
         lo &= ~uint64_t(0) << (128 - len);
     }
 
-    while (hi) {
-        unsigned b = static_cast<unsigned>(std::countl_zero(hi));
-        h ^= rows_[b];
-        hi &= ~(uint64_t(1) << (63 - b));
+    // One table read per nibble that holds a kept bit; the rest are 0.
+    uint64_t h = lengths_[len];
+    unsigned nibbles = (len + 3) / 4;
+    for (unsigned pos = 0; pos < nibbles; ++pos) {
+        uint64_t word = pos < 16 ? hi : lo;
+        h ^= nibbles_[pos][(word >> (60 - 4 * (pos % 16))) & 0xF];
     }
-    while (lo) {
-        unsigned b = static_cast<unsigned>(std::countl_zero(lo));
-        h ^= rows_[64 + b];
-        lo &= ~(uint64_t(1) << (63 - b));
-    }
-
-    // Fold the length byte in through its own eight rows.
-    for (unsigned i = 0; i < 8; ++i) {
-        if ((len >> i) & 1)
-            h ^= rows_[128 + i];
-    }
-    return h & outMask_;
+    return h;
 }
 
 H3Family::H3Family(unsigned k, unsigned out_bits, uint64_t seed)
@@ -59,15 +69,6 @@ H3Family::H3Family(unsigned k, unsigned out_bits, uint64_t seed)
     uint64_t state = seed;
     for (unsigned i = 0; i < k; ++i)
         fns_.emplace_back(out_bits, splitmix64(state));
-}
-
-std::vector<uint64_t>
-H3Family::hashAll(const Key128 &key, unsigned len) const
-{
-    std::vector<uint64_t> out(fns_.size());
-    for (size_t i = 0; i < fns_.size(); ++i)
-        out[i] = fns_[i].hash(key, len);
-    return out;
 }
 
 } // namespace chisel

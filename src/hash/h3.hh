@@ -13,6 +13,19 @@
  * bit length.  The length participates in the hash through eight extra
  * matrix rows so that keys of different lengths never alias, even when
  * their defined bits agree.
+ *
+ * Software evaluates the XOR tree with nibble tables instead of one
+ * row per set bit.  H3 is linear over GF(2), so the XOR of the rows a
+ * 4-bit key slice selects can be precomputed for all 16 slice values:
+ * 32 positions x 16 entries x 8 bytes = 4 KiB per function, plus a
+ * 129-entry table folding in the length rows (1 KiB).  A hash is then
+ * one table read per nibble of the key, and the outputs are
+ * bit-identical to the row-by-row definition (tests/test_hash.cc keeps
+ * that definition as the reference).  Nibble rather than byte slices
+ * keep the tables cache-sized: byte tables would need 32 KiB per
+ * function.  BloomierFilter goes one step further and interleaves the
+ * entries of its k + 1 functions, so a single pass over the key yields
+ * every segment hash and the partition checksum.
  */
 
 #ifndef CHISEL_HASH_H3_HH
@@ -32,6 +45,9 @@ namespace chisel {
 class H3Hash
 {
   public:
+    /** 4-bit key slices per key, most significant first. */
+    static constexpr unsigned kNibbles = Key128::maxBits / 4;
+
     /**
      * @param out_bits Width of the hash output in bits (1..64).
      * @param seed Seed selecting the random matrix.
@@ -49,11 +65,23 @@ class H3Hash
     /** Output width in bits. */
     unsigned outBits() const { return outBits_; }
 
+    /**
+     * XOR of the matrix rows of key bits 4*pos .. 4*pos+3 selected by
+     * the slice value @p value (bit 3 of @p value is key bit 4*pos).
+     */
+    uint64_t
+    nibbleRows(unsigned pos, unsigned value) const
+    {
+        return nibbles_[pos][value];
+    }
+
+    /** XOR of the length rows selected by @p len (0..128). */
+    uint64_t lengthRows(unsigned len) const { return lengths_[len]; }
+
   private:
     unsigned outBits_;
-    uint64_t outMask_;
-    /** 128 rows for key bits plus 8 rows for the length byte. */
-    std::array<uint64_t, 136> rows_;
+    std::array<std::array<uint64_t, 16>, kNibbles> nibbles_;
+    std::array<uint64_t, Key128::maxBits + 1> lengths_;
 };
 
 /**
@@ -74,15 +102,15 @@ class H3Family
     /** Number of functions in the family. */
     unsigned size() const { return static_cast<unsigned>(fns_.size()); }
 
+    /** Function @p i. */
+    const H3Hash &function(unsigned i) const { return fns_[i]; }
+
     /** Value of function @p i on the top @p len bits of @p key. */
     uint64_t
     hash(unsigned i, const Key128 &key, unsigned len) const
     {
         return fns_[i].hash(key, len);
     }
-
-    /** All k hash values of a key, in function order. */
-    std::vector<uint64_t> hashAll(const Key128 &key, unsigned len) const;
 
   private:
     std::vector<H3Hash> fns_;
