@@ -73,7 +73,7 @@ OPTIONAL_FAMILIES = {
         "snapshots_installed",
     ],
     # RPC service gauges (docs/service.md): the serving-side wear
-    # counters plus the kill/restart soak's audit numbers.
+    # counters.  The kill/restart drill's numbers are shard gauges.
     "service": [
         "requests",
         "acked",
@@ -85,17 +85,13 @@ OPTIONAL_FAMILIES = {
         "stall_disconnects",
         "retries",
         "reconnects",
-        "kills",
-        "acked_lost",
-        "phantom_records",
-        "shed_demo_ms",
     ],
     # Sharded dataplane gauges (docs/sharding.md): the shard soak's
-    # per-shard route counts, quarantine transitions and audit
-    # numbers.  Entries ending in "*" are prefix wildcards --
-    # "routes_shard_*" matches "routes_shard_0", "routes_shard_1",
-    # ... for any shard count; every match is type-checked exactly
-    # like a listed gauge.
+    # per-shard route counts, quarantine transitions, audit numbers
+    # and shed-demo latency.  Entries ending in "*" are prefix
+    # wildcards -- "routes_shard_*" matches "routes_shard_0",
+    # "routes_shard_1", ... for any shard count; every match is
+    # type-checked exactly like a listed gauge.
     "shard": [
         "shards",
         "partition_bits",
@@ -109,6 +105,7 @@ OPTIONAL_FAMILIES = {
         "detect_ms",
         "recover_ms",
         "healthy_p99_us",
+        "shed_demo_ms",
         "routes_shard_*",
         "quarantine_shard_*",
     ],
@@ -320,6 +317,15 @@ def self_test():
     doc = copy.deepcopy(base_doc)
     doc["shard"] = {"brand_new_gauge": 1}
     check("unknown shard gauge tolerated", validate(doc, "t"), True)
+
+    doc = copy.deepcopy(base_doc)
+    doc["shard"] = {"shed_demo_ms": "slow"}
+    check("shard shed_demo_ms type-checked",
+          validate(doc, "t"), False)
+    check("service family has no soak gauges",
+          [g for g in ("kills", "acked_lost", "phantom_records",
+                       "shed_demo_ms")
+           if gauge_known(g, OPTIONAL_FAMILIES["service"])], [])
 
     doc = copy.deepcopy(base_doc)
     del doc["p99_ns"]
