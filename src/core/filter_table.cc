@@ -70,8 +70,14 @@ FilterTable::setDirty(uint32_t slot, bool dirty)
 {
     panicIf(slot >= entries_.size(), "FilterTable setDirty out of range");
     CHISEL_TRACE_WRITE(Filter, slot, (slotWidthBits() + 7) / 8);
-    entries_[slot].dirty = dirty;
-    refreshParity(slot);
+    // Flag-only write: update the parity incrementally.  Recomputing
+    // it over the whole entry would launder a soft error in the key
+    // into a valid-looking word the scrubber can no longer find.
+    Entry &e = entries_[slot];
+    if (e.dirty != dirty) {
+        e.dirty = dirty;
+        parity_[slot] ^= 1u;
+    }
 }
 
 void
