@@ -5,7 +5,7 @@
 namespace chisel::fault {
 
 namespace detail {
-thread_local FaultInjector *g_activeInjector = nullptr;
+constinit thread_local FaultInjector *g_activeInjector = nullptr;
 } // namespace detail
 
 namespace {

@@ -263,8 +263,11 @@ class FaultInjector
 };
 
 namespace detail {
-/** The thread's installed injector; nullptr disables every point. */
-extern thread_local FaultInjector *g_activeInjector;
+/**
+ * The thread's installed injector; nullptr disables every point.
+ * constinit for the same reason as telemetry's g_activeTracer.
+ */
+extern constinit thread_local FaultInjector *g_activeInjector;
 } // namespace detail
 
 /** Injector currently installed on this thread, or nullptr. */

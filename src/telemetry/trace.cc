@@ -10,7 +10,7 @@
 namespace chisel::telemetry {
 
 namespace detail {
-thread_local AccessTracer *g_activeTracer = nullptr;
+constinit thread_local AccessTracer *g_activeTracer = nullptr;
 } // namespace detail
 
 const char *

@@ -153,8 +153,13 @@ class AccessTracer
 };
 
 namespace detail {
-/** The thread's installed tracer; nullptr disables the hooks. */
-extern thread_local AccessTracer *g_activeTracer;
+/**
+ * The thread's installed tracer; nullptr disables the hooks.
+ * constinit: with no dynamic initializer to run, every access is a
+ * plain TLS load instead of a call through the thread-local wrapper,
+ * which UBSan reported as a store to a null pointer.
+ */
+extern constinit thread_local AccessTracer *g_activeTracer;
 } // namespace detail
 
 /** Tracer currently installed on this thread, or nullptr. */
