@@ -9,10 +9,11 @@
  * with the key.
  *
  * The "Chisel traced" columns are measured by the telemetry access
- * tracer and count every table touch across all sub-cells — work the
- * hardware performs in parallel, so the sequential depth stays at the
- * "model" constant.  Pass --metrics-json= / --trace= to export the
- * full histograms.
+ * tracer and count every table touch of the sub-cells the software
+ * probes (those the cell-presence summary names) — work the hardware
+ * performs in parallel across all cells, so the sequential depth
+ * stays at the "model" constant.  Pass --metrics-json= / --trace= to
+ * export the full histograms.
  */
 
 #include <cstdio>

@@ -1,6 +1,7 @@
 #include "core/engine.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <unordered_set>
@@ -54,8 +55,8 @@ UpdateStats::incrementalFraction() const
 
 ChiselEngine::ChiselEngine(const RoutingTable &initial,
                            const ChiselConfig &config)
-    : config_(config), spill_(config.spillCapacity),
-      slowPath_(config.slowPathCapacity)
+    : config_(config), summary_(config.keyWidth, 0),
+      spill_(config.spillCapacity), slowPath_(config.slowPathCapacity)
 {
     if (config_.keyWidth < 1 || config_.keyWidth > Key128::maxBits)
         fatalError("ChiselEngine key width must be in [1, 128]");
@@ -86,6 +87,7 @@ ChiselEngine::ChiselEngine(const RoutingTable &initial,
         per_cell[c].push_back(r);
     }
 
+    summary_ = CellSummary(config_.keyWidth, plan_.cells.size());
     std::vector<Route> displaced;
     for (size_t i = 0; i < plan_.cells.size(); ++i) {
         SubCell::Config cc;
@@ -116,7 +118,9 @@ ChiselEngine::ChiselEngine(const RoutingTable &initial,
         cc.seed = mix64(config_.seed + 0x9e3779b97f4a7c15ULL *
                         (plan_.cells[i].base + 1));
 
-        cells_.push_back(std::make_unique<SubCell>(cc, &results_));
+        cells_.push_back(std::make_unique<SubCell>(
+            cc, &results_, &summary_,
+            CellSummary::bitFor(i, plan_.cells.size())));
         cells_.back()->buildFrom(per_cell[i], displaced);
     }
     UpdateOutcome boot;
@@ -264,15 +268,23 @@ ChiselEngine::lookupImpl(const Key128 &key) const
     access_.bitvectorReads += cells_.size();
 
     // All sub-cells probe in parallel; the priority encoder picks the
-    // hit with the longest base.  Scanning in descending base order,
-    // the first hit is that winner (cell ranges are disjoint).
-    for (auto it = cells_.rbegin(); it != cells_.rend(); ++it) {
-        SubCell::Hit h = (*it)->lookup(key);
-        if (h.hit) {
-            out.found = true;
-            out.nextHop = h.nextHop;
-            out.matchedLength = h.matchedLength;
-            break;
+    // hit with the longest base.  Software probes only the cells the
+    // summary names, lowest bit (longest base) first, so the first
+    // hit is that winner (cell ranges are disjoint).  Bit j is cell
+    // n-1-j; bit 63 also covers every cell below n-64.
+    const size_t n = cells_.size();
+    for (uint64_t m = summary_.candidates(key); m != 0 && !out.found;
+         m &= m - 1) {
+        unsigned j = static_cast<unsigned>(std::countr_zero(m));
+        size_t lowest = j == 63 ? 0 : n - 1 - j;
+        for (size_t c = n - j; c-- > lowest;) {
+            SubCell::Hit h = cells_[c]->lookup(key);
+            if (h.hit) {
+                out.found = true;
+                out.nextHop = h.nextHop;
+                out.matchedLength = h.matchedLength;
+                break;
+            }
         }
     }
 
@@ -644,11 +656,13 @@ ChiselEngine::scrub()
 bool
 ChiselEngine::selfCheck() const
 {
+    CellSummary recount(config_.keyWidth, cells_.size());
     for (const auto &cell : cells_) {
         if (!cell->selfCheck())
             return false;
+        cell->markGroups(recount);
     }
-    return true;
+    return recount == summary_;
 }
 
 } // namespace chisel

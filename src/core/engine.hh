@@ -8,7 +8,10 @@
  * sub-cells (and the spillover TCAM) in parallel; a priority encoder
  * selects the hit from the sub-cell with the longest base — the
  * longest-prefix match, because the cells' length intervals are
- * disjoint and ascending.
+ * disjoint and ascending.  Software probes the cells one at a time,
+ * so it asks a CellSummary first which cells can hold a match and
+ * probes only those, longest base first; the modeled access counts
+ * still charge every cell.
  *
  * Updates follow Section 4.4: the shadow copies inside the sub-cells
  * are modified first and the changed hardware words (bit-vectors,
@@ -27,6 +30,7 @@
 #include <vector>
 
 #include "concurrent/relaxed.hh"
+#include "core/cell_summary.hh"
 #include "core/collapse.hh"
 #include "core/result_table.hh"
 #include "core/slowpath.hh"
@@ -488,6 +492,8 @@ class ChiselEngine
     ChiselConfig config_;
     CollapsePlan plan_;
     ResultTable results_;
+    /** Which cells can match a key; the cells keep it exact. */
+    CellSummary summary_;
     std::vector<std::unique_ptr<SubCell>> cells_;
     Tcam spill_;
     SlowPathMap slowPath_;

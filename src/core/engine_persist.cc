@@ -184,8 +184,8 @@ decodeCellConfig(persist::Decoder &dec)
 } // anonymous namespace
 
 ChiselEngine::ChiselEngine(const ChiselConfig &config, RestoreTag)
-    : config_(config), spill_(config.spillCapacity),
-      slowPath_(config.slowPathCapacity)
+    : config_(config), summary_(config.keyWidth, 0),
+      spill_(config.spillCapacity), slowPath_(config.slowPathCapacity)
 {
 }
 
@@ -272,6 +272,7 @@ ChiselEngine::restoreState(const ChiselConfig &config,
     }
 
     engine->results_.loadState(dec);
+    engine->summary_ = CellSummary(config.keyWidth, plan_cells);
 
     uint64_t cell_count = dec.count(64);
     if (cell_count != plan_cells)
@@ -282,7 +283,9 @@ ChiselEngine::restoreState(const ChiselConfig &config,
         if (!(cc.range == engine->plan_.cells[i]))
             throw persist::DecodeError(
                 "restore: cell range does not match plan");
-        auto cell = std::make_unique<SubCell>(cc, &engine->results_);
+        auto cell = std::make_unique<SubCell>(
+            cc, &engine->results_, &engine->summary_,
+            CellSummary::bitFor(i, cell_count));
         cell->loadState(dec);
         engine->cells_.push_back(std::move(cell));
     }

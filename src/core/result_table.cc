@@ -36,10 +36,7 @@ ResultTable::allocate(uint32_t entries)
     }
     uint32_t base = static_cast<uint32_t>(slots_.size());
     slots_.resize(slots_.size() + size, kNoRoute);
-    parity_.resize(slots_.size(),
-                   static_cast<uint8_t>(
-                       popcount64(static_cast<uint64_t>(kNoRoute)) &
-                       1u));
+    meta_.resize(slots_.size(), parityOf(kNoRoute));
     return base;
 }
 
@@ -65,21 +62,20 @@ ResultTable::read(uint32_t addr) const
 }
 
 void
-ResultTable::write(uint32_t addr, NextHop next_hop)
+ResultTable::write(uint32_t addr, NextHop next_hop, uint8_t length_offset)
 {
     panicIf(addr >= slots_.size(), "ResultTable write out of range");
     CHISEL_TRACE_WRITE(Result, addr, sizeof(NextHop));
     slots_[addr] = next_hop;
-    parity_[addr] = static_cast<uint8_t>(
-        popcount64(static_cast<uint64_t>(next_hop)) & 1u);
+    meta_[addr] =
+        static_cast<uint8_t>(parityOf(next_hop) | (length_offset << 1));
 }
 
 bool
 ResultTable::parityOk(uint32_t addr) const
 {
     panicIf(addr >= slots_.size(), "ResultTable parity out of range");
-    return (popcount64(static_cast<uint64_t>(slots_[addr])) & 1u) ==
-           parity_[addr];
+    return parityOf(slots_[addr]) == (meta_[addr] & 1u);
 }
 
 void
@@ -104,11 +100,10 @@ ResultTable::loadState(persist::Decoder &dec)
 {
     uint64_t n = dec.count(4);
     slots_.assign(n, kNoRoute);
-    parity_.assign(n, 0);
+    meta_.assign(n, 0);
     for (uint64_t i = 0; i < n; ++i) {
         slots_[i] = dec.u32();
-        parity_[i] = static_cast<uint8_t>(
-            popcount64(static_cast<uint64_t>(slots_[i])) & 1u);
+        meta_[i] = parityOf(slots_[i]);
     }
     uint64_t classes = dec.count(8);
     if (classes > 33)

@@ -17,9 +17,11 @@
 #ifndef CHISEL_CORE_RESULT_TABLE_HH
 #define CHISEL_CORE_RESULT_TABLE_HH
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
+#include "common/bitops.hh"
 #include "route/prefix.hh"
 
 namespace chisel {
@@ -50,8 +52,37 @@ class ResultTable
     /** Read the next hop at @p addr. */
     NextHop read(uint32_t addr) const;
 
-    /** Write the next hop at @p addr. */
-    void write(uint32_t addr, NextHop next_hop);
+    /**
+     * Write the next hop at @p addr, with the matched-length offset a
+     * hit on it reports (see lengthOffset()).
+     */
+    void write(uint32_t addr, NextHop next_hop, uint8_t length_offset = 0);
+
+    /**
+     * Matched length minus the owning cell's base for a hit on
+     * @p addr.  Software only: the paper's Result Table holds just the
+     * next hop, so the offset rides in the byte that holds the slot's
+     * parity bit — no extra cache line, no modeled storage, and no
+     * traced access.
+     */
+    uint8_t
+    lengthOffset(uint32_t addr) const
+    {
+        return meta_[addr] >> 1;
+    }
+
+    /**
+     * Re-stamp only the offset of @p addr, which must lie inside an
+     * allocated block.  Not a hardware word write: the next hop and
+     * its parity are untouched.
+     */
+    void
+    setLengthOffset(uint32_t addr, uint8_t length_offset)
+    {
+        assert(addr < meta_.size());
+        meta_[addr] =
+            static_cast<uint8_t>((meta_[addr] & 1u) | (length_offset << 1));
+    }
 
     /**
      * True if @p addr passes its parity check.  One even-parity bit
@@ -80,8 +111,9 @@ class ResultTable
 
     /**
      * Serialize slots, free lists and allocator counters (parity is
-     * recomputed).  Free-list order matters: it decides which base
-     * the next allocate() of a class returns.
+     * recomputed on load, offsets are re-derived by the cells).
+     * Free-list order matters: it decides which base the next
+     * allocate() of a class returns.
      */
     void saveState(persist::Encoder &enc) const;
 
@@ -89,8 +121,17 @@ class ResultTable
     void loadState(persist::Decoder &dec);
 
   private:
+    /** Parity bit of a slot's next hop, bit 0 of its meta byte. */
+    static uint8_t
+    parityOf(NextHop next_hop)
+    {
+        return static_cast<uint8_t>(
+            popcount64(static_cast<uint64_t>(next_hop)) & 1u);
+    }
+
     std::vector<NextHop> slots_;
-    std::vector<uint8_t> parity_;   ///< Even-parity bit per slot.
+    /** Per slot: even-parity bit (bit 0), matched-length offset above. */
+    std::vector<uint8_t> meta_;
     /** freeLists_[c] holds bases of free blocks of size 2^c. */
     std::vector<std::vector<uint32_t>> freeLists_;
     uint64_t allocated_ = 0;

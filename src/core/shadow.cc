@@ -1,5 +1,6 @@
 #include "core/shadow.hh"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/bitops.hh"
@@ -44,37 +45,42 @@ ShadowGroup::find(const Prefix &prefix) const
     return it->second;
 }
 
-GroupImage
-ShadowGroup::computeImage() const
+void
+ShadowGroup::computeImage(GroupImage &out) const
 {
+    // Per slot first — the relative length of the longest covering
+    // member (kUncovered if none) and its next hop — then compacted in
+    // place to one entry per covered slot, in ascending slot order.
+    constexpr uint8_t kUncovered = 0xFF;
     const uint64_t slots = uint64_t(1) << stride_;
-    // Per slot: the relative length of the longest covering member
-    // (-1 = uncovered) and its next hop.
-    std::vector<int> cover_len(slots, -1);
-    std::vector<NextHop> cover_hop(slots, kNoRoute);
+    out.lengths.assign(slots, kUncovered);
+    out.hops.assign(slots, kNoRoute);
 
     for (const auto &[p, nh] : members_) {
-        unsigned rel = p.length() - base_;
+        uint8_t rel = static_cast<uint8_t>(p.length() - base_);
         uint64_t span = uint64_t(1) << (stride_ - rel);
         uint64_t start = (rel == 0) ? 0
                                     : (p.suffixBits(base_) << (stride_ - rel));
         for (uint64_t v = start; v < start + span; ++v) {
-            if (static_cast<int>(rel) > cover_len[v]) {
-                cover_len[v] = static_cast<int>(rel);
-                cover_hop[v] = nh;
+            if (out.lengths[v] == kUncovered || rel > out.lengths[v]) {
+                out.lengths[v] = rel;
+                out.hops[v] = nh;
             }
         }
     }
 
-    GroupImage image;
-    image.bits.assign(std::max<uint64_t>(1, slots / 64), 0);
+    out.bits.assign(std::max<uint64_t>(1, slots / 64), 0);
+    size_t covered = 0;
     for (uint64_t v = 0; v < slots; ++v) {
-        if (cover_len[v] >= 0) {
-            image.bits[v / 64] |= uint64_t(1) << (v % 64);
-            image.hops.push_back(cover_hop[v]);
-        }
+        if (out.lengths[v] == kUncovered)
+            continue;
+        out.bits[v / 64] |= uint64_t(1) << (v % 64);
+        out.hops[covered] = out.hops[v];
+        out.lengths[covered] = out.lengths[v];
+        ++covered;
     }
-    return image;
+    out.hops.resize(covered);
+    out.lengths.resize(covered);
 }
 
 std::optional<Route>

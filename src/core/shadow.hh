@@ -34,6 +34,12 @@ struct GroupImage
     /** One next hop per set bit, in ascending slot order. */
     std::vector<NextHop> hops;
 
+    /**
+     * Per set bit, the length of the covering member minus the group
+     * base: the matched-length offset stored beside each next hop.
+     */
+    std::vector<uint8_t> lengths;
+
     /** True if no slot is covered (group is empty). */
     bool
     empty() const
@@ -74,11 +80,21 @@ class ShadowGroup
      * Derive the hardware image: per suffix slot, the next hop of the
      * longest covering member.
      */
-    GroupImage computeImage() const;
+    GroupImage
+    computeImage() const
+    {
+        GroupImage image;
+        computeImage(image);
+        return image;
+    }
+
+    /** computeImage() into @p out, reusing its buffers. */
+    void computeImage(GroupImage &out) const;
 
     /**
-     * The longest member covering suffix slot @p slot, if any —
-     * the in-group LPM used for matched-length reporting.
+     * The longest member covering suffix slot @p slot, if any — the
+     * in-group LPM behind the soft (parity-error) lookup and the
+     * cross-checks of the stored matched-length offsets.
      */
     std::optional<Route> longestCover(uint64_t slot) const;
 

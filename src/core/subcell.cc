@@ -27,9 +27,14 @@ updateClassName(UpdateClass c)
     return "?";
 }
 
-SubCell::SubCell(const Config &config, ResultTable *results)
+SubCell::SubCell(const Config &config, ResultTable *results,
+                 CellSummary *summary, uint64_t summary_bit)
     : config_(config),
       results_(results),
+      summary_(summary),
+      summaryBit_(summary ? summary_bit : 0),
+      regional_(summary &&
+                config.range.base >= summary->regionPrefix()),
       index_(config.capacity,
              BloomierConfig{config.k, config.ratio, config.range.base,
                             config.partitions, config.seed}),
@@ -49,7 +54,8 @@ void
 SubCell::refreshImage(const Key128 &ckey, Group &group)
 {
     (void)ckey;
-    GroupImage image = group.shadow.computeImage();
+    GroupImage &image = image_;
+    group.shadow.computeImage(image);
     bool was_dirty = filter_.dirty(group.slot);
 
     if (image.empty()) {
@@ -86,16 +92,67 @@ SubCell::refreshImage(const Key128 &ckey, Group &group)
         group.resultSize = ResultTable::grantedSize(needed);
     }
     // Write only the slots that changed — the shadow copy transfers
-    // just the modified words to hardware (Section 4.4).
+    // just the modified words to hardware (Section 4.4).  A slot whose
+    // next hop stays but whose covering member changed length gets
+    // only its software offset re-stamped: no hardware word moves.
     for (uint32_t i = 0; i < needed; ++i) {
-        if (fresh_block ||
-            results_->read(group.resultBase + i) != image.hops[i]) {
-            results_->write(group.resultBase + i, image.hops[i]);
+        uint32_t addr = group.resultBase + i;
+        if (fresh_block || results_->read(addr) != image.hops[i]) {
+            results_->write(addr, image.hops[i], image.lengths[i]);
             ++writes_.resultWrites;
+        } else if (results_->lengthOffset(addr) != image.lengths[i]) {
+            results_->setLengthOffset(addr, image.lengths[i]);
         }
     }
     bitvec_.setVector(group.slot, image.bits, group.resultBase);
     ++writes_.bitvectorWrites;
+}
+
+void
+SubCell::noteGroupAdded(const Key128 &ckey)
+{
+    if (summaryBit_ == 0)
+        return;
+    if (!regional_) {
+        // A group shorter than the region prefix spans many regions:
+        // the cell is probed for every key while it holds any group.
+        summary_->setAlways(summaryBit_);
+        return;
+    }
+    if (regionGroups_.empty())
+        regionGroups_.assign(CellSummary::kRegions, 0);
+    uint32_t r = summary_->region(ckey);
+    if (regionGroups_[r]++ == 0)
+        summary_->setRegion(r, summaryBit_);
+}
+
+void
+SubCell::noteGroupErased(const Key128 &ckey)
+{
+    if (summaryBit_ == 0)
+        return;
+    if (!regional_) {
+        if (groups_.empty())
+            summary_->clearAlways(summaryBit_);
+        return;
+    }
+    uint32_t r = summary_->region(ckey);
+    if (--regionGroups_[r] == 0)
+        summary_->clearRegion(r, summaryBit_);
+}
+
+void
+SubCell::markGroups(CellSummary &summary) const
+{
+    if (summaryBit_ == 0)
+        return;
+    for (const auto &[ckey, g] : groups_) {
+        (void)g;
+        if (regional_)
+            summary.setRegion(summary.region(ckey), summaryBit_);
+        else
+            summary.setAlways(summaryBit_);
+    }
 }
 
 void
@@ -121,6 +178,7 @@ SubCell::dismantleGroup(const Key128 &ckey,
     filter_.release(g.slot);
     index_.erase(ckey);   // No-op if a rebuild already evicted it.
     groups_.erase(it);
+    noteGroupErased(ckey);
 }
 
 void
@@ -157,6 +215,7 @@ SubCell::buildFrom(const std::vector<Route> &routes,
             ckey, Group(static_cast<uint32_t>(slot),
                         config_.range.base, config_.stride));
         panicIf(!inserted, "buildFrom: duplicate group");
+        noteGroupAdded(ckey);
         for (const auto &r : members) {
             it->second.shadow.announce(r.prefix, r.nextHop);
             ++routes_;
@@ -236,9 +295,10 @@ SubCell::recoverParity(std::vector<Route> &displaced)
     // Stage 3 — Bit-vectors and Result blocks, written without the
     // usual read-compare diff: a corrupted word that happens to equal
     // its correct value would otherwise keep broken parity.
+    GroupImage &image = image_;
     for (auto &[ckey, g] : groups_) {
         (void)ckey;
-        GroupImage image = g.shadow.computeImage();
+        g.shadow.computeImage(image);
         if (image.empty()) {
             bitvec_.clearVector(g.slot);
             ++writes_.bitvectorWrites;
@@ -256,7 +316,8 @@ SubCell::recoverParity(std::vector<Route> &displaced)
             g.resultSize = ResultTable::grantedSize(needed);
         }
         for (uint32_t i = 0; i < needed; ++i) {
-            results_->write(g.resultBase + i, image.hops[i]);
+            results_->write(g.resultBase + i, image.hops[i],
+                            image.lengths[i]);
             ++writes_.resultWrites;
         }
         bitvec_.setVector(g.slot, image.bits, g.resultBase);
@@ -359,17 +420,21 @@ SubCell::lookup(const Key128 &key) const
 
     out.hit = true;
     out.nextHop = nh;
-
-    // Matched length comes from the shadow state (reporting only;
-    // the hardware result is the next hop itself).
-    auto it = groups_.find(ckey);
-    panicIf(it == groups_.end(),
-            "filter matched a key with no shadow group");
-    auto cover = it->second.shadow.longestCover(v);
-    panicIf(!cover.has_value(),
-            "bit-vector hit with no covering shadow member");
-    out.matchedLength = cover->prefix.length();
+    // Reporting only (the hardware result is the next hop itself):
+    // the offset stored beside the next hop, no shadow walk.
+    out.matchedLength = base + results_->lengthOffset(addr);
+    assert(out.matchedLength == shadowLength(ckey, v));
     return out;
+}
+
+unsigned
+SubCell::shadowLength(const Key128 &ckey, uint64_t slot) const
+{
+    auto it = groups_.find(ckey);
+    if (it == groups_.end())
+        return 0;
+    auto cover = it->second.shadow.longestCover(slot);
+    return cover ? cover->prefix.length() : 0;
 }
 
 SubCell::Hit
@@ -457,6 +522,7 @@ SubCell::announce(const Prefix &prefix, NextHop next_hop,
         ckey, Group(static_cast<uint32_t>(slot),
                     config_.range.base, config_.stride));
     panicIf(!inserted, "announce: duplicate group emplace");
+    noteGroupAdded(ckey);
     filter_.set(static_cast<uint32_t>(slot), ckey);
     ++writes_.filterWrites;
     git->second.shadow.announce(prefix, next_hop);
@@ -615,10 +681,21 @@ SubCell::selfCheck() const
             Key128 key = ckey;
             key.deposit(base, avail, v >> (config_.stride - avail));
             Hit h = lookup(key);
-            if (!h.hit || h.nextHop != image.hops[hop])
+            if (!h.hit || h.nextHop != image.hops[hop] ||
+                h.matchedLength != shadowLength(ckey, v))
                 return false;
             ++hop;
         }
+    }
+
+    if (!regionGroups_.empty()) {
+        std::vector<uint32_t> recount(CellSummary::kRegions, 0);
+        for (const auto &[ckey, g] : groups_) {
+            (void)g;
+            ++recount[summary_->region(ckey)];
+        }
+        if (recount != regionGroups_)
+            return false;
     }
     return true;
 }
@@ -685,6 +762,7 @@ SubCell::loadState(persist::Decoder &dec)
     bitvec_.loadState(dec);
 
     groups_.clear();
+    GroupImage &image = image_;
     uint64_t group_count = dec.count(32);
     if (group_count > config_.capacity)
         throw persist::DecodeError("subcell: group count over capacity");
@@ -697,10 +775,12 @@ SubCell::loadState(persist::Decoder &dec)
             ckey, Group(slot, config_.range.base, config_.stride));
         if (!inserted)
             throw persist::DecodeError("subcell: duplicate group key");
+        noteGroupAdded(ckey);
         Group &g = it->second;
         g.resultBase = dec.u32();
         g.resultSize = dec.u32();
         uint64_t members = dec.count(21);
+        unsigned longest = 0;
         for (uint64_t m = 0; m < members; ++m) {
             Prefix prefix = dec.prefix();
             NextHop hop = dec.u32();
@@ -710,7 +790,21 @@ SubCell::loadState(persist::Decoder &dec)
                     "subcell: member outside its group");
             if (!g.shadow.announce(prefix, hop))
                 throw persist::DecodeError("subcell: duplicate member");
+            longest = std::max(longest, prefix.length());
         }
+
+        // Matched-length offsets are not snapshot bytes: re-derive
+        // them from the shadow, exactly as refreshImage() wrote them.
+        // ResultTable::loadState left every offset 0, which is already
+        // right for a group whose members all sit at the base.
+        if (longest <= config_.range.base)
+            continue;
+        g.shadow.computeImage(image);
+        if (image.lengths.size() > g.resultSize ||
+            uint64_t(g.resultBase) + g.resultSize > results_->highWater())
+            throw persist::DecodeError("subcell: result block invalid");
+        for (uint32_t i = 0; i < image.lengths.size(); ++i)
+            results_->setLengthOffset(g.resultBase + i, image.lengths[i]);
     }
 
     recentlyRemoved_.clear();

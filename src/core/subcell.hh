@@ -15,7 +15,17 @@
  *
  * The Result Table is shared across sub-cells and passed in by the
  * engine.  A lookup makes exactly four table accesses: Index, Filter,
- * Bit-vector, Result — independent of key width.
+ * Bit-vector, Result — independent of key width.  The Result entry
+ * also carries, beside its parity bit, the matched length minus the
+ * cell base, so a lookup reads no shadow state; only the soft lookup
+ * after a parity error does.
+ *
+ * The engine's CellSummary, when passed in the same way, learns which
+ * regions hold this cell's groups: the cell counts its groups per
+ * region and sets or clears its summary bit as a count leaves or
+ * reaches zero, wherever a group is created or erased.  Neither the
+ * offsets nor the summary are modeled hardware or snapshot bytes;
+ * loadState() re-derives both from the shadow.
  */
 
 #ifndef CHISEL_CORE_SUBCELL_HH
@@ -30,6 +40,7 @@
 #include "bloom/bloomier.hh"
 #include "concurrent/relaxed.hh"
 #include "core/bitvector_table.hh"
+#include "core/cell_summary.hh"
 #include "core/collapse.hh"
 #include "core/filter_table.hh"
 #include "core/result_table.hh"
@@ -116,7 +127,13 @@ class SubCell
         unsigned matchedLength = 0;
     };
 
-    SubCell(const Config &config, ResultTable *results);
+    /**
+     * @param summary The engine's cell-presence summary, kept exact
+     *        for this cell's groups under @p summary_bit; nullptr (a
+     *        stand-alone cell) or bit 0 reports nothing.
+     */
+    SubCell(const Config &config, ResultTable *results,
+            CellSummary *summary = nullptr, uint64_t summary_bit = 0);
 
     /** True if this cell serves prefixes of @p len. */
     bool
@@ -301,9 +318,17 @@ class SubCell
 
     /**
      * Deep consistency check (tests): every shadow member is
-     * retrievable through the hardware lookup path.
+     * retrievable through the hardware lookup path with the matched
+     * length ShadowGroup::longestCover() derives, and the per-region
+     * group counts match a recount.
      */
     bool selfCheck() const;
+
+    /**
+     * Set this cell's bit in @p summary for every group it holds — a
+     * recount from the groups, for the engine's selfCheck().
+     */
+    void markGroups(CellSummary &summary) const;
 
     /**
      * Serialize the full cell state: Index/Filter/Bit-vector images,
@@ -348,6 +373,15 @@ class SubCell
     /** Re-derive and write a group's hardware image. */
     void refreshImage(const Key128 &ckey, Group &group);
 
+    /** Summary bookkeeping after groups_ gained @p ckey. */
+    void noteGroupAdded(const Key128 &ckey);
+
+    /** Summary bookkeeping after groups_ lost @p ckey. */
+    void noteGroupErased(const Key128 &ckey);
+
+    /** The matched length the shadow copy derives (for cross-checks). */
+    unsigned shadowLength(const Key128 &ckey, uint64_t slot) const;
+
     /**
      * Shadow-copy fallback for a lookup that hit a parity error:
      * correct by construction, and flags the cell for recovery.
@@ -377,6 +411,14 @@ class SubCell
 
     Config config_;
     ResultTable *results_;
+    CellSummary *summary_;
+    uint64_t summaryBit_;
+    /** Base >= the summary's region prefix: each group has one region. */
+    bool regional_;
+    /** Groups per summary region (regional cells; sized on first use). */
+    std::vector<uint32_t> regionGroups_;
+    /** Scratch for deriving group images: refreshes allocate nothing. */
+    GroupImage image_;
     BloomierFilter index_;
     FilterTable filter_;
     BitVectorTable bitvec_;

@@ -95,6 +95,40 @@ TEST(EdgeCases, StrideOneEngine)
     }
 }
 
+TEST(EdgeCases, StrideOneIpv6PlanPast64Cells)
+{
+    // Populated lengths 2, 5, 8, ... at stride 1 alternate a two-length
+    // cell with a one-length filler: 85 cells, more than the 64 bits
+    // of a cell-presence mask.  The shortest cells share bit 63 and
+    // are probed on every lookup; the answers must not change.
+    ChiselConfig cfg;
+    cfg.keyWidth = 128;
+    cfg.stride = 1;
+    RoutingTable table;
+    Rng rng(0xE7);
+    for (unsigned len = 2; len <= 128; len += 3) {
+        for (int i = 0; i < 4; ++i) {
+            table.add(Prefix(Key128(rng.next64(), rng.next64()), len),
+                      static_cast<NextHop>(len * 10 + i));
+        }
+    }
+    ChiselEngine e(table, cfg);
+    ASSERT_GT(e.cellCount(), 64u);
+    EXPECT_TRUE(e.selfCheck());
+
+    BinaryTrie oracle(table);
+    auto keys = generateLookupKeys(table, 4000, 128, 0.8, 0xE8);
+    for (const auto &key : keys) {
+        auto a = oracle.lookup(key, 128);
+        auto b = e.lookup(key);
+        ASSERT_EQ(a.has_value(), b.found);
+        if (a) {
+            ASSERT_EQ(a->nextHop, b.nextHop);
+            ASSERT_EQ(a->prefix.length(), b.matchedLength);
+        }
+    }
+}
+
 TEST(EdgeCases, SingleRouteEngine)
 {
     RoutingTable t;
