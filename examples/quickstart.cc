@@ -39,7 +39,7 @@ main()
                     "%u memory accesses)\n",
                     what, r.nextHop, r.matchedLength,
                     r.fromDefault ? " default" : "",
-                    r.memoryAccesses);
+                    ChiselEngine::kLookupAccesses);
     };
     show("10.1.2.3", 0x0A010203);        // /24 wins.
     show("10.1.9.9", 0x0A010909);        // /16 wins.

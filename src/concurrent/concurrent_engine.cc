@@ -693,21 +693,6 @@ ConcurrentChisel::dirtyPeak() const
     return idleImage().engine->dirtyPeak();
 }
 
-AccessCounters
-ConcurrentChisel::accessTotals() const
-{
-    AccessCounters total;
-    for (const Image &img : images_) {
-        const AccessCounters &c = img.engine->accessCounters();
-        total.lookups += c.lookups;
-        total.indexSegmentReads += c.indexSegmentReads;
-        total.filterReads += c.filterReads;
-        total.bitvectorReads += c.bitvectorReads;
-        total.resultReads += c.resultReads;
-    }
-    return total;
-}
-
 std::optional<NextHop>
 ConcurrentChisel::find(const Prefix &prefix) const
 {

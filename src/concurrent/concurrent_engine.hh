@@ -336,8 +336,9 @@ class ConcurrentChisel
 
     /**
      * Write a snapshot of the current state WITHOUT stalling readers:
-     * the idle image (identical to the live one) is serialized under
-     * the writer lock, so only updates wait.  @return bytes written.
+     * the idle image (identical to the live one: lookups write
+     * nothing) is serialized under the writer lock, so only updates
+     * wait.  @return bytes written.
      */
     size_t saveSnapshot(const std::string &path) const;
 
@@ -381,12 +382,6 @@ class ConcurrentChisel
 
     /** High-water mark of dirty retention since construction. */
     size_t dirtyPeak() const;
-
-    /**
-     * Access counters summed over both images — lookups land on
-     * whichever image was live, so the total is the sum.
-     */
-    AccessCounters accessTotals() const;
 
     /** Exact-prefix query (serialized with updates). */
     std::optional<NextHop> find(const Prefix &prefix) const;

@@ -4,9 +4,10 @@
  *
  * The engine's hot paths are read by N lookup threads while one
  * writer (and the background scrubber) mutates state elsewhere, so
- * every counter that lookups bump — access tallies, parity-detection
- * counts, telemetry counters — must be free of data races without
- * adding contention.  RelaxedU64 wraps std::atomic<uint64_t> with
+ * the counters a lookup may bump — parity detections after a parity
+ * error, telemetry while a binding is attached — must be free of data
+ * races.  Lookups bump nothing else: a counter every reader writes is
+ * a cache line they all contend on.  RelaxedU64 wraps std::atomic with
  * memory_order_relaxed everywhere and the arithmetic surface of a
  * plain uint64_t (++, +=, comparison, stream output), so the counter
  * structs keep their existing call sites while becoming safe to bump

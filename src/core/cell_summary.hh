@@ -25,7 +25,7 @@
  * and every shorter cell, and stays set.
  *
  * The summary is not part of the modeled hardware: storage(),
- * AccessCounters, traced accesses and snapshots never see it.
+ * modeledAccesses(), traced accesses and snapshots never see it.
  */
 
 #ifndef CHISEL_CORE_CELL_SUMMARY_HH

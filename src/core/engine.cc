@@ -257,15 +257,6 @@ LookupResult
 ChiselEngine::lookupImpl(const Key128 &key) const
 {
     LookupResult out;
-    out.memoryAccesses = kLookupAccesses;
-
-    // Access accounting: every cell's Index segments, Filter and
-    // Bit-vector are read on every lookup (the probes run in
-    // parallel across cells, but each is a real memory access).
-    ++access_.lookups;
-    access_.indexSegmentReads += cells_.size() * config_.k;
-    access_.filterReads += cells_.size();
-    access_.bitvectorReads += cells_.size();
 
     // All sub-cells probe in parallel; the priority encoder picks the
     // hit with the longest base.  Software probes only the cells the
@@ -320,8 +311,6 @@ ChiselEngine::lookupImpl(const Key128 &key) const
         out.matchedLength = 0;
         out.fromDefault = true;
     }
-    if (out.found && !out.fromDefault)
-        ++access_.resultReads;
     return out;
 }
 

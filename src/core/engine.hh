@@ -144,12 +144,6 @@ struct LookupResult
     NextHop nextHop = kNoRoute;
     unsigned matchedLength = 0;
 
-    /**
-     * Sequential memory accesses on the hit path: Index, Filter,
-     * Bit-vector, Result — constant, key-width independent.
-     */
-    unsigned memoryAccesses = 0;
-
     /** True if the match came from the spillover TCAM. */
     bool fromSpill = false;
 
@@ -180,25 +174,17 @@ struct RobustnessCounters
 };
 
 /**
- * Memory-access counters accumulated across lookups — the measured
- * input to the power model (every sub-cell's tables are touched on
- * every lookup; the Result Table only on a hit).  Lookups run from
- * any number of threads, so the tallies are relaxed atomics
- * (docs/concurrency.md).
+ * The paper's hardware accesses for a batch of lookups (Sections 6.5,
+ * 6.7.1), the pattern ChiselPowerModel::measured prices.  What the
+ * software touches is the access tracer's count instead.
  */
-struct AccessCounters
+struct ModeledAccesses
 {
-    concurrent::RelaxedU64 lookups;
-    concurrent::RelaxedU64 indexSegmentReads; ///< k per sub-cell per lookup.
-    concurrent::RelaxedU64 filterReads;       ///< 1 per sub-cell per lookup.
-    concurrent::RelaxedU64 bitvectorReads;    ///< 1 per sub-cell per lookup.
-    concurrent::RelaxedU64 resultReads;       ///< 1 per hit (off-chip).
-
-    uint64_t
-    onChipTotal() const
-    {
-        return indexSegmentReads + filterReads + bitvectorReads;
-    }
+    uint64_t lookups = 0;
+    uint64_t indexSegmentReads = 0; ///< k per sub-cell per lookup.
+    uint64_t filterReads = 0;       ///< 1 per sub-cell per lookup.
+    uint64_t bitvectorReads = 0;    ///< 1 per sub-cell per lookup.
+    uint64_t resultReads = 0;       ///< 1 per hit (off-chip).
 };
 
 /** Results of one background scrub pass (docs/concurrency.md). */
@@ -370,9 +356,18 @@ class ChiselEngine
     const UpdateStats &updateStats() const { return updateStats_; }
     void resetUpdateStats() { updateStats_ = UpdateStats{}; }
 
-    /** Memory-access counters since construction / last reset. */
-    const AccessCounters &accessCounters() const { return access_; }
-    void resetAccessCounters() { access_ = AccessCounters{}; }
+    /**
+     * Modeled accesses of @p lookups lookups, @p hits of them matching
+     * a route other than the default: every sub-cell is probed on
+     * every lookup, the Result Table read once per hit.
+     */
+    ModeledAccesses
+    modeledAccesses(uint64_t lookups, uint64_t hits) const
+    {
+        const uint64_t cells = cells_.size();
+        return ModeledAccesses{lookups, lookups * cells * config_.k,
+                               lookups * cells, lookups * cells, hits};
+    }
 
     /** Purge dirty groups in every cell (a "resetup" housekeeping). */
     size_t purgeDirty();
@@ -407,8 +402,9 @@ class ChiselEngine
      * Serialize the complete engine state — collapse plan, every
      * sub-cell's Index/Filter/Bit-vector image and shadow groups, the
      * shared Result Table, spill TCAM, slow-path map, default route,
-     * and all counters — so restoreState() reproduces this engine
-     * bit-for-bit without re-running any Bloomier setup.  The config
+     * TTL state and counters (no lookup changes them) — so restoreState()
+     * reproduces this engine bit-for-bit without re-running any
+     * Bloomier setup.  The config
      * is NOT included; the snapshot container stores it separately so
      * a mismatch can be rejected before deep decoding begins
      * (docs/persistence.md).
@@ -502,7 +498,6 @@ class ChiselEngine
     uint64_t ttlClockMs_ = 0;
     UpdateStats updateStats_;
     RobustnessCounters robust_;
-    mutable AccessCounters access_;
     telemetry::EngineTelemetry *telemetry_ = nullptr;
 };
 

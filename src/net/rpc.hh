@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "common/key128.hh"
+#include "persist/frame.hh"
 #include "route/updates.hh"
 
 namespace chisel::net {
@@ -153,11 +154,10 @@ RpcMessage makeStatus(uint64_t id, StatusCode code,
  * connection.  This is the decoder the fuzz harness
  * (fuzz/fuzz_wire.cc) hammers.
  */
-class MessageReader
+class MessageReader : private persist::FrameBuffer
 {
   public:
-    /** Append @p len received bytes. */
-    void feed(const uint8_t *data, size_t len);
+    MessageReader() : FrameBuffer(kMaxRpcPayload, "message") {}
 
     /**
      * Decode the next completed message into @p out.  @return false
@@ -165,22 +165,10 @@ class MessageReader
      */
     bool next(RpcMessage &out);
 
-    /** True once the stream violated framing; unrecoverable. */
-    bool bad() const { return bad_; }
-
-    /** Why bad() turned true (empty while the stream is healthy). */
-    const std::string &error() const { return error_; }
-
-    /** Bytes buffered but not yet consumed by next(). */
-    size_t buffered() const { return buf_.size() - pos_; }
-
-  private:
-    void poison(const std::string &why);
-
-    std::vector<uint8_t> buf_;
-    size_t pos_ = 0;  ///< Consumed prefix of buf_ (compacted lazily).
-    bool bad_ = false;
-    std::string error_;
+    using FrameBuffer::bad;
+    using FrameBuffer::buffered;
+    using FrameBuffer::error;
+    using FrameBuffer::feed;
 };
 
 } // namespace chisel::net

@@ -8,6 +8,7 @@
 #include "common/logging.hh"
 #include "fault/fault.hh"
 #include "persist/codec.hh"
+#include "persist/frame.hh"
 #include "telemetry/flight.hh"
 
 namespace chisel::persist {
@@ -16,7 +17,7 @@ namespace {
 
 constexpr uint32_t kJournalMagic = 0x314A4843;   // "CHJ1"
 constexpr size_t kHeaderBytes = 4 + 4 + 8 + 4;   // magic ver fp crc
-constexpr size_t kRecordHeaderBytes = 4 + 4;     // length crc
+constexpr uint32_t kMaxRecordBytes = 1u << 20;   // Longer is corruption.
 
 std::vector<uint8_t>
 encodeHeader(uint64_t fingerprint)
@@ -152,27 +153,21 @@ scanJournalBuffer(const uint8_t *data, size_t size,
     scan.headerOk = true;
     scan.validBytes = kHeaderBytes;
 
+    // The valid prefix ends at the first frame that is partial (a
+    // torn write), oversized, fails its CRC (bit rot) or does not
+    // decode although its CRC passed.
     size_t pos = kHeaderBytes;
-    while (pos + kRecordHeaderBytes <= size) {
-        Decoder rh(data + pos, kRecordHeaderBytes);
-        uint32_t len = rh.u32();
-        uint32_t stored = rh.u32();
-        // An implausible length is corruption, not a record: stop.
-        if (len == 0 || len > (1u << 20))
-            break;
-        if (pos + kRecordHeaderBytes + len > size)
-            break;   // Partial final record (classic torn write).
-        const uint8_t *payload = data + pos + kRecordHeaderBytes;
-        if (crc32(payload, len) != stored)
-            break;   // Bit rot or a torn write inside the payload.
+    uint32_t len = 0;
+    while (checkFrame(data + pos, size - pos, kMaxRecordBytes, len) ==
+           FrameCheck::Ok) {
         JournalRecord rec;
         try {
-            rec = decodeJournalRecord(payload, len);
+            rec = decodeJournalRecord(data + pos + kFrameHeaderBytes, len);
         } catch (const DecodeError &) {
-            break;   // CRC passed but structure is nonsense: stop.
+            break;
         }
         scan.records.push_back(rec);
-        pos += kRecordHeaderBytes + len;
+        pos += kFrameHeaderBytes + len;
         scan.validBytes = pos;
         switch (rec.type) {
           case JournalRecord::Type::Update:
@@ -302,11 +297,8 @@ UpdateJournal::writeRecord(const std::vector<uint8_t> &payload,
     if (ioFailed_)
         return false;  // Durability already void; refuse loudly.
 
-    Encoder framed;
-    framed.u32(static_cast<uint32_t>(payload.size()));
-    framed.u32(crc32(payload.data(), payload.size()));
-    framed.bytes(payload.data(), payload.size());
-    const std::vector<uint8_t> &bytes = framed.buffer();
+    const std::vector<uint8_t> bytes =
+        encodeFrame(payload.data(), payload.size());
 
     if (CHISEL_FAULT_FIRE(JournalTornWrite)) {
         // Crash mid-append: a leading fragment reaches the disk, the

@@ -51,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "persist/frame.hh"
 #include "persist/journal.hh"
 
 namespace chisel::replica {
@@ -125,11 +126,10 @@ constexpr uint64_t kMaxSnapshotBytes = 1ull << 31;
  * first violation, so the caller drops the connection and
  * reconnects, exactly like the journal's torn-tail rule.
  */
-class FrameReader
+class FrameReader : private persist::FrameBuffer
 {
   public:
-    /** Append @p len received bytes. */
-    void feed(const uint8_t *data, size_t len);
+    FrameReader() : FrameBuffer(kMaxFramePayload, "frame") {}
 
     /**
      * Decode the next completed frame into @p out.  @return false
@@ -137,22 +137,10 @@ class FrameReader
      */
     bool next(Frame &out);
 
-    /** True once the stream violated framing; unrecoverable. */
-    bool bad() const { return bad_; }
-
-    /** Why bad() turned true (empty while the stream is healthy). */
-    const std::string &error() const { return error_; }
-
-    /** Bytes buffered but not yet consumed by next(). */
-    size_t buffered() const { return buf_.size() - pos_; }
-
-  private:
-    void poison(const std::string &why);
-
-    std::vector<uint8_t> buf_;
-    size_t pos_ = 0;  ///< Consumed prefix of buf_ (compacted lazily).
-    bool bad_ = false;
-    std::string error_;
+    using FrameBuffer::bad;
+    using FrameBuffer::buffered;
+    using FrameBuffer::error;
+    using FrameBuffer::feed;
 };
 
 class ByteStream;

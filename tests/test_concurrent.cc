@@ -681,7 +681,6 @@ TEST(ConcurrentStress, ReadersAlwaysSeeSomePublishedGeneration)
     EXPECT_GT(generationsObserved, 2u);
 
     EXPECT_TRUE(c.selfCheck());
-    EXPECT_GE(c.accessTotals().lookups, total);
 }
 
 /**

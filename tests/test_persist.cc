@@ -189,6 +189,40 @@ TEST(PersistEngine, StateRoundtripIsBitExactWithZeroSetups)
     }
 }
 
+TEST(PersistEngine, StateIgnoresLookupsAndReservedWords)
+{
+    RoutingTable table = generateScaledTable(400, 32, 0x53AB);
+    ChiselEngine engine(table);
+    std::vector<uint8_t> image = stateBytes(engine);
+
+    // Lookups write nothing the state carries.
+    for (const Key128 &k : generateLookupKeys(table, 500, 32, 0.8, 0x53AC))
+        engine.lookup(k);
+    ASSERT_EQ(stateBytes(engine), image);
+
+    // Five reserved u64 words precede the TTL clock and deadlines.
+    // Older snapshots hold lookup access tallies there: those still
+    // load, and re-save as zero.
+    Encoder tail;
+    tail.u64(engine.ttlClock());
+    engine.ttlIndex().saveState(tail);
+    constexpr size_t kReservedBytes = 5 * 8;
+    ASSERT_GE(image.size(), tail.size() + kReservedBytes);
+    size_t at = image.size() - tail.size() - kReservedBytes;
+    std::vector<uint8_t> tallied = image;
+    for (size_t i = 0; i < kReservedBytes; ++i) {
+        ASSERT_EQ(image[at + i], 0u) << "reserved byte " << i;
+        tallied[at + i] = static_cast<uint8_t>(0x11 + i);
+    }
+
+    Decoder dec(tallied.data(), tallied.size());
+    std::unique_ptr<ChiselEngine> restored =
+        ChiselEngine::restoreState(engine.config(), dec);
+    EXPECT_TRUE(dec.atEnd());
+    EXPECT_EQ(stateBytes(*restored), image);
+    EXPECT_TRUE(restored->selfCheck());
+}
+
 TEST(PersistEngine, RestoreRefusesTruncatedOrBitFlippedImages)
 {
     RoutingTable table = generateScaledTable(400, 32, 0x52AB);

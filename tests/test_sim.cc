@@ -212,19 +212,21 @@ TEST(Ipv6Cidr, RejectsMalformed)
     EXPECT_THROW(Prefix::fromCidr6("zz::/8"), ChiselError);
 }
 
-// ---- Access counters & measured power ---------------------------------------
+// ---- Modeled accesses & measured power --------------------------------------
 
-TEST(AccessCounters, CountPerLookup)
+TEST(ModeledAccesses, CountPerLookup)
 {
     RoutingTable t;
     t.add(Prefix::fromCidr("10.0.0.0/8"), 1);
     ChiselEngine e(t);
-    e.resetAccessCounters();
 
-    e.lookup(Key128::fromIpv4(0x0A000001));   // Hit.
-    e.lookup(Key128::fromIpv4(0x0B000001));   // Miss.
+    uint64_t hits = 0;
+    for (uint32_t addr : {0x0A000001u, 0x0B000001u}) {   // Hit, miss.
+        LookupResult r = e.lookup(Key128::fromIpv4(addr));
+        hits += r.found && !r.fromDefault;
+    }
 
-    const auto &a = e.accessCounters();
+    ModeledAccesses a = e.modeledAccesses(2, hits);
     EXPECT_EQ(a.lookups, 2u);
     EXPECT_EQ(a.indexSegmentReads,
               2 * e.cellCount() * e.config().k);

@@ -736,10 +736,10 @@ TEST(EngineTelemetry, LookupAccessesMatchAnalyticalBudget)
         registry.findCounter("engine.lookup.spill_hits")->value(), 0u);
 }
 
-TEST(EngineTelemetry, TracedCountsBoundedByModeledCounters)
+TEST(EngineTelemetry, TracedCountsBoundedByModeledAccesses)
 {
     // The traced counts are the software path's actual accesses; the
-    // engine's AccessCounters model the hardware, where every cell
+    // engine's modeledAccesses are the hardware's, where every cell
     // probes on every lookup.  The software short-circuits at the
     // first (longest-base) hit, so traced on-chip reads are a lower
     // bound on the modeled ones — and the off-chip Result read only
@@ -756,17 +756,19 @@ TEST(EngineTelemetry, TracedCountsBoundedByModeledCounters)
     MetricRegistry registry;
     EngineTelemetry telemetry(registry);
     engine.attachTelemetry(&telemetry);
-    engine.resetAccessCounters();
 
     const unsigned kLookups = 32;
+    uint64_t hits = 0;
     for (unsigned i = 0; i < kLookups; ++i) {
         Key128 key;
         key.deposit(0, 8, i);
-        ASSERT_TRUE(engine.lookup(key).found);
+        LookupResult r = engine.lookup(key);
+        ASSERT_TRUE(r.found);
+        hits += !r.fromDefault;
     }
     engine.attachTelemetry(nullptr);
 
-    const auto &a = engine.accessCounters();
+    const ModeledAccesses a = engine.modeledAccesses(kLookups, hits);
     auto h = [&](const char *name) {
         return registry
             .findHistogram(std::string("engine.lookup.accesses.") +
