@@ -2,10 +2,11 @@
  * @file
  * Unified perf-trajectory driver (docs/observability.md).
  *
- * Runs the three canonical performance scenarios under pinned
+ * Runs the canonical performance scenarios under pinned
  * configurations and emits one schema-stable JSON file each:
  *
  *     lookup      single-thread LPM throughput  -> BENCH_lookup.json
+ *     lookup_dfz  the same at DFZ scale         -> BENCH_lookup_dfz.json
  *     update      trace-replay update cost      -> BENCH_update.json
  *     concurrent  readers under a live writer   -> BENCH_concurrent.json
  *
@@ -17,14 +18,18 @@
  * documents with different fingerprints measured different workloads
  * and must not be diffed.
  *
- *     perf_driver [--out-dir=DIR] [--scenario=lookup|update|concurrent|all]
+ *     perf_driver [--out-dir=DIR]
+ *                 [--scenario=lookup|lookup_dfz|update|concurrent|all]
  *                 [--quick]
  *
  * --quick shrinks tables and op counts for CI smoke runs (the
  * fingerprint changes with it, so quick and full runs never compare
- * against each other).
+ * against each other).  lookup_dfz keeps its 262,144-route table under
+ * --quick: a smaller one would fit in cache, which is what it exists
+ * to avoid.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -151,18 +156,58 @@ fillQuantiles(const telemetry::Pow2Histogram &h, ScenarioResult &r)
 
 // ---- lookup ---------------------------------------------------------
 
+/**
+ * Single-thread lookups of @p keys (a power-of-two count) in order,
+ * wrapping around: throughput over r.ops, latency over @p latency_ops,
+ * and traced accesses over the first 4096 keys.
+ */
+void
+measureLookups(const ChiselEngine &engine, const std::vector<Key128> &keys,
+               size_t latency_ops, ScenarioResult &r)
+{
+    const size_t mask = keys.size() - 1;
+
+    // Throughput: no per-op clock reads polluting the loop.
+    uint64_t begin = monotonicNowNs();
+    for (size_t i = 0; i < r.ops; ++i) {
+        volatile bool found = engine.lookup(keys[i & mask]).found;
+        (void)found;
+    }
+    uint64_t elapsed = monotonicNowNs() - begin;
+    r.opsPerSec = elapsed ? r.ops * 1e9 / double(elapsed) : 0.0;
+
+    // Latency: a separate, per-op-timed pass.
+    telemetry::Pow2Histogram lat;
+    for (size_t i = 0; i < latency_ops; ++i) {
+        uint64_t t0 = monotonicNowNs();
+        volatile bool found = engine.lookup(keys[i & mask]).found;
+        (void)found;
+        lat.sample(monotonicNowNs() - t0);
+    }
+    fillQuantiles(lat, r);
+
+    // Accesses/lookup: the paper's "4 memory accesses" budget
+    // (reads 0 when CHISEL_ENABLE_TRACING=OFF).
+    const size_t traced = std::min<size_t>(keys.size(), 4096);
+    telemetry::AccessTracer tracer;
+    {
+        telemetry::ScopedTracer scope(&tracer);
+        for (size_t i = 0; i < traced; ++i)
+            engine.lookup(keys[i]);
+    }
+    r.accessesPerOp = double(tracer.totalReads()) / traced;
+}
+
 ScenarioResult
 runLookup(const DriverOptions &opts)
 {
     const size_t tableSize = opts.quick ? 5000 : 50000;
-    const size_t ops = opts.quick ? 200000 : 2000000;
-    const size_t latencyOps = opts.quick ? 20000 : 100000;
     const unsigned keyCount = 4096;
 
     ScenarioResult r;
     r.scenario = "lookup";
     r.tableSize = tableSize;
-    r.ops = ops;
+    r.ops = opts.quick ? 200000 : 2000000;
     r.fingerprint = hex8(fnv1a(
         "lookup:v1:table=" + std::to_string(tableSize) +
         ":keys=" + std::to_string(keyCount) +
@@ -171,39 +216,37 @@ runLookup(const DriverOptions &opts)
 
     RoutingTable table = generateScaledTable(tableSize, 32, 0xBE);
     ChiselEngine engine(table);
-    std::vector<Key128> keys =
-        generateLookupKeys(table, keyCount, 32, 0.85, 0xBF);
+    measureLookups(engine,
+                   generateLookupKeys(table, keyCount, 32, 0.85, 0xBF),
+                   opts.quick ? 20000 : 100000, r);
+    return r;
+}
 
-    // Throughput: no per-op clock reads polluting the loop.
-    uint64_t begin = monotonicNowNs();
-    for (size_t i = 0; i < ops; ++i) {
-        volatile bool found =
-            engine.lookup(keys[i & (keyCount - 1)]).found;
-        (void)found;
-    }
-    uint64_t elapsed = monotonicNowNs() - begin;
-    r.opsPerSec = elapsed ? ops * 1e9 / double(elapsed) : 0.0;
+// ---- lookup_dfz -----------------------------------------------------
 
-    // Latency: a separate, per-op-timed pass.
-    telemetry::Pow2Histogram lat;
-    for (size_t i = 0; i < latencyOps; ++i) {
-        uint64_t t0 = monotonicNowNs();
-        volatile bool found =
-            engine.lookup(keys[i & (keyCount - 1)]).found;
-        (void)found;
-        lat.sample(monotonicNowNs() - t0);
-    }
-    fillQuantiles(lat, r);
+ScenarioResult
+runLookupDfz(const DriverOptions &opts)
+{
+    // A quarter of a DFZ table (one shard of perfbench's v4_dfz_read),
+    // read through a 16 MiB stream of keys: the tables and the keys
+    // are far larger than the caches, so every table read misses.
+    const size_t tableSize = 262144;
+    const size_t keyCount = size_t(1) << 20;
 
-    // Accesses/lookup: the paper's "4 memory accesses" budget
-    // (reads 0 when CHISEL_ENABLE_TRACING=OFF).
-    telemetry::AccessTracer tracer;
-    {
-        telemetry::ScopedTracer scope(&tracer);
-        for (size_t i = 0; i < keyCount; ++i)
-            engine.lookup(keys[i]);
-    }
-    r.accessesPerOp = double(tracer.totalReads()) / keyCount;
+    ScenarioResult r;
+    r.scenario = "lookup_dfz";
+    r.tableSize = tableSize;
+    r.ops = opts.quick ? 2000000 : 8000000;
+    r.fingerprint = hex8(fnv1a(
+        "lookup_dfz:v1:table=" + std::to_string(tableSize) +
+        ":keys=" + std::to_string(keyCount) +
+        ":width=32:match=0.85:seed=df" + (opts.quick ? ":quick" : "")));
+
+    RoutingTable table = generateScaledTable(tableSize, 32, 0xDF);
+    ChiselEngine engine(table);
+    measureLookups(engine,
+                   generateLookupKeys(table, keyCount, 32, 0.85, 0xE0),
+                   opts.quick ? 200000 : 800000, r);
     return r;
 }
 
@@ -350,8 +393,8 @@ main(int argc, char **argv)
         } else {
             std::fprintf(stderr,
                          "usage: perf_driver [--out-dir=DIR] "
-                         "[--scenario=lookup|update|concurrent|all] "
-                         "[--quick]\n");
+                         "[--scenario=lookup|lookup_dfz|update|"
+                         "concurrent|all] [--quick]\n");
             return 2;
         }
     }
@@ -359,6 +402,10 @@ main(int argc, char **argv)
     bool ran = false;
     if (all || opts.scenario == "lookup") {
         writeResult(opts, runLookup(opts));
+        ran = true;
+    }
+    if (all || opts.scenario == "lookup_dfz") {
+        writeResult(opts, runLookupDfz(opts));
         ran = true;
     }
     if (all || opts.scenario == "update") {

@@ -43,10 +43,13 @@ foldNibbles(const uint64_t *row, const uint64_t *end, const Key128 &key,
 } // anonymous namespace
 
 BloomierFilter::BloomierFilter(size_t capacity,
-                               const BloomierConfig &config)
+                               const BloomierConfig &config,
+                               std::pmr::memory_resource *memory)
     : capacity_(std::max<size_t>(capacity, 1)),
       config_(config),
-      partitions_(std::max(1u, config.partitions))
+      partitions_(std::max(1u, config.partitions)),
+      lanes_(memory),
+      slots_(memory)
 {
     if (config.k < 2 || config.k > kMaxHashes)
         fatalError("BloomierFilter requires 2 <= k <= 8");
@@ -68,12 +71,14 @@ BloomierFilter::BloomierFilter(size_t capacity,
 
     size_t m = partitionSlots_ * partitions_;
     slots_.assign(m, 0);
-    parity_.assign(m, 0);
     counts_.assign(m, 0);
     registry_.resize(partitions_);
 
-    // Codes are pointers into an n-entry table (Equation 4).
+    // Codes are pointers into an n-entry table (Equation 4).  Bit 31
+    // of a slot word is its parity bit, so values get 31 bits.
     slotWidthBits_ = addressBits(capacity_);
+    panicIf(slotWidthBits_ > 31,
+            "BloomierFilter capacity needs slots wider than 31 bits");
     buildLanes();
 }
 
@@ -145,7 +150,7 @@ BloomierFilter::encodeAt(const size_t slots[], uint32_t code,
     }
     panicIf(!found, "encodeAt target not in key's hash neighborhood");
     CHISEL_TRACE_WRITE(Index, target, (slotWidthBits_ + 7) / 8);
-    writeSlot(target, v);
+    writeSlot(target, v & kValueMask);
 }
 
 uint32_t
@@ -155,14 +160,15 @@ BloomierFilter::lookupCode(const Key128 &key, bool *parity_ok) const
     uint32_t v = 0;
     const uint32_t slot_bytes = (slotWidthBits_ + 7) / 8;
     for (unsigned i = 0; i < config_.k; ++i) {
-        // One hardware access per segment probe (k per lookup).
+        // One hardware access per segment probe (k per lookup); the
+        // parity bit rides in the word it guards.
         size_t slot = where.slots[i];
         CHISEL_TRACE_ACCESS(Index, slot, slot_bytes);
         v ^= slots_[slot];
         if (parity_ok && !parityOk(slot))
             *parity_ok = false;
     }
-    return v;
+    return v & kValueMask;
 }
 
 void
@@ -441,8 +447,6 @@ BloomierFilter::rebuildPartition(
     // in a slot no later write will read or touch.
     std::fill(slots_.begin() + base,
               slots_.begin() + base + partitionSlots_, 0);
-    std::fill(parity_.begin() + base,
-              parity_.begin() + base + partitionSlots_, 0);
     for (auto it = peel_order.rbegin(); it != peel_order.rend(); ++it) {
         size_t i = *it;
         encodeAt(where[i].slots, entries[i].second, base + peel_slot[i]);
@@ -459,7 +463,6 @@ void
 BloomierFilter::clear()
 {
     std::fill(slots_.begin(), slots_.end(), 0);
-    std::fill(parity_.begin(), parity_.end(), 0);
     std::fill(counts_.begin(), counts_.end(), 0);
     for (auto &reg : registry_)
         reg.clear();
@@ -472,7 +475,7 @@ BloomierFilter::saveState(persist::Encoder &enc) const
     enc.u64(config_.seed);
     enc.u64(slots_.size());
     for (uint32_t s : slots_)
-        enc.u32(s);
+        enc.u32(s & kValueMask);
     enc.u64(size_);
     // Canonical (key-sorted) order: the image of a restored filter
     // must be byte-identical to the image it was restored from, so
@@ -507,8 +510,14 @@ BloomierFilter::loadState(persist::Decoder &dec)
 
     if (dec.u64() != slots_.size())
         throw persist::DecodeError("bloomier: slot count mismatch");
-    for (size_t i = 0; i < slots_.size(); ++i)
-        writeSlot(i, dec.u32());
+    for (size_t i = 0; i < slots_.size(); ++i) {
+        // A wider value would overwrite the parity bit.
+        uint32_t value = dec.u32();
+        if (value >> slotWidthBits_ != 0)
+            throw persist::DecodeError(
+                "bloomier: slot value wider than the slot");
+        writeSlot(i, value);
+    }
 
     uint64_t n = dec.count(20);   // Key128 (16) + code (4).
     if (n > capacity_)

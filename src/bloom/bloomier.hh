@@ -27,6 +27,7 @@
 #define CHISEL_BLOOM_BLOOMIER_HH
 
 #include <cstdint>
+#include <memory_resource>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -119,8 +120,13 @@ class BloomierFilter
      *        (n); the Index Table gets ceil(ratio*n) slots, rounded
      *        up so that every partition has k equal segments.
      * @param config Construction parameters.
+     * @param memory Where the Index slots and hash lanes (the arrays
+     *        a lookup reads) live: an engine image's ImageArena, or
+     *        the heap for a stand-alone filter.
      */
-    BloomierFilter(size_t capacity, const BloomierConfig &config);
+    BloomierFilter(size_t capacity, const BloomierConfig &config,
+                   std::pmr::memory_resource *memory =
+                       std::pmr::get_default_resource());
 
     /**
      * Bulk setup: replaces the current content with @p entries and
@@ -186,7 +192,10 @@ class BloomierFilter
     /** Slots per partition (a rebuild rewrites this many). */
     size_t partitionSlots() const { return partitionSlots_; }
 
-    /** Width of one Index Table slot in bits (storage model). */
+    /**
+     * Width of one Index Table slot in bits (storage model); at most
+     * 31, since bit 31 of the slot word holds its parity.
+     */
     unsigned slotWidthBits() const { return slotWidthBits_; }
 
     /** Total Index Table storage in bits: m * slot width. */
@@ -210,19 +219,22 @@ class BloomierFilter
     uint64_t seed() const { return config_.seed; }
 
     /**
-     * Soft-error model: flip bit @p bit of Index slot @p slot without
-     * updating its parity.  The corruption is detectable by the
-     * parity check in lookupCode() until the slot is legitimately
-     * rewritten.
+     * Soft-error model: flip value bit @p bit (mod slotWidthBits()) of
+     * Index slot @p slot without updating its parity.  The corruption
+     * is detectable by the parity check in lookupCode() until the
+     * slot is legitimately rewritten.
      */
     void flipSlotBit(size_t slot, unsigned bit);
 
-    /** True if @p slot passes its parity check. */
+    /** True if @p slot passes its parity check (even over the word). */
     bool
     parityOk(size_t slot) const
     {
-        return (popcount64(slots_[slot]) & 1u) == parity_[slot];
+        return (popcount64(slots_[slot]) & 1u) == 0;
     }
+
+    /** The raw slot word, parity bit included (tests). */
+    uint32_t slotWord(size_t slot) const { return slots_[slot]; }
 
     /**
      * Consistency check (tests): every registered key's lookupCode
@@ -231,12 +243,13 @@ class BloomierFilter
     bool selfCheck() const;
 
     /**
-     * Serialize the filter: seed, the raw Index Table slot array
-     * (whose contents encode the peeling result and cannot be
-     * re-derived without re-running setup), the key registry and the
-     * operation counters.  Geometry (capacity, k, ratio, partitions)
-     * is not written — it is fixed by the constructor arguments, and
-     * loadState() requires the running instance to match.
+     * Serialize the filter: seed, the Index Table slot values without
+     * their parity bits (the values encode the peeling result and
+     * cannot be re-derived without re-running setup), the key
+     * registry and the operation counters.  Geometry (capacity, k,
+     * ratio, partitions) is not written — it is fixed by the
+     * constructor arguments, and loadState() requires the running
+     * instance to match.
      */
     void saveState(persist::Encoder &enc) const;
 
@@ -244,8 +257,9 @@ class BloomierFilter
      * Restore from saveState() output: reseeds the hash family,
      * installs the slot array, re-registers every key and recomputes
      * occupancy counts and parity.  No peeling runs.  Throws
-     * persist::DecodeError on malformed input (wrong slot count,
-     * out-of-range code, duplicate key).
+     * persist::DecodeError on malformed input (wrong slot count, a
+     * slot value with a bit at or above slotWidthBits(), out-of-range
+     * code, duplicate key).
      */
     void loadState(persist::Decoder &dec);
 
@@ -277,13 +291,14 @@ class BloomierFilter
      */
     void encodeAt(const size_t slots[], uint32_t code, size_t target);
 
-    /** Store @p value at @p slot, keeping its parity bit current. */
+    /** Slot value bits; bit 31 is the slot's even-parity bit. */
+    static constexpr uint32_t kValueMask = 0x7FFFFFFFu;
+
+    /** Store @p value at @p slot with its parity bit in bit 31. */
     void
     writeSlot(size_t slot, uint32_t value)
     {
-        slots_[slot] = value;
-        parity_[slot] =
-            static_cast<uint8_t>(popcount64(value) & 1u);
+        slots_[slot] = value | (popcount64(value) & 1u) << 31;
     }
 
     /**
@@ -309,14 +324,14 @@ class BloomierFilter
      * (k + 1) + lane], for the ceil(keyLen / 4) nibble positions.
      * Bits of the last nibble beyond keyLen select no rows.
      */
-    std::vector<uint64_t> lanes_;
+    std::pmr::vector<uint64_t> lanes_;
     /** Per lane, the length rows of keyLen (every key shares it). */
     uint64_t laneLengthRows_[kMaxHashes + 1];
     FastRemainder segmentMod_;    ///< x % segmentSlots_.
     FastRemainder partitionMod_;  ///< x % partitions_.
 
-    std::vector<uint32_t> slots_;     ///< The Index Table D[].
-    std::vector<uint8_t> parity_;     ///< Even-parity bit per slot.
+    /** The Index Table D[]: value bits, parity in bit 31. */
+    std::pmr::vector<uint32_t> slots_;
     std::vector<uint32_t> counts_;    ///< Occupancy per slot.
     std::vector<Registry> registry_;  ///< Per-partition key registry.
     size_t size_ = 0;

@@ -33,6 +33,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory_resource>
 #include <vector>
 
 #include "common/key128.hh"
@@ -49,9 +50,12 @@ class CellSummary
     /** Bit 63: shared by cell n-64 and shorter past 64 cells. */
     static constexpr uint64_t kSharedBit = uint64_t(1) << 63;
 
-    CellSummary(unsigned key_width, size_t cells)
+    /** @param memory Where the masks live (the engine image's arena). */
+    CellSummary(unsigned key_width, size_t cells,
+                std::pmr::memory_resource *memory =
+                    std::pmr::get_default_resource())
         : prefixBits_(key_width <= 32 ? 16 : 32),
-          always_(cells > 64 ? kSharedBit : 0), masks_(kRegions, 0)
+          always_(cells > 64 ? kSharedBit : 0), masks_(kRegions, 0, memory)
     {}
 
     /**
@@ -95,7 +99,7 @@ class CellSummary
   private:
     unsigned prefixBits_;
     uint64_t always_;
-    std::vector<uint64_t> masks_;
+    std::pmr::vector<uint64_t> masks_;
 };
 
 } // namespace chisel

@@ -53,26 +53,38 @@ UpdateStats::incrementalFraction() const
     return 1.0 - static_cast<double>(slow) / static_cast<double>(t);
 }
 
-ChiselEngine::ChiselEngine(const RoutingTable &initial,
-                           const ChiselConfig &config)
-    : config_(config), summary_(config.keyWidth, 0),
-      spill_(config.spillCapacity), slowPath_(config.slowPathCapacity)
+namespace {
+
+/** The collapse plan an engine over @p initial uses. */
+CollapsePlan
+planFor(const RoutingTable &initial, const ChiselConfig &config)
 {
-    if (config_.keyWidth < 1 || config_.keyWidth > Key128::maxBits)
+    if (config.keyWidth < 1 || config.keyWidth > Key128::maxBits)
         fatalError("ChiselEngine key width must be in [1, 128]");
 
-    plan_ = makeCollapsePlan(initial.populatedLengths(), config_.stride,
-                             config_.keyWidth,
-                             config_.coverAllLengths);
-    if (plan_.cells.empty()) {
+    CollapsePlan plan = makeCollapsePlan(initial.populatedLengths(),
+                                         config.stride, config.keyWidth,
+                                         config.coverAllLengths);
+    if (plan.cells.empty()) {
         // Empty table and coverage disabled: a single cell over
         // [1, stride+1] so the engine is still usable.
         CellRange r;
         r.base = 1;
-        r.top = std::min(config_.stride + 1, config_.keyWidth);
-        plan_.cells.push_back(r);
+        r.top = std::min(config.stride + 1, config.keyWidth);
+        plan.cells.push_back(r);
     }
+    return plan;
+}
 
+} // anonymous namespace
+
+ChiselEngine::ChiselEngine(const RoutingTable &initial,
+                           const ChiselConfig &config)
+    : config_(config), arena_(std::make_unique<ImageArena>()),
+      plan_(planFor(initial, config)),
+      summary_(config.keyWidth, plan_.cells.size(), arena_.get()),
+      spill_(config.spillCapacity), slowPath_(config.slowPathCapacity)
+{
     // Partition the initial routes per cell.
     std::vector<std::vector<Route>> per_cell(plan_.cells.size());
 
@@ -87,7 +99,6 @@ ChiselEngine::ChiselEngine(const RoutingTable &initial,
         per_cell[c].push_back(r);
     }
 
-    summary_ = CellSummary(config_.keyWidth, plan_.cells.size());
     std::vector<Route> displaced;
     for (size_t i = 0; i < plan_.cells.size(); ++i) {
         SubCell::Config cc;
@@ -120,7 +131,7 @@ ChiselEngine::ChiselEngine(const RoutingTable &initial,
 
         cells_.push_back(std::make_unique<SubCell>(
             cc, &results_, &summary_,
-            CellSummary::bitFor(i, plan_.cells.size())));
+            CellSummary::bitFor(i, plan_.cells.size()), arena_.get()));
         cells_.back()->buildFrom(per_cell[i], displaced);
     }
     UpdateOutcome boot;

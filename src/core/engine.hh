@@ -13,6 +13,12 @@
  * probes only those, longest base first; the modeled access counts
  * still charge every cell.
  *
+ * Every fixed-size array a lookup reads — the summary masks and, per
+ * cell, the hash lanes, Index slots and GroupTable records — lives in
+ * one huge-page-advised ImageArena, released with the engine; the
+ * Result Table, which grows, uses hugePageResource()
+ * (docs/ARCHITECTURE.md, "Memory layout").
+ *
  * Updates follow Section 4.4: the shadow copies inside the sub-cells
  * are modified first and the changed hardware words (bit-vectors,
  * result blocks, occasionally Index/Filter entries) re-written.  The
@@ -29,6 +35,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/huge_pages.hh"
 #include "concurrent/relaxed.hh"
 #include "core/cell_summary.hh"
 #include "core/collapse.hh"
@@ -448,8 +455,8 @@ class ChiselEngine
     /** Tag type for the restoreState() shell constructor. */
     struct RestoreTag {};
 
-    /** Shell engine for restoreState(): config set, tables empty. */
-    ChiselEngine(const ChiselConfig &config, RestoreTag);
+    /** Shell engine for restoreState(): config and plan set, no cells. */
+    ChiselEngine(const ChiselConfig &config, CollapsePlan plan, RestoreTag);
 
     /** lookup() body; runs inside the telemetry span when attached. */
     LookupResult lookupImpl(const Key128 &key) const;
@@ -486,6 +493,12 @@ class ChiselEngine
     uint64_t cellSetupRetries() const;
 
     ChiselConfig config_;
+    /**
+     * Memory of the lookup arrays (summary masks, cells' lanes, Index
+     * slots and records); declared before its users so it outlives
+     * them.  Behind a pointer so its address is stable.
+     */
+    std::unique_ptr<ImageArena> arena_;
     CollapsePlan plan_;
     ResultTable results_;
     /** Which cells can match a key; the cells keep it exact. */

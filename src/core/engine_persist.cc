@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "core/engine.hh"
 #include "persist/codec.hh"
@@ -186,8 +187,11 @@ decodeCellConfig(persist::Decoder &dec)
 
 } // anonymous namespace
 
-ChiselEngine::ChiselEngine(const ChiselConfig &config, RestoreTag)
-    : config_(config), summary_(config.keyWidth, 0),
+ChiselEngine::ChiselEngine(const ChiselConfig &config, CollapsePlan plan,
+                           RestoreTag)
+    : config_(config), arena_(std::make_unique<ImageArena>()),
+      plan_(std::move(plan)),
+      summary_(config.keyWidth, plan_.cells.size(), arena_.get()),
       spill_(config.spillCapacity), slowPath_(config.slowPathCapacity)
 {
 }
@@ -251,12 +255,10 @@ ChiselEngine::restoreState(const ChiselConfig &config,
     if (config.keyWidth < 1 || config.keyWidth > Key128::maxBits)
         throw persist::DecodeError("restore: key width out of range");
 
-    auto engine = std::unique_ptr<ChiselEngine>(
-        new ChiselEngine(config, RestoreTag{}));
-
     uint64_t plan_cells = dec.count(9);
     if (plan_cells == 0 || plan_cells > Key128::maxBits)
         throw persist::DecodeError("restore: implausible plan size");
+    CollapsePlan plan;
     unsigned prev_top = 0;
     for (uint64_t i = 0; i < plan_cells; ++i) {
         CellRange r;
@@ -268,11 +270,14 @@ ChiselEngine::restoreState(const ChiselConfig &config,
         if (i > 0 && r.base <= prev_top)
             throw persist::DecodeError("restore: plan ranges overlap");
         prev_top = r.top;
-        engine->plan_.cells.push_back(r);
+        plan.cells.push_back(r);
     }
 
+    // The arena grows cell by cell as they are decoded: nothing here
+    // knows the image's size in advance.
+    auto engine = std::unique_ptr<ChiselEngine>(
+        new ChiselEngine(config, std::move(plan), RestoreTag{}));
     engine->results_.loadState(dec);
-    engine->summary_ = CellSummary(config.keyWidth, plan_cells);
 
     uint64_t cell_count = dec.count(64);
     if (cell_count != plan_cells)
@@ -285,7 +290,7 @@ ChiselEngine::restoreState(const ChiselConfig &config,
                 "restore: cell range does not match plan");
         auto cell = std::make_unique<SubCell>(
             cc, &engine->results_, &engine->summary_,
-            CellSummary::bitFor(i, cell_count));
+            CellSummary::bitFor(i, cell_count), engine->arena_.get());
         cell->loadState(dec);
         engine->cells_.push_back(std::move(cell));
     }

@@ -12,6 +12,9 @@
  * The Result Table is commodity DRAM in the paper's design and is
  * excluded from every scheme's storage totals (Section 5); it is
  * fully modelled here because lookups and updates must exercise it.
+ * Its two arrays grow at run time, so they live on the heap, not in
+ * the engine image's arena: buffers of 2 MiB or more are huge-page
+ * mappings of their own (hugePageResource()).
  */
 
 #ifndef CHISEL_CORE_RESULT_TABLE_HH
@@ -22,6 +25,7 @@
 #include <vector>
 
 #include "common/bitops.hh"
+#include "common/huge_pages.hh"
 #include "route/prefix.hh"
 
 namespace chisel {
@@ -34,7 +38,7 @@ namespace persist { class Encoder; class Decoder; }
 class ResultTable
 {
   public:
-    ResultTable() = default;
+    ResultTable() : slots_(hugePageResource()), meta_(hugePageResource()) {}
 
     /**
      * Allocate a block of at least @p entries slots; the granted size
@@ -129,9 +133,9 @@ class ResultTable
             popcount64(static_cast<uint64_t>(next_hop)) & 1u);
     }
 
-    std::vector<NextHop> slots_;
+    std::pmr::vector<NextHop> slots_;
     /** Per slot: even-parity bit (bit 0), matched-length offset above. */
-    std::vector<uint8_t> meta_;
+    std::pmr::vector<uint8_t> meta_;
     /** freeLists_[c] holds bases of free blocks of size 2^c. */
     std::vector<std::vector<uint32_t>> freeLists_;
     uint64_t allocated_ = 0;

@@ -28,7 +28,8 @@ updateClassName(UpdateClass c)
 }
 
 SubCell::SubCell(const Config &config, ResultTable *results,
-                 CellSummary *summary, uint64_t summary_bit)
+                 CellSummary *summary, uint64_t summary_bit,
+                 std::pmr::memory_resource *memory)
     : config_(config),
       results_(results),
       summary_(summary),
@@ -37,10 +38,10 @@ SubCell::SubCell(const Config &config, ResultTable *results,
                 config.range.base >= summary->regionPrefix()),
       index_(config.capacity,
              BloomierConfig{config.k, config.ratio, config.range.base,
-                            config.partitions, config.seed}),
-      filter_(config.capacity,
-              std::min(config.range.base, config.keyWidth)),
-      bitvec_(config.capacity, config.stride, config.resultPointerBits),
+                            config.partitions, config.seed},
+             memory),
+      table_(config.capacity, std::min(config.range.base, config.keyWidth),
+             config.stride, config.resultPointerBits, memory),
       damper_(config.damping)
 {
     panicIf(results == nullptr, "SubCell requires a ResultTable");
@@ -56,7 +57,7 @@ SubCell::refreshImage(const Key128 &ckey, Group &group)
     (void)ckey;
     GroupImage &image = image_;
     group.shadow.computeImage(image);
-    bool was_dirty = filter_.dirty(group.slot);
+    bool was_dirty = table_.dirty(group.slot);
 
     if (image.empty()) {
         // Withdrawn group: clear the vector and mark the entry dirty
@@ -64,10 +65,10 @@ SubCell::refreshImage(const Key128 &ckey, Group &group)
         // (Section 4.4.1) — a route flap restores everything with a
         // handful of writes.  The block is reclaimed when the group
         // is purged or dismantled.
-        bitvec_.clearVector(group.slot);
+        table_.clearVector(group.slot);
         ++writes_.bitvectorWrites;
         if (!was_dirty) {
-            filter_.setDirty(group.slot, true);
+            table_.setDirty(group.slot, true);
             ++writes_.filterWrites;
             ++dirtyCount_;
         }
@@ -75,7 +76,7 @@ SubCell::refreshImage(const Key128 &ckey, Group &group)
     }
 
     if (was_dirty) {
-        filter_.setDirty(group.slot, false);
+        table_.setDirty(group.slot, false);
         ++writes_.filterWrites;
         --dirtyCount_;
     }
@@ -104,7 +105,7 @@ SubCell::refreshImage(const Key128 &ckey, Group &group)
             results_->setLengthOffset(addr, image.lengths[i]);
         }
     }
-    bitvec_.setVector(group.slot, image.bits, group.resultBase);
+    table_.setVector(group.slot, image.bits, group.resultBase);
     ++writes_.bitvectorWrites;
 }
 
@@ -170,12 +171,12 @@ SubCell::dismantleGroup(const Key128 &ckey,
     routes_ -= g.shadow.memberCount();
     // The guard against dirtyCount_ == 0 matters during parity
     // recovery: a corrupted dirty bit must not underflow the count.
-    if (filter_.dirty(g.slot) && dirtyCount_ > 0)
+    if (table_.dirty(g.slot) && dirtyCount_ > 0)
         --dirtyCount_;
     if (g.resultSize > 0)
         results_->free(g.resultBase, g.resultSize);
-    bitvec_.clearVector(g.slot);
-    filter_.release(g.slot);
+    table_.clearVector(g.slot);
+    table_.release(g.slot);
     index_.erase(ckey);   // No-op if a rebuild already evicted it.
     groups_.erase(it);
     noteGroupErased(ckey);
@@ -204,7 +205,7 @@ SubCell::buildFrom(const std::vector<Route> &routes,
     }
 
     for (auto &[ckey, members] : bins) {
-        int64_t slot = filter_.allocate();
+        int64_t slot = table_.allocate();
         if (slot < 0) {
             // Capacity exceeded: these members go to the TCAM.
             for (const auto &r : members)
@@ -220,7 +221,7 @@ SubCell::buildFrom(const std::vector<Route> &routes,
             it->second.shadow.announce(r.prefix, r.nextHop);
             ++routes_;
         }
-        filter_.set(static_cast<uint32_t>(slot), ckey);
+        table_.set(static_cast<uint32_t>(slot), ckey);
     }
 
     // One bulk Bloomier setup over all groups, with the bounded
@@ -276,10 +277,10 @@ SubCell::recoverParity(std::vector<Route> &displaced)
     dirtyCount_ = 0;
     for (auto &[ckey, g] : groups_) {
         owned[g.slot] = 1;
-        filter_.set(g.slot, ckey);
+        table_.set(g.slot, ckey);
         ++writes_.filterWrites;
         if (g.shadow.empty()) {
-            filter_.setDirty(g.slot, true);
+            table_.setDirty(g.slot, true);
             ++dirtyCount_;
             if (dirtyCount_ > dirtyPeak_)
                 dirtyPeak_ = dirtyCount_;
@@ -287,8 +288,8 @@ SubCell::recoverParity(std::vector<Route> &displaced)
     }
     for (uint32_t s = 0; s < config_.capacity; ++s) {
         if (!owned[s]) {
-            filter_.resetSlot(s);
-            bitvec_.clearVector(s);
+            table_.resetSlot(s);
+            table_.clearVector(s);
         }
     }
 
@@ -300,7 +301,7 @@ SubCell::recoverParity(std::vector<Route> &displaced)
         (void)ckey;
         g.shadow.computeImage(image);
         if (image.empty()) {
-            bitvec_.clearVector(g.slot);
+            table_.clearVector(g.slot);
             ++writes_.bitvectorWrites;
             // Scrub the retained result block too; a flap restore
             // rewrites its contents, but parity must hold meanwhile.
@@ -320,7 +321,7 @@ SubCell::recoverParity(std::vector<Route> &displaced)
                             image.lengths[i]);
             ++writes_.resultWrites;
         }
-        bitvec_.setVector(g.slot, image.bits, g.resultBase);
+        table_.setVector(g.slot, image.bits, g.resultBase);
         ++writes_.bitvectorWrites;
     }
 }
@@ -334,9 +335,9 @@ SubCell::verifyParity() const
             ++bad;
     }
     for (uint32_t s = 0; s < config_.capacity; ++s) {
-        if (!filter_.parityOk(s))
+        if (!table_.filterParityOk(s))
             ++bad;
-        if (!bitvec_.parityOk(s))
+        if (!table_.vectorParityOk(s))
             ++bad;
     }
     if (bad > 0) {
@@ -362,7 +363,7 @@ SubCell::corruptFilterBit(fault::FaultInjector &injector)
 {
     if (config_.capacity == 0)
         return;
-    filter_.flipKeyBit(
+    table_.flipKeyBit(
         static_cast<uint32_t>(injector.draw(config_.capacity)),
         static_cast<unsigned>(injector.draw(Key128::maxBits)));
 }
@@ -372,7 +373,7 @@ SubCell::corruptBitVectorBit(fault::FaultInjector &injector)
 {
     if (config_.capacity == 0)
         return;
-    bitvec_.flipBit(
+    table_.flipVectorBit(
         static_cast<uint32_t>(injector.draw(config_.capacity)),
         injector.draw(uint64_t(1) << config_.stride));
 }
@@ -396,24 +397,24 @@ SubCell::lookup(const Key128 &key) const
         return out;   // Garbage code for an absent key.
 
     // Access 2: Filter Table — the false-positive check.
-    if (!filter_.parityOk(code))
+    if (!table_.filterParityOk(code))
         return softLookup(key, ckey);
-    if (!filter_.matches(code, ckey))
+    if (!table_.matches(code, ckey))
         return out;
 
-    // Access 3: Bit-vector Table.
-    if (!bitvec_.parityOk(code))
+    // Access 3: Bit-vector Table (the same record as the Filter entry).
+    if (!table_.vectorParityOk(code))
         return softLookup(key, ckey);
     unsigned avail = std::min(config_.stride,
                               Key128::maxBits - base);
     uint64_t v = key.extract(base, avail)
                  << (config_.stride - avail);
-    if (!bitvec_.bit(code, v))
+    if (!table_.bit(code, v))
         return out;
 
     // Access 4: Result Table (off-chip), pointer + popcount offset.
-    unsigned offset = bitvec_.onesUpTo(code, v);
-    uint32_t addr = bitvec_.pointer(code) + offset - 1;
+    unsigned offset = table_.onesUpTo(code, v);
+    uint32_t addr = table_.pointer(code) + offset - 1;
     if (!results_->parityOk(addr))
         return softLookup(key, ckey);
     NextHop nh = results_->read(addr);
@@ -475,7 +476,7 @@ SubCell::announce(const Prefix &prefix, NextHop next_hop,
     auto it = groups_.find(ckey);
     if (it != groups_.end()) {
         Group &g = it->second;
-        bool was_dirty = filter_.dirty(g.slot);
+        bool was_dirty = table_.dirty(g.slot);
 
         UpdateClass cls;
         if (g.shadow.find(prefix)) {
@@ -500,10 +501,10 @@ SubCell::announce(const Prefix &prefix, NextHop next_hop,
     }
 
     // New collapsed prefix: needs a Filter slot and an Index insert.
-    int64_t slot = filter_.allocate();
+    int64_t slot = table_.allocate();
     if (slot < 0) {
         purgeDirty();
-        slot = filter_.allocate();
+        slot = table_.allocate();
     }
     if (slot < 0) {
         displaced.push_back(Route{prefix, next_hop});
@@ -523,7 +524,7 @@ SubCell::announce(const Prefix &prefix, NextHop next_hop,
                     config_.range.base, config_.stride));
     panicIf(!inserted, "announce: duplicate group emplace");
     noteGroupAdded(ckey);
-    filter_.set(static_cast<uint32_t>(slot), ckey);
+    table_.set(static_cast<uint32_t>(slot), ckey);
     ++writes_.filterWrites;
     git->second.shadow.announce(prefix, next_hop);
     ++routes_;
@@ -601,7 +602,7 @@ SubCell::enforceDirtyBudget()
         double best = 0.0;
         uint32_t best_slot = 0;
         for (const auto &[ckey, g] : groups_) {
-            if (!filter_.dirty(g.slot))
+            if (!table_.dirty(g.slot))
                 continue;
             double p = damper_.penalty(ckey);
             if (victim == nullptr || p < best ||
@@ -645,7 +646,7 @@ SubCell::purgeDirty()
 {
     std::vector<std::pair<uint32_t, Key128>> dirty;
     for (const auto &[ckey, g] : groups_) {
-        if (filter_.dirty(g.slot))
+        if (table_.dirty(g.slot))
             dirty.emplace_back(g.slot, ckey);
     }
     // Slot order, not map order: dismantling releases Filter slots
@@ -704,8 +705,8 @@ void
 SubCell::saveState(persist::Encoder &enc) const
 {
     index_.saveState(enc);
-    filter_.saveState(enc);
-    bitvec_.saveState(enc);
+    table_.saveFilter(enc);
+    table_.saveVectors(enc);
 
     // Canonical (sorted) order for the hashed containers: a restored
     // cell must re-serialize byte-identically to its source image.
@@ -758,8 +759,8 @@ void
 SubCell::loadState(persist::Decoder &dec)
 {
     index_.loadState(dec);
-    filter_.loadState(dec);
-    bitvec_.loadState(dec);
+    table_.loadFilter(dec);
+    table_.loadVectors(dec);
 
     groups_.clear();
     GroupImage &image = image_;
@@ -769,7 +770,7 @@ SubCell::loadState(persist::Decoder &dec)
     for (uint64_t i = 0; i < group_count; ++i) {
         Key128 ckey = dec.key();
         uint32_t slot = dec.u32();
-        if (slot >= filter_.capacity() || !filter_.valid(slot))
+        if (slot >= table_.capacity() || !table_.valid(slot))
             throw persist::DecodeError("subcell: group slot invalid");
         auto [it, inserted] = groups_.emplace(
             ckey, Group(slot, config_.range.base, config_.stride));
@@ -841,7 +842,7 @@ SubCell::loadState(persist::Decoder &dec)
     size_t dirty = 0;
     for (const auto &[ckey, g] : groups_) {
         live_routes += g.shadow.memberCount();
-        if (filter_.dirty(g.slot))
+        if (table_.dirty(g.slot))
             ++dirty;
     }
     if (routes_ != live_routes || dirtyCount_ != dirty)

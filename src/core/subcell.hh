@@ -8,14 +8,16 @@
  *  - an Index Table (BloomierFilter) keyed by collapsed prefixes,
  *    whose encoded codes are Filter/Bit-vector slot indices;
  *  - a Filter Table holding the collapsed prefixes themselves, which
- *    eliminates false positives and carries the dirty bits;
- *  - a Bit-vector Table holding each group's 2^stride suffix bits
- *    and Result Table pointer;
+ *    eliminates false positives and carries the dirty bits, and a
+ *    Bit-vector Table holding each group's 2^stride suffix bits and
+ *    Result Table pointer — one GroupTable record per slot;
  *  - the shadow state (per-group member sets) that drives updates.
  *
  * The Result Table is shared across sub-cells and passed in by the
- * engine.  A lookup makes exactly four table accesses: Index, Filter,
- * Bit-vector, Result — independent of key width.  The Result entry
+ * engine, as is the memory the Index and GroupTable arrays live in
+ * (the engine image's ImageArena).  A lookup makes exactly four table
+ * accesses: Index, Filter, Bit-vector, Result — independent of key
+ * width.  The Result entry
  * also carries, beside its parity bit, the matched length minus the
  * cell base, so a lookup reads no shadow state; only the soft lookup
  * after a parity error does.
@@ -39,10 +41,9 @@
 
 #include "bloom/bloomier.hh"
 #include "concurrent/relaxed.hh"
-#include "core/bitvector_table.hh"
 #include "core/cell_summary.hh"
 #include "core/collapse.hh"
-#include "core/filter_table.hh"
+#include "core/group_table.hh"
 #include "core/result_table.hh"
 #include "core/shadow.hh"
 #include "health/damping.hh"
@@ -131,9 +132,13 @@ class SubCell
      * @param summary The engine's cell-presence summary, kept exact
      *        for this cell's groups under @p summary_bit; nullptr (a
      *        stand-alone cell) or bit 0 reports nothing.
+     * @param memory Where the Index slots, hash lanes and GroupTable
+     *        records live: the engine image's arena, or the heap.
      */
     SubCell(const Config &config, ResultTable *results,
-            CellSummary *summary = nullptr, uint64_t summary_bit = 0);
+            CellSummary *summary = nullptr, uint64_t summary_bit = 0,
+            std::pmr::memory_resource *memory =
+                std::pmr::get_default_resource());
 
     /** True if this cell serves prefixes of @p len. */
     bool
@@ -206,10 +211,10 @@ class SubCell
     uint64_t indexBits() const { return index_.storageBits(); }
 
     /** Filter Table storage in bits. */
-    uint64_t filterBits() const { return filter_.storageBits(); }
+    uint64_t filterBits() const { return table_.filterStorageBits(); }
 
     /** Bit-vector Table storage in bits. */
-    uint64_t bitvectorBits() const { return bitvec_.storageBits(); }
+    uint64_t bitvectorBits() const { return table_.vectorStorageBits(); }
 
     /** Parity overhead: one bit per Index/Filter/Bit-vector word. */
     uint64_t
@@ -420,8 +425,7 @@ class SubCell
     /** Scratch for deriving group images: refreshes allocate nothing. */
     GroupImage image_;
     BloomierFilter index_;
-    FilterTable filter_;
-    BitVectorTable bitvec_;
+    GroupTable table_;
     GroupMap groups_;
     std::unordered_set<Prefix, PrefixHasher> recentlyRemoved_;
     size_t routes_ = 0;

@@ -277,6 +277,90 @@ TEST(Bloomier, SlotPlacementIsPinned)
     }
 }
 
+TEST(Bloomier, IndexParityBitStaysOutOfCodes)
+{
+    // Bit 31 of each slot word is its even-parity bit.  It must never
+    // reach a lookupCode() result — for inserted or absent keys —
+    // and flipping any value bit of any slot must fail the check.
+    BloomierConfig cfg;
+    cfg.keyLen = 32;
+    cfg.partitions = 2;
+    BloomierFilter f(1000, cfg);
+    auto entries = randomEntries(900, 32, 11);
+    ASSERT_TRUE(f.setup(entries).empty());
+    const unsigned width = f.slotWidthBits();
+    ASSERT_EQ(width, 10u);
+
+    size_t odd_words = 0;
+    for (size_t s = 0; s < f.slots(); ++s) {
+        EXPECT_TRUE(f.parityOk(s));
+        EXPECT_EQ((f.slotWord(s) & 0x7FFFFFFFu) >> width, 0u);
+        odd_words += f.slotWord(s) >> 31;
+    }
+    ASSERT_GT(odd_words, f.slots() / 8);   // The bit is in use.
+
+    Rng rng(12);
+    for (int i = 0; i < 5000; ++i) {
+        bool ok = true;
+        EXPECT_EQ(f.lookupCode(Key128::fromIpv4(
+                      static_cast<uint32_t>(rng.next64())), &ok) >> width,
+                  0u);
+        EXPECT_TRUE(ok);
+    }
+
+    for (size_t s = 0; s < f.slots(); s += 37) {
+        for (unsigned bit = 0; bit < width; ++bit) {
+            f.flipSlotBit(s, bit);
+            EXPECT_FALSE(f.parityOk(s)) << "slot " << s << " bit " << bit;
+            // Every key whose code the flip changed is told so.
+            for (const auto &[k, code] : entries) {
+                bool ok = true;
+                if (f.lookupCode(k, &ok) != code)
+                    EXPECT_FALSE(ok);
+            }
+            f.flipSlotBit(s, bit);
+            EXPECT_TRUE(f.parityOk(s));
+        }
+    }
+    EXPECT_TRUE(f.selfCheck());
+}
+
+TEST(Bloomier, LoadRejectsSlotValueWiderThanTheSlot)
+{
+    // A saved slot value with a bit at or above slotWidthBits() would
+    // overwrite the parity bit: loadState refuses it.
+    BloomierConfig cfg;
+    BloomierFilter f(1024, cfg);
+    ASSERT_TRUE(f.setup(randomEntries(600, 32, 13)).empty());
+    persist::Encoder enc;
+    f.saveState(enc);
+    const unsigned width = f.slotWidthBits();
+
+    // Slot words follow the seed and the slot count (two u64s).
+    constexpr size_t kFirstSlot = 16;
+    auto with_bit = [&](size_t slot, unsigned bit) {
+        std::vector<uint8_t> bytes = enc.buffer();
+        bytes[kFirstSlot + 4 * slot + bit / 8] ^=
+            static_cast<uint8_t>(1u << (bit % 8));
+        return bytes;
+    };
+    for (size_t slot : {size_t(0), f.slots() / 2, f.slots() - 1}) {
+        for (unsigned bit : {width, width + 5, 30u, 31u}) {
+            std::vector<uint8_t> bytes = with_bit(slot, bit);
+            persist::Decoder dec(bytes.data(), bytes.size());
+            BloomierFilter g(1024, cfg);
+            EXPECT_THROW(g.loadState(dec), persist::DecodeError)
+                << "slot " << slot << " bit " << bit;
+        }
+        // The widest legal value loads, with a good parity bit.
+        std::vector<uint8_t> bytes = with_bit(slot, width - 1);
+        persist::Decoder dec(bytes.data(), bytes.size());
+        BloomierFilter g(1024, cfg);
+        g.loadState(dec);
+        EXPECT_TRUE(g.parityOk(slot));
+    }
+}
+
 TEST(Bloomier, IgnoresBitsBeyondKeyLen)
 {
     // Only the top keyLen bits of a key select its slots, also when

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -224,10 +225,13 @@ TEST(Introspect, ServesLiveEngineOverLoopback)
     // Live load while scraping: one writer applying real updates,
     // two wait-free readers looking up.
     std::atomic<bool> stop{false};
+    std::atomic<uint64_t> applied{0};
     std::thread writer([&] {
         size_t i = 0;
-        while (!stop.load(std::memory_order_acquire))
+        while (!stop.load(std::memory_order_acquire)) {
             engine.apply(updates[i++ % updates.size()]);
+            applied.fetch_add(1, std::memory_order_release);
+        }
     });
     std::vector<std::thread> readers;
     for (int t = 0; t < 2; ++t) {
@@ -264,7 +268,14 @@ TEST(Introspect, ServesLiveEngineOverLoopback)
     }
 
     // The writer's applies flowed into the flight ring while we
-    // scraped (update_apply events from the engine hook).
+    // scraped (update_apply events from the engine hook).  On a loaded
+    // host the writer may not have been scheduled yet: give it a
+    // bounded time for its first apply before looking.
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (applied.load(std::memory_order_acquire) == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     HttpReply flight = httpGet(port, "/flight");
 #if CHISEL_FLIGHT_ENABLED
     EXPECT_NE(flight.body.find("update_apply"), std::string::npos);

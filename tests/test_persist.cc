@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -238,6 +239,89 @@ TEST(PersistEngine, RestoreRefusesTruncatedOrBitFlippedImages)
         EXPECT_THROW(ChiselEngine::restoreState(engine.config(), dec),
                      DecodeError)
             << "truncation at " << cut << " was accepted";
+    }
+}
+
+TEST(PersistEngine, RestoreRejectsIndexWordOverParityBit)
+{
+    // Bit 31 of an Index slot word is its parity bit, so a snapshot
+    // slot value at or above the cell's slot width is corruption.
+    RoutingTable table = generateScaledTable(400, 32, 0x55AB);
+    ChiselEngine engine(table);
+    std::vector<uint8_t> image = stateBytes(engine);
+
+    // The first cell's state appears verbatim in the engine image and
+    // starts with its Index: seed, slot count, then the slot words.
+    Encoder cell;
+    engine.cell(0).saveState(cell);
+    auto at = std::search(image.begin(), image.end(),
+                          cell.buffer().begin(), cell.buffer().end());
+    ASSERT_NE(at, image.end());
+    size_t first_slot = static_cast<size_t>(at - image.begin()) + 16;
+
+    std::vector<uint8_t> bad = image;
+    bad[first_slot + 3] |= 0x80;   // Bit 31 of slot 0 (little-endian).
+    Decoder dec(bad.data(), bad.size());
+    EXPECT_THROW(ChiselEngine::restoreState(engine.config(), dec),
+                 DecodeError);
+
+    Decoder good(image.data(), image.size());
+    EXPECT_NE(ChiselEngine::restoreState(engine.config(), good), nullptr);
+}
+
+TEST(PersistEngine, RebuiltImagesKeepServingOracleAnswers)
+{
+    // Each engine image owns the arena its lookup tables live in, and
+    // drops it when destroyed.  Images rebuilt after one is destroyed
+    // — by restore, and by a resize re-plan — serve exactly the
+    // oracle's answers.
+    RoutingTable truth = generateScaledTable(3000, 32, 0x56AB);
+    UpdateTraceGenerator gen(truth, standardTraceProfiles()[0], 32,
+                             0x56AC);
+    auto engine = std::make_unique<ChiselEngine>(truth);
+
+    auto check = [&](const char *stage, int round) {
+        ASSERT_TRUE(engine->selfCheck()) << stage << " " << round;
+        BinaryTrie oracle(truth);
+        for (const Key128 &k :
+             generateLookupKeys(truth, 3000, 32, 0.8, 0x56AD + round)) {
+            auto want = oracle.lookup(k, 32);
+            LookupResult got = engine->lookup(k);
+            ASSERT_EQ(want.has_value(), got.found) << stage << " " << round;
+            if (want) {
+                ASSERT_EQ(want->nextHop, got.nextHop) << stage;
+                ASSERT_EQ(want->prefix.length(), got.matchedLength)
+                    << stage;
+            }
+        }
+    };
+
+    for (int round = 0; round < 3; ++round) {
+        for (const Update &u : gen.generate(400)) {
+            engine->apply(u);
+            if (u.kind == UpdateKind::Announce)
+                truth.add(u.prefix, u.nextHop);
+            else
+                truth.remove(u.prefix);
+        }
+        check("updated", round);
+
+        std::vector<uint8_t> image = stateBytes(*engine);
+        ChiselConfig config = engine->config();
+        engine.reset();
+        Decoder dec(image.data(), image.size());
+        engine = ChiselEngine::restoreState(config, dec);
+        check("restored", round);
+
+        ChiselConfig grown = planResize(
+            engine->config(),
+            ResizeLoad{engine->routeCount(), engine->spillCount(),
+                       engine->slowPathCount()});
+        auto next =
+            std::make_unique<ChiselEngine>(engine->exportTable(), grown);
+        next->adoptTtl(*engine);
+        engine = std::move(next);
+        check("resized", round);
     }
 }
 

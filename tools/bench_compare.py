@@ -38,7 +38,7 @@ import os
 import sys
 
 SCHEMA = "chisel.bench.v1"
-SCENARIOS = ["lookup", "update", "concurrent"]
+SCENARIOS = ["lookup", "lookup_dfz", "update", "concurrent"]
 
 REQUIRED_FIELDS = {
     "schema": str,
