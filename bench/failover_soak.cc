@@ -152,7 +152,6 @@ leaderMain(const SoakOptions &o)
 
     std::atomic<uint64_t> lastAppended{0};
     SnapshotBridge bridge;
-    const std::string ship_tmp = o.journal + ".ship.chs";
 
     rlog.start(
         [&o] { return replica::tcpConnect(uint16_t(o.port), 500); },
@@ -199,20 +198,7 @@ leaderMain(const SoakOptions &o)
             uint64_t covered =
                 lastAppended.load(std::memory_order_acquire);
             engine.scrubNow();
-            engine.saveSnapshot(ship_tmp);
-            std::vector<uint8_t> image;
-            if (std::FILE *f = std::fopen(ship_tmp.c_str(), "rb")) {
-                std::fseek(f, 0, SEEK_END);
-                long sz = std::ftell(f);
-                std::fseek(f, 0, SEEK_SET);
-                image.resize(sz > 0 ? size_t(sz) : 0);
-                if (!image.empty() &&
-                    std::fread(image.data(), 1, image.size(), f) !=
-                        image.size())
-                    image.clear();
-                std::fclose(f);
-            }
-            std::remove(ship_tmp.c_str());
+            std::vector<uint8_t> image = engine.snapshotImage(covered);
             std::lock_guard<std::mutex> lk(bridge.m);
             bridge.requested = false;
             bridge.ready = true;
@@ -275,9 +261,7 @@ int
 driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
 {
     std::remove(o.journal.c_str());
-    const std::string spool = o.journal + ".spool.chs";
     const std::string stale_journal = o.journal + ".stale";
-    std::remove(spool.c_str());
     std::remove(stale_journal.c_str());
 
     RoutingTable table = generateScaledTable(o.routes, 32, o.seed);
@@ -298,7 +282,6 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
 
     replica::FollowerOptions fo;
     fo.heartbeatTimeoutMs = 250;
-    fo.spoolPath = spool;
     replica::Follower follower(standby, fingerprint, fo);
 
     pid_t leader = spawnLeader(o, listener.port());
@@ -472,7 +455,6 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     }
 
     std::remove(o.journal.c_str());
-    std::remove(spool.c_str());
     std::remove(stale_journal.c_str());
 
     std::printf("failover soak: %s (%zu failure%s)\n",

@@ -14,8 +14,8 @@
  *     of one program.
  *
  *   - Without it: a self-driving harness that runs --iterations
- *     programs from consecutive seeds, cycling through the four
- *     layers, IPv4 and IPv6, with BitFlip* faults on every third
+ *     programs from consecutive seeds, cycling through every layer,
+ *     IPv4 and IPv6, with BitFlip* faults on every third
  *     program.  This is what the sanitizer CI leg runs.
  *
  * Usage (fallback driver):
@@ -56,7 +56,7 @@ LLVMFuzzerTestOneInput(const uint8_t *data, size_t size)
         return 0;
     ProgramOptions opt;
     std::memcpy(&opt.seed, data, sizeof(opt.seed));
-    opt.layer = static_cast<Layer>(data[8] % 4);
+    opt.layer = static_cast<Layer>(data[8] % kLayerCount);
     opt.keyWidth = (data[9] & 1) ? 128 : 32;
     opt.faults = CHISEL_FAULT_INJECTION_ENABLED && (data[10] & 1);
     opt.steps = 1 + size % 64;
@@ -90,8 +90,8 @@ main(int argc, char **argv)
     for (size_t i = 0; i < iterations; ++i) {
         ProgramOptions opt;
         opt.seed = seed + i;
-        opt.layer = static_cast<Layer>(i % 4);
-        opt.keyWidth = (i / 4) % 2 ? 128 : 32;
+        opt.layer = static_cast<Layer>(i % kLayerCount);
+        opt.keyWidth = (i / kLayerCount) % 2 ? 128 : 32;
         opt.faults = CHISEL_FAULT_INJECTION_ENABLED && i % 3 == 2;
         opt.steps = steps;
         opt.roundTripEvery = 20;

@@ -13,18 +13,23 @@ namespace chisel::concurrent {
 ConcurrentChisel::ConcurrentChisel(const RoutingTable &initial,
                                    const ChiselConfig &config,
                                    const ConcurrentOptions &options)
-    : config_(config), options_(options),
-      queue_(options.updateQueueCapacity),
+    : ConcurrentChisel(std::make_unique<ChiselEngine>(initial, config),
+                       options)
+{
+}
+
+ConcurrentChisel::ConcurrentChisel(std::unique_ptr<ChiselEngine> engine,
+                                   const ConcurrentOptions &options)
+    : options_(options), queue_(options.updateQueueCapacity),
       admission_(options.admission, queue_.capacity()),
       monitor_(options.health)
 {
     ttlEpoch_ = std::chrono::steady_clock::now();
-    // Both images are built from the same table with the same config
-    // and seed, so they are identical by construction; the update
-    // protocol keeps them that way.
-    images_[0].engine = std::make_unique<ChiselEngine>(initial, config);
-    images_[1].engine = std::make_unique<ChiselEngine>(initial, config);
-    live_.store(&images_[0], std::memory_order_release);
+    // The twin is a clone, so the two images are identical by
+    // construction; the update protocol keeps them that way.  No
+    // reader exists yet: the first flip publishes images_[0].
+    live_.store(&images_[1], std::memory_order_relaxed);
+    install(ImagePair(std::move(engine)));
 
     if (options_.controlThread)
         controlThread_ = std::thread([this] { controlLoop(); });
@@ -351,25 +356,18 @@ ConcurrentChisel::gcTick(size_t max_batch)
 bool
 ConcurrentChisel::resizeLocked(const ChiselConfig &grown)
 {
-    // Build the replacement pair entirely off the serving path; the
-    // only reader-visible step is the one pointer flip inside
-    // installPair().  Slow-path residents of the old images drain
-    // back into the grown tables during construction.
+    // Build the replacement entirely off the serving path; the only
+    // reader-visible step is the one pointer flip inside install().
+    // Slow-path residents of the old images drain back into the grown
+    // tables during construction.
     const ChiselEngine &current = *idleImage().engine;
-    RoutingTable table = current.exportTable();
     size_t resident_before = current.slowPathCount();
-
-    auto a = std::make_unique<ChiselEngine>(table, grown);
-    auto b = std::make_unique<ChiselEngine>(table, grown);
-    a->adoptTtl(current);
-    b->adoptTtl(current);
-
-    size_t drained = resident_before > a->slowPathCount()
-                         ? resident_before - a->slowPathCount()
+    ImagePair pair(current.rebuilt(grown));
+    size_t resident_after = pair.live->slowPathCount();
+    size_t drained = resident_before > resident_after
+                         ? resident_before - resident_after
                          : 0;
-
-    installPair(std::move(a), std::move(b));
-    config_ = grown;
+    install(std::move(pair));
 
     uint64_t count =
         resizes_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -576,90 +574,92 @@ ConcurrentChisel::healthTick()
 // ---- Snapshots and rebuilds ------------------------------------------------
 
 size_t
-ConcurrentChisel::saveSnapshot(const std::string &path) const
+ConcurrentChisel::saveSnapshot(
+    const std::string &path,
+    const std::function<uint64_t()> &last_seq) const
 {
     // The idle image equals the live one, so serializing it captures
     // the current state while lookups proceed undisturbed; only the
     // update path waits on the lock.
     std::lock_guard<std::mutex> lock(writerMutex_);
-    const Image &idle = idleImage();
-    return persist::saveSnapshot(
-        path, *idle.engine,
-        updatesApplied_.load(std::memory_order_relaxed));
-}
-
-size_t
-ConcurrentChisel::saveSnapshot(
-    const std::string &path,
-    const std::function<uint64_t()> &last_seq) const
-{
-    std::lock_guard<std::mutex> lock(writerMutex_);
-    const Image &idle = idleImage();
     uint64_t seq = last_seq
                        ? last_seq()
                        : updatesApplied_.load(std::memory_order_relaxed);
-    return persist::saveSnapshot(path, *idle.engine, seq);
+    return persist::saveSnapshot(path, *idleImage().engine, seq);
+}
+
+std::vector<uint8_t>
+ConcurrentChisel::snapshotImage(uint64_t last_seq) const
+{
+    std::lock_guard<std::mutex> lock(writerMutex_);
+    return persist::encodeSnapshotImage(*idleImage().engine, last_seq);
 }
 
 bool
 ConcurrentChisel::restoreFromSnapshot(const std::string &path)
 {
-    // Build both replacement engines before taking any reader-visible
-    // step; a bad snapshot leaves the serving state untouched.  A
-    // snapshot written after a live resize differs from config_ only
-    // in elastic capacities — accept it and adopt its plan, exactly
-    // as a warm restart does.
-    persist::SnapshotLoadResult a =
-        persist::loadSnapshot(path, &config_, /*allow_elastic=*/true);
-    if (a.status != persist::SnapshotLoadStatus::Ok) {
-        warn("concurrent restore refused: " + a.error);
-        return false;
-    }
-    persist::SnapshotLoadResult b =
-        persist::loadSnapshot(path, &config_, /*allow_elastic=*/true);
-    if (b.status != persist::SnapshotLoadStatus::Ok) {
-        warn("concurrent restore refused: " + b.error);
-        return false;
-    }
+    ChiselConfig running = config();
+    return restoreLoaded(
+        persist::loadSnapshot(path, &running, /*allow_elastic=*/true));
+}
 
+bool
+ConcurrentChisel::restoreFromImage(const std::vector<uint8_t> &image)
+{
+    ChiselConfig running = config();
+    return restoreLoaded(persist::loadSnapshotBuffer(
+        image.data(), image.size(), &running, /*enforce_crc=*/true,
+        /*allow_elastic=*/true));
+}
+
+bool
+ConcurrentChisel::restoreLoaded(persist::SnapshotLoadResult &&loaded)
+{
+    // A bad snapshot is refused before any step a reader can see.
+    if (loaded.status != persist::SnapshotLoadStatus::Ok) {
+        warn("concurrent restore refused: " + loaded.error);
+        return false;
+    }
+    // The decoded engine owes nothing to the current images, so its
+    // twin is cloned before updates have to wait.
+    ImagePair pair(std::move(loaded.engine));
     std::lock_guard<std::mutex> lock(writerMutex_);
-    config_ = a.engine->config();
-    installPair(std::move(a.engine), std::move(b.engine));
+    install(std::move(pair));
     return true;
 }
 
 void
 ConcurrentChisel::resetup()
 {
+    // A resetup is repair, not lifecycle: rebuilt() carries armed TTL
+    // deadlines over unchanged, so a rebuilt route still expires on
+    // schedule.
     std::lock_guard<std::mutex> lock(writerMutex_);
-    const ChiselEngine &current = *idleImage().engine;
-    RoutingTable table = current.exportTable();
-    auto a = std::make_unique<ChiselEngine>(table, config_);
-    auto b = std::make_unique<ChiselEngine>(table, config_);
-    // A resetup is repair, not lifecycle: armed TTL deadlines carry
-    // over unchanged so a rebuilt route still expires on schedule.
-    a->adoptTtl(current);
-    b->adoptTtl(current);
-    installPair(std::move(a), std::move(b));
+    install(ImagePair(idleImage().engine->rebuilt(config_)));
+}
+
+ConcurrentChisel::ImagePair::ImagePair(std::unique_ptr<ChiselEngine> engine)
+    : live(std::move(engine)), twin(live->clone())
+{
 }
 
 void
-ConcurrentChisel::installPair(std::unique_ptr<ChiselEngine> a,
-                              std::unique_ptr<ChiselEngine> b)
+ConcurrentChisel::install(ImagePair pair)
 {
     uint64_t gen = updatesApplied_.load(std::memory_order_relaxed);
+    config_ = pair.live->config();
 
     // Swap the new engine into the idle slot and flip to it: readers
     // move from the old live image to the fresh one in one step.
     Image &idle = idleImage();
-    idle.engine = std::move(a);
+    idle.engine = std::move(pair.live);
     idle.generation.store(gen, std::memory_order_relaxed);
     publish(idle);
 
     // The grace period has passed: the retired image is unreferenced
     // and its engine can be replaced outright.
     Image &retired = idleImage();
-    retired.engine = std::move(b);
+    retired.engine = std::move(pair.twin);
     retired.generation.store(gen, std::memory_order_relaxed);
 }
 
@@ -704,6 +704,13 @@ uint64_t
 ConcurrentChisel::updatesApplied() const
 {
     return updatesApplied_.load(std::memory_order_relaxed);
+}
+
+ChiselConfig
+ConcurrentChisel::config() const
+{
+    std::lock_guard<std::mutex> lock(writerMutex_);
+    return config_;
 }
 
 bool

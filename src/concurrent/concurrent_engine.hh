@@ -17,9 +17,10 @@
  *  - the writer applies each update to the *idle* image, stamps its
  *    generation, flips the pointer (release), waits one epoch grace
  *    period (all readers past the flip), then applies the same update
- *    to the retired image so both stay identical.  Full rebuilds —
- *    snapshot restore, resetup — construct a fresh image pair off to
- *    the side and publish it with the same flip + grace protocol.
+ *    to the retired image so both stay identical.  Every image pair
+ *    — at construction, resetup, resize or snapshot restore — starts
+ *    from ONE built or decoded engine and its clone(), made off to
+ *    the side and published with the same flip + grace protocol.
  *
  * Every published image carries a generation (the count of updates
  * folded in), so a reader can tag each lookup with the exact table
@@ -54,6 +55,7 @@
 #include "route/updates.hh"
 
 namespace chisel::fault { class FaultInjector; }
+namespace chisel::persist { struct SnapshotLoadResult; }
 
 namespace chisel::concurrent {
 
@@ -169,8 +171,17 @@ struct ConcurrentOptions
 class ConcurrentChisel
 {
   public:
+    /** Serve a fresh engine built from @p initial under @p config. */
     explicit ConcurrentChisel(const RoutingTable &initial,
                               const ChiselConfig &config = {},
+                              const ConcurrentOptions &options = {});
+
+    /**
+     * Serve @p engine (built, decoded or recovered by the caller) as
+     * the live image, with its clone() as the twin; the config is
+     * the engine's own.
+     */
+    explicit ConcurrentChisel(std::unique_ptr<ChiselEngine> engine,
                               const ConcurrentOptions &options = {});
 
     /** Joins the control and scrubber threads; pending posts drain. */
@@ -338,34 +349,49 @@ class ConcurrentChisel
      * Write a snapshot of the current state WITHOUT stalling readers:
      * the idle image (identical to the live one: lookups write
      * nothing) is serialized under the writer lock, so only updates
-     * wait.  @return bytes written.
-     */
-    size_t saveSnapshot(const std::string &path) const;
-
-    /**
-     * saveSnapshot() stamping the image with @p last_seq() instead of
-     * the update count.  The provider runs UNDER the writer lock:
-     * journal hooks fire inside the same lock, so a provider reading
-     * the journal's lastSeq() gets a value that matches the
-     * serialized state exactly — the sharded persistence lane uses
-     * this to make snapshot coverage agree with its journal tail.
+     * wait.  The image is stamped with @p last_seq(), or with the
+     * update count when no provider is given.  The provider runs
+     * UNDER the writer lock: journal hooks fire inside the same lock,
+     * so a provider reading the journal's lastSeq() gets a value that
+     * matches the serialized state exactly — the sharded persistence
+     * lane uses this to make snapshot coverage agree with its journal
+     * tail.  @return bytes written.
      */
     size_t saveSnapshot(const std::string &path,
-                        const std::function<uint64_t()> &last_seq) const;
+                        const std::function<uint64_t()> &last_seq = {})
+        const;
 
     /**
-     * Replace the routing state from a snapshot.  The new image pair
-     * is built off to the side and published with one pointer flip;
-     * readers never observe a partially-loaded table.  @return false
-     * (state unchanged) if the snapshot does not load cleanly.
+     * The bytes saveSnapshot() would write, stamped with @p last_seq
+     * and taken under the writer lock the same way: a replication
+     * SnapshotProvider ships them without touching the disk.
+     */
+    std::vector<uint8_t> snapshotImage(uint64_t last_seq) const;
+
+    /**
+     * Replace the routing state from a snapshot file, read once.  The
+     * decoded engine and its clone are made before the writer lock is
+     * taken and published with one pointer flip; readers never
+     * observe a partially-loaded table.  A snapshot written after a
+     * live resize differs from the running config only in elastic
+     * capacities: it is accepted and its plan adopted, exactly as a
+     * warm restart does.  @return false (state unchanged) if the
+     * snapshot does not load cleanly.
      */
     bool restoreFromSnapshot(const std::string &path);
 
     /**
-     * Full resetup: rebuild both images from the current route set
-     * with capacities re-sized to the live load, publishing the new
-     * pair with one flip.  Readers see either the old table or the
-     * new one, never a construction site.
+     * restoreFromSnapshot() over an in-memory snapshot image (a
+     * follower installing a shipped one): the same CRC, version and
+     * config checks, and no file.
+     */
+    bool restoreFromImage(const std::vector<uint8_t> &image);
+
+    /**
+     * Full resetup: rebuild the current route set with capacities
+     * re-sized to the live load, publishing it with one flip.
+     * Readers see either the old table or the new one, never a
+     * construction site.
      */
     void resetup();
 
@@ -389,7 +415,8 @@ class ConcurrentChisel
     /** Updates applied through this wrapper. */
     uint64_t updatesApplied() const;
 
-    const ChiselConfig &config() const { return config_; }
+    /** The running config (a copy: a resize may replace it). */
+    ChiselConfig config() const;
 
     /** Deep consistency check of both images (tests; takes the lock). */
     bool selfCheck() const;
@@ -414,9 +441,27 @@ class ConcurrentChisel
     /** Flip the live pointer to @p image and wait out the readers. */
     void publish(Image &image);
 
-    /** Install a freshly built engine pair (restore/resetup). */
-    void installPair(std::unique_ptr<ChiselEngine> a,
-                     std::unique_ptr<ChiselEngine> b);
+    /**
+     * One engine and its clone(): the only way an image pair is made.
+     * Constructing it pays for the clone, so a restore makes its pair
+     * before it takes the writer lock.
+     */
+    struct ImagePair
+    {
+        explicit ImagePair(std::unique_ptr<ChiselEngine> engine);
+
+        std::unique_ptr<ChiselEngine> live;
+        std::unique_ptr<ChiselEngine> twin;
+    };
+
+    /**
+     * Publish @p pair with one flip and adopt its config; caller
+     * holds writerMutex_ (or is the constructor).
+     */
+    void install(ImagePair pair);
+
+    /** Install a loaded snapshot's engine; false unless it loaded. */
+    bool restoreLoaded(persist::SnapshotLoadResult &&loaded);
 
     /** Scrub the idle image once; caller holds writerMutex_. */
     void scrubIdleLocked(ScrubReport &report);
@@ -439,6 +484,7 @@ class ConcurrentChisel
     void controlLoop();
     void scrubLoop();
 
+    /** Written under writerMutex_ (install); read it under the lock. */
     ChiselConfig config_;
     ConcurrentOptions options_;
 

@@ -578,6 +578,16 @@ ChiselEngine::exportTable() const
     return out;
 }
 
+std::unique_ptr<ChiselEngine>
+ChiselEngine::rebuilt(const ChiselConfig &config) const
+{
+    // An exported table cannot carry deadlines by itself.
+    auto engine = std::make_unique<ChiselEngine>(exportTable(), config);
+    engine->ttl_ = ttl_;
+    engine->ttlClockMs_ = ttlClockMs_;
+    return engine;
+}
+
 StorageBreakdown
 ChiselEngine::storage() const
 {

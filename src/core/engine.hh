@@ -303,20 +303,16 @@ class ChiselEngine
     /** Prefixes currently carrying a TTL deadline. */
     size_t ttlArmed() const { return ttl_.size(); }
 
-    /** The TTL deadline index (resize rebuilds copy it across). */
+    /** The TTL deadline index. */
     const TtlIndex &ttlIndex() const { return ttl_; }
 
     /**
-     * Adopt @p other's TTL deadlines and clock verbatim — used when a
-     * rebuild (resize, resetup) constructs a fresh engine from an
-     * exported table, which cannot carry deadlines by itself.
+     * This engine's routes built afresh under @p config (resize,
+     * resetup, a replayed ResizeMark), with the TTL deadlines and
+     * clock carried over verbatim: a rebuilt route still expires on
+     * the schedule its announce set.
      */
-    void
-    adoptTtl(const ChiselEngine &other)
-    {
-        ttl_ = other.ttl_;
-        ttlClockMs_ = other.ttlClockMs_;
-    }
+    std::unique_ptr<ChiselEngine> rebuilt(const ChiselConfig &config) const;
 
     /** Exact-prefix query across cells, TCAM and default register. */
     std::optional<NextHop> find(const Prefix &prefix) const;
@@ -427,6 +423,15 @@ class ChiselEngine
      */
     static std::unique_ptr<ChiselEngine>
     restoreState(const ChiselConfig &config, persist::Decoder &dec);
+
+    /**
+     * An independent engine in this one's exact state: restoreState()
+     * over saveState(), in memory.  The codec is the one complete
+     * list of engine state, so the clone saves the same bytes as its
+     * original and answers every lookup and update alike.  No
+     * telemetry binding is carried over.
+     */
+    std::unique_ptr<ChiselEngine> clone() const;
 
     /**
      * Full Bloomier setup passes run by this engine's cells since

@@ -82,11 +82,7 @@ replayTail(std::unique_ptr<ChiselEngine> &engine,
             if (elasticCompatible(engine->config(),
                                   rec.resizeConfig) &&
                 !(engine->config() == rec.resizeConfig)) {
-                RoutingTable table = engine->exportTable();
-                auto grown = std::make_unique<ChiselEngine>(
-                    table, rec.resizeConfig);
-                grown->adoptTtl(*engine);
-                engine = std::move(grown);
+                engine = engine->rebuilt(rec.resizeConfig);
                 ++applied;
             }
             break;

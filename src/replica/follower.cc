@@ -1,7 +1,6 @@
 #include "replica/follower.hh"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/clock.hh"
 #include "common/logging.hh"
@@ -339,19 +338,10 @@ Follower::installSnapshot(SnapshotTransfer &xfer)
         snapshotsDiscarded_.fetch_add(1, std::memory_order_relaxed);
         return true;
     }
-    // Spool to disk and install through the engine's pointer-flip
-    // restore; a partial/corrupt image never got this far (CRC).
-    FILE *f = std::fopen(options_.spoolPath.c_str(), "wb");
-    if (f == nullptr) {
-        warn("replica: cannot spool snapshot to '" +
-             options_.spoolPath + "'");
-        snapshotsDiscarded_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    bool wrote = std::fwrite(xfer.image.data(), 1, xfer.image.size(),
-                             f) == xfer.image.size();
-    wrote = std::fclose(f) == 0 && wrote;
-    if (!wrote || !engine_.restoreFromSnapshot(options_.spoolPath)) {
+    // Install from memory through the engine's pointer-flip restore,
+    // which re-checks the image and its config; a partial transfer
+    // never got this far (whole-image CRC).
+    if (!engine_.restoreFromImage(xfer.image)) {
         warn("replica: shipped snapshot failed to install");
         snapshotsDiscarded_.fetch_add(1, std::memory_order_relaxed);
         return false;

@@ -4,11 +4,12 @@
  *
  * A Follower keeps a second ConcurrentChisel continuously warm by
  * replaying the leader's shipped journal stream: it bootstraps from
- * the latest shipped snapshot (installed through the engine's
- * pointer-flip restore, so its own readers never stall), then applies
- * Record frames in sequence order.  The catch-up path is pure
- * replay — the follower never runs a Bloomier setup to catch up,
- * which is the whole point of keeping it warm.
+ * the latest shipped snapshot (installed from memory through the
+ * engine's pointer-flip restore, so its own readers never stall and
+ * no file is written), then applies Record frames in sequence order.
+ * The catch-up path is pure replay — the follower never runs a
+ * Bloomier setup to catch up, which is the whole point of keeping it
+ * warm.
  *
  * Robustness properties:
  *
@@ -18,7 +19,7 @@
  *  - duplicate records (an inevitable consequence of resume and of
  *    snapshot/tail overlap) are skipped by sequence number;
  *  - a partially transferred snapshot is discarded on disconnect —
- *    the engine only ever installs images whose whole-file CRC
+ *    the engine only ever installs images whose whole-image CRC
  *    matched;
  *  - heartbeats stamp lastFrameNs(); leaderSilent() turns true after
  *    heartbeatTimeout with no traffic, which is the promotion
@@ -58,9 +59,6 @@ struct FollowerOptions
 
     /** caughtUp() requires lag() <= this many records. */
     uint64_t lagBound = 64;
-
-    /** Where shipped snapshot images spool before installation. */
-    std::string spoolPath = "follower_snapshot.chs";
 
     /** Highest fencing epoch already seen (recovered state). */
     uint64_t initialMaxEpoch = 0;
@@ -225,7 +223,7 @@ class Follower
 
     /**
      * Install a fully transferred, CRC-valid image.  @return false
-     * when installation failed (spool or restore I/O) — the caller
+     * when the engine refused it (say, another geometry) — the caller
      * must drop the connection rather than ack and apply later
      * records onto an engine missing the snapshot base.  The benign
      * already-past-this-image race reports true (state is consistent,

@@ -177,9 +177,9 @@ ShardedChisel::buildShard(size_t i, const RoutingTable &slice)
         options_.hashSeed);
 
     // Warm restart: run the recovery ladder against this shard's
-    // lane, then refresh the snapshot so it covers the replayed tail
-    // and install *that* image — the serving pair is built by
-    // snapshot decode, not by re-running Bloomier setups.
+    // lane, refresh the snapshot so it covers the replayed tail, and
+    // serve the recovered engine itself — its twin is a clone, so no
+    // Bloomier setup runs beyond the ladder's own.
     persist::RecoveryOptions ro;
     ro.journalPath = sh.journalPath;
     ro.snapshotPath = sh.snapshotPath;
@@ -212,16 +212,7 @@ ShardedChisel::buildShard(size_t i, const RoutingTable &slice)
     };
 
     sh.engine = std::make_unique<concurrent::ConcurrentChisel>(
-        RoutingTable{}, report.engine->config(), copts);
-    if (!sh.engine->restoreFromSnapshot(sh.snapshotPath)) {
-        // Defensive: the snapshot we just wrote failed to load.
-        // Rebuild from the recovered route set instead (setups paid).
-        warn("shard " + std::to_string(i) +
-             ": fresh snapshot unreadable; rebuilding cold");
-        sh.engine = std::make_unique<concurrent::ConcurrentChisel>(
-            report.engine->exportTable(), report.engine->config(),
-            copts);
-    }
+        std::move(report.engine), copts);
 
     ShardRecovery &rec = recovery_[i];
     rec.source = report.source;

@@ -28,8 +28,8 @@
  * of the persist directory pins the partition geometry and a reopen
  * with different parameters is refused.  Warm restart recovers every
  * shard independently through the persist ladder, refreshes the
- * shard snapshot to cover the replayed tail, and installs it with
- * zero full Bloomier setups.
+ * shard snapshot to cover the replayed tail, and serves the recovered
+ * engine itself (its twin a clone) with zero full Bloomier setups.
  */
 
 #ifndef CHISEL_SHARD_SHARDED_HH

@@ -19,6 +19,9 @@
  * end) and on random keys must match the oracle in next hop and
  * matched length.  Periodically the layer is saved, restored, and
  * must re-save byte for byte; the restored state then carries on.
+ * The journaled layer restarts instead: the plane is destroyed and
+ * reopened on its directory, alternately right after saveSnapshots()
+ * (re-saving byte for byte) and by replaying the journal tail.
  * Before each fault-free round trip, a ConcurrentChisel's two images
  * (every shard's, for ShardedChisel) must save byte-identical
  * snapshots.  With faults on, every update runs with the BitFlip*
@@ -48,6 +51,7 @@
 #include "concurrent/concurrent_engine.hh"
 #include "core/engine.hh"
 #include "fault/fault.hh"
+#include "persist/recovery.hh"
 #include "persist/snapshot.hh"
 #include "shard/sharded.hh"
 #include "trie/binary_trie.hh"
@@ -133,7 +137,10 @@ class Target
 };
 
 /** The layers the harness drives. */
-enum class Layer { Engine, Concurrent, Sharded1, Sharded4 };
+enum class Layer { Engine, Concurrent, Sharded1, Sharded4, Journaled1 };
+
+/** Number of Layer values; fuzz_engine cycles through all of them. */
+constexpr size_t kLayerCount = 5;
 
 inline const char *
 layerName(Layer l)
@@ -143,6 +150,7 @@ layerName(Layer l)
       case Layer::Concurrent: return "ConcurrentChisel";
       case Layer::Sharded1: return "ShardedChisel/1";
       case Layer::Sharded4: return "ShardedChisel/4";
+      case Layer::Journaled1: return "ShardedChisel/1/journaled";
     }
     return "?";
 }
@@ -358,6 +366,104 @@ class ShardedTarget : public Target
     shard::ShardedChisel plane_;
 };
 
+/**
+ * A journaled one-shard plane on a scratch directory (fsyncEvery 0).
+ * Its round trip is a warm restart: the plane is destroyed and
+ * reopened on the same directory, alternately right after
+ * saveSnapshots() and with the journal tail left to replay.  After a
+ * restart the plane must report a recovery from its snapshot with a
+ * passing audit, and its images must encode alike; after a
+ * saveSnapshots() restart the re-saved snapshot must also equal the
+ * pre-restart bytes.  A tail restart may differ in bytes: the lane
+ * does not journal purgeDirtyNow(), so replay keeps dirty groups the
+ * plane had purged (answers are unaffected).
+ */
+class JournaledTarget : public Target
+{
+  public:
+    JournaledTarget(const RoutingTable &t, const ChiselConfig &c)
+        : initial_(t), config_(c), dir_(scratchPath("plane"))
+    {
+        open();
+    }
+
+    ~JournaledTarget() override
+    {
+        plane_.reset();
+        std::filesystem::remove_all(dir_);
+    }
+
+    void apply(const Update &u) override { plane_->apply(u); }
+
+    LookupResult
+    lookup(const Key128 &key) const override
+    {
+        return plane_->lookup(key);
+    }
+
+    void purgeDirty() override { plane_->shardEngine(0).purgeDirtyNow(); }
+    void scrub() override { plane_->shardEngine(0).scrubNow(); }
+    bool selfCheck() const override { return plane_->selfCheck(); }
+
+    std::string
+    roundTrip() override
+    {
+        const bool saved = restarts_++ % 2 == 0;
+        const std::string snapshot = dir_ + "/shard-0/snapshot.chs";
+        std::vector<uint8_t> before;
+        if (saved) {
+            if (plane_->saveSnapshots() != 1)
+                return "saveSnapshots() saved no shard";
+            before = readBytes(snapshot);
+        }
+        const std::string how =
+            saved ? "restart after saveSnapshots(): "
+                  : "restart replaying the journal tail: ";
+
+        plane_.reset();
+        open();
+        const shard::ShardRecovery &rec = plane_->recovery()[0];
+        if (rec.source != persist::RecoverySource::Snapshot)
+            return how + "recovered from " +
+                   persist::recoverySourceName(rec.source);
+        if (!rec.auditPassed)
+            return how + "recovery audit failed";
+        if (saved && rec.recordsReplayed != 0)
+            return how + "replayed " +
+                   std::to_string(rec.recordsReplayed) + " records";
+        if (saved && readBytes(snapshot) != before)
+            return how + "re-saved snapshot differs";
+        std::string err = imagesIdentical();
+        return err.empty() ? err : how + err;
+    }
+
+    std::string
+    imagesIdentical() override
+    {
+        return imagesIdenticalConcurrent(plane_->shardEngine(0));
+    }
+
+  private:
+    void
+    open()
+    {
+        shard::ShardedOptions o;
+        o.shards = 1;
+        o.config = config_;
+        o.engine = syncOptions();
+        o.persistDir = dir_;
+        o.fsyncEvery = 0;
+        o.audit = true;
+        plane_ = std::make_unique<shard::ShardedChisel>(initial_, o);
+    }
+
+    RoutingTable initial_;
+    ChiselConfig config_;
+    std::string dir_;
+    size_t restarts_ = 0;
+    std::unique_ptr<shard::ShardedChisel> plane_;
+};
+
 inline std::unique_ptr<Target>
 makeTarget(Layer layer, const RoutingTable &t, const ChiselConfig &c)
 {
@@ -369,6 +475,8 @@ makeTarget(Layer layer, const RoutingTable &t, const ChiselConfig &c)
         return std::make_unique<ShardedTarget>(t, c, 1);
       case Layer::Sharded4:
         return std::make_unique<ShardedTarget>(t, c, 4);
+      case Layer::Journaled1:
+        return std::make_unique<JournaledTarget>(t, c);
     }
     return nullptr;
 }

@@ -1,12 +1,12 @@
 /**
  * @file
  * Concurrency tests (docs/concurrency.md): the synchronization
- * primitives (seqlock, epoch manager, SPSC queue, relaxed counters),
- * the per-thread fault-injector streams, the thread-safe telemetry
- * and logging layers, the scrub path, and — the centerpiece — a
- * 4-reader / 1-writer stress run in which every tagged lookup is
- * validated against a trie oracle replayed to the exact generation
- * that served it.
+ * primitives (epoch manager, SPSC queue, relaxed counters), the
+ * per-thread fault-injector streams, the thread-safe telemetry and
+ * logging layers, the scrub path, every way an image pair is
+ * installed, and — the centerpiece — a 4-reader / 1-writer stress run
+ * in which every tagged lookup is validated against a trie oracle
+ * replayed to the exact generation that served it.
  *
  * Thread count: set CHISEL_THREADS to override the default 4 reader
  * threads (the TSan CI leg runs this binary with CHISEL_THREADS=4).
@@ -21,6 +21,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -28,14 +31,16 @@
 #include "concurrent/concurrent_engine.hh"
 #include "concurrent/epoch.hh"
 #include "concurrent/relaxed.hh"
-#include "concurrent/seqlock.hh"
 #include "concurrent/spsc_queue.hh"
 #include "core/engine.hh"
+#include "core/resize.hh"
 #include "fault/fault.hh"
+#include "persist/snapshot.hh"
 #include "route/synth.hh"
 #include "route/updates.hh"
 #include "telemetry/metrics.hh"
 #include "trie/binary_trie.hh"
+#include "differential.hh"
 
 namespace chisel {
 namespace {
@@ -44,7 +49,6 @@ using concurrent::ConcurrentChisel;
 using concurrent::ConcurrentOptions;
 using concurrent::EpochManager;
 using concurrent::RelaxedU64;
-using concurrent::SeqLockGuarded;
 using concurrent::SpscQueue;
 using concurrent::TaggedLookup;
 
@@ -58,57 +62,6 @@ readerThreads()
             return static_cast<unsigned>(n);
     }
     return 4;
-}
-
-// ---- SeqLock ---------------------------------------------------------------
-
-TEST(SeqLock, SingleThreadRoundTrip)
-{
-    struct Pair { uint64_t a = 0; uint64_t b = 0; };
-    SeqLockGuarded<Pair> cell;
-    EXPECT_EQ(cell.read().a, 0u);
-
-    cell.write({7, 14});
-    Pair p = cell.read();
-    EXPECT_EQ(p.a, 7u);
-    EXPECT_EQ(p.b, 14u);
-    EXPECT_EQ(cell.sequence() % 2, 0u);
-
-    Pair q{};
-    EXPECT_TRUE(cell.tryRead(q));
-    EXPECT_EQ(q.a, 7u);
-}
-
-TEST(SeqLock, ReadersNeverObserveTornPairs)
-{
-    // The writer maintains the invariant b == 2a; any torn read
-    // breaks it.  Odd payload sizes exercise the word padding.
-    struct Linked { uint64_t a = 0; uint64_t b = 0; uint32_t tag = 0; };
-    SeqLockGuarded<Linked> cell;
-
-    std::atomic<bool> stop{false};
-    std::atomic<uint64_t> torn{0};
-
-    std::vector<std::thread> readers;
-    for (unsigned t = 0; t < 3; ++t) {
-        readers.emplace_back([&] {
-            while (!stop.load(std::memory_order_acquire)) {
-                Linked v = cell.read();
-                if (v.b != 2 * v.a || v.tag != v.a % 1000)
-                    torn.fetch_add(1, std::memory_order_relaxed);
-            }
-        });
-    }
-
-    for (uint64_t i = 1; i <= 200000; ++i)
-        cell.write({i, 2 * i, static_cast<uint32_t>(i % 1000)});
-    stop.store(true, std::memory_order_release);
-    for (auto &r : readers)
-        r.join();
-
-    EXPECT_EQ(torn.load(), 0u);
-    Linked last = cell.read();
-    EXPECT_EQ(last.a, 200000u);
 }
 
 // ---- EpochManager ----------------------------------------------------------
@@ -534,6 +487,130 @@ TEST(ConcurrentChisel, SnapshotRoundTripAndResetup)
     EXPECT_EQ(restored.routeCount(), before);
 
     fs::remove_all(dir);
+}
+
+// ---- One install path ------------------------------------------------------
+
+void
+removeSnapshot(const std::string &path)
+{
+    std::filesystem::remove(path);
+    std::filesystem::remove(persist::previousSnapshotPath(path));
+}
+
+TEST(ConcurrentChisel, EveryWayInServesTwinImages)
+{
+    // Each way a ConcurrentChisel gets its images builds or decodes
+    // one engine and clones the twin: afterwards both images save the
+    // same bytes, and lookups answer like the trie oracle.
+    RoutingTable table = generateScaledTable(1500, 32, 61);
+    ChiselConfig config;
+    BinaryTrie oracle(table);
+    std::vector<Key128> keys =
+        generateLookupKeys(table, 2000, 32, 0.7, 62);
+    UpdateTraceGenerator gen(table, TraceProfile{}, 32, 63);
+
+    auto check = [&](ConcurrentChisel &c, const char *way) {
+        SCOPED_TRACE(way);
+        EXPECT_EQ(differential::imagesIdenticalConcurrent(c), "");
+        EXPECT_TRUE(c.selfCheck());
+        for (const Key128 &key : keys) {
+            std::optional<Route> want = oracle.lookup(key, 32);
+            LookupResult got = c.lookup(key);
+            ASSERT_EQ(want.has_value(), got.found);
+            if (want) {
+                EXPECT_EQ(got.nextHop, want->nextHop);
+                EXPECT_EQ(got.matchedLength, want->prefix.length());
+            }
+        }
+    };
+    auto advance = [&](ConcurrentChisel &c) {
+        for (int i = 0; i < 100; ++i) {
+            Update u = gen.next();
+            c.apply(u);
+            if (u.kind == UpdateKind::Announce)
+                oracle.insert(u.prefix, u.nextHop);
+            else
+                oracle.erase(u.prefix);
+        }
+    };
+
+    ConcurrentChisel from_table(table, config, noThreadsOptions());
+    check(from_table, "constructed from a table");
+
+    ConcurrentChisel c(std::make_unique<ChiselEngine>(table, config),
+                       noThreadsOptions());
+    check(c, "constructed from an engine");
+
+    advance(c);
+    c.resetup();
+    check(c, "resetup");
+
+    advance(c);
+    ChiselConfig grown = config;
+    grown.spillCapacity *= 2;
+    grown.minCellCapacity *= 2;
+    ASSERT_TRUE(c.resizeTo(grown));
+    EXPECT_TRUE(c.config() == grown);
+    check(c, "resizeTo");
+
+    // Restores into instances built under the pre-resize config adopt
+    // the snapshot's elastic plan.  The in-memory image is the file's
+    // bytes exactly.
+    advance(c);
+    std::string path = differential::scratchPath("every_way.snap");
+    ASSERT_GT(c.saveSnapshot(path), 0u);
+    std::vector<uint8_t> image = c.snapshotImage(c.updatesApplied());
+    EXPECT_EQ(image, differential::readBytes(path));
+
+    ConcurrentChisel from_file(RoutingTable{}, config, noThreadsOptions());
+    ASSERT_TRUE(from_file.restoreFromSnapshot(path));
+    EXPECT_TRUE(from_file.config() == grown);
+    check(from_file, "restoreFromSnapshot");
+
+    ConcurrentChisel from_bytes(RoutingTable{}, config,
+                                noThreadsOptions());
+    ASSERT_TRUE(from_bytes.restoreFromImage(image));
+    EXPECT_TRUE(from_bytes.config() == grown);
+    check(from_bytes, "restoreFromImage");
+
+    // A corrupt image is refused with the serving state untouched.
+    image[image.size() / 2] ^= 0x10;
+    EXPECT_FALSE(from_bytes.restoreFromImage(image));
+    check(from_bytes, "refused restoreFromImage");
+
+    removeSnapshot(path);
+}
+
+TEST(ConcurrentChisel, RestoreAndResizeShareTheConfigSafely)
+{
+    // A resize replaces the config under the writer lock while another
+    // thread restores a snapshot (checked against that config) and
+    // reads config(): under TSan the two threads must not race.
+    RoutingTable table = generateScaledTable(300, 32, 71);
+    ChiselConfig small;
+    ChiselConfig big = small;
+    big.spillCapacity *= 2;
+    big.minCellCapacity *= 2;
+    ConcurrentChisel c(table, small, noThreadsOptions());
+    std::string path = differential::scratchPath("config_race.snap");
+    ASSERT_GT(c.saveSnapshot(path), 0u);
+
+    constexpr int kRounds = 20;
+    std::thread resizer([&] {
+        for (int i = 0; i < kRounds; ++i)
+            EXPECT_TRUE(c.resizeTo(i % 2 == 0 ? big : small));
+    });
+    for (int i = 0; i < kRounds; ++i) {
+        EXPECT_TRUE(c.restoreFromSnapshot(path));
+        ChiselConfig now = c.config();
+        EXPECT_TRUE(elasticCompatible(now, small));
+    }
+    resizer.join();
+
+    EXPECT_EQ(c.routeCount(), table.size());
+    EXPECT_TRUE(c.selfCheck());
+    removeSnapshot(path);
 }
 
 TEST(ConcurrentChisel, BackgroundScrubberRuns)

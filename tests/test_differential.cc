@@ -5,8 +5,9 @@
  *
  * The differential suites run seeded update programs (tests/
  * differential.hh, shared with fuzz/fuzz_engine.cc) against
- * ChiselEngine, ConcurrentChisel and ShardedChisel at one and four
- * shards, IPv4 and IPv6, and compare every lookup with BinaryTrie in
+ * ChiselEngine, ConcurrentChisel, ShardedChisel at one and four
+ * shards and a journaled one-shard ShardedChisel that warm-restarts,
+ * IPv4 and IPv6, and compare every lookup with BinaryTrie in
  * next hop and matched length — fault-free, and with the BitFlip*
  * soft-error points armed and a scrub before each check.
  *
@@ -67,7 +68,8 @@ TEST_P(Differential, MatchesTrieOracleAfterScrubUnderBitFlips)
 INSTANTIATE_TEST_SUITE_P(
     Layers, Differential,
     ::testing::Combine(::testing::Values(Layer::Engine, Layer::Concurrent,
-                                         Layer::Sharded1, Layer::Sharded4),
+                                         Layer::Sharded1, Layer::Sharded4,
+                                         Layer::Journaled1),
                        ::testing::Values(32u, 128u),
                        ::testing::Values(uint64_t(1), uint64_t(2))),
     [](const ::testing::TestParamInfo<Param> &info) {

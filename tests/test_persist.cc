@@ -317,10 +317,7 @@ TEST(PersistEngine, RebuiltImagesKeepServingOracleAnswers)
             engine->config(),
             ResizeLoad{engine->routeCount(), engine->spillCount(),
                        engine->slowPathCount()});
-        auto next =
-            std::make_unique<ChiselEngine>(engine->exportTable(), grown);
-        next->adoptTtl(*engine);
-        engine = std::move(next);
+        engine = engine->rebuilt(grown);
         check("resized", round);
     }
 }
@@ -1263,10 +1260,7 @@ TEST(PersistRecovery, ReplayCrossesExpireAndResizeMark)
     load.slowPathCount = engine->slowPathCount();
     ChiselConfig grown = planResize(config, load);
     ASSERT_TRUE(elasticCompatible(config, grown));
-    auto regrown =
-        std::make_unique<ChiselEngine>(engine->exportTable(), grown);
-    regrown->adoptTtl(*engine);
-    engine = std::move(regrown);
+    engine = engine->rebuilt(grown);
     journal.appendResizeMark(grown);
 
     for (const Update &u : gen.generate(40))

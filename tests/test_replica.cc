@@ -309,8 +309,7 @@ TEST(Replica, ShipsRecordsOverLoopbackTcp)
     ConcurrentChisel standby(table, config, copts);
     replica::TcpListener listener;
     ASSERT_TRUE(listener.listen(0));
-    Follower follower(standby, fp,
-                      {.spoolPath = journal.path + ".spool"});
+    Follower follower(standby, fp);
     follower.start(listener);
 
     ReplicationOptions ropts;
@@ -341,7 +340,6 @@ TEST(Replica, ShipsRecordsOverLoopbackTcp)
     replica::FollowerStats fs = follower.stats();
     EXPECT_EQ(fs.recordsApplied, updates.size());
     EXPECT_EQ(fs.duplicatesSkipped, 0u);
-    std::remove((journal.path + ".spool").c_str());
 }
 
 TEST(Replica, SnapshotBootstrapAfterTailEviction)
@@ -382,8 +380,7 @@ TEST(Replica, SnapshotBootstrapAfterTailEviction)
     ConcurrentChisel standby(table, config, copts);
     replica::TcpListener listener;
     ASSERT_TRUE(listener.listen(0));
-    Follower follower(standby, fp,
-                      {.spoolPath = journal.path + ".spool"});
+    Follower follower(standby, fp);
     follower.start(listener);
 
     uint16_t port = listener.port();
@@ -403,7 +400,6 @@ TEST(Replica, SnapshotBootstrapAfterTailEviction)
     EXPECT_TRUE(matchesTruth(
         standby, advance(table, updates, updates.size())));
     EXPECT_GE(rlog.stats().snapshotsShipped, 1u);
-    std::remove((journal.path + ".spool").c_str());
 }
 
 TEST(Replica, LeaderRestartForcesSnapshotCatchup)
@@ -440,8 +436,7 @@ TEST(Replica, LeaderRestartForcesSnapshotCatchup)
     ConcurrentChisel standby(table, config, copts);
     replica::TcpListener listener;
     ASSERT_TRUE(listener.listen(0));
-    Follower follower(standby, fp,
-                      {.spoolPath = journal.path + ".spool"});
+    Follower follower(standby, fp);
     follower.start(listener);
     uint16_t port = listener.port();
     rlog.start([port] { return replica::tcpConnect(port, 500); },
@@ -460,7 +455,6 @@ TEST(Replica, LeaderRestartForcesSnapshotCatchup)
     EXPECT_GE(follower.stats().snapshotsInstalled, 1u);
     EXPECT_TRUE(matchesTruth(
         standby, advance(table, updates, updates.size())));
-    std::remove((journal.path + ".spool").c_str());
 }
 
 TEST(Replica, SnapshotUnavailableBacksOffInsteadOfTightLooping)
@@ -487,8 +481,7 @@ TEST(Replica, SnapshotUnavailableBacksOffInsteadOfTightLooping)
     ConcurrentChisel standby(table, config, copts);
     replica::TcpListener listener;
     ASSERT_TRUE(listener.listen(0));
-    Follower follower(standby, fp,
-                      {.spoolPath = journal.path + ".spool"});
+    Follower follower(standby, fp);
     follower.start(listener);
     uint16_t port = listener.port();
     rlog.start([port] { return replica::tcpConnect(port, 500); },
@@ -518,8 +511,7 @@ TEST(Replica, ResumesFromSequenceWithoutDuplicates)
     ConcurrentOptions copts;
     copts.controlThread = false;
     ConcurrentChisel standby(table, config, copts);
-    Follower follower(standby, fp,
-                      {.spoolPath = journal.path + ".spool"});
+    Follower follower(standby, fp);
 
     EndQueue ends;
     auto pair1 = replica::makePipePair();
@@ -574,7 +566,6 @@ TEST(Replica, ResumesFromSequenceWithoutDuplicates)
     EXPECT_TRUE(matchesTruth(
         standby, advance(table, updates, updates.size())));
     EXPECT_GE(rlog.stats().reconnects, 2u);
-    std::remove((journal.path + ".spool").c_str());
 }
 
 // ---- Torn snapshot transfers -----------------------------------------
@@ -594,7 +585,6 @@ shakeHands(ByteStream &leader_end, FrameReader &reader,
 
 TEST(Replica, TornSnapshotDiscardedThenRecovered)
 {
-    TempFile spool("test_replica_torn.spool");
     RoutingTable table = smallTable(0x70a);
     std::vector<Update> updates = smallTrace(table, 40, 0x70b);
     ChiselConfig config;
@@ -603,7 +593,7 @@ TEST(Replica, TornSnapshotDiscardedThenRecovered)
     ConcurrentOptions copts;
     copts.controlThread = false;
     ConcurrentChisel standby(table, config, copts);
-    Follower follower(standby, fp, {.spoolPath = spool.path});
+    Follower follower(standby, fp);
 
     RoutingTable full = advance(table, updates, updates.size());
     ChiselEngine sidecar(full, config);
@@ -678,14 +668,15 @@ TEST(Replica, SnapshotInstallFailureDropsConnectionWithoutAck)
     ConcurrentOptions copts;
     copts.controlThread = false;
     ConcurrentChisel standby(table, config, copts);
-    // An unwritable spool: installation must fail after a valid
-    // transfer, and the follower must drop the connection instead of
-    // acking records onto an engine missing the snapshot base.
-    Follower follower(
-        standby, fp,
-        {.spoolPath = "/nonexistent_replica_dir/spool.chs"});
+    Follower follower(standby, fp);
 
-    ChiselEngine sidecar(table, config);
+    // A CRC-valid image of another geometry (stride): the transfer
+    // completes, the engine refuses the image, and the follower must
+    // drop the connection instead of acking records onto an engine
+    // missing the snapshot base.
+    ChiselConfig other = config;
+    other.stride = config.stride - 1;
+    ChiselEngine sidecar(table, other);
     std::vector<uint8_t> image =
         persist::encodeSnapshotImage(sidecar, 25);
 
@@ -718,7 +709,6 @@ TEST(Replica, SnapshotInstallFailureDropsConnectionWithoutAck)
 
 TEST(Replica, CorruptSnapshotCrcDiscarded)
 {
-    TempFile spool("test_replica_badcrc.spool");
     RoutingTable table = smallTable(0xbadc);
     ChiselConfig config;
     uint64_t fp = configFingerprint(config);
@@ -726,7 +716,7 @@ TEST(Replica, CorruptSnapshotCrcDiscarded)
     ConcurrentOptions copts;
     copts.controlThread = false;
     ConcurrentChisel standby(table, config, copts);
-    Follower follower(standby, fp, {.spoolPath = spool.path});
+    Follower follower(standby, fp);
 
     ChiselEngine sidecar(table, config);
     std::vector<uint8_t> image =
@@ -760,7 +750,6 @@ TEST(Replica, CorruptSnapshotCrcDiscarded)
 
 TEST(Replica, PromotedFollowerFencesStaleEpoch)
 {
-    TempFile spool("test_replica_fence.spool");
     RoutingTable table = smallTable(0xfe0);
     std::vector<Update> updates = smallTrace(table, 4, 0xfe1);
     ChiselConfig config;
@@ -769,7 +758,7 @@ TEST(Replica, PromotedFollowerFencesStaleEpoch)
     ConcurrentOptions copts;
     copts.controlThread = false;
     ConcurrentChisel standby(table, config, copts);
-    Follower follower(standby, fp, {.spoolPath = spool.path});
+    Follower follower(standby, fp);
 
     replica::PromotionReport promo = follower.promote();
     EXPECT_EQ(promo.epoch, 1u);
@@ -829,7 +818,6 @@ TEST(Replica, PromotedFollowerFencesStaleEpoch)
 TEST(Replica, StaleLeaderLatchesFenceEndToEnd)
 {
     TempFile journal("test_replica_stale.journal");
-    TempFile spool("test_replica_stale.spool");
     RoutingTable table = smallTable(0x51a);
     ChiselConfig config;
     uint64_t fp = configFingerprint(config);
@@ -839,7 +827,7 @@ TEST(Replica, StaleLeaderLatchesFenceEndToEnd)
     ConcurrentChisel standby(table, config, copts);
     replica::TcpListener listener;
     ASSERT_TRUE(listener.listen(0));
-    Follower follower(standby, fp, {.spoolPath = spool.path});
+    Follower follower(standby, fp);
     follower.promote();
     follower.start(listener);
 
@@ -861,7 +849,6 @@ TEST(Replica, StaleLeaderLatchesFenceEndToEnd)
 
 TEST(Replica, HeartbeatSilenceDetection)
 {
-    TempFile spool("test_replica_hb.spool");
     RoutingTable table = smallTable(0x4b0);
     ChiselConfig config;
     uint64_t fp = configFingerprint(config);
@@ -871,7 +858,6 @@ TEST(Replica, HeartbeatSilenceDetection)
     ConcurrentChisel standby(table, config, copts);
     FollowerOptions fo;
     fo.heartbeatTimeoutMs = 60;
-    fo.spoolPath = spool.path;
     Follower follower(standby, fp, fo);
 
     EXPECT_FALSE(follower.leaderSilent());  // Never connected.
@@ -901,7 +887,6 @@ TEST(Replica, HeartbeatSilenceDetection)
 TEST(Replica, PromotionReplaysJournalTail)
 {
     TempFile journal("test_replica_promote.journal");
-    TempFile spool("test_replica_promote.spool");
     RoutingTable table = smallTable(0x9f0);
     std::vector<Update> updates = smallTrace(table, 20, 0x9f1);
     ChiselConfig config;
@@ -916,7 +901,7 @@ TEST(Replica, PromotionReplaysJournalTail)
     ConcurrentOptions copts;
     copts.controlThread = false;
     ConcurrentChisel standby(table, config, copts);
-    Follower follower(standby, fp, {.spoolPath = spool.path});
+    Follower follower(standby, fp);
 
     replica::PromotionReport promo = follower.promote(journal.path);
     EXPECT_EQ(promo.epoch, 1u);
@@ -952,8 +937,7 @@ TEST(Replica, FollowerTracksExpiryAndResizeMark)
     ConcurrentChisel standby(table, config, copts);
     replica::TcpListener listener;
     ASSERT_TRUE(listener.listen(0));
-    Follower follower(standby, fp,
-                      {.spoolPath = journal.path + ".spool"});
+    Follower follower(standby, fp);
     follower.start(listener);
 
     ReplicationOptions ropts;
@@ -1016,7 +1000,6 @@ TEST(Replica, FollowerTracksExpiryAndResizeMark)
     EXPECT_EQ(standby.resizes(), 1u);
     EXPECT_TRUE(standby.config() == grown);
     EXPECT_EQ(follower.stats().duplicatesSkipped, 0u);
-    std::remove((journal.path + ".spool").c_str());
 }
 
 TEST(Replica, PromotionReplaysResizeMark)
@@ -1025,7 +1008,6 @@ TEST(Replica, PromotionReplaysResizeMark)
     // also honor a ResizeMark during replay — the journal tail is the
     // same history the wire would have shipped.
     TempFile journal("test_replica_promote_resize.journal");
-    TempFile spool("test_replica_promote_resize.spool");
     RoutingTable table = smallTable(0x88a);
     std::vector<Update> updates = smallTrace(table, 20, 0x88b);
     ChiselConfig config;
@@ -1044,7 +1026,7 @@ TEST(Replica, PromotionReplaysResizeMark)
     ConcurrentOptions copts;
     copts.controlThread = false;
     ConcurrentChisel standby(table, config, copts);
-    Follower follower(standby, fp, {.spoolPath = spool.path});
+    Follower follower(standby, fp);
 
     replica::PromotionReport promo = follower.promote(journal.path);
     EXPECT_EQ(promo.lastAppliedSeq, uint64_t(updates.size()));

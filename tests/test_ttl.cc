@@ -180,7 +180,7 @@ TEST(EngineTtl, ExpiryIsLazyAndExpireRetires)
     EXPECT_EQ(engine.expire(p24(0x0D000000)).cls, UpdateClass::NoOp);
 }
 
-TEST(EngineTtl, AdoptCarriesIndexAndClock)
+TEST(EngineTtl, RebuiltCarriesIndexAndClock)
 {
     RoutingTable empty;
     ChiselEngine a(empty, ttlConfig(100));
@@ -189,10 +189,10 @@ TEST(EngineTtl, AdoptCarriesIndexAndClock)
 
     // A rebuilt engine (resize, resetup, recovery) must not lose
     // armed deadlines or rewind the clock.
-    ChiselEngine b(a.exportTable(), ttlConfig(100));
-    b.adoptTtl(a);
-    EXPECT_EQ(b.ttlClock(), 40u);
-    EXPECT_EQ(b.ttlIndex().deadline(p24(0x0A000000)), 140u);
+    std::unique_ptr<ChiselEngine> b = a.rebuilt(ttlConfig(100));
+    EXPECT_EQ(b->ttlClock(), 40u);
+    EXPECT_EQ(b->ttlIndex().deadline(p24(0x0A000000)), 140u);
+    EXPECT_EQ(b->find(p24(0x0A000000)), std::optional<NextHop>(1));
 }
 
 // ---- Elastic resize planning -----------------------------------------------
