@@ -111,12 +111,6 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     RoutingTable table = generateScaledTable(o.routes, 32, o.seed);
     ChiselConfig config = soakConfig(o);
 
-    // The journal identity is the elastic fingerprint: live resizes
-    // change capacities mid-stream, and the journal must remain THIS
-    // engine's history across every one of them.
-    persist::UpdateJournal journal(o.journal, elasticFingerprint(config),
-                                   /*fsync_every=*/16);
-
     // Pinned probe routes: random /32 addresses not present in the
     // initial table.  kTtlNever exempts them from GC, so any reader
     // ever missing one is a serving gap, never an expiry.
@@ -156,17 +150,13 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     // compressed (each storm batch = 25 logical ms) and repeatable.
     copts.ttlWallClock = false;
     copts.controlFaultInjector = &inj;
-    copts.onJournalUpdate = [&journal](const Update &u) {
-        return journal.append(u);
-    };
-    copts.onJournalOutcome = [&journal](uint64_t seq,
-                                        const UpdateOutcome &out) {
-        journal.appendOutcome(seq, out);
-    };
-    copts.onResize = [&journal](const ChiselConfig &grown, uint64_t) {
-        journal.appendResizeMark(grown);
-    };
-    ConcurrentChisel engine(table, config, copts);
+    // The engine writes its own journal.  The identity is the elastic
+    // fingerprint: live resizes change capacities mid-stream, and the
+    // journal must remain THIS engine's history across every one.
+    ConcurrentChisel engine(
+        std::make_unique<ChiselEngine>(table, config), copts,
+        std::make_unique<persist::UpdateJournal>(
+            o.journal, elasticFingerprint(config), /*fsync_every=*/16));
 
     // Announce the probes through the normal (journaled) path, then
     // verify them once before unleashing the storm.
@@ -276,7 +266,7 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     stopReaders.store(true, std::memory_order_release);
     for (std::thread &r : readers)
         r.join();
-    journal.sync();
+    engine.ensureDurable(engine.journalSeq());
 
     std::printf("storm: %llu posted in %.0f ms; %llu resizes, %llu "
                 "expired, %llu slow-path drained, %zu routes live\n",

@@ -6,6 +6,7 @@
 #include "common/logging.hh"
 #include "core/resize.hh"
 #include "fault/fault.hh"
+#include "persist/recovery.hh"
 #include "persist/snapshot.hh"
 
 namespace chisel::concurrent {
@@ -18,9 +19,11 @@ ConcurrentChisel::ConcurrentChisel(const RoutingTable &initial,
 {
 }
 
-ConcurrentChisel::ConcurrentChisel(std::unique_ptr<ChiselEngine> engine,
-                                   const ConcurrentOptions &options)
-    : options_(options), queue_(options.updateQueueCapacity),
+ConcurrentChisel::ConcurrentChisel(
+    std::unique_ptr<ChiselEngine> engine, const ConcurrentOptions &options,
+    std::unique_ptr<persist::UpdateJournal> journal)
+    : options_(options), journal_(std::move(journal)),
+      queue_(options.updateQueueCapacity),
       admission_(options.admission, queue_.capacity()),
       monitor_(options.health)
 {
@@ -39,6 +42,8 @@ ConcurrentChisel::ConcurrentChisel(std::unique_ptr<ChiselEngine> engine,
 
 ConcurrentChisel::~ConcurrentChisel()
 {
+    // The control thread appends (GC Expires, health-ladder purges
+    // and resizes): join it before journal_ goes with the members.
     stop_.store(true, std::memory_order_release);
     if (controlThread_.joinable())
         controlThread_.join();
@@ -107,7 +112,7 @@ ConcurrentChisel::publish(Image &image)
 }
 
 UpdateOutcome
-ConcurrentChisel::applyLocked(const Update &update)
+ConcurrentChisel::applyLocked(const Update &update, uint64_t *journal_seq)
 {
     // Watchdog stamp: a hang anywhere below trips the health monitor
     // past its hysteresis straight into Quarantined.
@@ -118,17 +123,16 @@ ConcurrentChisel::applyLocked(const Update &update)
     // construction, for posted updates and GC Expires alike.  A
     // refused append (seq 0) rejects the update outright — state must
     // never run ahead of its durability record.
-    uint64_t seq = 0;
-    if (options_.onJournalUpdate) {
-        seq = options_.onJournalUpdate(update);
-        if (seq == 0) {
-            monitor_.endUpdate();
-            UpdateOutcome refused;
-            refused.cls = UpdateClass::NoOp;
-            refused.status = UpdateStatus::Rejected;
-            refused.message = "journal refused the append";
-            return refused;
-        }
+    uint64_t seq = journal_ ? journal_->append(update) : 0;
+    if (journal_seq != nullptr)
+        *journal_seq = seq;
+    if (journal_ && seq == 0) {
+        monitor_.endUpdate();
+        UpdateOutcome refused;
+        refused.cls = UpdateClass::NoOp;
+        refused.status = UpdateStatus::Rejected;
+        refused.message = "journal refused the append";
+        return refused;
     }
 
     Image &idle = idleImage();
@@ -152,8 +156,8 @@ ConcurrentChisel::applyLocked(const Update &update)
     retired.engine->apply(update);
     retired.generation.store(gen, std::memory_order_relaxed);
 
-    if (options_.onJournalOutcome && seq != 0)
-        options_.onJournalOutcome(seq, outcome);
+    if (journal_)
+        journal_->appendOutcome(seq, outcome);
 
     monitor_.endUpdate();
     return outcome;
@@ -173,10 +177,10 @@ ConcurrentChisel::withdraw(const Prefix &prefix)
 }
 
 UpdateOutcome
-ConcurrentChisel::apply(const Update &update)
+ConcurrentChisel::apply(const Update &update, uint64_t *journal_seq)
 {
     std::lock_guard<std::mutex> lock(writerMutex_);
-    return applyLocked(update);
+    return applyLocked(update, journal_seq);
 }
 
 // ---- Queued update path ----------------------------------------------------
@@ -332,7 +336,7 @@ ConcurrentChisel::gcTick(size_t max_batch)
     std::vector<Prefix> due;
     idleImage().engine->collectExpired(max_batch, due);
 
-    // Each expiry is a first-class update: journaled via the hooks,
+    // Each expiry is a first-class update: journaled like any other,
     // counted in its own class, published with the standard flip —
     // warm restarts, audits and replica followers all see GC as part
     // of the ordinary update stream.
@@ -374,9 +378,8 @@ ConcurrentChisel::resizeLocked(const ChiselConfig &grown)
     if (drained > 0)
         slowPathDrained_.fetch_add(drained,
                                    std::memory_order_relaxed);
-    if (options_.onResize)
-        options_.onResize(
-            grown, updatesApplied_.load(std::memory_order_relaxed));
+    if (journal_)
+        journal_->appendResizeMark(grown);
     CHISEL_FLIGHT_EVENT(ResizePublish, 0, count, drained);
     return true;
 }
@@ -470,6 +473,16 @@ size_t
 ConcurrentChisel::purgeDirtyNow()
 {
     std::lock_guard<std::mutex> lock(writerMutex_);
+
+    // Journaled like an update, before either image changes: replay
+    // re-runs the purge between the same two updates, and a journal
+    // that refused the record refuses the purge.
+    if (journal_) {
+        journal_->appendHousekeeping(
+            persist::JournalRecord::HousekeepingKind::PurgeDirty);
+        if (!journal_->ioHealthy())
+            return 0;
+    }
 
     // Same choreography as scrubNow: mutate the idle image, flip,
     // then mutate the other while it is idle — readers never observe
@@ -574,18 +587,33 @@ ConcurrentChisel::healthTick()
 // ---- Snapshots and rebuilds ------------------------------------------------
 
 size_t
-ConcurrentChisel::saveSnapshot(
-    const std::string &path,
-    const std::function<uint64_t()> &last_seq) const
+ConcurrentChisel::saveSnapshot(const std::string &path) const
 {
     // The idle image equals the live one, so serializing it captures
     // the current state while lookups proceed undisturbed; only the
     // update path waits on the lock.
     std::lock_guard<std::mutex> lock(writerMutex_);
-    uint64_t seq = last_seq
-                       ? last_seq()
+    uint64_t seq = journal_
+                       ? journal_->lastSeq()
                        : updatesApplied_.load(std::memory_order_relaxed);
     return persist::saveSnapshot(path, *idleImage().engine, seq);
+}
+
+size_t
+ConcurrentChisel::checkpoint()
+{
+    if (!journal_ || options_.recoverySnapshotPath.empty())
+        return 0;
+    // Image, mark and sync in one lock hold: the mark lands right
+    // after the last record the image covers, which is where replay
+    // cuts the tail.
+    std::lock_guard<std::mutex> lock(writerMutex_);
+    uint64_t seq = journal_->lastSeq();
+    size_t bytes = persist::saveSnapshot(options_.recoverySnapshotPath,
+                                         *idleImage().engine, seq);
+    journal_->appendSnapshotMark(seq);
+    journal_->sync();
+    return bytes;
 }
 
 std::vector<uint8_t>
@@ -620,10 +648,22 @@ ConcurrentChisel::restoreLoaded(persist::SnapshotLoadResult &&loaded)
         warn("concurrent restore refused: " + loaded.error);
         return false;
     }
-    // The decoded engine owes nothing to the current images, so its
-    // twin is cloned before updates have to wait.
+    std::unique_lock<std::mutex> lock(writerMutex_, std::defer_lock);
+    if (journal_) {
+        // Serve what the journal says, not what the image says: replay
+        // the tail past it, locked from the scan through the flip so
+        // no update lands in between.
+        lock.lock();
+        uint64_t head = loaded.lastSeq;
+        persist::replayTail(loaded.engine,
+                            persist::scanJournal(journal_->path(), 0),
+                            loaded.lastSeq, head);
+    }
+    // Without a journal the decoded engine owes nothing to the current
+    // images, so its twin is cloned before updates have to wait.
     ImagePair pair(std::move(loaded.engine));
-    std::lock_guard<std::mutex> lock(writerMutex_);
+    if (!lock.owns_lock())
+        lock.lock();
     install(std::move(pair));
     return true;
 }
@@ -719,6 +759,29 @@ ConcurrentChisel::selfCheck() const
     std::lock_guard<std::mutex> lock(writerMutex_);
     return images_[0].engine->selfCheck() &&
            images_[1].engine->selfCheck();
+}
+
+// ---- Journal ---------------------------------------------------------------
+
+uint64_t
+ConcurrentChisel::journalSeq() const
+{
+    std::lock_guard<std::mutex> lock(writerMutex_);
+    return journal_ ? journal_->lastSeq() : 0;
+}
+
+uint64_t
+ConcurrentChisel::lastDurableSeq() const
+{
+    std::lock_guard<std::mutex> lock(writerMutex_);
+    return journal_ ? journal_->lastDurableSeq() : 0;
+}
+
+bool
+ConcurrentChisel::ensureDurable(uint64_t seq)
+{
+    std::lock_guard<std::mutex> lock(writerMutex_);
+    return journal_ && journal_->ensureDurable(seq);
 }
 
 } // namespace chisel::concurrent

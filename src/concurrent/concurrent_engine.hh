@@ -32,6 +32,12 @@
  * control thread drains the queue in order.  A background scrubber
  * thread walks the idle image's parity words on a configurable
  * cadence, running recover-by-resetup off the reader critical path.
+ *
+ * An engine handed a write-ahead journal is its only writer: every
+ * record of its history (updates and their outcomes, resize marks,
+ * dirty purges, snapshot marks) is appended under the writer lock in
+ * the order the images changed, and every snapshot restore replays
+ * the journal tail past the restored image (docs/persistence.md).
  */
 
 #ifndef CHISEL_CONCURRENT_CONCURRENT_ENGINE_HH
@@ -39,7 +45,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -52,6 +57,7 @@
 #include "core/engine.hh"
 #include "health/admission.hh"
 #include "health/monitor.hh"
+#include "persist/journal.hh"
 #include "route/updates.hh"
 
 namespace chisel::fault { class FaultInjector; }
@@ -141,24 +147,6 @@ struct ConcurrentOptions
      * — deterministic tests pick exactly when entries expire.
      */
     bool ttlWallClock = true;
-
-    /**
-     * Journal hooks, called INSIDE the writer lock in apply order, so
-     * the journal sees posted updates and GC-generated Expires in
-     * exactly the order the images did — there is no window where an
-     * update is applied but a concurrent resize journals first.
-     *
-     * onJournalUpdate runs before the update touches either image and
-     * returns the assigned sequence number; returning 0 REJECTS the
-     * update (nothing is applied — a journal that cannot append must
-     * not let state run ahead of it).  onJournalOutcome runs after
-     * both images applied, with that sequence and the live outcome.
-     * onResize runs after a resize is published, with the grown
-     * config and the generation it covers.
-     */
-    std::function<uint64_t(const Update &)> onJournalUpdate;
-    std::function<void(uint64_t, const UpdateOutcome &)> onJournalOutcome;
-    std::function<void(const ChiselConfig &, uint64_t)> onResize;
 };
 
 /**
@@ -179,12 +167,20 @@ class ConcurrentChisel
     /**
      * Serve @p engine (built, decoded or recovered by the caller) as
      * the live image, with its clone() as the twin; the config is
-     * the engine's own.
+     * the engine's own.  With @p journal, this engine becomes that
+     * journal's only writer: posted updates, GC Expires, resizes and
+     * purges are appended under the writer lock in exactly the order
+     * the images change, so no record can land out of order.
      */
-    explicit ConcurrentChisel(std::unique_ptr<ChiselEngine> engine,
-                              const ConcurrentOptions &options = {});
+    explicit ConcurrentChisel(
+        std::unique_ptr<ChiselEngine> engine,
+        const ConcurrentOptions &options = {},
+        std::unique_ptr<persist::UpdateJournal> journal = nullptr);
 
-    /** Joins the control and scrubber threads; pending posts drain. */
+    /**
+     * Joins the control and scrubber threads (pending posts drain),
+     * then closes the journal.
+     */
     ~ConcurrentChisel();
 
     ConcurrentChisel(const ConcurrentChisel &) = delete;
@@ -214,8 +210,15 @@ class ConcurrentChisel
     /** BGP withdraw, likewise. */
     UpdateOutcome withdraw(const Prefix &prefix);
 
-    /** Apply one trace update. */
-    UpdateOutcome apply(const Update &update);
+    /**
+     * Apply one trace update.  With a journal, its Update record is
+     * appended before either image changes and its Outcome record
+     * after both have; a refused append (a latched I/O failure)
+     * rejects the update and leaves state untouched.  @p journal_seq,
+     * when given, receives the update's journal seq (0: none).
+     */
+    UpdateOutcome apply(const Update &update,
+                        uint64_t *journal_seq = nullptr);
 
     // ---- Queued update path (single producer thread) ---------------
 
@@ -266,7 +269,10 @@ class ConcurrentChisel
     /**
      * One synchronous purgeDirty() over both images (same flip +
      * grace protocol as scrubNow, so readers never see a purge in
-     * progress).  @return dirty groups dismantled (live image).
+     * progress).  With a journal, a Housekeeping(PurgeDirty) record
+     * goes first, so replay re-runs the purge between the same two
+     * updates; a refused append skips the purge.  @return dirty
+     * groups dismantled (live image).
      */
     size_t purgeDirtyNow();
 
@@ -318,7 +324,8 @@ class ConcurrentChisel
      * current load (core/resize.hh), rebuild both images from the
      * route set off the serving path, and publish with one pointer
      * flip — lookups stay wait-free throughout, and slow-path
-     * residents drain back into the grown tables.  @return false
+     * residents drain back into the grown tables.  A journaled engine
+     * appends a ResizeMark carrying the grown config.  @return false
      * (no-op) when the plan does not grow the engine.
      */
     bool resizeNow();
@@ -349,17 +356,23 @@ class ConcurrentChisel
      * Write a snapshot of the current state WITHOUT stalling readers:
      * the idle image (identical to the live one: lookups write
      * nothing) is serialized under the writer lock, so only updates
-     * wait.  The image is stamped with @p last_seq(), or with the
-     * update count when no provider is given.  The provider runs
-     * UNDER the writer lock: journal hooks fire inside the same lock,
-     * so a provider reading the journal's lastSeq() gets a value that
-     * matches the serialized state exactly — the sharded persistence
-     * lane uses this to make snapshot coverage agree with its journal
-     * tail.  @return bytes written.
+     * wait.  The image is stamped with the journal's lastSeq(), or
+     * with the update count without a journal.  It appends no
+     * SnapshotMark (see checkpoint()): a stray mark would hide the
+     * housekeeping records before it from replay.  @return bytes
+     * written.
      */
-    size_t saveSnapshot(const std::string &path,
-                        const std::function<uint64_t()> &last_seq = {})
-        const;
+    size_t saveSnapshot(const std::string &path) const;
+
+    /**
+     * Checkpoint a journaled engine: save the recovery snapshot
+     * (options.recoverySnapshotPath) stamped with the journal's
+     * lastSeq(), append the SnapshotMark that covers it and sync,
+     * all in one hold of the writer lock, so no record lands between
+     * the image and its mark.  @return bytes written; 0 (nothing
+     * done) without a journal or a recovery path.
+     */
+    size_t checkpoint();
 
     /**
      * The bytes saveSnapshot() would write, stamped with @p last_seq
@@ -369,14 +382,17 @@ class ConcurrentChisel
     std::vector<uint8_t> snapshotImage(uint64_t last_seq) const;
 
     /**
-     * Replace the routing state from a snapshot file, read once.  The
-     * decoded engine and its clone are made before the writer lock is
-     * taken and published with one pointer flip; readers never
-     * observe a partially-loaded table.  A snapshot written after a
-     * live resize differs from the running config only in elastic
-     * capacities: it is accepted and its plan adopted, exactly as a
-     * warm restart does.  @return false (state unchanged) if the
-     * snapshot does not load cleanly.
+     * Replace the routing state from a snapshot file, read once, and
+     * publish it with one pointer flip; readers never observe a
+     * partially-loaded table.  A journaled engine first replays the
+     * journal tail past the image (persist::replayTail), holding the
+     * writer lock from the journal scan to the flip, so it serves
+     * every update its journal holds; without a journal the decoded
+     * engine's clone is made before the lock is taken.  A snapshot
+     * written after a live resize differs from the running config
+     * only in elastic capacities: it is accepted and its plan
+     * adopted, exactly as a warm restart does.  @return false (state
+     * unchanged) if the snapshot does not load cleanly.
      */
     bool restoreFromSnapshot(const std::string &path);
 
@@ -421,6 +437,20 @@ class ConcurrentChisel
     /** Deep consistency check of both images (tests; takes the lock). */
     bool selfCheck() const;
 
+    // ---- Journal (each takes the writer lock) ------------------------
+
+    /** Seq of the last journaled update (0 without a journal). */
+    uint64_t journalSeq() const;
+
+    /** Highest seq an fsync covers (0 without a journal). */
+    uint64_t lastDurableSeq() const;
+
+    /**
+     * Block until @p seq is fsync-durable (UpdateJournal::
+     * ensureDurable); false without a journal.
+     */
+    bool ensureDurable(uint64_t seq);
+
   private:
     /** One publishable engine image. */
     struct Image
@@ -435,8 +465,12 @@ class ConcurrentChisel
     Image &idleImage();
     const Image &idleImage() const;
 
-    /** Apply @p update to both images with the flip + grace protocol. */
-    UpdateOutcome applyLocked(const Update &update);
+    /**
+     * Journal @p update, then apply it to both images with the flip +
+     * grace protocol; @p journal_seq receives its seq when non-null.
+     */
+    UpdateOutcome applyLocked(const Update &update,
+                              uint64_t *journal_seq = nullptr);
 
     /** Flip the live pointer to @p image and wait out the readers. */
     void publish(Image &image);
@@ -460,7 +494,10 @@ class ConcurrentChisel
      */
     void install(ImagePair pair);
 
-    /** Install a loaded snapshot's engine; false unless it loaded. */
+    /**
+     * Install a loaded snapshot's engine, replaying the journal tail
+     * into it first; false unless it loaded.
+     */
     bool restoreLoaded(persist::SnapshotLoadResult &&loaded);
 
     /** Scrub the idle image once; caller holds writerMutex_. */
@@ -488,12 +525,18 @@ class ConcurrentChisel
     ChiselConfig config_;
     ConcurrentOptions options_;
 
+    /**
+     * The write-ahead journal this engine alone writes (null: none);
+     * every call on it is made under writerMutex_.
+     */
+    std::unique_ptr<persist::UpdateJournal> journal_;
+
     Image images_[2];
     std::atomic<Image *> live_;
 
     mutable EpochManager epochs_;
 
-    /** Serializes updates, scrubs, snapshots and rebuilds. */
+    /** Serializes updates, scrubs, snapshots, rebuilds and journal calls. */
     mutable std::mutex writerMutex_;
 
     /** Updates applied (== generation of the freshest image). */

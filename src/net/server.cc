@@ -561,10 +561,10 @@ ChiselService::serveUpdate(const RpcMessage &req)
         if (!admission_.tryAdmit(u.kind))
             return shed(req, health::HealthState::Healthy);
 
-    // Apply through the plane: each shard's journal hook assigns its
-    // seq inside that shard's writer lock, and a refused append (seq
-    // 0) rejects the update unapplied.  Remember the high-water seq
-    // per touched shard for one batched fsync each.
+    // Apply through the plane: each shard's engine journals the
+    // update under its writer lock and reports the seq, and a refused
+    // append (seq 0) rejects the update unapplied.  Remember the
+    // high-water seq per touched shard for one batched fsync each.
     std::vector<WireAck> acks;
     acks.reserve(req.updates.size());
     std::vector<std::vector<shard::ShardedChisel::ShardSeq>> parts;

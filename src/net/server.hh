@@ -157,8 +157,8 @@ class ChiselService
      * health per request (one quarantined shard fails fast for its
      * slice only; requests touching only healthy shards keep
      * serving), and the whole-plane matrix trips only past the
-     * majority-sick threshold.  Durability is per shard: the plane's
-     * journal hooks append inside each shard's writer lock, and an
+     * majority-sick threshold.  Durability is per shard: each shard's
+     * engine appends to its journal inside its writer lock, and an
      * update is acked only once ITS shard's durable head covers it
      * (every shard, for a broadcast).  A plane without a persist
      * directory serves lookups fine but answers every update un-acked

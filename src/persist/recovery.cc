@@ -16,26 +16,6 @@ recoverySourceName(RecoverySource s)
     return "?";
 }
 
-namespace {
-
-/**
- * Replay the journal tail after @p from_seq into @p engine, in stream
- * order.  The tail starts just past the record the recovered image
- * covers: the last SnapshotMark stamped seq == from_seq when one
- * exists, otherwise the last Update/Outcome with seq <= from_seq.
- * Sequence numbers alone cannot place the cut, because Housekeeping
- * records share the seq of the update they follow — a purge right
- * after the snapshot and a purge right before it carry the same seq,
- * and replaying the wrong one resurrects or destroys dirty groups.
- * From the cut on, Update records with seq > from_seq are re-applied
- * and Housekeeping records re-run, so maintenance mutations land
- * between the same updates they originally did.  A ResizeMark past
- * the cut re-runs the live rebuild: @p engine is replaced by one
- * re-planned under the marked config (hence the unique_ptr) — a no-op
- * when the recovered image already carries that config, which is how
- * a mark racing the snapshot rotation stays idempotent.  @return
- * records applied (updates + housekeeping + resizes).
- */
 uint64_t
 replayTail(std::unique_ptr<ChiselEngine> &engine,
            const JournalScan &scan, uint64_t from_seq,
@@ -93,8 +73,6 @@ replayTail(std::unique_ptr<ChiselEngine> &engine,
     }
     return applied;
 }
-
-} // anonymous namespace
 
 void
 auditEngine(const ChiselEngine &engine, const RoutingTable &initial,

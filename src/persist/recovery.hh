@@ -13,7 +13,9 @@
  * file, CRC mismatch, version/config mismatch, malformed payload —
  * all reported, none fatal).  The journal itself is scanned with the
  * torn-tail rule: the valid record prefix is trusted, everything
- * after the first length/CRC violation is discarded.
+ * after the first length/CRC violation is discarded.  replayTail()
+ * is the one replay: a journaled ConcurrentChisel restoring a
+ * snapshot while it runs uses it too.
  *
  * After the engine is rebuilt, an optional route-by-route audit
  * compares it against a reference table derived independently from
@@ -124,6 +126,31 @@ struct RecoveryReport
  * journal exists but cannot be truncated).
  */
 RecoveryReport recoverEngine(const RecoveryOptions &options);
+
+/**
+ * Replay the journal tail after @p from_seq into @p engine, in stream
+ * order: the last rung of recoverEngine(), and how a journaled
+ * ConcurrentChisel brings a restored image up to its journal head.
+ * The tail starts just past the record the image covers: the last
+ * SnapshotMark stamped seq == from_seq when one exists, otherwise the
+ * last Update/Outcome with seq <= from_seq.  Sequence numbers alone
+ * cannot place the cut, because Housekeeping records share the seq
+ * of the update they follow — a purge right after the snapshot and a
+ * purge right before it carry the same seq, and replaying the wrong
+ * one resurrects or destroys dirty groups.  From the cut on, Update
+ * records with seq > from_seq are re-applied and Housekeeping records
+ * re-run, so maintenance mutations land between the same updates they
+ * originally did.  A ResizeMark past the cut re-runs the live
+ * rebuild: @p engine is replaced by one re-planned under the marked
+ * config (hence the unique_ptr) — a no-op when the image already
+ * carries that config, which is how a mark racing the snapshot
+ * rotation stays idempotent.  @p last_seq is raised to the highest
+ * update seq replayed.  @return records applied (updates +
+ * housekeeping + resizes).
+ */
+uint64_t replayTail(std::unique_ptr<ChiselEngine> &engine,
+                    const JournalScan &scan, uint64_t from_seq,
+                    uint64_t &last_seq);
 
 /**
  * The audit alone: compare @p engine route-by-route against the

@@ -8,20 +8,12 @@
 
 #include "common/logging.hh"
 #include "core/resize.hh"
-#include "persist/snapshot.hh"
+#include "persist/journal.hh"
 #include "telemetry/metrics.hh"
 
 namespace chisel::shard {
 
 namespace {
-
-/**
- * Journal seq assigned by the onJournalUpdate hook for the update the
- * current thread is applying.  The hook runs synchronously inside the
- * shard's writer lock on the applying thread, so this is race-free:
- * a control thread's GC Expire appends land in that thread's copy.
- */
-thread_local uint64_t t_assignedSeq = 0;
 
 uint64_t
 mix64(uint64_t x)
@@ -166,53 +158,34 @@ ShardedChisel::buildShard(size_t i, const RoutingTable &slice)
         return;
     }
 
-    sh.dir = shardDir(i);
-    std::filesystem::create_directories(sh.dir);
-    sh.journalPath = sh.dir + "/journal.log";
-    sh.snapshotPath = sh.dir + "/snapshot.chs";
-    copts.recoverySnapshotPath = sh.snapshotPath;
+    std::string dir = shardDir(i);
+    std::filesystem::create_directories(dir);
+    std::string journalPath = dir + "/journal.log";
+    copts.recoverySnapshotPath = dir + "/snapshot.chs";
 
     uint64_t fp = shardJournalFingerprint(
         options_.config, i, options_.shards, options_.partitionBits,
         options_.hashSeed);
 
     // Warm restart: run the recovery ladder against this shard's
-    // lane, refresh the snapshot so it covers the replayed tail, and
-    // serve the recovered engine itself — its twin is a clone, so no
-    // Bloomier setup runs beyond the ladder's own.
+    // lane and serve the recovered engine itself — its twin is a
+    // clone, so no Bloomier setup runs beyond the ladder's own.  The
+    // engine takes the journal over and checkpoints once, so the
+    // shard snapshot covers the replayed tail.
     persist::RecoveryOptions ro;
-    ro.journalPath = sh.journalPath;
-    ro.snapshotPath = sh.snapshotPath;
+    ro.journalPath = journalPath;
+    ro.snapshotPath = copts.recoverySnapshotPath;
     ro.config = options_.config;
     ro.initialTable = slice;
     ro.audit = options_.audit;
     ro.expectFingerprint = fp;
     persist::RecoveryReport report = persist::recoverEngine(ro);
 
-    persist::saveSnapshot(sh.snapshotPath, *report.engine,
-                          report.lastSeq);
-
-    sh.journal = std::make_unique<persist::UpdateJournal>(
-        sh.journalPath, fp, options_.fsyncEvery);
-    sh.journal->appendSnapshotMark(report.lastSeq);
-    sh.journal->sync();
-
-    persist::UpdateJournal *journal = sh.journal.get();
-    copts.onJournalUpdate = [journal](const Update &u) -> uint64_t {
-        uint64_t seq = journal->append(u);
-        t_assignedSeq = seq;
-        return seq;
-    };
-    copts.onJournalOutcome = [journal](uint64_t seq,
-                                       const UpdateOutcome &out) {
-        journal->appendOutcome(seq, out);
-    };
-    copts.onResize = [journal](const ChiselConfig &grown, uint64_t) {
-        journal->appendResizeMark(grown);
-    };
-
     sh.engine = std::make_unique<concurrent::ConcurrentChisel>(
-        std::move(report.engine), copts);
+        std::move(report.engine), copts,
+        std::make_unique<persist::UpdateJournal>(journalPath, fp,
+                                                 options_.fsyncEvery));
+    sh.engine->checkpoint();
 
     ShardRecovery &rec = recovery_[i];
     rec.source = report.source;
@@ -240,23 +213,17 @@ ShardedChisel::lookup(const Key128 &key) const
     return shards_[selector_.shardOf(key)]->engine->lookup(key);
 }
 
-concurrent::TaggedLookup
-ShardedChisel::lookupTagged(const Key128 &key) const
-{
-    return shards_[selector_.shardOf(key)]->engine->lookupTagged(key);
-}
-
 // ---- Write side ------------------------------------------------------------
 
 ShardedChisel::ShardSeq
 ShardedChisel::applyToShard(size_t i, const Update &update,
                             UpdateOutcome &outcome)
 {
-    t_assignedSeq = 0;
-    UpdateOutcome out = shards_[i]->engine->apply(update);
+    ShardSeq part{i, 0};
+    UpdateOutcome out = shards_[i]->engine->apply(update, &part.seq);
     if (outcomeRank(out) >= outcomeRank(outcome))
         outcome = out;
-    return {i, t_assignedSeq};
+    return part;
 }
 
 ShardedChisel::ApplyResult
@@ -297,35 +264,6 @@ ShardedChisel::withdraw(const Prefix &prefix)
     return apply(u).outcome;
 }
 
-bool
-ShardedChisel::post(const Update &update)
-{
-    size_t s = selector_.shardOf(update.prefix);
-    if (s == kBroadcast) {
-        bool ok = true;
-        for (auto &sh : shards_)
-            ok = sh->engine->post(update) && ok;
-        return ok;
-    }
-    return shards_[s]->engine->post(update);
-}
-
-void
-ShardedChisel::flush()
-{
-    for (auto &sh : shards_)
-        sh->engine->flush();
-}
-
-size_t
-ShardedChisel::pendingUpdates() const
-{
-    size_t n = 0;
-    for (const auto &sh : shards_)
-        n += sh->engine->pendingUpdates();
-    return n;
-}
-
 // ---- Per-shard access ------------------------------------------------------
 
 concurrent::ConcurrentChisel &
@@ -340,24 +278,16 @@ ShardedChisel::shardEngine(size_t i) const
     return *shards_[i]->engine;
 }
 
-persist::UpdateJournal *
-ShardedChisel::journal(size_t i)
-{
-    return shards_[i]->journal.get();
-}
-
 bool
 ShardedChisel::ensureDurable(size_t i, uint64_t seq)
 {
-    persist::UpdateJournal *j = shards_[i]->journal.get();
-    return j ? j->ensureDurable(seq) : false;
+    return shards_[i]->engine->ensureDurable(seq);
 }
 
 uint64_t
 ShardedChisel::lastDurableSeq(size_t i) const
 {
-    const persist::UpdateJournal *j = shards_[i]->journal.get();
-    return j ? j->lastDurableSeq() : 0;
+    return shards_[i]->engine->lastDurableSeq();
 }
 
 // ---- Health and containment ------------------------------------------------
@@ -459,13 +389,8 @@ ShardedChisel::status(size_t i) const
     st.routes = sh.engine->routeCount();
     st.pendingUpdates = sh.engine->pendingUpdates();
     st.updatesApplied = sh.engine->updatesApplied();
-    st.expired = sh.engine->expired();
     st.quarantineEntries = quarantineEntries(i);
-    st.healthTransitions = sh.engine->monitor().transitions();
-    if (sh.journal) {
-        st.lastSeq = sh.journal->lastSeq();
-        st.lastDurableSeq = sh.journal->lastDurableSeq();
-    }
+    st.lastSeq = sh.engine->journalSeq();
     return st;
 }
 
@@ -475,24 +400,9 @@ size_t
 ShardedChisel::saveSnapshots()
 {
     size_t saved = 0;
-    for (auto &sh : shards_) {
-        if (!sh->journal)
-            continue;
-        persist::UpdateJournal *journal = sh->journal.get();
-        // The seq provider runs under the shard's writer lock, where
-        // the journal can't advance: state and coverage agree exactly.
-        uint64_t covered = 0;
-        size_t bytes = sh->engine->saveSnapshot(
-            sh->snapshotPath, [journal, &covered]() {
-                covered = journal->lastSeq();
-                return covered;
-            });
-        if (bytes > 0) {
-            journal->appendSnapshotMark(covered);
-            journal->sync();
+    for (auto &sh : shards_)
+        if (sh->engine->checkpoint() > 0)
             ++saved;
-        }
-    }
     return saved;
 }
 
@@ -525,36 +435,11 @@ ShardedChisel::generation() const
     return n;
 }
 
-uint64_t
-ShardedChisel::expired() const
-{
-    uint64_t n = 0;
-    for (const auto &sh : shards_)
-        n += sh->engine->expired();
-    return n;
-}
-
 void
 ShardedChisel::healthTickAll()
 {
     for (auto &sh : shards_)
         sh->engine->healthTick();
-}
-
-size_t
-ShardedChisel::gcTickAll()
-{
-    size_t n = 0;
-    for (auto &sh : shards_)
-        n += sh->engine->gcTick();
-    return n;
-}
-
-void
-ShardedChisel::advanceTtlClockAll(uint64_t ms)
-{
-    for (auto &sh : shards_)
-        sh->engine->advanceTtlClock(ms);
 }
 
 bool

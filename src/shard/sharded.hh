@@ -5,18 +5,18 @@
  *
  * Each shard owns a full ConcurrentChisel — its own engine image
  * pair, bounded update queue, control thread, TTL/GC clock, and
- * five-state HealthMonitor — plus its own write-ahead journal and
- * snapshot lane under `<persistDir>/shard-<i>/`.  A stable front-end
- * hash (ShardSelector) routes every key and prefix to its shard;
- * prefixes shorter than the partition width are installed in every
- * shard so single-shard lookups still return the correct longest
- * match.
+ * five-state HealthMonitor — and, with persistence on, a write-ahead
+ * journal and snapshot lane under `<persistDir>/shard-<i>/` that the
+ * shard's engine alone writes.  A stable front-end hash
+ * (ShardSelector) routes every key and prefix to its shard; prefixes
+ * shorter than the partition width are installed in every shard so
+ * single-shard lookups still return the correct longest match.
  *
  * The point of the split is *containment*: a parity storm, setup
  * failure streak, or watchdog trip quarantines one shard's keyspace
  * slice, and the recovery ladder (purge -> scrub -> resetup ->
  * snapshot-restore) runs on that shard's control thread without
- * pausing siblings.  lookup()/post() themselves route around
+ * pausing siblings.  lookup()/apply() themselves route around
  * nothing — shedding is a service-layer decision (ChiselService
  * consults shardHealth() per request; /healthz turns 503 only when a
  * majority of shards are sick).
@@ -27,9 +27,10 @@
  * be replayed into the wrong slice; a `shards.meta` file at the root
  * of the persist directory pins the partition geometry and a reopen
  * with different parameters is refused.  Warm restart recovers every
- * shard independently through the persist ladder, refreshes the
- * shard snapshot to cover the replayed tail, and serves the recovered
- * engine itself (its twin a clone) with zero full Bloomier setups.
+ * shard independently through the persist ladder, serves the
+ * recovered engine itself (its twin a clone) with zero full Bloomier
+ * setups, and checkpoints it so the shard snapshot covers the
+ * replayed tail.
  */
 
 #ifndef CHISEL_SHARD_SHARDED_HH
@@ -41,7 +42,6 @@
 #include <vector>
 
 #include "concurrent/concurrent_engine.hh"
-#include "persist/journal.hh"
 #include "persist/recovery.hh"
 #include "shard/partition.hh"
 
@@ -65,10 +65,9 @@ struct ShardedOptions
     ChiselConfig config;
 
     /**
-     * Per-shard ConcurrentChisel template.  Journal hooks and
-     * recoverySnapshotPath are overwritten per shard (the sharded
-     * layer owns journaling); everything else applies to each shard
-     * as-is.
+     * Per-shard ConcurrentChisel template.  With persistence on,
+     * recoverySnapshotPath is overwritten per shard (the shard's
+     * snapshot lane); everything else applies to each shard as-is.
      */
     concurrent::ConcurrentOptions engine;
 
@@ -118,11 +117,8 @@ struct ShardStatus
     size_t routes = 0;
     size_t pendingUpdates = 0;
     uint64_t updatesApplied = 0;
-    uint64_t expired = 0;
     uint64_t quarantineEntries = 0;  ///< monitor + forced.
-    uint64_t healthTransitions = 0;
     uint64_t lastSeq = 0;            ///< 0 without a journal.
-    uint64_t lastDurableSeq = 0;
 };
 
 class ShardedChisel
@@ -162,7 +158,6 @@ class ShardedChisel
     // ---- Read side (any thread, wait-free) -------------------------
 
     LookupResult lookup(const Key128 &key) const;
-    concurrent::TaggedLookup lookupTagged(const Key128 &key) const;
 
     // ---- Write side ------------------------------------------------
 
@@ -194,29 +189,15 @@ class ShardedChisel
                            uint32_t ttl_ms = 0);
     UpdateOutcome withdraw(const Prefix &prefix);
 
-    /**
-     * Enqueue on the owning shard's control thread (every shard, if
-     * broadcast).  Single producer thread across ALL shards — the
-     * per-shard queues keep their SPSC contract because the sharded
-     * facade is the one producer.
-     */
-    bool post(const Update &update);
-
-    /** Block until every shard's queue and stage are drained. */
-    void flush();
-
-    /** Posted-but-unapplied updates, summed over shards. */
-    size_t pendingUpdates() const;
-
     // ---- Per-shard access ------------------------------------------
 
     concurrent::ConcurrentChisel &shardEngine(size_t i);
     const concurrent::ConcurrentChisel &shardEngine(size_t i) const;
 
-    /** The shard's journal; null without persistence. */
-    persist::UpdateJournal *journal(size_t i);
-
-    /** Block until @p seq is fsync-durable on shard @p i. */
+    /**
+     * Block until @p seq is fsync-durable on shard @p i (false
+     * without persistence); both go through the shard's engine.
+     */
     bool ensureDurable(size_t i, uint64_t seq);
     uint64_t lastDurableSeq(size_t i) const;
 
@@ -263,9 +244,9 @@ class ShardedChisel
     // ---- Persistence -----------------------------------------------
 
     /**
-     * Snapshot every shard (stamped with its journal seq, taken
-     * under the shard's writer lock so state and seq agree exactly)
-     * and append the covering SnapshotMark.  No-op without
+     * Checkpoint every shard (ConcurrentChisel::checkpoint(): the
+     * snapshot, stamped with the journal seq, and its SnapshotMark in
+     * one hold of the shard's writer lock).  No-op without
      * persistence.  @return shards snapshotted.
      */
     size_t saveSnapshots();
@@ -291,18 +272,9 @@ class ShardedChisel
     /** Sum of shard generations (a monotonic plane-wide version). */
     uint64_t generation() const;
 
-    /** TTL entries expired, summed over shards. */
-    uint64_t expired() const;
-
     /** One healthTick per shard (tests; normally the control
      * threads run the monitor). */
     void healthTickAll();
-
-    /** One gcTick per shard; @return entries expired. */
-    size_t gcTickAll();
-
-    /** Advance every shard's logical TTL clock (ttlWallClock off). */
-    void advanceTtlClockAll(uint64_t ms);
 
     /** Deep consistency check of every shard. */
     bool selfCheck() const;
@@ -318,10 +290,7 @@ class ShardedChisel
   private:
     struct Shard
     {
-        std::string dir;
-        std::string journalPath;
-        std::string snapshotPath;
-        std::unique_ptr<persist::UpdateJournal> journal;
+        /** The shard's engine, and with persistence its journal. */
         std::unique_ptr<concurrent::ConcurrentChisel> engine;
 
         /** induceHealth() override: state and expiry (0 = none). */

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -36,12 +38,15 @@
 #include "telemetry/metrics.hh"
 #include "telemetry/prometheus.hh"
 #include "trie/binary_trie.hh"
+#include "differential.hh"
 
 namespace chisel {
 namespace {
 
+using concurrent::ConcurrentChisel;
 using concurrent::ConcurrentOptions;
 using concurrent::EpochManager;
+using differential::readBytes;
 using net::CallStatus;
 using net::ChiselService;
 using net::ClientOptions;
@@ -510,6 +515,146 @@ TEST(ShardedPersist, FlatPairSeedsOneShardPlane)
     EXPECT_EQ(plane.routeCount(), truth.size());
     EXPECT_TRUE(matchesOracle(plane));
     std::filesystem::remove_all(root);
+}
+
+// The dirty-group purge (§4.4.1) is part of a shard's history: the
+// engine journals it before it runs, so a restart that replays the
+// journal tail across it comes back with the groups purged and the
+// same snapshot bytes, not with the dirty groups the purge dropped.
+TEST(ShardedPersist, PurgeSurvivesJournalTailRestart)
+{
+    std::string dir = tempDir("purge");
+    std::string state = dir + "/state.snap";
+    ShardedOptions o = smallOptions(1, 8);
+    o.persistDir = dir;
+    o.audit = true;
+    {
+        ShardedChisel plane(RoutingTable{}, o);
+        for (uint32_t i = 0; i < 64; ++i)
+            plane.apply(announceOf(0x0A000000u + (i << 8), 24, 1 + i % 4));
+        for (uint32_t i = 0; i < 64; ++i) {
+            Update w;
+            w.kind = UpdateKind::Withdraw;
+            w.prefix = v4Prefix(0x0A000000u + (i << 8), 24);
+            plane.apply(w);
+        }
+        ConcurrentChisel &engine = plane.shardEngine(0);
+        ASSERT_GT(engine.dirtyCount(), 0u);
+        EXPECT_GT(engine.purgeDirtyNow(), 0u);
+        ASSERT_EQ(engine.dirtyCount(), 0u);
+        // More history after the purge, so it sits mid-tail.
+        plane.apply(announceOf(0x0B000000u, 16, 9));
+        engine.saveSnapshot(state);
+    }
+
+    ShardedChisel plane(RoutingTable{}, o);
+    const shard::ShardRecovery &rec = plane.recovery()[0];
+    EXPECT_EQ(rec.source, persist::RecoverySource::Snapshot);
+    EXPECT_GT(rec.recordsReplayed, 128u);
+    EXPECT_TRUE(rec.auditPassed);
+    EXPECT_EQ(plane.shardEngine(0).dirtyCount(), 0u);
+    // The boot checkpoint re-saved the recovered state: byte for byte
+    // the state the plane had before the restart.
+    EXPECT_EQ(readBytes(plane.shardDir(0) + "/snapshot.chs"),
+              readBytes(state));
+    std::filesystem::remove_all(dir);
+}
+
+// The health ladder's SnapshotRestore rung restores the shard's lane
+// snapshot (restoreFromSnapshot on recoverySnapshotPath).  On a
+// journaled shard that must not roll the shard back to the snapshot:
+// the restore replays the journal tail past the image, so every
+// acknowledged update is still served.
+TEST(ShardedPersist, RestoreRungReplaysJournalTail)
+{
+    std::string dir = tempDir("restore");
+    RoutingTable table = generateScaledTable(300, 32, /*seed=*/17);
+    ShardedOptions o = smallOptions(1, 8);
+    o.persistDir = dir;
+    ShardedChisel plane(table, o);
+    ConcurrentChisel &engine = plane.shardEngine(0);
+
+    RoutingTable truth = table;
+    UpdateTraceGenerator gen(table, TraceProfile{}, 32, 41);
+    auto applyAcked = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+            Update u = gen.next();
+            ShardedChisel::ApplyResult r = plane.apply(u);
+            EXPECT_TRUE(plane.ensureDurable(0, r.seq));
+            if (u.kind == UpdateKind::Announce)
+                truth.add(u.prefix, u.nextHop);
+            else
+                truth.remove(u.prefix);
+        }
+    };
+    applyAcked(100);
+    ASSERT_EQ(plane.saveSnapshots(), 1u);
+    applyAcked(100);
+    engine.purgeDirtyNow();
+    applyAcked(50);
+    engine.saveSnapshot(dir + "/before.snap");
+
+    ASSERT_TRUE(
+        engine.restoreFromSnapshot(plane.shardDir(0) + "/snapshot.chs"));
+    EXPECT_EQ(engine.routeCount(), truth.size());
+    for (const Route &r : truth.routes())
+        ASSERT_EQ(engine.find(r.prefix), std::optional<NextHop>(r.nextHop))
+            << r.prefix.str();
+    engine.saveSnapshot(dir + "/after.snap");
+    EXPECT_EQ(readBytes(dir + "/after.snap"), readBytes(dir + "/before.snap"));
+    EXPECT_EQ(differential::imagesIdenticalConcurrent(engine), "");
+    std::filesystem::remove_all(dir);
+}
+
+// saveSnapshots() racing a writer: the snapshot and the SnapshotMark
+// that covers it go to disk in one hold of the shard's writer lock,
+// so no update lands between them.  A mark written after the lock is
+// released can follow updates the image does not hold, and replay,
+// which starts past the mark, then skips them.
+TEST(ShardedPersist, CheckpointRacingUpdatesRestartsClean)
+{
+    std::string dir = tempDir("race");
+    RoutingTable table = generateScaledTable(300, 32, /*seed=*/19);
+    ShardedOptions o = smallOptions(1, 8);
+    o.persistDir = dir;
+    o.fsyncEvery = 0;
+    o.audit = true;
+    for (uint64_t round = 0; round < 3; ++round) {
+        {
+            ShardedChisel plane(table, o);
+            std::atomic<bool> done{false};
+            std::atomic<size_t> started{0};
+            std::thread saver([&] {
+                while (!done.load(std::memory_order_acquire)) {
+                    started.fetch_add(1, std::memory_order_release);
+                    plane.saveSnapshots();
+                }
+            });
+            // The pauses let the saver take the writer lock (a mutex
+            // owes it no turn while this thread re-takes it), and every
+            // 300 updates a fresh checkpoint must have begun, so each
+            // round races at least five of them in bounded time.
+            UpdateTraceGenerator gen(table, TraceProfile{}, 32, 50 + round);
+            for (int i = 0; i < 1500; ++i) {
+                if (i % 300 == 0) {
+                    size_t seen = started.load(std::memory_order_acquire);
+                    while (started.load(std::memory_order_acquire) == seen)
+                        std::this_thread::yield();
+                }
+                plane.apply(gen.next());
+                if (i % 50 == 49)
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(100));
+            }
+            done.store(true, std::memory_order_release);
+            saver.join();
+        }
+        ShardedChisel plane(table, o);
+        const shard::ShardRecovery &rec = plane.recovery()[0];
+        EXPECT_EQ(rec.source, persist::RecoverySource::Snapshot);
+        ASSERT_TRUE(rec.auditPassed) << "restart " << round;
+    }
+    std::filesystem::remove_all(dir);
 }
 
 // ---- Shard-aware service shedding ------------------------------------

@@ -4,7 +4,8 @@
  * TTL deadline index, engine-level expiry semantics (lazy expiry,
  * pinning, per-update overrides, adoption across rebuilds), elastic
  * resize planning (geometry kernel vs elastic capacities), and the
- * concurrent engine's journaled GC tick and live resize.
+ * concurrent engine's GC tick and live resize, checked against the
+ * records it writes to its own journal.
  *
  * Time is always the manual logical clock here — every test replays
  * exactly.
@@ -12,13 +13,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "concurrent/concurrent_engine.hh"
 #include "core/engine.hh"
 #include "core/resize.hh"
 #include "core/ttl.hh"
+#include "fault/fault.hh"
 #include "persist/codec.hh"
+#include "persist/journal.hh"
 #include "route/synth.hh"
 #include "route/table.hh"
 #include "route/updates.hh"
@@ -28,6 +34,7 @@ namespace {
 
 using concurrent::ConcurrentChisel;
 using concurrent::ConcurrentOptions;
+using persist::JournalRecord;
 
 Prefix
 p24(uint32_t net)
@@ -261,19 +268,49 @@ manualClockOptions()
     return opts;
 }
 
+/**
+ * A manual-clock ConcurrentChisel writing its own journal in the test
+ * temp directory; records() scans the journal back.
+ */
+struct JournaledEngine
+{
+    JournaledEngine(const std::string &name, const RoutingTable &table,
+                    const ChiselConfig &config)
+        : path(::testing::TempDir() + "chisel_ttl_" + name + ".journal")
+    {
+        std::remove(path.c_str());
+        engine = std::make_unique<ConcurrentChisel>(
+            std::make_unique<ChiselEngine>(table, config),
+            manualClockOptions(),
+            std::make_unique<persist::UpdateJournal>(
+                path, elasticFingerprint(config)));
+    }
+
+    ~JournaledEngine()
+    {
+        engine.reset();
+        std::remove(path.c_str());
+    }
+
+    /** The journaled records of @p type, in stream order. */
+    std::vector<JournalRecord>
+    records(JournalRecord::Type type) const
+    {
+        std::vector<JournalRecord> out;
+        for (const JournalRecord &r : persist::scanJournal(path, 0).records)
+            if (r.type == type)
+                out.push_back(r);
+        return out;
+    }
+
+    std::string path;
+    std::unique_ptr<ConcurrentChisel> engine;
+};
+
 TEST(ConcurrentTtl, GcTickRetiresAndJournalsExpiries)
 {
-    RoutingTable empty;
-    std::vector<Update> journaled;
-    uint64_t seq = 0;
-
-    ConcurrentOptions opts = manualClockOptions();
-    opts.onJournalUpdate = [&](const Update &u) {
-        journaled.push_back(u);
-        return ++seq;
-    };
-
-    ConcurrentChisel engine(empty, ttlConfig(100), opts);
+    JournaledEngine j("gc", RoutingTable{}, ttlConfig(100));
+    ConcurrentChisel &engine = *j.engine;
     engine.announce(p24(0x0A000000), 1);
     engine.announce(p24(0x0B000000), 2, kTtlNever);
 
@@ -288,33 +325,57 @@ TEST(ConcurrentTtl, GcTickRetiresAndJournalsExpiries)
     // The pinned route is untouchable.
     EXPECT_TRUE(engine.find(p24(0x0B000000)).has_value());
 
-    // The GC's removal went through the hooks as a first-class
-    // Expire update, after the two announces.
-    ASSERT_EQ(journaled.size(), 3u);
-    EXPECT_EQ(journaled[2].kind, UpdateKind::Expire);
-    EXPECT_EQ(journaled[2].prefix, p24(0x0A000000));
+    // The GC's removal was journaled as a first-class Expire update,
+    // seq 3 after the two announces, and committed by its Outcome.
+    std::vector<JournalRecord> updates =
+        j.records(JournalRecord::Type::Update);
+    ASSERT_EQ(updates.size(), 3u);
+    EXPECT_EQ(updates[2].seq, 3u);
+    EXPECT_EQ(updates[2].update.kind, UpdateKind::Expire);
+    EXPECT_EQ(updates[2].update.prefix, p24(0x0A000000));
+    std::vector<JournalRecord> outcomes =
+        j.records(JournalRecord::Type::Outcome);
+    ASSERT_EQ(outcomes.size(), 3u);
+    EXPECT_EQ(outcomes[2].seq, 3u);
+    EXPECT_EQ(outcomes[2].cls, static_cast<uint8_t>(UpdateClass::Expire));
+    EXPECT_EQ(engine.journalSeq(), 3u);
 }
 
 TEST(ConcurrentTtl, JournalRefusalRejectsUpdate)
 {
-    RoutingTable empty;
-    ConcurrentOptions opts = manualClockOptions();
-    bool refuse = false;
+    if (!CHISEL_FAULT_INJECTION_ENABLED)
+        GTEST_SKIP() << "fault injection compiled out";
+    JournaledEngine j("refusal", RoutingTable{}, ttlConfig(0));
+    ConcurrentChisel &engine = *j.engine;
     uint64_t seq = 0;
-    opts.onJournalUpdate = [&](const Update &) {
-        return refuse ? 0 : ++seq;
-    };
+    Update a{UpdateKind::Announce, p24(0x0A000000), 1};
+    EXPECT_TRUE(engine.apply(a, &seq).ok());
+    EXPECT_EQ(seq, 1u);
 
-    ConcurrentChisel engine(empty, ttlConfig(0), opts);
-    EXPECT_TRUE(engine.announce(p24(0x0A000000), 1).ok());
-
-    // A refused append must reject the update outright: state never
-    // runs ahead of its durability record.
-    refuse = true;
-    UpdateOutcome out = engine.announce(p24(0x0B000000), 2);
+    // An append the journal refuses (the modelled ENOSPC) must reject
+    // the update outright: state never runs ahead of its durability
+    // record.
+    fault::FaultInjector inj(7);
+    inj.arm(fault::FaultPoint::JournalIoError, 1.0, 1);
+    UpdateOutcome out;
+    {
+        fault::ScopedInjector scope(&inj);
+        out = engine.apply(Update{UpdateKind::Announce, p24(0x0B000000), 2},
+                           &seq);
+    }
+    EXPECT_EQ(inj.fires(fault::FaultPoint::JournalIoError), 1u);
     EXPECT_EQ(out.status, UpdateStatus::Rejected);
+    EXPECT_EQ(seq, 0u);
     EXPECT_FALSE(engine.find(p24(0x0B000000)).has_value());
     EXPECT_TRUE(engine.find(p24(0x0A000000)).has_value());
+
+    // The failure latches: later updates are refused too, and the
+    // journal holds only what was applied.
+    EXPECT_EQ(engine.announce(p24(0x0C000000), 3).status,
+              UpdateStatus::Rejected);
+    EXPECT_FALSE(engine.find(p24(0x0C000000)).has_value());
+    EXPECT_EQ(j.records(JournalRecord::Type::Update).size(), 1u);
+    EXPECT_EQ(engine.journalSeq(), 1u);
 }
 
 TEST(ConcurrentResize, ResizeToGrowsWithoutLosingState)
@@ -323,11 +384,8 @@ TEST(ConcurrentResize, ResizeToGrowsWithoutLosingState)
     ChiselConfig config = ttlConfig(1000);
     config.spillCapacity = 8;
 
-    ConcurrentOptions opts = manualClockOptions();
-    uint64_t marks = 0;
-    opts.onResize = [&](const ChiselConfig &, uint64_t) { ++marks; };
-
-    ConcurrentChisel engine(table, config, opts);
+    JournaledEngine j("resize", table, config);
+    ConcurrentChisel &engine = *j.engine;
     engine.announce(p24(0x0A000000), 7);
     size_t before = engine.routeCount();
     uint64_t gen_before = engine.generation();
@@ -337,8 +395,15 @@ TEST(ConcurrentResize, ResizeToGrowsWithoutLosingState)
     grown.minCellCapacity *= 2;
     ASSERT_TRUE(engine.resizeTo(grown));
     EXPECT_EQ(engine.resizes(), 1u);
-    EXPECT_EQ(marks, 1u);
     EXPECT_TRUE(engine.config() == grown);
+
+    // One ResizeMark carrying the grown config, stamped with the
+    // announce's seq so replay rebuilds right after it.
+    std::vector<JournalRecord> marks =
+        j.records(JournalRecord::Type::ResizeMark);
+    ASSERT_EQ(marks.size(), 1u);
+    EXPECT_TRUE(marks[0].resizeConfig == grown);
+    EXPECT_EQ(marks[0].seq, 1u);
 
     // Same routes, same answers — and the same generation: the grown
     // engine serves an identical routing state, so readers tagging
@@ -353,11 +418,13 @@ TEST(ConcurrentResize, ResizeToGrowsWithoutLosingState)
     EXPECT_TRUE(engine.resizeTo(grown));
     EXPECT_EQ(engine.resizes(), 1u);
 
-    // ...and a geometry change is not a resize at all.
+    // ...and a geometry change is not a resize at all; neither
+    // journals a mark.
     ChiselConfig other = grown;
     other.seed ^= 1;
     EXPECT_FALSE(engine.resizeTo(other));
     EXPECT_EQ(engine.resizes(), 1u);
+    EXPECT_EQ(j.records(JournalRecord::Type::ResizeMark).size(), 1u);
 }
 
 TEST(ConcurrentResize, TtlSurvivesResize)
