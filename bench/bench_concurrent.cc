@@ -37,13 +37,6 @@ using namespace chisel;
 using concurrent::ConcurrentChisel;
 using concurrent::ConcurrentOptions;
 
-enum class WriterMode
-{
-    Idle,    ///< No writer.
-    Direct,  ///< Writer calls apply() at ~10k updates/s.
-    Posted,  ///< Writer storms post() flat-out; admission sheds.
-};
-
 struct RunResult
 {
     double lookupsPerSec = 0.0;
@@ -51,13 +44,13 @@ struct RunResult
 };
 
 /**
- * Run @p readers lookup threads for @p duration, optionally with a
- * writer replaying @p updates in a loop, and return the aggregate
- * lookup rate.
+ * Run @p readers lookup threads for @p duration, with a @p live_writer
+ * applying @p updates in a loop at ~10k updates/s or none, and return
+ * the aggregate lookup rate.
  */
 RunResult
 run(ConcurrentChisel &engine, const std::vector<Key128> &keys,
-    unsigned readers, WriterMode mode,
+    unsigned readers, bool live_writer,
     const std::vector<Update> &updates,
     std::chrono::milliseconds duration)
 {
@@ -79,7 +72,7 @@ run(ConcurrentChisel &engine, const std::vector<Key128> &keys,
     }
 
     std::thread writer;
-    if (mode == WriterMode::Direct) {
+    if (live_writer) {
         writer = std::thread([&] {
             size_t i = 0;
             while (!stop.load(std::memory_order_acquire)) {
@@ -89,17 +82,6 @@ run(ConcurrentChisel &engine, const std::vector<Key128> &keys,
                 std::this_thread::sleep_for(
                     std::chrono::microseconds(100));
             }
-        });
-    } else if (mode == WriterMode::Posted) {
-        writer = std::thread([&] {
-            // Unpaced: the feed outruns the control thread on
-            // purpose, so the queue hits its high watermark and
-            // admission control sheds by coalescing.  post() never
-            // blocks and never fails.
-            size_t i = 0;
-            while (!stop.load(std::memory_order_acquire))
-                engine.post(updates[i++ % updates.size()]);
-            engine.flush();   // Producer thread drains its own stage.
         });
     }
 
@@ -164,10 +146,8 @@ main(int argc, char **argv)
     double baseline = 0.0;
     for (unsigned readers : {1u, 2u, 4u, 8u}) {
         for (bool live_writer : {false, true}) {
-            RunResult r = run(engine, keys, readers,
-                              live_writer ? WriterMode::Direct
-                                          : WriterMode::Idle,
-                              updates, duration);
+            RunResult r =
+                run(engine, keys, readers, live_writer, updates, duration);
             if (readers == 1 && !live_writer)
                 baseline = r.lookupsPerSec;
             double speedup =
@@ -194,78 +174,6 @@ main(int argc, char **argv)
     }
     report.print();
 
-    // ---- Overload leg: post() storm through admission control ------
-    //
-    // A fresh engine with the control thread, a small queue and
-    // admission enabled; the writer posts an unpaced flap storm.  The
-    // property measured: the feed is absorbed by shed/coalesce (post
-    // never fails) and reader throughput holds within a few percent
-    // of the same engine's idle rate.
-    TraceProfile storm_prof;
-    storm_prof.flapStorm = true;
-    UpdateTraceGenerator storm_gen(table, storm_prof, 32, 0x703);
-    std::vector<Update> storm = storm_gen.generate(20000);
-
-    ConcurrentOptions popts;
-    popts.controlThread = true;
-    popts.updateQueueCapacity = 256;
-    popts.admission.enabled = true;
-    popts.healthMonitor = true;
-    ChiselConfig pconfig;
-    pconfig.dirtyBudgetPerCell = 512;
-    ConcurrentChisel posted(table, pconfig, popts);
-
-    Report storm_report(
-        "Admission-controlled post() storm (unpaced writer)",
-        {"readers", "writer", "Mlookups/s", "vs idle", "applied/s"});
-    for (unsigned readers : {1u, 2u, 4u}) {
-        RunResult idle = run(posted, keys, readers, WriterMode::Idle,
-                             storm, duration);
-        RunResult live = run(posted, keys, readers, WriterMode::Posted,
-                             storm, duration);
-        double ratio = idle.lookupsPerSec > 0.0
-                           ? live.lookupsPerSec / idle.lookupsPerSec
-                           : 0.0;
-        double applied_rate =
-            static_cast<double>(live.updatesApplied) /
-            std::chrono::duration<double>(duration).count();
-        storm_report.addRow({std::to_string(readers), "posted",
-                             Report::num(live.lookupsPerSec / 1e6, 3),
-                             Report::num(100.0 * ratio, 1) + "%",
-                             Report::num(applied_rate, 0)});
-
-        std::string tag = std::to_string(readers);
-        registry.gauge("bench.concurrent.posted.lookups_per_sec." + tag)
-            .set(live.lookupsPerSec);
-        registry.gauge("bench.concurrent.posted.vs_idle." + tag)
-            .set(ratio);
-        registry.gauge("bench.concurrent.posted.update_rate." + tag)
-            .set(applied_rate);
-    }
-    storm_report.print();
-
-    const health::AdmissionCounters &ac = posted.admissionCounters();
-    std::printf("admission: %llu admitted, %llu deferred, %llu "
-                "coalesced, %llu flushed, %llu shed events; health "
-                "end state %s\n",
-                static_cast<unsigned long long>(ac.admitted.load()),
-                static_cast<unsigned long long>(ac.deferred.load()),
-                static_cast<unsigned long long>(ac.coalesced.load()),
-                static_cast<unsigned long long>(ac.flushed.load()),
-                static_cast<unsigned long long>(ac.shedEvents.load()),
-                posted.monitor().stateName());
-    registry.gauge("bench.concurrent.admission.admitted")
-        .set(static_cast<double>(ac.admitted.load()));
-    registry.gauge("bench.concurrent.admission.deferred")
-        .set(static_cast<double>(ac.deferred.load()));
-    registry.gauge("bench.concurrent.admission.coalesced")
-        .set(static_cast<double>(ac.coalesced.load()));
-    registry.gauge("bench.concurrent.admission.flushed")
-        .set(static_cast<double>(ac.flushed.load()));
-    registry.gauge("bench.concurrent.admission.shed_events")
-        .set(static_cast<double>(ac.shedEvents.load()));
-    posted.monitor().publish(registry, "bench.concurrent.health");
-
     unsigned cores = std::thread::hardware_concurrency();
     registry.gauge("bench.concurrent.hardware_threads")
         .set(static_cast<double>(cores));
@@ -274,7 +182,7 @@ main(int argc, char **argv)
                           : "");
 
     // Flushes the metrics JSON and flight dump, and stops the
-    // introspection server before the engines leave scope.
+    // introspection server before the engine leaves scope.
     session.finish();
     return 0;
 }

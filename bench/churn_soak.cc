@@ -137,8 +137,6 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
 
     ConcurrentOptions copts;
     copts.controlThread = true;
-    copts.updateQueueCapacity = 512;
-    copts.admission.enabled = true;
     copts.healthMonitor = true;
     copts.healthInterval = std::chrono::milliseconds(2);
     copts.health.resizeAfter = 2;
@@ -149,7 +147,7 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     // the journal scan and the engine probe — and the run is
     // compressed (each storm batch = 25 logical ms) and repeatable.
     copts.ttlWallClock = false;
-    copts.controlFaultInjector = &inj;
+    copts.faultInjector = &inj;
     // The engine writes its own journal.  The identity is the elastic
     // fingerprint: live resizes change capacities mid-stream, and the
     // journal must remain THIS engine's history across every one.
@@ -200,8 +198,8 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
                 ++checks;
                 ++i;
                 // Stay continuously in the reader's hot path but let
-                // the control thread (and on 1-core boxes, anything
-                // at all) run between bursts.
+                // the storm and the maintenance thread (and on 1-core
+                // boxes, anything at all) run between bursts.
                 if (checks % 64 == 0)
                     std::this_thread::yield();
                 if (checks % 2048 == 0)
@@ -231,7 +229,7 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
                 static_cast<unsigned long long>(o.limitMs));
 
     uint64_t t0 = monotonicNowNs();
-    uint64_t posted = 0;
+    uint64_t storm_updates = 0;
     for (;;) {
         uint64_t elapsed_ms = (monotonicNowNs() - t0) / 1000000;
         if ((engine.resizes() >= o.minResizes &&
@@ -241,22 +239,21 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         Update u = gen.next();
         if (probeSet.count(u.prefix))
             continue;   // Never let the storm touch a canary.
-        engine.post(u);
-        ++posted;
-        if (posted % 64 == 0) {
+        engine.apply(u);
+        ++storm_updates;
+        if (storm_updates % 64 == 0) {
             engine.advanceTtlClock(25);
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
         }
-        if (posted % 8192 == 0)
-            std::printf("  ... %llu posted, %llu resizes, %llu expired, "
+        if (storm_updates % 8192 == 0)
+            std::printf("  ... %llu updates, %llu resizes, %llu expired, "
                         "%zu routes (%llu ms)\n",
-                        static_cast<unsigned long long>(posted),
+                        static_cast<unsigned long long>(storm_updates),
                         static_cast<unsigned long long>(engine.resizes()),
                         static_cast<unsigned long long>(engine.expired()),
                         engine.routeCount(),
                         static_cast<unsigned long long>(elapsed_ms));
     }
-    engine.flush();
     // Settle: with the logical clock now frozen, collect every
     // already-due entry so the journal holds the complete Expire
     // history before the audit reads it.
@@ -268,9 +265,10 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         r.join();
     engine.ensureDurable(engine.journalSeq());
 
-    std::printf("storm: %llu posted in %.0f ms; %llu resizes, %llu "
+    std::printf("storm: %llu updates in %.0f ms; %llu resizes, %llu "
                 "expired, %llu slow-path drained, %zu routes live\n",
-                static_cast<unsigned long long>(posted), duration_ms,
+                static_cast<unsigned long long>(storm_updates),
+                duration_ms,
                 static_cast<unsigned long long>(engine.resizes()),
                 static_cast<unsigned long long>(engine.expired()),
                 static_cast<unsigned long long>(
@@ -369,7 +367,7 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         w.beginObject();
         w.member("schema", "chisel.churn.v1");
         w.member("duration_ms", duration_ms);
-        w.member("updates_posted", posted);
+        w.member("storm_updates", storm_updates);
         w.member("updates_applied", engine.updatesApplied());
         w.member("resizes", engine.resizes());
         w.member("resize_marks", resizeMarks);

@@ -4,13 +4,13 @@
  * replication stack (docs/replication.md).
  *
  * The driver re-execs itself as a --role=leader child.  The leader
- * runs an admission-controlled flap storm with engine fault points
- * armed, journaling every update through a ReplicationLog that ships
- * to the driver's follower over loopback TCP.  The follower joins
- * late on purpose, so it bootstraps from a shipped snapshot before
- * tailing records.  Mid-storm the driver SIGKILLs the leader,
- * detects the silence, promotes the follower (replaying the valid
- * prefix of the leader's journal), and audits:
+ * runs a flap storm with engine fault points armed, journaling every
+ * update through a ReplicationLog that ships to the driver's follower
+ * over loopback TCP.  The follower joins late on purpose, so it
+ * bootstraps from a shipped snapshot before tailing records.
+ * Mid-storm the driver SIGKILLs the leader, detects the silence,
+ * promotes the follower (replaying the valid prefix of the leader's
+ * journal), and audits:
  *
  *  - every route in the journal-synced truth is served with the right
  *    next hop (zero lost) and no extras exist (zero phantom);
@@ -22,9 +22,7 @@
  * CI runs this binary directly as its failover leg.
  */
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -101,21 +99,6 @@ soakStorm(const RoutingTable &table, const SoakOptions &o)
 
 // ---- Leader child ----------------------------------------------------
 
-/**
- * Snapshot requests cross from the shipper thread to the storm loop:
- * with admission control only the producer thread may flush(), so the
- * provider parks here and the loop services it between posts.
- */
-struct SnapshotBridge
-{
-    std::mutex m;
-    std::condition_variable cv;
-    bool requested = false;
-    bool ready = false;
-    uint64_t covered = 0;
-    std::vector<uint8_t> image;
-};
-
 int
 leaderMain(const SoakOptions &o)
 {
@@ -136,11 +119,9 @@ leaderMain(const SoakOptions &o)
 
     ConcurrentOptions copts;
     copts.controlThread = true;
-    copts.updateQueueCapacity = 256;
-    copts.admission.enabled = true;
     copts.healthMonitor = true;
     copts.healthInterval = std::chrono::milliseconds(2);
-    copts.controlFaultInjector = &inj;
+    copts.faultInjector = &inj;
     ConcurrentChisel engine(table, config, copts);
 
     replica::ReplicationOptions ropts;
@@ -150,21 +131,19 @@ leaderMain(const SoakOptions &o)
     ropts.heartbeatMs = 25;
     replica::ReplicationLog rlog(o.journal, fingerprint, 1, ropts);
 
-    std::atomic<uint64_t> lastAppended{0};
-    SnapshotBridge bridge;
+    // The storm holds this around append + apply, and the snapshot
+    // provider (on the shipper thread) around scrub + image, so an
+    // image covers exactly the records appended before it.
+    std::mutex stormMutex;
+    uint64_t lastAppended = 0;
 
     rlog.start(
         [&o] { return replica::tcpConnect(uint16_t(o.port), 500); },
-        [&bridge](uint64_t &covered) -> std::vector<uint8_t> {
-            std::unique_lock<std::mutex> lk(bridge.m);
-            bridge.requested = true;
-            bridge.ready = false;
-            bridge.cv.notify_all();
-            if (!bridge.cv.wait_for(lk, std::chrono::seconds(5),
-                                    [&bridge] { return bridge.ready; }))
-                return {};
-            covered = bridge.covered;
-            return std::move(bridge.image);
+        [&](uint64_t &covered) -> std::vector<uint8_t> {
+            std::lock_guard<std::mutex> lk(stormMutex);
+            covered = lastAppended;
+            engine.scrubNow();
+            return engine.snapshotImage(covered);
         });
 
     std::printf("leader: pid %d storming %zu routes to port %llu\n",
@@ -172,39 +151,23 @@ leaderMain(const SoakOptions &o)
                 static_cast<unsigned long long>(o.port));
 
     // The storm cycles until the driver kills us.  Every update is
-    // durably journaled BEFORE it is posted; an append the journal
+    // durably journaled BEFORE it is applied; an append the journal
     // refuses stops the run (a leader that cannot log must stop
-    // acknowledging, and here acknowledging IS posting).
+    // acknowledging, and here acknowledging IS applying).
     for (size_t i = 0;; ++i) {
         const Update &u = storm[i % storm.size()];
-        uint64_t seq = rlog.append(u);
-        if (seq == 0) {
-            std::printf("leader: journal refused append (%llu I/O "
-                        "errors); stopping degraded\n",
-                        static_cast<unsigned long long>(
-                            rlog.ioErrors()));
-            return 3;
-        }
-        lastAppended.store(seq, std::memory_order_release);
-        engine.post(u);
-
-        bool wanted;
         {
-            std::lock_guard<std::mutex> lk(bridge.m);
-            wanted = bridge.requested && !bridge.ready;
-        }
-        if (wanted) {
-            engine.flush();  // Producer thread: stage + queue drain.
-            uint64_t covered =
-                lastAppended.load(std::memory_order_acquire);
-            engine.scrubNow();
-            std::vector<uint8_t> image = engine.snapshotImage(covered);
-            std::lock_guard<std::mutex> lk(bridge.m);
-            bridge.requested = false;
-            bridge.ready = true;
-            bridge.covered = covered;
-            bridge.image = std::move(image);
-            bridge.cv.notify_all();
+            std::lock_guard<std::mutex> lk(stormMutex);
+            uint64_t seq = rlog.append(u);
+            if (seq == 0) {
+                std::printf("leader: journal refused append (%llu I/O "
+                            "errors); stopping degraded\n",
+                            static_cast<unsigned long long>(
+                                rlog.ioErrors()));
+                return 3;
+            }
+            lastAppended = seq;
+            engine.apply(u);
         }
         if (i % 32 == 0)
             std::this_thread::sleep_for(std::chrono::milliseconds(1));

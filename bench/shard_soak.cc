@@ -4,11 +4,13 @@
  * fault-isolated sharded dataplane (docs/sharding.md).
  *
  * The driver re-execs itself as a --role=node child: a ShardedChisel
- * behind a ChiselService, every shard running its own control
- * thread, health monitor, and journal + snapshot lane under a shared
- * persist directory, with engine-path fault points armed per shard
- * and every connection-level fault point armed on the service
- * (stalled peers, partial writes, mid-frame resets, accept storms).
+ * behind a ChiselService, every shard running its own maintenance
+ * thread (health monitor, scrub) and journal + snapshot lane under a
+ * shared persist directory, with engine-path fault points armed per
+ * shard — each shard's injector follows its engine onto the service
+ * thread's applies — and every connection-level fault point armed on
+ * the service (stalled peers, partial writes, mid-frame resets,
+ * accept storms).
  * Client threads storm announces, withdraws, and lookups across the
  * whole keyspace — deadlines, retries, reconnects — while the driver
  * SIGKILLs the node mid-storm and warm-restarts it on the same port;
@@ -126,7 +128,6 @@ planeOptions(const SoakOptions &o)
     p.engine.healthMonitor = true;
     p.engine.healthInterval = std::chrono::milliseconds(5);
     p.engine.scrubInterval = std::chrono::milliseconds(25);
-    p.engine.updateQueueCapacity = 512;
     return p;
 }
 
@@ -144,8 +145,9 @@ soakOnTerm(int)
 int
 nodeMain(const SoakOptions &o)
 {
-    // Per-shard fault injectors: every shard's control thread runs
-    // its applies, scrubs, and recovery actions on a hostile engine.
+    // Per-shard fault injectors follow each shard's engine: the
+    // service thread's applies and the shard's maintenance thread
+    // (scrubs, recovery actions) all run on a hostile engine.
     // Probabilities are modest so the storm keeps making progress —
     // the health monitors flap shards through Stressed/Degraded and
     // the ladders pull them back while siblings serve.
@@ -159,7 +161,7 @@ nodeMain(const SoakOptions &o)
         inj->arm(fault::FaultPoint::TcamOverflow, 0.05, 40);
         inj->arm(fault::FaultPoint::BitFlipIndex, 0.005, 8);
         inj->arm(fault::FaultPoint::BitFlipFilter, 0.005, 8);
-        popts.controlFaultInjectors.push_back(inj.get());
+        popts.faultInjectors.push_back(inj.get());
         injectors.push_back(std::move(inj));
     }
     // The transport is hostile too: every connection-level fault
@@ -242,6 +244,24 @@ nodeMain(const SoakOptions &o)
                 static_cast<unsigned long long>(st.unacked),
                 static_cast<unsigned long long>(st.overloaded),
                 st.drained ? "flushed" : "incomplete");
+
+    // The engines must have been hostile: an injector nothing polled
+    // would make every audit above a fault-free one.
+    uint64_t fires = 0;
+    for (size_t s = 0; s < injectors.size(); ++s) {
+        uint64_t polls = 0;
+        for (size_t p = 0; p < fault::kFaultPointCount; ++p)
+            polls += injectors[s]->polls(static_cast<fault::FaultPoint>(p));
+        fires += injectors[s]->totalFires();
+        std::printf("node: shard %zu injector %llu polls, %llu fires\n", s,
+                    static_cast<unsigned long long>(polls),
+                    static_cast<unsigned long long>(
+                        injectors[s]->totalFires()));
+    }
+    if (CHISEL_FAULT_INJECTION_ENABLED && fires == 0) {
+        std::printf("node: no per-shard fault fired\n");
+        return 5;
+    }
     return st.drained ? 0 : 4;
 }
 

@@ -1,5 +1,7 @@
 #include "concurrent/concurrent_engine.hh"
 
+#include <algorithm>
+#include <functional>
 #include <optional>
 #include <utility>
 
@@ -23,8 +25,6 @@ ConcurrentChisel::ConcurrentChisel(
     std::unique_ptr<ChiselEngine> engine, const ConcurrentOptions &options,
     std::unique_ptr<persist::UpdateJournal> journal)
     : options_(options), journal_(std::move(journal)),
-      queue_(options.updateQueueCapacity),
-      admission_(options.admission, queue_.capacity()),
       monitor_(options.health)
 {
     ttlEpoch_ = std::chrono::steady_clock::now();
@@ -34,21 +34,25 @@ ConcurrentChisel::ConcurrentChisel(
     live_.store(&images_[1], std::memory_order_relaxed);
     install(ImagePair(std::move(engine)));
 
-    if (options_.controlThread)
+    bool timer_set = options_.healthMonitor ||
+                     options_.gcInterval.count() > 0 ||
+                     options_.scrubInterval.count() > 0;
+    if (options_.controlThread && timer_set)
         controlThread_ = std::thread([this] { controlLoop(); });
-    if (options_.scrubInterval.count() > 0)
-        scrubThread_ = std::thread([this] { scrubLoop(); });
 }
 
 ConcurrentChisel::~ConcurrentChisel()
 {
-    // The control thread appends (GC Expires, health-ladder purges
-    // and resizes): join it before journal_ goes with the members.
-    stop_.store(true, std::memory_order_release);
+    // The maintenance thread appends (GC Expires, health-ladder
+    // purges and resizes): join it before journal_ goes with the
+    // members.
+    {
+        std::lock_guard<std::mutex> lock(timerMutex_);
+        stop_ = true;
+    }
+    timerWake_.notify_all();
     if (controlThread_.joinable())
         controlThread_.join();
-    if (scrubThread_.joinable())
-        scrubThread_.join();
 }
 
 // ---- Read side -------------------------------------------------------------
@@ -114,13 +118,19 @@ ConcurrentChisel::publish(Image &image)
 UpdateOutcome
 ConcurrentChisel::applyLocked(const Update &update, uint64_t *journal_seq)
 {
+    // Faults follow the engine, not a thread: every apply runs under
+    // the configured injector, whichever thread calls it.
+    std::optional<fault::ScopedInjector> inject;
+    if (options_.faultInjector != nullptr)
+        inject.emplace(options_.faultInjector);
+
     // Watchdog stamp: a hang anywhere below trips the health monitor
     // past its hysteresis straight into Quarantined.
     monitor_.beginUpdate();
 
     // Journal first, under the same lock that orders applies: the
     // journal stream and the image mutations agree on order by
-    // construction, for posted updates and GC Expires alike.  A
+    // construction, for updates and GC Expires alike.  A
     // refused append (seq 0) rejects the update outright — state must
     // never run ahead of its durability record.
     uint64_t seq = journal_ ? journal_->append(update) : 0;
@@ -147,11 +157,9 @@ ConcurrentChisel::applyLocked(const Update &update, uint64_t *journal_seq)
     publish(idle);
 
     // 3. ...then fold the same update into the retired image, keeping
-    // the pair in lockstep.  Fault injection is thread-local and
-    // polled once per apply, so an armed injector on this thread
-    // could fire on one image only and diverge the pair — the scrub
-    // pass reconverges them, and the stress tests arm injectors on
-    // non-writer threads only.
+    // the pair in lockstep.  Fault injection is polled once per
+    // image apply, so an armed injector could fire on one image only
+    // and diverge the pair — the scrub pass reconverges them.
     Image &retired = idleImage();
     retired.engine->apply(update);
     retired.generation.store(gen, std::memory_order_relaxed);
@@ -183,118 +191,54 @@ ConcurrentChisel::apply(const Update &update, uint64_t *journal_seq)
     return applyLocked(update, journal_seq);
 }
 
-// ---- Queued update path ----------------------------------------------------
-
-bool
-ConcurrentChisel::post(const Update &update)
-{
-    if (!options_.controlThread)
-        return false;
-
-    if (!admission_.enabled()) {
-        if (!queue_.push(update))
-            return false;
-        posted_.fetch_add(1, std::memory_order_release);
-        return true;
-    }
-
-    switch (admission_.offer(update, queue_.size())) {
-      case health::AdmissionDecision::Enqueue:
-        if (queue_.push(update))
-            posted_.fetch_add(1, std::memory_order_release);
-        else
-            admission_.stage(update);   // Raced to full: park it.
-        break;
-      case health::AdmissionDecision::Deferred:
-      case health::AdmissionDecision::Coalesced:
-        break;
-    }
-    pumpStaged(false);
-    return true;   // Admission never drops: queued or staged.
-}
-
-void
-ConcurrentChisel::pumpStaged(bool force)
-{
-    size_t depth = queue_.size();
-    size_t cap = queue_.capacity();
-    size_t room = depth < cap ? cap - depth : 0;
-    for (const Update &u : admission_.drain(depth, room, force)) {
-        if (queue_.push(u))
-            posted_.fetch_add(1, std::memory_order_release);
-        else
-            admission_.stage(u);   // Queue refilled under us: re-park.
-    }
-}
-
-size_t
-ConcurrentChisel::pendingUpdates() const
-{
-    uint64_t posted = posted_.load(std::memory_order_acquire);
-    uint64_t drained = drained_.load(std::memory_order_acquire);
-    return static_cast<size_t>(posted - drained);
-}
-
-void
-ConcurrentChisel::flush()
-{
-    // Force the stage out first; the queue may not have room for all
-    // of it at once, so alternate pumping with waiting for the drain.
-    while (admission_.stagedCount() > 0) {
-        pumpStaged(true);
-        uint64_t target = posted_.load(std::memory_order_acquire);
-        while (drained_.load(std::memory_order_acquire) < target)
-            std::this_thread::yield();
-    }
-    uint64_t target = posted_.load(std::memory_order_acquire);
-    while (drained_.load(std::memory_order_acquire) < target)
-        std::this_thread::yield();
-}
-
 void
 ConcurrentChisel::controlLoop()
 {
-    // Chaos runs arm faults on the queued apply path only: the
-    // injector lives in this thread's slot, readers stay clean.
+    // Chaos runs arm faults on the maintenance work too: the injector
+    // lives in this thread's slot, readers stay clean.
     std::optional<fault::ScopedInjector> inject;
-    if (options_.controlFaultInjector != nullptr)
-        inject.emplace(options_.controlFaultInjector);
+    if (options_.faultInjector != nullptr)
+        inject.emplace(options_.faultInjector);
 
-    auto next_health =
-        std::chrono::steady_clock::now() + options_.healthInterval;
-    auto next_gc =
-        std::chrono::steady_clock::now() + options_.gcInterval;
+    using Clock = std::chrono::steady_clock;
+    struct Timer
+    {
+        std::chrono::milliseconds every;
+        std::function<void()> tick;
+        Clock::time_point due;
+    };
+    const Clock::time_point start = Clock::now();
+    std::vector<Timer> timers;
+    auto add = [&](std::chrono::milliseconds every,
+                   std::function<void()> tick) {
+        timers.push_back({every, std::move(tick), start + every});
+    };
+    if (options_.healthMonitor)
+        add(options_.healthInterval, [this] { healthTick(); });
+    if (options_.gcInterval.count() > 0)
+        add(options_.gcInterval, [this] { gcTick(); });
+    if (options_.scrubInterval.count() > 0)
+        add(options_.scrubInterval, [this] { scrubNow(); });
 
+    std::unique_lock<std::mutex> lock(timerMutex_);
     for (;;) {
-        std::optional<Update> update = queue_.pop();
-        if (!update) {
-            if (stop_.load(std::memory_order_acquire) && queue_.empty())
-                return;
-            // Idle: updates are bursty (BGP storms), so sleep rather
-            // than burn a core between bursts.
-            std::this_thread::sleep_for(std::chrono::microseconds(50));
-        } else {
-            {
-                std::lock_guard<std::mutex> lock(writerMutex_);
-                applyLocked(*update);
-            }
-            drained_.fetch_add(1, std::memory_order_release);
-        }
-
-        if (options_.healthMonitor) {
-            auto now = std::chrono::steady_clock::now();
-            if (now >= next_health) {
-                healthTick();
-                next_health = now + options_.healthInterval;
+        Clock::time_point next =
+            std::min_element(timers.begin(), timers.end(),
+                             [](const Timer &a, const Timer &b) {
+                                 return a.due < b.due;
+                             })
+                ->due;
+        if (timerWake_.wait_until(lock, next, [this] { return stop_; }))
+            return;
+        lock.unlock();
+        for (Timer &t : timers) {
+            Clock::time_point now = Clock::now();
+            if (now >= t.due) {
+                t.tick();
+                t.due = now + t.every;
             }
         }
-        if (options_.gcInterval.count() > 0) {
-            auto now = std::chrono::steady_clock::now();
-            if (now >= next_gc) {
-                gcTick();
-                next_gc = now + options_.gcInterval;
-            }
-        }
+        lock.lock();
     }
 }
 
@@ -451,22 +395,6 @@ ConcurrentChisel::scrubPasses() const
     return scrubPasses_.load(std::memory_order_relaxed);
 }
 
-void
-ConcurrentChisel::scrubLoop()
-{
-    // Sleep in small slices so shutdown never waits a full interval.
-    const auto slice = std::chrono::milliseconds(1);
-    auto remaining = options_.scrubInterval;
-    while (!stop_.load(std::memory_order_acquire)) {
-        if (remaining.count() <= 0) {
-            scrubNow();
-            remaining = options_.scrubInterval;
-        }
-        std::this_thread::sleep_for(slice);
-        remaining -= slice;
-    }
-}
-
 // ---- Health ----------------------------------------------------------------
 
 size_t
@@ -500,9 +428,6 @@ health::HealthSignals
 ConcurrentChisel::collectSignals()
 {
     health::HealthSignals sig;
-    sig.queueOccupancy =
-        double(queue_.size()) / double(queue_.capacity());
-    sig.shedEvents = admission_.counters().shedEvents.load();
     sig.watchdogExpired = monitor_.watchdogExpired();
 
     RobustnessCounters r;
@@ -523,22 +448,18 @@ ConcurrentChisel::collectSignals()
         }
     }
 
-    // Event signals are deltas since the previous sample; absolute
-    // shed count converts the same way.
-    uint64_t shed_now = sig.shedEvents;
+    // Event signals are deltas since the previous sample.
     sig.tcamOverflows = r.tcamOverflows - baseline_.tcamOverflows;
     sig.setupRetries = r.setupRetries - baseline_.setupRetries;
     sig.parityRecoveries =
         r.parityRecoveries - baseline_.parityRecoveries;
     sig.slowPathRejected =
         r.slowPathRejected - baseline_.slowPathRejected;
-    sig.shedEvents = shed_now - baseline_.shedEvents;
 
     baseline_.tcamOverflows = r.tcamOverflows;
     baseline_.setupRetries = r.setupRetries;
     baseline_.parityRecoveries = r.parityRecoveries;
     baseline_.slowPathRejected = r.slowPathRejected;
-    baseline_.shedEvents = shed_now;
     return sig;
 }
 
@@ -609,8 +530,16 @@ ConcurrentChisel::checkpoint()
     // cuts the tail.
     std::lock_guard<std::mutex> lock(writerMutex_);
     uint64_t seq = journal_->lastSeq();
-    size_t bytes = persist::saveSnapshot(options_.recoverySnapshotPath,
-                                         *idleImage().engine, seq);
+    size_t bytes = 0;
+    try {
+        bytes = persist::saveSnapshot(options_.recoverySnapshotPath,
+                                      *idleImage().engine, seq);
+    } catch (const ChiselError &e) {
+        // No image, no mark: the journal still holds every record,
+        // so a warm restart replays a longer tail instead.
+        warn("checkpoint skipped: " + std::string(e.what()));
+        return 0;
+    }
     journal_->appendSnapshotMark(seq);
     journal_->sync();
     return bytes;

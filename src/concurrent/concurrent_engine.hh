@@ -27,11 +27,12 @@
  * version that served it — the stress tests validate every tagged
  * result against a trie oracle replayed to that generation.
  *
- * A bounded SPSC queue decouples the update producer (one BGP session
- * feed) from the apply path: post() never blocks, and an internal
- * control thread drains the queue in order.  A background scrubber
- * thread walks the idle image's parity words on a configurable
- * cadence, running recover-by-resetup off the reader critical path.
+ * Every update enters through apply(), on whichever thread calls it,
+ * serialized by the writer lock.  One optional maintenance thread runs
+ * the timers that are set — health sampling, TTL garbage collection
+ * and the parity scrub, which walks the idle image's parity words and
+ * recovers by resetup off the reader critical path — and sleeps until
+ * the next one is due.
  *
  * An engine handed a write-ahead journal is its only writer: every
  * record of its history (updates and their outcomes, resize marks,
@@ -45,6 +46,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -53,9 +55,7 @@
 #include <vector>
 
 #include "concurrent/epoch.hh"
-#include "concurrent/spsc_queue.hh"
 #include "core/engine.hh"
-#include "health/admission.hh"
 #include "health/monitor.hh"
 #include "persist/journal.hh"
 #include "route/updates.hh"
@@ -77,33 +77,24 @@ struct TaggedLookup
 /** Construction options for ConcurrentChisel. */
 struct ConcurrentOptions
 {
-    /** Capacity of the post() update queue (rounded up to 2^n). */
-    size_t updateQueueCapacity = 1024;
-
     /**
-     * Start the control thread that drains post()ed updates.  Off,
-     * post() is unavailable and updates go through announce()/
-     * withdraw()/apply() directly.
+     * Run the timers that are set (healthMonitor, gcInterval,
+     * scrubInterval) on one background maintenance thread, which
+     * sleeps until the next one is due and starts only when at least
+     * one is set.  Off, nothing runs in the background: the caller
+     * ticks healthTick(), gcTick() and scrubNow() itself.
      */
     bool controlThread = true;
 
     /**
-     * Background scrub cadence; zero disables the scrubber thread.
-     * Each pass verifies every parity word of the idle image and
-     * recovers corrupted cells by resetup (docs/concurrency.md).
+     * Background scrub cadence; zero disables it.  Each pass verifies
+     * every parity word of both images and recovers corrupted cells
+     * by resetup (docs/concurrency.md).
      */
     std::chrono::milliseconds scrubInterval{0};
 
     /**
-     * Producer-side admission control on post(): token buckets per
-     * update class plus watermark-triggered coalescing shed
-     * (docs/robustness.md).  Disabled, post() keeps its original
-     * fail-on-full contract.
-     */
-    health::AdmissionOptions admission;
-
-    /**
-     * Run the health-state machine inside the control thread: sample
+     * Run the health-state machine on the maintenance thread: sample
      * signals every healthInterval and execute the recommended
      * recovery actions automatically.  Requires controlThread.
      */
@@ -123,14 +114,16 @@ struct ConcurrentOptions
     std::string recoverySnapshotPath;
 
     /**
-     * When non-null, installed thread-locally in the control thread,
-     * so chaos tests inject faults into the queued apply path without
-     * arming the reader threads.
+     * When non-null, installed thread-locally around every apply,
+     * whichever thread calls it, and for the maintenance thread's
+     * whole loop: chaos runs fault the engine's writes without arming
+     * the reader threads.  Null leaves a caller's own ScopedInjector
+     * in place.
      */
-    fault::FaultInjector *controlFaultInjector = nullptr;
+    fault::FaultInjector *faultInjector = nullptr;
 
     /**
-     * TTL garbage-collection cadence for the control thread; zero
+     * TTL garbage-collection cadence on the maintenance thread; zero
      * disables background GC (gcTick() remains callable directly).
      * Each pass retires at most gcBatch expired entries, each as a
      * first-class Expire update through the ordinary apply path —
@@ -153,8 +146,7 @@ struct ConcurrentOptions
  * Thread-safe facade over a pair of lockstep ChiselEngine images.
  *
  * Thread roles: any number of lookup threads; any number of threads
- * may call the update entry points (serialized on an internal mutex);
- * at most ONE thread may call post() (SPSC producer contract).
+ * may call the update entry points (serialized on an internal mutex).
  */
 class ConcurrentChisel
 {
@@ -168,8 +160,8 @@ class ConcurrentChisel
      * Serve @p engine (built, decoded or recovered by the caller) as
      * the live image, with its clone() as the twin; the config is
      * the engine's own.  With @p journal, this engine becomes that
-     * journal's only writer: posted updates, GC Expires, resizes and
-     * purges are appended under the writer lock in exactly the order
+     * journal's only writer: updates, GC Expires, resizes and purges
+     * are appended under the writer lock in exactly the order
      * the images change, so no record can land out of order.
      */
     explicit ConcurrentChisel(
@@ -177,10 +169,7 @@ class ConcurrentChisel
         const ConcurrentOptions &options = {},
         std::unique_ptr<persist::UpdateJournal> journal = nullptr);
 
-    /**
-     * Joins the control and scrubber threads (pending posts drain),
-     * then closes the journal.
-     */
+    /** Joins the maintenance thread, then closes the journal. */
     ~ConcurrentChisel();
 
     ConcurrentChisel(const ConcurrentChisel &) = delete;
@@ -220,44 +209,12 @@ class ConcurrentChisel
     UpdateOutcome apply(const Update &update,
                         uint64_t *journal_seq = nullptr);
 
-    // ---- Queued update path (single producer thread) ---------------
-
-    /**
-     * Enqueue an update for the control thread; false if the queue
-     * is full (back-pressure) or the control thread is disabled.
-     * With admission control enabled the call never fails: an update
-     * that cannot be queued is staged (coalescing per prefix) and
-     * flushed when the queue drains below the low watermark.
-     */
-    bool post(const Update &update);
-
-    /** Updates posted but not yet applied (excludes the stage). */
-    size_t pendingUpdates() const;
-
-    /**
-     * Block until every posted AND staged update has been applied.
-     * With admission enabled, must be called by the producer thread.
-     */
-    void flush();
-
-    /** Updates parked in the admission stage (producer thread only). */
-    size_t stagedUpdates() const { return admission_.stagedCount(); }
-
-    /** True while admission shed mode is latched (producer thread). */
-    bool shedding() const { return admission_.shedding(); }
-
-    /** Shed/coalesce statistics (producer thread only). */
-    const health::AdmissionCounters &admissionCounters() const
-    {
-        return admission_.counters();
-    }
-
     // ---- Scrubbing -------------------------------------------------
 
     /**
      * One synchronous scrub pass over BOTH images (each scrubbed
      * while idle; the pass flips the live pointer once).  Also run
-     * periodically by the scrubber thread when enabled.
+     * by the maintenance thread every scrubInterval.
      */
     ScrubReport scrubNow();
 
@@ -287,8 +244,8 @@ class ConcurrentChisel
 
     /**
      * Sample signals, step the state machine, and execute at most one
-     * recovery action.  Runs periodically on the control thread when
-     * options.healthMonitor is set; also callable directly (tests,
+     * recovery action.  Runs periodically on the maintenance thread
+     * when options.healthMonitor is set; also callable directly (tests,
      * chaos harness).  @return the state after the sample.
      */
     health::HealthState healthTick();
@@ -300,7 +257,8 @@ class ConcurrentChisel
      * to @p max_batch expired prefixes (0 = options.gcBatch) and
      * retire each as an Expire update through the normal apply path —
      * journaled, counted, flip-published like any withdraw.  Runs
-     * periodically on the control thread when options.gcInterval > 0.
+     * periodically on the maintenance thread when options.gcInterval
+     * > 0.
      * @return entries expired this pass.
      */
     size_t gcTick(size_t max_batch = 0);
@@ -369,8 +327,11 @@ class ConcurrentChisel
      * (options.recoverySnapshotPath) stamped with the journal's
      * lastSeq(), append the SnapshotMark that covers it and sync,
      * all in one hold of the writer lock, so no record lands between
-     * the image and its mark.  @return bytes written; 0 (nothing
-     * done) without a journal or a recovery path.
+     * the image and its mark.  A save that fails (write, fsync or
+     * rename) warns and appends no mark: the journal still holds
+     * every record, so a warm restart only replays a longer tail.
+     * @return bytes written; 0 when the save failed, or without a
+     * journal or a recovery path.
      */
     size_t checkpoint();
 
@@ -503,9 +464,6 @@ class ConcurrentChisel
     /** Scrub the idle image once; caller holds writerMutex_. */
     void scrubIdleLocked(ScrubReport &report);
 
-    /** Move staged updates into the queue as room allows. */
-    void pumpStaged(bool force);
-
     /** Gather one HealthSignals sample (takes writerMutex_). */
     health::HealthSignals collectSignals();
 
@@ -518,8 +476,11 @@ class ConcurrentChisel
     /** resizeNow/resizeTo body; caller holds writerMutex_. */
     bool resizeLocked(const ChiselConfig &grown);
 
+    /**
+     * The maintenance thread: run each timer that is set when it is
+     * due, and sleep until the earliest next deadline or shutdown.
+     */
     void controlLoop();
-    void scrubLoop();
 
     /** Written under writerMutex_ (install); read it under the lock. */
     ChiselConfig config_;
@@ -552,19 +513,9 @@ class ConcurrentChisel
     /** Manual TTL clock in ms (ttlWallClock == false). */
     std::atomic<uint64_t> ttlManualMs_{0};
 
-    SpscQueue<Update> queue_;
-    std::atomic<uint64_t> posted_{0};
-    std::atomic<uint64_t> drained_{0};
-    std::atomic<bool> stop_{false};
-    std::thread controlThread_;
-    std::thread scrubThread_;
-
-    /** Producer-side admission filter (single producer thread). */
-    health::AdmissionController admission_;
-
     health::HealthMonitor monitor_;
 
-    /** Serializes healthTick() callers (control thread + tests). */
+    /** Serializes healthTick() callers (maintenance thread + tests). */
     mutable std::mutex healthMutex_;
 
     /** Counter values at the previous sample (delta computation). */
@@ -574,8 +525,15 @@ class ConcurrentChisel
         uint64_t setupRetries = 0;
         uint64_t parityRecoveries = 0;
         uint64_t slowPathRejected = 0;
-        uint64_t shedEvents = 0;
     } baseline_;
+
+    /** Guards stop_; the maintenance thread sleeps on timerWake_. */
+    std::mutex timerMutex_;
+    std::condition_variable timerWake_;
+    bool stop_ = false;
+
+    /** Last, so every member the thread uses outlives it. */
+    std::thread controlThread_;
 };
 
 } // namespace chisel::concurrent

@@ -4,7 +4,7 @@
  *
  * The TTL index is deliberately *not* part of the lookup path: it is
  * bookkeeping consulted only by the garbage-collection tick on the
- * control thread.  Expiry is therefore lazy — a route past its
+ * maintenance thread.  Expiry is therefore lazy — a route past its
  * deadline keeps resolving until the GC retires it with a
  * journal-visible Expire update — which bounds staleness by the GC
  * interval while keeping lookups wait-free and every removal

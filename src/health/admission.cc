@@ -4,18 +4,9 @@
 
 namespace chisel::health {
 
-AdmissionController::AdmissionController(
-    const AdmissionOptions &options, size_t queue_capacity)
+AdmissionController::AdmissionController(const AdmissionOptions &options)
     : options_(options)
 {
-    high_ = options.highWatermark != 0 ? options.highWatermark
-                                       : (queue_capacity * 3) / 4;
-    low_ = options.lowWatermark != 0 ? options.lowWatermark
-                                     : queue_capacity / 4;
-    if (high_ < 1)
-        high_ = 1;
-    if (low_ >= high_)
-        low_ = high_ - 1;
     tokens_[0] = options.tokenBurst;
     tokens_[1] = options.tokenBurst;
 }
@@ -71,86 +62,6 @@ AdmissionController::tryAdmit(UpdateKind kind, Clock::time_point now)
     }
     ++counters_.admitted;
     return true;
-}
-
-void
-AdmissionController::stage(const Update &update)
-{
-    auto it = staged_.find(update.prefix);
-    if (it != staged_.end()) {
-        // Last-writer-wins, position preserved: the staged slot keeps
-        // its place in arrival order but now carries the newer update.
-        *it->second = update;
-        ++counters_.coalesced;
-        return;
-    }
-    order_.push_back(update);
-    staged_.emplace(update.prefix, std::prev(order_.end()));
-    ++counters_.deferred;
-}
-
-AdmissionDecision
-AdmissionController::offer(const Update &update, size_t queue_depth,
-                           Clock::time_point now)
-{
-    if (!options_.enabled) {
-        ++counters_.admitted;
-        return AdmissionDecision::Enqueue;
-    }
-    refill(now);
-
-    // Watermark hysteresis: latch shedding at high, release only once
-    // the queue AND the stage have drained (drain() clears the latch).
-    if (!shedding_ && queue_depth >= high_) {
-        shedding_ = true;
-        ++counters_.shedEvents;
-    }
-
-    // A staged entry for this prefix always absorbs the newer update,
-    // whatever mode we are in — enqueueing around it would reorder
-    // the prefix's own history.
-    auto it = staged_.find(update.prefix);
-    if (it != staged_.end()) {
-        *it->second = update;
-        ++counters_.coalesced;
-        return AdmissionDecision::Coalesced;
-    }
-
-    if (shedding_ || !takeToken(update.kind)) {
-        order_.push_back(update);
-        staged_.emplace(update.prefix, std::prev(order_.end()));
-        ++counters_.deferred;
-        return AdmissionDecision::Deferred;
-    }
-
-    ++counters_.admitted;
-    return AdmissionDecision::Enqueue;
-}
-
-std::vector<Update>
-AdmissionController::drain(size_t queue_depth, size_t room, bool force)
-{
-    std::vector<Update> out;
-    if (order_.empty()) {
-        if (shedding_ && queue_depth <= low_)
-            shedding_ = false;
-        return out;
-    }
-    if (!force && queue_depth > low_)
-        return out;
-
-    size_t n = std::min(room, order_.size());
-    out.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-        Update u = order_.front();
-        order_.pop_front();
-        staged_.erase(u.prefix);
-        out.push_back(u);
-        ++counters_.flushed;
-    }
-    if (order_.empty() && (force || queue_depth <= low_))
-        shedding_ = false;
-    return out;
 }
 
 } // namespace chisel::health

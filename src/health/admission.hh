@@ -1,41 +1,24 @@
 /**
  * @file
- * Admission control for the concurrent update queue.
+ * Token-bucket admission for the RPC front end's update path
+ * (docs/robustness.md).
  *
- * ConcurrentChisel's SPSC queue decouples the BGP feed from the apply
- * path, but a feed in storm mode can outrun the control thread
- * indefinitely: post() starts failing, and the producer's only
- * options are to block or to drop — both wrong for a routing table.
+ * ChiselService (src/net/server.hh) meters every update through a
+ * token bucket per update class before it reaches the plane:
+ * announces and withdraws refill independently at their configured
+ * rates, up to a common burst depth.  An update whose class is out of
+ * tokens is refused at once and answered Overloaded, which the client
+ * may retry; the service never parks an update it has already
+ * promised a reply for.
  *
- * AdmissionController gives the producer a third option: *coalesce*.
- * Updates are filtered through per-class token buckets (announces and
- * withdraws meter independently) and a high/low-watermark check on
- * the queue depth.  An update that cannot be admitted is parked in a
- * staging buffer keyed by prefix; a newer update for the same prefix
- * REPLACES the staged one (last-writer-wins — an announce/withdraw
- * pair collapses to the withdraw, a superseded next-hop change
- * vanishes).  When the queue drains below the low watermark the
- * staged survivors flush out in arrival order.
- *
- * The policy is semantics-preserving by construction: per prefix, the
- * final routing state depends only on the last update, and that is
- * exactly the update the stage retains.  Nothing is ever silently
- * dropped — shedding only removes updates whose effect a later update
- * already overwrote.  The chaos harness (bench/chaos_soak.cc) audits
- * this against a trie oracle.
- *
- * Single-threaded by contract: all methods are called by the one
- * SPSC producer thread (docs/concurrency.md).
+ * Single-threaded by contract: the service's event-loop thread is the
+ * only caller.
  */
 
 #ifndef CHISEL_HEALTH_ADMISSION_HH
 #define CHISEL_HEALTH_ADMISSION_HH
 
 #include <chrono>
-#include <cstdint>
-#include <list>
-#include <unordered_map>
-#include <vector>
 
 #include "concurrent/relaxed.hh"
 #include "route/updates.hh"
@@ -45,20 +28,8 @@ namespace chisel::health {
 /** Admission-control knobs (all deterministic except token refill). */
 struct AdmissionOptions
 {
-    /** Master switch; disabled, offer() admits everything. */
+    /** Master switch; disabled, tryAdmit() admits everything. */
     bool enabled = false;
-
-    /**
-     * Queue depth at which shedding (stage instead of enqueue)
-     * begins; 0 derives 3/4 of the queue capacity.
-     */
-    size_t highWatermark = 0;
-
-    /**
-     * Queue depth at which staged updates flush back out and direct
-     * enqueueing resumes; 0 derives 1/4 of the queue capacity.
-     */
-    size_t lowWatermark = 0;
 
     /**
      * Token-bucket rates per update class, in updates/second; 0
@@ -68,96 +39,37 @@ struct AdmissionOptions
     double announceTokensPerSec = 0.0;
     double withdrawTokensPerSec = 0.0;
 
-    /** Bucket depth (maximum burst admitted without shedding). */
+    /** Bucket depth (maximum burst admitted without refusing). */
     double tokenBurst = 256.0;
 };
 
-/** What offer() decided for one update. */
-enum class AdmissionDecision : uint8_t
-{
-    Enqueue,    ///< Admit now: push to the queue.
-    Deferred,   ///< Parked in the staging buffer (new prefix entry).
-    Coalesced,  ///< Replaced a staged update for the same prefix.
-};
-
 /**
- * Monotonic shed/coalesce statistics.  Relaxed atomics: written by
- * the producer thread only, but read from the health tick on the
- * control thread, so plain fields would race.
+ * Monotonic admission statistics.  Relaxed atomics: written by the
+ * caller's thread only, but readable from any thread.
  */
 struct AdmissionCounters
 {
-    concurrent::RelaxedU64 admitted;    ///< Passed straight through.
-    concurrent::RelaxedU64 deferred;    ///< Parked in the stage.
-    concurrent::RelaxedU64 coalesced;   ///< Overwritten in place.
-    concurrent::RelaxedU64 flushed;     ///< Released to the queue.
-    concurrent::RelaxedU64 shedEvents;  ///< Entries into shed mode.
+    concurrent::RelaxedU64 admitted;  ///< Passed through.
+    concurrent::RelaxedU64 deferred;  ///< Refused: class out of tokens.
 };
 
-/**
- * The producer-side admission filter.  See file comment for policy.
- */
+/** The per-class token-bucket filter.  See file comment for policy. */
 class AdmissionController
 {
   public:
     using Clock = std::chrono::steady_clock;
 
-    /**
-     * @param options Policy knobs.
-     * @param queue_capacity Capacity of the queue being protected
-     *        (derives default watermarks).
-     */
-    AdmissionController(const AdmissionOptions &options,
-                        size_t queue_capacity);
+    explicit AdmissionController(const AdmissionOptions &options);
 
     bool enabled() const { return options_.enabled; }
 
     /**
-     * Decide one update.  On Enqueue the caller pushes it to the
-     * queue; on Deferred/Coalesced the controller holds it until
-     * drain().  @p queue_depth is the current queue occupancy.
-     */
-    AdmissionDecision offer(const Update &update, size_t queue_depth,
-                            Clock::time_point now = Clock::now());
-
-    /**
-     * Fail-fast admission probe for callers with no staging buffer —
-     * the RPC front end (src/net/server.hh), which must answer
-     * Overloaded *now* rather than park an update it has already
-     * promised a reply for.  Refills the buckets and takes one token
-     * for @p kind; @return false when the class is out of tokens
-     * (counted as a deferral).  Watermarks do not apply: the caller
-     * has no queue, only buckets.  Same single-caller contract as
-     * offer().
+     * Refill the buckets and take one token for @p kind; @return
+     * false when the class is out of tokens (counted as a deferral).
      */
     bool tryAdmit(UpdateKind kind, Clock::time_point now = Clock::now());
 
-    /**
-     * Park @p update unconditionally (coalescing with any staged
-     * entry for the same prefix) — the escape hatch for a push that
-     * raced the queue to full.
-     */
-    void stage(const Update &update);
-
-    /**
-     * Release staged updates, oldest first, when the queue has
-     * drained to the low watermark (or unconditionally when @p force,
-     * used by flush before an audit).  At most @p room updates are
-     * returned so the caller's pushes cannot fail.
-     */
-    std::vector<Update> drain(size_t queue_depth, size_t room,
-                              bool force);
-
-    /** Updates currently parked. */
-    size_t stagedCount() const { return order_.size(); }
-
-    /** True while the high-watermark shed mode is latched. */
-    bool shedding() const { return shedding_; }
-
     const AdmissionCounters &counters() const { return counters_; }
-
-    size_t highWatermark() const { return high_; }
-    size_t lowWatermark() const { return low_; }
 
   private:
     /** Refill both buckets from elapsed wall time. */
@@ -167,19 +79,10 @@ class AdmissionController
     bool takeToken(UpdateKind kind);
 
     AdmissionOptions options_;
-    size_t high_ = 0;
-    size_t low_ = 0;
-    bool shedding_ = false;
 
     double tokens_[2] = {0.0, 0.0};     ///< [Announce, Withdraw].
     Clock::time_point lastRefill_{};
     bool refilled_ = false;
-
-    /** Staged updates in arrival order, with per-prefix index. */
-    std::list<Update> order_;
-    std::unordered_map<Prefix, std::list<Update>::iterator,
-                       PrefixHasher>
-        staged_;
 
     AdmissionCounters counters_;
 };

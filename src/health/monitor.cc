@@ -76,18 +76,15 @@ HealthMonitor::classify(const HealthSignals &s) const
 {
     // Hard losses and watchdog overruns are critical outright; the
     // occupancy signals carry warn and critical thresholds; isolated
-    // fallback-tier events (overflow, retry, shed) only warn — they
+    // fallback-tier events (overflow, retry) only warn — they
     // are the ladder working as designed.
     if (s.watchdogExpired || s.slowPathRejected > 0 ||
         s.parityRecoveries > 0 ||
-        s.queueOccupancy >= config_.queueCritical ||
         s.slowPathOccupancy >= config_.slowPathCritical ||
         s.spillOccupancy >= config_.spillCritical ||
         s.dirtyOccupancy >= config_.dirtyCritical)
         return Severity::Critical;
     if (s.tcamOverflows > 0 || s.setupRetries > 0 ||
-        s.shedEvents > 0 ||
-        s.queueOccupancy >= config_.queueWarn ||
         s.slowPathOccupancy >= config_.slowPathWarn ||
         s.spillOccupancy >= config_.spillWarn ||
         s.dirtyOccupancy >= config_.dirtyWarn)

@@ -5,10 +5,10 @@
  * PRs 2–4 gave the engine the *mechanisms* of survival — degradation
  * ladder, parity scrub, resetup, snapshot recovery — but left the
  * decision of when to use them to the operator.  HealthMonitor closes
- * the loop: it folds the existing telemetry signals (queue depth,
- * slow-path occupancy, dirty-budget pressure, TCAM overflows, setup
- * retries, parity recoveries, admission shedding, a watchdog on
- * update application) into a five-state machine
+ * the loop: it folds the existing telemetry signals (slow-path,
+ * spill and dirty-budget occupancy, TCAM overflows, setup retries,
+ * parity recoveries, a watchdog on update application) into a
+ * five-state machine
  *
  *     Healthy -> Stressed -> Degraded -> Quarantined -> Recovering
  *
@@ -93,7 +93,6 @@ const char *recoveryActionName(RecoveryAction a);
  */
 struct HealthSignals
 {
-    double queueOccupancy = 0.0;     ///< pending / queue capacity.
     double slowPathOccupancy = 0.0;  ///< resident / slow-path capacity.
     double spillOccupancy = 0.0;     ///< spill TCAM used / capacity.
     double dirtyOccupancy = 0.0;     ///< dirty groups / dirty budget.
@@ -101,15 +100,12 @@ struct HealthSignals
     uint64_t setupRetries = 0;       ///< Index reseed retries.
     uint64_t parityRecoveries = 0;   ///< Cells recovered from soft errors.
     uint64_t slowPathRejected = 0;   ///< Hard route drops (always critical).
-    uint64_t shedEvents = 0;         ///< Admission shed-mode entries.
     bool watchdogExpired = false;    ///< An update overran its deadline.
 };
 
 /** Thresholds and hysteresis depths. */
 struct MonitorConfig
 {
-    double queueWarn = 0.50;
-    double queueCritical = 0.95;
     double slowPathWarn = 0.05;
     double slowPathCritical = 0.50;
     double spillWarn = 0.80;

@@ -38,10 +38,7 @@ msToNs(int ms)
 
 ChiselService::ChiselService(shard::ShardedChisel &plane,
                              const ServiceOptions &options)
-    : plane_(plane), options_(options),
-      // The service has no queue to watermark; capacity 16 only seeds
-      // sane (unused) defaults for the tryAdmit-only controller.
-      admission_(options.admission, 16)
+    : plane_(plane), options_(options), admission_(options.admission)
 {}
 
 ChiselService::~ChiselService()
@@ -685,9 +682,13 @@ ChiselService::drainLoop()
     // Phase 2: the final snapshot — the durable state a warm restart
     // resumes from without replaying the whole journal.  Every shard
     // snapshots into its own lane, stamped with its journal seq and
-    // marked (a no-op without a persist directory).
-    plane_.saveSnapshots();
-    drained_.store(flushed, std::memory_order_relaxed);
+    // marked (a no-op without a persist directory).  A journaled
+    // shard whose checkpoint failed leaves the drain incomplete: its
+    // warm restart replays the journal tail instead.
+    bool journaled = !plane_.shardDir(0).empty();
+    size_t saved = plane_.saveSnapshots();
+    drained_.store(flushed && (!journaled || saved == plane_.shards()),
+                   std::memory_order_relaxed);
     CHISEL_FLIGHT_EVENT(NetDrain, 2, conns_.size(), flushed);
 }
 

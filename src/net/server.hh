@@ -97,8 +97,8 @@ struct ServiceOptions
 
     /**
      * Update-admission metering for the RPC path (tryAdmit token
-     * buckets; watermarks are unused — the service has no queue).
-     * Disabled by default: health-state shedding alone governs.
+     * buckets).  Disabled by default: health-state shedding alone
+     * governs.
      */
     health::AdmissionOptions admission;
 
@@ -145,7 +145,9 @@ struct ServiceStats
     uint64_t idleDisconnects = 0;
     uint64_t stallDisconnects = 0;
     uint64_t backpressurePauses = 0;
-    bool drained = false;       ///< A graceful drain ran to the end.
+    /** A graceful drain flushed every reply and checkpointed every
+     * journaled shard. */
+    bool drained = false;
 };
 
 class ChiselService

@@ -245,7 +245,6 @@ IntrospectionServer::healthz() const
             w.member("serving", st.serving);
             w.member("routes", uint64_t(st.routes));
             w.member("generation", st.generation);
-            w.member("pending_updates", uint64_t(st.pendingUpdates));
             w.member("updates_applied", st.updatesApplied);
             w.member("quarantine_entries", st.quarantineEntries);
             w.member("last_seq", st.lastSeq);
@@ -265,8 +264,6 @@ IntrospectionServer::healthz() const
         w.member("serving", serving);
         w.member("generation", engine->generation());
         w.member("updates_applied", engine->updatesApplied());
-        w.member("pending_updates",
-                 uint64_t(engine->pendingUpdates()));
         w.member("scrub_passes", engine->scrubPasses());
         w.member("routes", uint64_t(engine->routeCount()));
         w.member("dirty_groups", uint64_t(engine->dirtyCount()));

@@ -206,8 +206,7 @@ UpdateTraceGenerator::makeStorm()
 {
     // Zipf-ranked victim, toggled between present and withdrawn: the
     // stream is a pure announce/withdraw cycle per hot prefix, which
-    // is exactly the pattern flap damping and admission coalescing
-    // are built to absorb.
+    // is exactly the pattern flap damping is built to absorb.
     double u = rng_.nextDouble();
     size_t i = static_cast<size_t>(
         std::lower_bound(hotCdf_.begin(), hotCdf_.end(), u) -

@@ -148,9 +148,8 @@ ShardedChisel::buildShard(size_t i, const RoutingTable &slice)
 {
     Shard &sh = *shards_[i];
     concurrent::ConcurrentOptions copts = options_.engine;
-    if (i < options_.controlFaultInjectors.size() &&
-        options_.controlFaultInjectors[i])
-        copts.controlFaultInjector = options_.controlFaultInjectors[i];
+    if (i < options_.faultInjectors.size() && options_.faultInjectors[i])
+        copts.faultInjector = options_.faultInjectors[i];
 
     if (options_.persistDir.empty()) {
         sh.engine = std::make_unique<concurrent::ConcurrentChisel>(
@@ -387,7 +386,6 @@ ShardedChisel::status(size_t i) const
     st.serving = !isSick(st.state);
     st.generation = sh.engine->generation();
     st.routes = sh.engine->routeCount();
-    st.pendingUpdates = sh.engine->pendingUpdates();
     st.updatesApplied = sh.engine->updatesApplied();
     st.quarantineEntries = quarantineEntries(i);
     st.lastSeq = sh.engine->journalSeq();
@@ -473,8 +471,6 @@ ShardedChisel::publish(telemetry::MetricRegistry &registry,
                 static_cast<unsigned>(st.state)));
         registry.gauge(prefix + ".serving" + label)
             .set(st.serving ? 1 : 0);
-        registry.gauge(prefix + ".pending" + label)
-            .set(static_cast<double>(st.pendingUpdates));
         registry.gauge(prefix + ".updates_applied" + label)
             .set(static_cast<double>(st.updatesApplied));
         registry.gauge(prefix + ".quarantine_entries" + label)

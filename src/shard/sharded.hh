@@ -4,8 +4,8 @@
  * engine shards (docs/sharding.md).
  *
  * Each shard owns a full ConcurrentChisel — its own engine image
- * pair, bounded update queue, control thread, TTL/GC clock, and
- * five-state HealthMonitor — and, with persistence on, a write-ahead
+ * pair, maintenance thread, TTL/GC clock, and five-state
+ * HealthMonitor — and, with persistence on, a write-ahead
  * journal and snapshot lane under `<persistDir>/shard-<i>/` that the
  * shard's engine alone writes.  A stable front-end hash
  * (ShardSelector) routes every key and prefix to its shard; prefixes
@@ -15,7 +15,7 @@
  * The point of the split is *containment*: a parity storm, setup
  * failure streak, or watchdog trip quarantines one shard's keyspace
  * slice, and the recovery ladder (purge -> scrub -> resetup ->
- * snapshot-restore) runs on that shard's control thread without
+ * snapshot-restore) runs on that shard's maintenance thread without
  * pausing siblings.  lookup()/apply() themselves route around
  * nothing — shedding is a service-layer decision (ChiselService
  * consults shardHealth() per request; /healthz turns 503 only when a
@@ -72,11 +72,12 @@ struct ShardedOptions
     concurrent::ConcurrentOptions engine;
 
     /**
-     * Per-shard control-thread fault injectors (chaos harnesses arm
-     * one shard without touching siblings).  Indexed by shard; missing
-     * or null entries fall back to engine.controlFaultInjector.
+     * Per-shard fault injectors (chaos harnesses arm one shard without
+     * touching siblings); each follows its shard's engine onto every
+     * thread that applies to it.  Indexed by shard; missing or null
+     * entries fall back to engine.faultInjector.
      */
-    std::vector<fault::FaultInjector *> controlFaultInjectors;
+    std::vector<fault::FaultInjector *> faultInjectors;
 
     /**
      * Root of the sharded persistence layout; empty disables
@@ -115,7 +116,6 @@ struct ShardStatus
     bool serving = false;   ///< not Degraded/Quarantined.
     uint64_t generation = 0;
     size_t routes = 0;
-    size_t pendingUpdates = 0;
     uint64_t updatesApplied = 0;
     uint64_t quarantineEntries = 0;  ///< monitor + forced.
     uint64_t lastSeq = 0;            ///< 0 without a journal.
@@ -272,8 +272,8 @@ class ShardedChisel
     /** Sum of shard generations (a monotonic plane-wide version). */
     uint64_t generation() const;
 
-    /** One healthTick per shard (tests; normally the control
-     * threads run the monitor). */
+    /** One healthTick per shard (tests; normally each shard's
+     * maintenance thread runs the monitor). */
     void healthTickAll();
 
     /** Deep consistency check of every shard. */

@@ -1,10 +1,11 @@
 /**
  * @file
  * Concurrency tests (docs/concurrency.md): the synchronization
- * primitives (epoch manager, SPSC queue, relaxed counters), the
- * per-thread fault-injector streams, the thread-safe telemetry and
- * logging layers, the scrub path, every way an image pair is
- * installed, and — the centerpiece — a 4-reader / 1-writer stress run
+ * primitives (epoch manager, relaxed counters), the per-thread
+ * fault-injector streams, the thread-safe telemetry and logging
+ * layers, the scrub path, the maintenance thread's start rule, every
+ * way an image pair is installed, and — the centerpiece — a
+ * 4-reader / 1-writer stress run
  * in which every tagged lookup is validated against a trie oracle
  * replayed to the exact generation that served it.
  *
@@ -27,11 +28,12 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/logging.hh"
 #include "concurrent/concurrent_engine.hh"
 #include "concurrent/epoch.hh"
 #include "concurrent/relaxed.hh"
-#include "concurrent/spsc_queue.hh"
 #include "core/engine.hh"
 #include "core/resize.hh"
 #include "fault/fault.hh"
@@ -49,7 +51,6 @@ using concurrent::ConcurrentChisel;
 using concurrent::ConcurrentOptions;
 using concurrent::EpochManager;
 using concurrent::RelaxedU64;
-using concurrent::SpscQueue;
 using concurrent::TaggedLookup;
 
 unsigned
@@ -109,46 +110,6 @@ TEST(Epoch, SynchronizeIgnoresQuiescentThreads)
     mgr.synchronize();
     mgr.synchronize();
     EXPECT_GE(mgr.epoch(), 3u);
-}
-
-// ---- SpscQueue -------------------------------------------------------------
-
-TEST(SpscQueue, OrderPreservedAcrossThreads)
-{
-    SpscQueue<uint64_t> q(256);
-    constexpr uint64_t kItems = 100000;
-
-    std::thread producer([&] {
-        for (uint64_t i = 0; i < kItems; ++i) {
-            while (!q.push(i))
-                std::this_thread::yield();
-        }
-    });
-
-    uint64_t expected = 0;
-    while (expected < kItems) {
-        std::optional<uint64_t> v = q.pop();
-        if (!v) {
-            std::this_thread::yield();
-            continue;
-        }
-        ASSERT_EQ(*v, expected);
-        ++expected;
-    }
-    producer.join();
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(SpscQueue, BoundedCapacityRejectsWhenFull)
-{
-    SpscQueue<int> q(4);
-    EXPECT_EQ(q.capacity(), 4u);
-    for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(q.push(i));
-    EXPECT_FALSE(q.push(99));   // Back-pressure, not growth.
-    EXPECT_EQ(q.pop().value(), 0);
-    EXPECT_TRUE(q.push(4));
-    EXPECT_EQ(q.size(), 4u);
 }
 
 // ---- Relaxed counters ------------------------------------------------------
@@ -416,40 +377,12 @@ TEST(ConcurrentChisel, MatchesOracleSingleThreaded)
     EXPECT_TRUE(c.selfCheck());
 }
 
-TEST(ConcurrentChisel, PostedUpdatesDrainInOrder)
-{
-    RoutingTable table = generateScaledTable(1000, 32, 31);
-    ConcurrentChisel c(table);
-
-    UpdateTraceGenerator gen(table, TraceProfile{}, 32, 32);
-    std::vector<Update> updates = gen.generate(500);
-    for (const Update &u : updates) {
-        while (!c.post(u))
-            std::this_thread::yield();
-    }
-    c.flush();
-    EXPECT_EQ(c.updatesApplied(), 500u);
-    EXPECT_EQ(c.pendingUpdates(), 0u);
-
-    // The queued path must land the same state as direct application.
-    ConcurrentChisel direct(table, {}, noThreadsOptions());
-    for (const Update &u : updates)
-        direct.apply(u);
-    auto keys = generateLookupKeys(table, 2000, 32, 0.7, 33);
-    for (const auto &key : keys) {
-        LookupResult a = c.lookup(key);
-        LookupResult b = direct.lookup(key);
-        ASSERT_EQ(a.found, b.found);
-        if (a.found)
-            EXPECT_EQ(a.nextHop, b.nextHop);
-    }
-}
-
 TEST(ConcurrentChisel, SnapshotRoundTripAndResetup)
 {
     namespace fs = std::filesystem;
-    fs::path dir =
-        fs::temp_directory_path() / "chisel_concurrent_snap_test";
+    fs::path dir = fs::temp_directory_path() /
+                   ("chisel_concurrent_snap_test_" +
+                    std::to_string(::getpid()));
     fs::create_directories(dir);
     std::string path = (dir / "engine.snap").string();
 
@@ -632,6 +565,45 @@ TEST(ConcurrentChisel, BackgroundScrubberRuns)
     EXPECT_TRUE(c.selfCheck());
 }
 
+/** Threads in this process, one /proc/self/task entry each. */
+size_t
+processThreads()
+{
+    namespace fs = std::filesystem;
+    return static_cast<size_t>(
+        std::distance(fs::directory_iterator("/proc/self/task"),
+                      fs::directory_iterator()));
+}
+
+TEST(ConcurrentChisel, OneMaintenanceThreadOnlyWhenATimerIsSet)
+{
+    RoutingTable table = generateScaledTable(500, 32, 53);
+    // A thread an earlier test joined can linger in /proc briefly.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const size_t before = processThreads();
+    {
+        // Default options set no timer: nothing runs in the background.
+        ConcurrentChisel idle(table);
+        EXPECT_EQ(processThreads(), before);
+    }
+
+    // Health, GC and scrub together share one maintenance thread.
+    ConcurrentOptions opts;
+    opts.healthMonitor = true;
+    opts.gcInterval = std::chrono::milliseconds(5);
+    opts.scrubInterval = std::chrono::milliseconds(5);
+    ConcurrentChisel timed(table, {}, opts);
+    EXPECT_EQ(processThreads(), before + 1);
+
+    // The thread sleeps between deadlines but still runs them.
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (timed.scrubPasses() < 2 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GE(timed.scrubPasses(), 2u);
+}
+
 // ---- The stress test -------------------------------------------------------
 
 /** One recorded reader observation. */
@@ -768,8 +740,9 @@ TEST(ConcurrentStress, ReadersAlwaysSeeSomePublishedGeneration)
 TEST(ConcurrentStress, MixedWriterOperationsKeepReadersConsistent)
 {
     namespace fs = std::filesystem;
-    fs::path dir =
-        fs::temp_directory_path() / "chisel_concurrent_mixed_test";
+    fs::path dir = fs::temp_directory_path() /
+                   ("chisel_concurrent_mixed_test_" +
+                    std::to_string(::getpid()));
     fs::create_directories(dir);
 
     RoutingTable table = generateScaledTable(1000, 32, 71);

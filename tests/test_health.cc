@@ -1,11 +1,11 @@
 /**
  * @file
  * Overload-resilience tests: flap damping (decay, hysteresis,
- * serialization), admission control (watermark latch, coalescing,
- * drain order), the health-state machine (transitions, watchdog,
- * quarantine ladder), the engine's dirty-retention budget, and a
- * property sweep that keeps dirtyCount/groupCount/storage consistent
- * with a reference model across random flap sequences.
+ * serialization), token-bucket admission, the health-state machine
+ * (transitions, watchdog, quarantine ladder), the engine's
+ * dirty-retention budget, and a property sweep that keeps
+ * dirtyCount/groupCount/storage consistent with a reference model
+ * across random flap sequences.
  *
  * Every test uses fixed seeds and logical ticks: a failure replays
  * exactly.
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/random.hh"
-#include "concurrent/concurrent_engine.hh"
 #include "core/engine.hh"
 #include "health/admission.hh"
 #include "health/damping.hh"
@@ -30,7 +29,6 @@ namespace chisel {
 namespace {
 
 using health::AdmissionController;
-using health::AdmissionDecision;
 using health::AdmissionOptions;
 using health::DampingConfig;
 using health::FlapDamper;
@@ -39,31 +37,6 @@ using health::HealthSignals;
 using health::HealthState;
 using health::MonitorConfig;
 using health::RecoveryAction;
-
-Prefix
-p24(uint32_t net)
-{
-    return Prefix(Key128::fromIpv4(net), 24);
-}
-
-Update
-announce(const Prefix &prefix, NextHop nh)
-{
-    Update u;
-    u.kind = UpdateKind::Announce;
-    u.prefix = prefix;
-    u.nextHop = nh;
-    return u;
-}
-
-Update
-withdraw(const Prefix &prefix)
-{
-    Update u;
-    u.kind = UpdateKind::Withdraw;
-    u.prefix = prefix;
-    return u;
-}
 
 // ---- FlapDamper ------------------------------------------------------------
 
@@ -185,99 +158,14 @@ TEST(FlapDamper, LoadRejectsMalformedState)
 TEST(Admission, DisabledAdmitsEverything)
 {
     AdmissionOptions opts;   // enabled = false
-    AdmissionController ac(opts, 64);
+    opts.announceTokensPerSec = 1.0;   // Ignored while disabled.
+    opts.tokenBurst = 1.0;
+    AdmissionController ac(opts);
     EXPECT_FALSE(ac.enabled());
     for (uint32_t i = 0; i < 100; ++i)
-        EXPECT_EQ(ac.offer(announce(p24(i << 8), 1), 63),
-                  AdmissionDecision::Enqueue);
-}
-
-TEST(Admission, WatermarkLatchShedsAndReleases)
-{
-    AdmissionOptions opts;
-    opts.enabled = true;
-    AdmissionController ac(opts, 64);   // Derived: high 48, low 16.
-    EXPECT_EQ(ac.highWatermark(), 48u);
-    EXPECT_EQ(ac.lowWatermark(), 16u);
-
-    // Below the high watermark: straight through.
-    EXPECT_EQ(ac.offer(announce(p24(0x0A000000u), 1), 10),
-              AdmissionDecision::Enqueue);
-    EXPECT_FALSE(ac.shedding());
-
-    // Depth at the high watermark: shed mode latches.
-    EXPECT_EQ(ac.offer(announce(p24(0x0A000100u), 1), 48),
-              AdmissionDecision::Deferred);
-    EXPECT_TRUE(ac.shedding());
-    EXPECT_EQ(ac.counters().shedEvents, 1u);
-
-    // Mid-band depth would have been admitted before the latch, but
-    // shed mode holds until the queue drains to the LOW watermark.
-    EXPECT_EQ(ac.offer(announce(p24(0x0A000200u), 1), 30),
-              AdmissionDecision::Deferred);
-    EXPECT_TRUE(ac.shedding());
-
-    // Drain query above the low watermark releases nothing.
-    EXPECT_TRUE(ac.drain(30, 8, false).empty());
-
-    // At the low watermark the stage flushes in arrival order.
-    std::vector<Update> released = ac.drain(16, 8, false);
-    ASSERT_EQ(released.size(), 2u);
-    EXPECT_EQ(released[0].prefix, p24(0x0A000100u));
-    EXPECT_EQ(released[1].prefix, p24(0x0A000200u));
-    EXPECT_FALSE(ac.shedding());
-    EXPECT_EQ(ac.stagedCount(), 0u);
-    EXPECT_EQ(ac.counters().flushed, 2u);
-}
-
-TEST(Admission, CoalescingIsLastWriterWins)
-{
-    AdmissionOptions opts;
-    opts.enabled = true;
-    AdmissionController ac(opts, 64);
-
-    Prefix flapper = p24(0x0A000000u);
-    // Latch shed mode so offers stage.
-    EXPECT_EQ(ac.offer(announce(flapper, 1), 48),
-              AdmissionDecision::Deferred);
-    // Same prefix again: coalesces in place, stage does not grow.
-    EXPECT_EQ(ac.offer(withdraw(flapper), 48),
-              AdmissionDecision::Coalesced);
-    EXPECT_EQ(ac.offer(announce(flapper, 7), 48),
-              AdmissionDecision::Coalesced);
-    EXPECT_EQ(ac.stagedCount(), 1u);
-
-    // A staged prefix keeps coalescing even once the queue has room
-    // again — releasing the newer update around the staged one would
-    // reorder the prefix's history.
-    EXPECT_EQ(ac.offer(announce(flapper, 9), 0),
-              AdmissionDecision::Coalesced);
-
-    std::vector<Update> released = ac.drain(0, 64, true);
-    ASSERT_EQ(released.size(), 1u);
-    EXPECT_EQ(released[0].kind, UpdateKind::Announce);
-    EXPECT_EQ(released[0].nextHop, 9u);
-    EXPECT_EQ(ac.counters().coalesced, 3u);
-}
-
-TEST(Admission, DrainRespectsRoom)
-{
-    AdmissionOptions opts;
-    opts.enabled = true;
-    AdmissionController ac(opts, 64);
-    for (uint32_t i = 0; i < 10; ++i)
-        ac.offer(announce(p24(0x0A000000u + (i << 8)), i), 48);
-    EXPECT_EQ(ac.stagedCount(), 10u);
-
-    // Only as many as the queue has room for, oldest first.
-    std::vector<Update> first = ac.drain(16, 3, false);
-    ASSERT_EQ(first.size(), 3u);
-    EXPECT_EQ(first[0].prefix, p24(0x0A000000u));
-    EXPECT_EQ(ac.stagedCount(), 7u);
-
-    std::vector<Update> rest = ac.drain(0, 64, true);
-    EXPECT_EQ(rest.size(), 7u);
-    EXPECT_EQ(ac.stagedCount(), 0u);
+        EXPECT_TRUE(ac.tryAdmit(UpdateKind::Announce));
+    EXPECT_EQ(ac.counters().admitted, 100u);
+    EXPECT_EQ(ac.counters().deferred, 0u);
 }
 
 TEST(Admission, TokenBucketMetersPerClass)
@@ -286,18 +174,17 @@ TEST(Admission, TokenBucketMetersPerClass)
     opts.enabled = true;
     opts.withdrawTokensPerSec = 1.0;   // Refill is negligible in-test.
     opts.tokenBurst = 4.0;
-    AdmissionController ac(opts, 1024);
+    AdmissionController ac(opts);
 
     auto t0 = AdmissionController::Clock::now();
-    // Burst of 4 withdraws passes, the 5th is shed.
+    // Burst of 4 withdraws passes, the 5th is refused.
     for (uint32_t i = 0; i < 4; ++i)
-        EXPECT_EQ(ac.offer(withdraw(p24(i << 8)), 0, t0),
-                  AdmissionDecision::Enqueue);
-    EXPECT_EQ(ac.offer(withdraw(p24(4u << 8)), 0, t0),
-              AdmissionDecision::Deferred);
-    // Announces are unmetered (rate 0) and the queue is empty.
-    EXPECT_EQ(ac.offer(announce(p24(0x0A000000u), 1), 0, t0),
-              AdmissionDecision::Enqueue);
+        EXPECT_TRUE(ac.tryAdmit(UpdateKind::Withdraw, t0));
+    EXPECT_FALSE(ac.tryAdmit(UpdateKind::Withdraw, t0));
+    // Announces are unmetered (rate 0).
+    EXPECT_TRUE(ac.tryAdmit(UpdateKind::Announce, t0));
+    EXPECT_EQ(ac.counters().admitted, 5u);
+    EXPECT_EQ(ac.counters().deferred, 1u);
 }
 
 // ---- HealthMonitor ---------------------------------------------------------
@@ -312,7 +199,7 @@ HealthSignals
 warnLevel()
 {
     HealthSignals s;
-    s.queueOccupancy = 0.6;   // Above queueWarn, below critical.
+    s.dirtyOccupancy = 0.8;   // Above dirtyWarn, below critical.
     return s;
 }
 
@@ -320,7 +207,7 @@ HealthSignals
 critLevel()
 {
     HealthSignals s;
-    s.queueOccupancy = 1.0;
+    s.dirtyOccupancy = 1.0;
     s.slowPathRejected = 3;   // Hard drops: always critical.
     return s;
 }
@@ -574,49 +461,6 @@ TEST(HealthProperties, FlapSequencesKeepBookkeepingConsistent)
                     ASSERT_EQ(*want, *got);
             }
         }
-    }
-}
-
-// ---- Concurrent admission --------------------------------------------------
-
-TEST(ConcurrentAdmission, StormShedsAndConverges)
-{
-    RoutingTable table = generateScaledTable(2000, 32, 0x71);
-
-    TraceProfile prof;
-    prof.flapStorm = true;
-    UpdateTraceGenerator gen(table, prof, 32, 0x72);
-    std::vector<Update> storm = gen.generate(5000);
-
-    RoutingTable truth = table;
-    for (const Update &u : storm) {
-        if (u.kind == UpdateKind::Announce)
-            truth.add(u.prefix, u.nextHop);
-        else
-            truth.remove(u.prefix);
-    }
-
-    concurrent::ConcurrentOptions copts;
-    copts.controlThread = true;
-    copts.updateQueueCapacity = 64;
-    copts.admission.enabled = true;
-    concurrent::ConcurrentChisel engine(table, {}, copts);
-
-    for (const Update &u : storm)
-        ASSERT_TRUE(engine.post(u));   // post() never fails.
-    engine.flush();
-
-    const health::AdmissionCounters &ac = engine.admissionCounters();
-    EXPECT_GT(ac.deferred + ac.coalesced, 0u);
-    EXPECT_EQ(engine.stagedUpdates(), 0u);
-    EXPECT_EQ(engine.pendingUpdates(), 0u);
-
-    // Coalescing must be invisible in the final state.
-    EXPECT_EQ(engine.routeCount(), truth.size());
-    for (const Route &r : truth.routes()) {
-        auto nh = engine.find(r.prefix);
-        ASSERT_TRUE(nh.has_value());
-        ASSERT_EQ(*nh, r.nextHop);
     }
 }
 

@@ -22,6 +22,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/engine.hh"
 #include "fault/fault.hh"
 #include "health/monitor.hh"
@@ -78,7 +80,8 @@ waitUntil(const std::function<bool()> &cond, int limit_ms = 5000)
 struct TempDir
 {
     explicit TempDir(std::string name)
-        : path(::testing::TempDir() + "chisel_net_" + std::move(name))
+        : path(::testing::TempDir() + "chisel_net_" +
+               std::to_string(::getpid()) + "_" + std::move(name))
     {
         std::filesystem::remove_all(path);
     }
@@ -753,6 +756,20 @@ TEST(NetService, DrainFlushesInFlightRepliesThenCloses)
     persist::SnapshotLoadResult loaded =
         persist::loadSnapshot(snapshot, &config);
     EXPECT_EQ(loaded.status, persist::SnapshotLoadStatus::Ok);
+}
+
+TEST(NetService, DrainIncompleteWhenACheckpointFails)
+{
+    TempDir dir("drain_failed_checkpoint");
+    Harness h(dir.path);
+    ASSERT_TRUE(h.service->start());
+    // With its lane gone the shard's checkpoint cannot write a
+    // snapshot: the service must survive the drain and report it.
+    std::filesystem::remove_all(h.plane->shardDir(0));
+    h.service->requestDrain();
+    EXPECT_TRUE(waitUntil([&] { return !h.service->running(); }));
+    h.service->stop();
+    EXPECT_FALSE(h.service->stats().drained);
 }
 
 TEST(NetService, NewConnectionsRefusedWhileDraining)

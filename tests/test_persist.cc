@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "core/engine.hh"
@@ -57,7 +59,8 @@ using persist::UpdateJournal;
 std::string
 tempPath(const std::string &name)
 {
-    return ::testing::TempDir() + "chisel_persist_" + name;
+    return ::testing::TempDir() + "chisel_persist_" +
+           std::to_string(::getpid()) + "_" + name;
 }
 
 void

@@ -22,6 +22,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/logging.hh"
 #include "concurrent/concurrent_engine.hh"
 #include "concurrent/epoch.hh"
@@ -75,7 +77,8 @@ announceOf(uint32_t addr, unsigned len, NextHop hop)
 std::string
 tempDir(const std::string &name)
 {
-    std::string dir = ::testing::TempDir() + "chisel_shard_" + name;
+    std::string dir = ::testing::TempDir() + "chisel_shard_" +
+                      std::to_string(::getpid()) + "_" + name;
     std::filesystem::remove_all(dir);
     return dir;
 }
@@ -654,6 +657,38 @@ TEST(ShardedPersist, CheckpointRacingUpdatesRestartsClean)
         EXPECT_EQ(rec.source, persist::RecoverySource::Snapshot);
         ASSERT_TRUE(rec.auditPassed) << "restart " << round;
     }
+    std::filesystem::remove_all(dir);
+}
+
+// A checkpoint whose snapshot cannot be written (here its lane
+// directory is gone) must not take the plane down: saveSnapshots()
+// counts that shard as not saved, and the shard keeps applying
+// updates to its open journal.
+TEST(ShardedPersist, FailedCheckpointKeepsServing)
+{
+    std::string dir = tempDir("failed_checkpoint");
+    RoutingTable table = generateScaledTable(300, 32, /*seed=*/23);
+    ShardedOptions o = smallOptions(2, 8);
+    o.persistDir = dir;
+    ShardedChisel plane(table, o);
+    ASSERT_EQ(plane.saveSnapshots(), 2u);
+
+    std::filesystem::remove_all(plane.shardDir(1));
+    size_t saved = 0;
+    EXPECT_NO_THROW(saved = plane.saveSnapshots());
+    EXPECT_EQ(saved, 1u);
+
+    uint64_t applied = plane.shardEngine(1).updatesApplied();
+    uint64_t seq = plane.shardEngine(1).journalSeq();
+    for (uint32_t top = 0; top < 256; ++top) {
+        Update u = announceOf((top << 24) | 0x00CD00u, 24, 77);
+        if (plane.shardOf(u.prefix) != 1)
+            continue;
+        EXPECT_NE(plane.apply(u).outcome.status, UpdateStatus::Rejected);
+        EXPECT_EQ(plane.lookup(u.prefix.bits()).nextHop, 77u);
+    }
+    EXPECT_GT(plane.shardEngine(1).updatesApplied(), applied);
+    EXPECT_GT(plane.shardEngine(1).journalSeq(), seq);
     std::filesystem::remove_all(dir);
 }
 

@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "concurrent/concurrent_engine.hh"
 #include "core/engine.hh"
 #include "core/resize.hh"
@@ -276,7 +278,8 @@ struct JournaledEngine
 {
     JournaledEngine(const std::string &name, const RoutingTable &table,
                     const ChiselConfig &config)
-        : path(::testing::TempDir() + "chisel_ttl_" + name + ".journal")
+        : path(::testing::TempDir() + "chisel_ttl_" +
+               std::to_string(::getpid()) + "_" + name + ".journal")
     {
         std::remove(path.c_str());
         engine = std::make_unique<ConcurrentChisel>(
