@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "concurrent/concurrent_engine.hh"
+#include "obs/introspect.hh"
 #include "route/synth.hh"
 #include "route/updates.hh"
 #include "sim/report.hh"
@@ -136,7 +137,8 @@ main(int argc, char **argv)
     ConcurrentOptions copts;
     copts.controlThread = false;
     ConcurrentChisel engine(table, {}, copts);
-    session.attachIntrospection(engine);
+    if (obs::IntrospectionServer *server = session.introspection())
+        server->attachEngine(&engine);
 
     Report report("Concurrent lookup throughput "
                   "(wait-free readers, one writer)",

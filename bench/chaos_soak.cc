@@ -31,6 +31,7 @@
 
 #include "concurrent/concurrent_engine.hh"
 #include "fault/fault.hh"
+#include "obs/introspect.hh"
 #include "persist/journal.hh"
 #include "persist/snapshot.hh"
 #include "route/synth.hh"
@@ -136,7 +137,8 @@ main(int argc, char **argv)
     copts.faultInjector = &inj;
 
     ConcurrentChisel engine(table, config, copts);
-    session.attachIntrospection(engine);
+    if (obs::IntrospectionServer *server = session.introspection())
+        server->attachEngine(&engine);
 
     // Reader threads run through storm, faults and recovery actions;
     // lookups are wait-free, so they never see a table mid-rebuild.

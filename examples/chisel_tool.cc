@@ -37,6 +37,7 @@
 #include "health/monitor.hh"
 #include "net/client.hh"
 #include "net/server.hh"
+#include "obs/introspect.hh"
 #include "persist/journal.hh"
 #include "persist/recovery.hh"
 #include "persist/snapshot.hh"
@@ -475,7 +476,9 @@ serveCmd(int argc, char **argv)
     sopts.drainDeadlineMs = static_cast<int>(drainDeadlineMs);
     if (session.enabled())
         sopts.metrics = &session.registry();
-    session.attachIntrospection(plane.shardEngine(0));
+    // /healthz reports every shard the service sheds on.
+    if (obs::IntrospectionServer *server = session.introspection())
+        server->attachShards(&plane);
     net::ChiselService service(plane, sopts);
     if (!service.start())
         return 1;

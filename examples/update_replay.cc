@@ -48,6 +48,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <utility>
 
 #include "core/engine.hh"
 #include "health/monitor.hh"
@@ -298,30 +299,11 @@ main(int argc, char **argv)
     // single-image replay executes the cheap rungs itself (purge,
     // scrub) and reports the rebuild rungs as unavailable.
     health::HealthMonitor hmon;
-    struct
-    {
-        uint64_t tcam = 0, retries = 0, parity = 0, rejectedSlow = 0;
-    } hbase;
+    health::HealthSignals events;
     size_t purged = 0;
     auto sampleHealth = [&] {
-        health::HealthSignals sig;
-        RobustnessCounters hc = engine->robustness();
-        if (config.slowPathCapacity > 0)
-            sig.slowPathOccupancy =
-                double(engine->slowPathCount()) /
-                double(config.slowPathCapacity);
-        if (config.dirtyBudgetPerCell > 0)
-            sig.dirtyOccupancy =
-                double(engine->dirtyCount()) /
-                (double(config.dirtyBudgetPerCell) *
-                 double(engine->cellCount()));
-        sig.tcamOverflows = hc.tcamOverflows - hbase.tcam;
-        sig.setupRetries = hc.setupRetries - hbase.retries;
-        sig.parityRecoveries = hc.parityRecoveries - hbase.parity;
-        sig.slowPathRejected =
-            hc.slowPathRejected - hbase.rejectedSlow;
-        hbase = {hc.tcamOverflows, hc.setupRetries,
-                 hc.parityRecoveries, hc.slowPathRejected};
+        health::HealthSignals sig = std::exchange(events, {});
+        health::setOccupancies(sig, *engine);
         hmon.sample(sig);
         health::RecoveryAction action = hmon.takeAction();
         switch (action) {
@@ -331,7 +313,7 @@ main(int argc, char **argv)
             hmon.actionCompleted(action, true);
             break;
           case health::RecoveryAction::Scrub:
-            engine->scrub();
+            events.parityRecoveries += engine->scrub().cellsRecovered;
             hmon.actionCompleted(action, true);
             break;
           case health::RecoveryAction::None:
@@ -372,6 +354,7 @@ main(int argc, char **argv)
         UpdateOutcome out = engine->apply(u);
         if (journal)
             journal->appendOutcome(seq, out);
+        health::addUpdateEvents(events, out);
         ++applied;
         if (out.ok()) {
             if (u.kind == UpdateKind::Announce)

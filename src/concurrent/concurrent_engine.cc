@@ -161,11 +161,12 @@ ConcurrentChisel::applyLocked(const Update &update, uint64_t *journal_seq)
     // image apply, so an armed injector could fire on one image only
     // and diverge the pair — the scrub pass reconverges them.
     Image &retired = idleImage();
-    retired.engine->apply(update);
+    UpdateOutcome twin = retired.engine->apply(update);
     retired.generation.store(gen, std::memory_order_relaxed);
 
     if (journal_)
         journal_->appendOutcome(seq, outcome);
+    health::addUpdateEvents(events_, outcome, twin);
 
     monitor_.endUpdate();
     return outcome;
@@ -385,6 +386,7 @@ ConcurrentChisel::scrubNow()
     publish(scrubbed);
     scrubIdleLocked(report);
 
+    events_.parityRecoveries += report.cellsRecovered;
     scrubPasses_.fetch_add(1, std::memory_order_relaxed);
     return report;
 }
@@ -427,39 +429,14 @@ ConcurrentChisel::purgeDirtyNow()
 health::HealthSignals
 ConcurrentChisel::collectSignals()
 {
-    health::HealthSignals sig;
-    sig.watchdogExpired = monitor_.watchdogExpired();
+    // Read before the lock: an update overrunning its deadline holds
+    // the writer lock until it finishes.
+    bool watchdog = monitor_.watchdogExpired();
 
-    RobustnessCounters r;
-    {
-        std::lock_guard<std::mutex> lock(writerMutex_);
-        const ChiselEngine &engine = *idleImage().engine;
-        r = engine.robustness();
-        if (config_.slowPathCapacity > 0)
-            sig.slowPathOccupancy = double(engine.slowPathCount()) /
-                                    double(config_.slowPathCapacity);
-        if (config_.spillCapacity > 0)
-            sig.spillOccupancy = double(engine.spillCount()) /
-                                 double(config_.spillCapacity);
-        if (config_.dirtyBudgetPerCell > 0) {
-            double budget = double(config_.dirtyBudgetPerCell) *
-                            double(engine.cellCount());
-            sig.dirtyOccupancy = double(engine.dirtyCount()) / budget;
-        }
-    }
-
-    // Event signals are deltas since the previous sample.
-    sig.tcamOverflows = r.tcamOverflows - baseline_.tcamOverflows;
-    sig.setupRetries = r.setupRetries - baseline_.setupRetries;
-    sig.parityRecoveries =
-        r.parityRecoveries - baseline_.parityRecoveries;
-    sig.slowPathRejected =
-        r.slowPathRejected - baseline_.slowPathRejected;
-
-    baseline_.tcamOverflows = r.tcamOverflows;
-    baseline_.setupRetries = r.setupRetries;
-    baseline_.parityRecoveries = r.parityRecoveries;
-    baseline_.slowPathRejected = r.slowPathRejected;
+    std::lock_guard<std::mutex> lock(writerMutex_);
+    health::HealthSignals sig = std::exchange(events_, {});
+    sig.watchdogExpired = watchdog;
+    health::setOccupancies(sig, *idleImage().engine);
     return sig;
 }
 
@@ -645,7 +622,18 @@ RobustnessCounters
 ConcurrentChisel::robustness() const
 {
     std::lock_guard<std::mutex> lock(writerMutex_);
-    return idleImage().engine->robustness();
+    // A soft error, the lookup that detects it and an injected fault
+    // each land in one image: report the larger count of each field.
+    using R = RobustnessCounters;
+    R r = images_[0].engine->robustness();
+    R twin = images_[1].engine->robustness();
+    for (RelaxedU64 R::*field :
+         {&R::rejectedUpdates, &R::tcamOverflows, &R::slowPathInserts,
+          &R::slowPathDrains, &R::slowPathRejected, &R::setupRetries,
+          &R::parityDetected, &R::parityRecoveries, &R::dirtyEvictions,
+          &R::suppressedFlaps})
+        r.*field = std::max<uint64_t>(r.*field, twin.*field);
+    return r;
 }
 
 size_t

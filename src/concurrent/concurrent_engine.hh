@@ -100,7 +100,7 @@ struct ConcurrentOptions
      */
     bool healthMonitor = false;
 
-    /** Health thresholds and hysteresis depths. */
+    /** The monitor's resize streak, its cooldown and the watchdog. */
     health::MonitorConfig health;
 
     /** Health sampling cadence (when healthMonitor is on). */
@@ -244,7 +244,9 @@ class ConcurrentChisel
 
     /**
      * Sample signals, step the state machine, and execute at most one
-     * recovery action.  Runs periodically on the maintenance thread
+     * recovery action.  The sample counts the events the writer
+     * published since the previous tick; it reads no image counter.
+     * Runs periodically on the maintenance thread
      * when options.healthMonitor is set; also callable directly (tests,
      * chaos harness).  @return the state after the sample.
      */
@@ -377,7 +379,7 @@ class ConcurrentChisel
     /** Routes currently stored. */
     size_t routeCount() const;
 
-    /** Merged robustness counters (live image's view). */
+    /** Robustness counters, each the larger of the two images' values. */
     RobustnessCounters robustness() const;
 
     /** Dirty groups retained for flap damping (§4.4.1). */
@@ -464,7 +466,7 @@ class ConcurrentChisel
     /** Scrub the idle image once; caller holds writerMutex_. */
     void scrubIdleLocked(ScrubReport &report);
 
-    /** Gather one HealthSignals sample (takes writerMutex_). */
+    /** Take and clear the tally; add the idle image's occupancies. */
     health::HealthSignals collectSignals();
 
     /** Run one recovery action; @return success. */
@@ -500,6 +502,14 @@ class ConcurrentChisel
     /** Serializes updates, scrubs, snapshots, rebuilds and journal calls. */
     mutable std::mutex writerMutex_;
 
+    /**
+     * Events published since the last health sample: each applied
+     * update's, counted once across both images, and each scrub
+     * pass's recovered cells; rebuilds (install) add none.  Guarded
+     * by writerMutex_; collectSignals() takes and clears it.
+     */
+    health::HealthSignals events_;
+
     /** Updates applied (== generation of the freshest image). */
     std::atomic<uint64_t> updatesApplied_{0};
     std::atomic<uint64_t> scrubPasses_{0};
@@ -518,14 +528,6 @@ class ConcurrentChisel
     /** Serializes healthTick() callers (maintenance thread + tests). */
     mutable std::mutex healthMutex_;
 
-    /** Counter values at the previous sample (delta computation). */
-    struct SignalBaseline
-    {
-        uint64_t tcamOverflows = 0;
-        uint64_t setupRetries = 0;
-        uint64_t parityRecoveries = 0;
-        uint64_t slowPathRejected = 0;
-    } baseline_;
 
     /** Guards stop_; the maintenance thread sleeps on timerWake_. */
     std::mutex timerMutex_;

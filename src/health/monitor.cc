@@ -1,5 +1,8 @@
 #include "health/monitor.hh"
 
+#include <algorithm>
+
+#include "core/engine.hh"
 #include "telemetry/flight.hh"
 #include "telemetry/metrics.hh"
 
@@ -33,6 +36,37 @@ recoveryActionName(RecoveryAction a)
       case RecoveryAction::kCount: break;
     }
     return "?";
+}
+
+// ---- Signals ---------------------------------------------------------------
+
+void
+addUpdateEvents(HealthSignals &signals, const UpdateOutcome &outcome,
+                const UpdateOutcome &twin)
+{
+    signals.tcamOverflows +=
+        std::max(outcome.tcamOverflows, twin.tcamOverflows);
+    signals.setupRetries += std::max(outcome.setupRetries, twin.setupRetries);
+    signals.parityRecoveries +=
+        std::max(outcome.parityRecoveries, twin.parityRecoveries);
+    signals.slowPathRejected +=
+        std::max(outcome.slowPathRejections, twin.slowPathRejections);
+}
+
+void
+setOccupancies(HealthSignals &signals, const ChiselEngine &engine)
+{
+    auto fraction = [](double used, double capacity) {
+        return capacity > 0 ? used / capacity : 0.0;
+    };
+    const ChiselConfig &config = engine.config();
+    signals.slowPathOccupancy =
+        fraction(engine.slowPathCount(), config.slowPathCapacity);
+    signals.spillOccupancy =
+        fraction(engine.spillCount(), config.spillCapacity);
+    signals.dirtyOccupancy =
+        fraction(engine.dirtyCount(), double(config.dirtyBudgetPerCell) *
+                                          double(engine.cellCount()));
 }
 
 // ---- Watchdog --------------------------------------------------------------
@@ -80,14 +114,14 @@ HealthMonitor::classify(const HealthSignals &s) const
     // are the ladder working as designed.
     if (s.watchdogExpired || s.slowPathRejected > 0 ||
         s.parityRecoveries > 0 ||
-        s.slowPathOccupancy >= config_.slowPathCritical ||
-        s.spillOccupancy >= config_.spillCritical ||
-        s.dirtyOccupancy >= config_.dirtyCritical)
+        s.slowPathOccupancy >= kSlowPathCritical ||
+        s.spillOccupancy >= kSpillCritical ||
+        s.dirtyOccupancy >= kDirtyCritical)
         return Severity::Critical;
     if (s.tcamOverflows > 0 || s.setupRetries > 0 ||
-        s.slowPathOccupancy >= config_.slowPathWarn ||
-        s.spillOccupancy >= config_.spillWarn ||
-        s.dirtyOccupancy >= config_.dirtyWarn)
+        s.slowPathOccupancy >= kSlowPathWarn ||
+        s.spillOccupancy >= kSpillWarn ||
+        s.dirtyOccupancy >= kDirtyWarn)
         return Severity::Warn;
     return Severity::Ok;
 }
@@ -149,19 +183,19 @@ HealthMonitor::sample(const HealthSignals &signals)
 
     switch (s) {
       case HealthState::Healthy:
-        if (critStreak_ >= config_.degradeAfter)
+        if (critStreak_ >= kDegradeAfter)
             transition(HealthState::Degraded);
-        else if (warnStreak_ >= config_.stressAfter)
+        else if (warnStreak_ >= kStressAfter)
             transition(HealthState::Stressed);
         break;
       case HealthState::Stressed:
-        if (critStreak_ >= config_.degradeAfter)
+        if (critStreak_ >= kDegradeAfter)
             transition(HealthState::Degraded);
         else if (okStreak_ >= 1)
             transition(HealthState::Recovering);
         break;
       case HealthState::Degraded:
-        if (stateCrit_ >= config_.quarantineAfter)
+        if (stateCrit_ >= kQuarantineAfter)
             transition(HealthState::Quarantined);
         else if (okStreak_ >= 1)
             transition(HealthState::Recovering);
@@ -169,7 +203,7 @@ HealthMonitor::sample(const HealthSignals &signals)
       case HealthState::Quarantined:
         if (okStreak_ >= 1) {
             transition(HealthState::Recovering);
-        } else if (stateCrit_ >= config_.quarantineAfter) {
+        } else if (stateCrit_ >= kQuarantineAfter) {
             // Still critical after the last action: escalate to the
             // next rung (resetup, then snapshot restore; the ladder
             // then repeats from resetup rather than giving up).
@@ -181,9 +215,9 @@ HealthMonitor::sample(const HealthSignals &signals)
         }
         break;
       case HealthState::Recovering:
-        if (critStreak_ >= config_.degradeAfter)
+        if (critStreak_ >= kDegradeAfter)
             transition(HealthState::Degraded);
-        else if (okStreak_ >= config_.recoverAfter)
+        else if (okStreak_ >= kRecoverAfter)
             transition(HealthState::Healthy);
         break;
       case HealthState::kCount:
@@ -197,8 +231,8 @@ HealthMonitor::sample(const HealthSignals &signals)
     // overriding whatever rung the ladder chose — growing the engine
     // also clears the symptoms the ladder was reacting to.
     bool capacity_pressure =
-        signals.spillOccupancy >= config_.spillWarn ||
-        signals.slowPathOccupancy >= config_.slowPathWarn ||
+        signals.spillOccupancy >= kSpillWarn ||
+        signals.slowPathOccupancy >= kSlowPathWarn ||
         signals.setupRetries > 0;
     capacityStreak_ = capacity_pressure ? capacityStreak_ + 1 : 0;
     if (capacityCooldown_ > 0) {
@@ -249,7 +283,7 @@ HealthMonitor::recordFailover()
     CHISEL_FLIGHT_EVENT(RecoveryAction, RecoveryAction::FailedOver, 1,
                         0);
     // A promoted standby serves immediately, but on probation: it
-    // must produce recoverAfter clean samples before claiming
+    // must produce kRecoverAfter clean samples before claiming
     // Healthy, exactly like a node leaving Quarantined.
     if (state() != HealthState::Recovering)
         transition(HealthState::Recovering);

@@ -2,13 +2,10 @@
  * @file
  * Self-healing health-state machine for the Chisel control plane.
  *
- * PRs 2–4 gave the engine the *mechanisms* of survival — degradation
- * ladder, parity scrub, resetup, snapshot recovery — but left the
- * decision of when to use them to the operator.  HealthMonitor closes
- * the loop: it folds the existing telemetry signals (slow-path,
- * spill and dirty-budget occupancy, TCAM overflows, setup retries,
- * parity recoveries, a watchdog on update application) into a
- * five-state machine
+ * HealthMonitor decides when the engine's recovery mechanisms run.  It
+ * folds the health signals (slow-path, spill and dirty-budget
+ * occupancy, TCAM overflows, setup retries, parity recoveries, a
+ * watchdog on update application) into a five-state machine
  *
  *     Healthy -> Stressed -> Degraded -> Quarantined -> Recovering
  *
@@ -20,8 +17,8 @@
  *     Degraded        full parity scrub
  *     Quarantined     resetup; if still quarantined, snapshot restore
  *
- * The monitor only *recommends*; the owner (ConcurrentChisel, or the
- * chaos harness directly) executes actions under its own write
+ * The monitor only *recommends*; the owner (ConcurrentChisel, or
+ * update_replay's single engine) executes actions under its own write
  * exclusion and reports completion.  Sampling is explicit — callers
  * feed a HealthSignals every tick — so tests drive the machine
  * deterministically with synthetic signals.
@@ -39,6 +36,9 @@
 #include <cstdint>
 #include <string>
 
+#include "core/update_outcome.hh"
+
+namespace chisel { class ChiselEngine; }
 namespace chisel::telemetry { class MetricRegistry; }
 
 namespace chisel::health {
@@ -88,8 +88,8 @@ const char *recoveryActionName(RecoveryAction a);
 
 /**
  * One sampling period's worth of signals.  Occupancies are fractions
- * in [0, 1]; event counts are DELTAS since the previous sample, so
- * the monitor never has to remember absolute counter values.
+ * in [0, 1]; event counts are the events the writer published since
+ * the previous sample, not deltas of absolute counters.
  */
 struct HealthSignals
 {
@@ -103,25 +103,33 @@ struct HealthSignals
     bool watchdogExpired = false;    ///< An update overran its deadline.
 };
 
-/** Thresholds and hysteresis depths. */
+/**
+ * Add one applied update's events to @p signals.  @p twin is its
+ * outcome on a second image: an event in either image counts once.
+ */
+void addUpdateEvents(HealthSignals &signals, const UpdateOutcome &outcome,
+                     const UpdateOutcome &twin = {});
+
+/** Set @p signals' occupancies from @p engine and its config. */
+void setOccupancies(HealthSignals &signals, const ChiselEngine &engine);
+
+/** Severity thresholds, as fractions of the configured capacities. */
+constexpr double kSlowPathWarn = 0.05, kSlowPathCritical = 0.50;
+constexpr double kSpillWarn = 0.80, kSpillCritical = 0.98;
+constexpr double kDirtyWarn = 0.75, kDirtyCritical = 0.99;
+
+/** Consecutive warn-or-worse samples before Healthy -> Stressed. */
+constexpr unsigned kStressAfter = 2;
+/** Consecutive critical samples before -> Degraded. */
+constexpr unsigned kDegradeAfter = 2;
+/** Further critical samples in Degraded before Quarantined. */
+constexpr unsigned kQuarantineAfter = 3;
+/** Consecutive clean samples before Recovering -> Healthy. */
+constexpr unsigned kRecoverAfter = 3;
+
+/** The monitor's settable values: capacity resizes and the watchdog. */
 struct MonitorConfig
 {
-    double slowPathWarn = 0.05;
-    double slowPathCritical = 0.50;
-    double spillWarn = 0.80;
-    double spillCritical = 0.98;
-    double dirtyWarn = 0.75;
-    double dirtyCritical = 0.99;
-
-    /** Consecutive warn-or-worse samples before Healthy -> Stressed. */
-    unsigned stressAfter = 2;
-    /** Consecutive critical samples before -> Degraded. */
-    unsigned degradeAfter = 2;
-    /** Further critical samples in Degraded before Quarantined. */
-    unsigned quarantineAfter = 3;
-    /** Consecutive clean samples before Recovering -> Healthy. */
-    unsigned recoverAfter = 3;
-
     /**
      * Consecutive capacity-pressure samples (spill/slow-path
      * occupancy past warn, or setup retries) before a Resize is
@@ -156,8 +164,6 @@ class HealthMonitor
     explicit HealthMonitor(const MonitorConfig &config = {})
         : config_(config)
     {}
-
-    const MonitorConfig &config() const { return config_; }
 
     // ---- Watchdog (stamped around every update application) --------
 
@@ -199,7 +205,7 @@ class HealthMonitor
      * Record a warm-standby promotion (docs/replication.md): counts a
      * FailedOver action, leaves a flight record, and moves the
      * machine to Recovering — a freshly promoted leader serves, but
-     * on probation until recoverAfter clean samples pass.
+     * on probation until kRecoverAfter clean samples pass.
      */
     void recordFailover();
 

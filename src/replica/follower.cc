@@ -12,14 +12,15 @@
 
 namespace chisel::replica {
 
+/** Send an Ack at least every this many applied records. */
+constexpr uint64_t kAckEvery = 32;
+
 Follower::Follower(concurrent::ConcurrentChisel &engine,
                    uint64_t config_fingerprint,
                    const FollowerOptions &options)
     : engine_(engine), fingerprint_(config_fingerprint),
       options_(options)
 {
-    maxEpochSeen_.store(options.initialMaxEpoch,
-                        std::memory_order_release);
 }
 
 Follower::~Follower()
@@ -42,7 +43,7 @@ Follower::caughtUp() const
 {
     if (promoted())
         return true;
-    return connected() && lag() <= options_.lagBound;
+    return connected() && lag() <= kLagBound;
 }
 
 bool
@@ -98,8 +99,7 @@ Follower::handleConnection(ByteStream &stream)
         return;
 
     Frame welcome;
-    if (!readFrame(stream, reader, welcome,
-                   options_.handshakeTimeoutMs))
+    if (!readFrame(stream, reader, welcome, kHandshakeTimeoutMs))
         return;
     if (welcome.type != FrameType::Welcome)
         return;
@@ -187,7 +187,7 @@ Follower::handleFrame(ByteStream &stream, const Frame &frame,
             return false;  // Corrupt shipment: drop and resync.
         }
         if (applyRecord(rec) &&
-            ++since_ack >= options_.ackEvery) {
+            ++since_ack >= kAckEvery) {
             since_ack = 0;
             sendFrame(stream,
                       makeAck(maxEpochSeen_.load(

@@ -56,19 +56,10 @@ struct FollowerOptions
 {
     /** No leader traffic for this long means the leader is dead. */
     uint64_t heartbeatTimeoutMs = 500;
-
-    /** caughtUp() requires lag() <= this many records. */
-    uint64_t lagBound = 64;
-
-    /** Highest fencing epoch already seen (recovered state). */
-    uint64_t initialMaxEpoch = 0;
-
-    /** Handshake (Welcome) wait per connection, ms. */
-    uint64_t handshakeTimeoutMs = 2000;
-
-    /** Send an Ack at least every this many applied records. */
-    uint64_t ackEvery = 32;
 };
+
+/** caughtUp() requires lag() <= this many records. */
+constexpr uint64_t kLagBound = 64;
 
 /** What promote() did. */
 struct PromotionReport
@@ -182,7 +173,7 @@ class Follower
 
     /**
      * Ready to serve: promoted, or connected with replication lag
-     * within options.lagBound.  The /healthz gate.
+     * within kLagBound.  The /healthz gate.
      */
     bool caughtUp() const;
 

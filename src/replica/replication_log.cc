@@ -13,6 +13,9 @@
 
 namespace chisel::replica {
 
+/** Seed of the reconnect-backoff jitter stream. */
+constexpr uint64_t kJitterSeed = 0x5ca1ab1e;
+
 ReplicationLog::ReplicationLog(const std::string &path,
                                uint64_t config_fingerprint,
                                size_t fsync_every,
@@ -226,7 +229,7 @@ void
 ReplicationLog::shipperMain(TransportFactory factory,
                             SnapshotProvider snapshots)
 {
-    Rng jitter(options_.jitterSeed);
+    Rng jitter(kJitterSeed);
     uint64_t backoff = options_.backoffMinMs;
 
     while (!stopping_.load(std::memory_order_acquire) && !fenced()) {
@@ -304,7 +307,7 @@ ReplicationLog::serveConnection(ByteStream &stream,
 {
     FrameReader reader;
     Frame hello;
-    if (!readFrame(stream, reader, hello, options_.handshakeTimeoutMs))
+    if (!readFrame(stream, reader, hello, kHandshakeTimeoutMs))
         return false;
     if (hello.type == FrameType::Fenced) {
         latchFence(hello.currentEpoch);

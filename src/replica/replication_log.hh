@@ -87,12 +87,6 @@ struct ReplicationOptions
     /** Reconnect backoff bounds, ms (exponential, with jitter). */
     uint64_t backoffMinMs = 10;
     uint64_t backoffMaxMs = 2000;
-
-    /** Handshake (Hello) wait per connection, ms. */
-    uint64_t handshakeTimeoutMs = 2000;
-
-    /** Seed for the backoff jitter stream (deterministic tests). */
-    uint64_t jitterSeed = 0x5ca1ab1e;
 };
 
 /** A point-in-time copy of the shipper's counters. */

@@ -117,6 +117,9 @@ constexpr uint32_t kMaxFramePayload = 64u << 20;
 /** Upper bound a follower will accept for one snapshot transfer. */
 constexpr uint64_t kMaxSnapshotBytes = 1ull << 31;
 
+/** Wait for the peer's handshake frame (Hello or Welcome), ms. */
+constexpr uint64_t kHandshakeTimeoutMs = 2000;
+
 /**
  * Incremental frame parser.  Feed arbitrary byte chunks as they
  * arrive; poll next() for completed frames.  Any malformed frame —

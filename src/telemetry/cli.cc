@@ -274,14 +274,6 @@ TelemetrySession::~TelemetrySession()
 }
 
 void
-TelemetrySession::attachIntrospection(
-    const concurrent::ConcurrentChisel &engine)
-{
-    if (server_)
-        server_->attachEngine(&engine);
-}
-
-void
 TelemetrySession::attach(ChiselEngine &engine)
 {
     if (!enabled())

@@ -37,7 +37,6 @@ namespace chisel {
 
 class ChiselEngine;
 
-namespace concurrent { class ConcurrentChisel; }
 namespace obs { class IntrospectionServer; }
 
 namespace telemetry {
@@ -182,13 +181,6 @@ class TelemetrySession
     /** No-op when the session is disabled. */
     void attach(ChiselEngine &engine);
 
-    /**
-     * Expose @p engine through the introspection server's /healthz
-     * (no-op without --introspect-port).  The engine must outlive
-     * the session or be detached by stopping the server first.
-     */
-    void attachIntrospection(const concurrent::ConcurrentChisel &engine);
-
     bool enabled() const { return engineTelemetry_ != nullptr; }
 
     /** Valid only when enabled(). */
@@ -201,7 +193,11 @@ class TelemetrySession
     /** The installed flight recorder, or nullptr. */
     FlightRecorder *flight() { return flight_.get(); }
 
-    /** The running introspection server, or nullptr. */
+    /**
+     * The running introspection server (--introspect-port), or
+     * nullptr: attach what /healthz reports on it.  An attached
+     * source must outlive the session or the server's stop().
+     */
     obs::IntrospectionServer *introspection() { return server_.get(); }
 
     /**

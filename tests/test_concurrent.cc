@@ -3,8 +3,9 @@
  * Concurrency tests (docs/concurrency.md): the synchronization
  * primitives (epoch manager, relaxed counters), the per-thread
  * fault-injector streams, the thread-safe telemetry and logging
- * layers, the scrub path, the maintenance thread's start rule, every
- * way an image pair is installed, and — the centerpiece — a
+ * layers, the scrub path, the health events the writer counts, the
+ * maintenance thread's start rule, every way an image pair is
+ * installed, and — the centerpiece — a
  * 4-reader / 1-writer stress run
  * in which every tagged lookup is validated against a trie oracle
  * replayed to the exact generation that served it.
@@ -31,6 +32,7 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "concurrent/concurrent_engine.hh"
 #include "concurrent/epoch.hh"
 #include "concurrent/relaxed.hh"
@@ -563,6 +565,104 @@ TEST(ConcurrentChisel, BackgroundScrubberRuns)
     }
     EXPECT_GE(c.scrubPasses(), 3u);
     EXPECT_TRUE(c.selfCheck());
+}
+
+// ---- Health events ---------------------------------------------------------
+
+/**
+ * A 4,000-route engine that runs no background thread and applies
+ * every update under its own fault injector.
+ */
+struct FlipRig
+{
+    explicit FlipRig(uint64_t seed)
+        : table(generateScaledTable(4000, 32, seed)), inj(seed),
+          gen(table, TraceProfile{}, 32, seed + 1)
+    {
+        ConcurrentOptions o = noThreadsOptions();
+        o.faultInjector = &inj;
+        engine = std::make_unique<ConcurrentChisel>(table, ChiselConfig{}, o);
+    }
+
+    /**
+     * One soft error: a BitFlipIndex fires on the next apply, in the
+     * image applied first, and a scrub repairs it.  @return the cells
+     * the scrub recovered.
+     */
+    uint64_t
+    flipAndScrub()
+    {
+        inj.arm(fault::FaultPoint::BitFlipIndex, 1.0,
+                inj.fires(fault::FaultPoint::BitFlipIndex) + 1);
+        engine->apply(gen.next());
+        return engine->scrubNow().cellsRecovered;
+    }
+
+    RoutingTable table;
+    fault::FaultInjector inj;
+    UpdateTraceGenerator gen;
+    std::unique_ptr<ConcurrentChisel> engine;
+};
+
+bool
+sheds(health::HealthState s)
+{
+    return s == health::HealthState::Degraded ||
+           s == health::HealthState::Quarantined;
+}
+
+// One repaired soft error is one critical sample.  The two images'
+// counters differ by it, so a sample that read them back from
+// whichever image is idle would count it again after every odd number
+// of flips and flap the shard into Degraded, where the RPC front end
+// sheds it.
+TEST(HealthEvents, RepairedFlipDoesNotFlap)
+{
+    if (!CHISEL_FAULT_INJECTION_ENABLED)
+        GTEST_SKIP() << "fault injection compiled out";
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+        FlipRig rig(seed);
+        ASSERT_GT(rig.flipAndScrub(), 0u) << "seed " << seed;
+        Rng rng(seed);
+        size_t sick = 0;
+        for (int round = 0; round < 200; ++round) {
+            for (uint64_t n = 1 + rng.nextBelow(3); n > 0; --n)
+                rig.engine->apply(rig.gen.next());
+            sick += sheds(rig.engine->healthTick());
+        }
+        EXPECT_EQ(sick, 0u) << "seed " << seed;
+    }
+}
+
+// robustness() reports an event in either image, so a flip repaired
+// in one image reads the same whichever image is idle.
+TEST(HealthEvents, RobustnessIsStableAcrossFlips)
+{
+    if (!CHISEL_FAULT_INJECTION_ENABLED)
+        GTEST_SKIP() << "fault injection compiled out";
+    FlipRig rig(1);
+    ASSERT_GT(rig.flipAndScrub(), 0u);
+    uint64_t before = rig.engine->robustness().parityRecoveries;
+    rig.engine->apply(rig.gen.next());
+    EXPECT_GT(before, 0u);
+    EXPECT_EQ(rig.engine->robustness().parityRecoveries, before);
+}
+
+// The tally must not undercount: a fresh soft error in every sample
+// period is critical every time, so the monitor degrades and scrubs.
+TEST(HealthEvents, FreshFlipsEscalateToDegraded)
+{
+    if (!CHISEL_FAULT_INJECTION_ENABLED)
+        GTEST_SKIP() << "fault injection compiled out";
+    FlipRig rig(2);
+    for (unsigned round = 0; round < health::kDegradeAfter; ++round) {
+        ASSERT_GT(rig.flipAndScrub(), 0u) << "round " << round;
+        rig.engine->healthTick();
+    }
+    EXPECT_EQ(rig.engine->healthState(), health::HealthState::Degraded);
+    EXPECT_EQ(rig.engine->monitor().actionsTaken(
+                  health::RecoveryAction::Scrub),
+              1u);
 }
 
 /** Threads in this process, one /proc/self/task entry each. */

@@ -199,7 +199,7 @@ HealthSignals
 warnLevel()
 {
     HealthSignals s;
-    s.dirtyOccupancy = 0.8;   // Above dirtyWarn, below critical.
+    s.dirtyOccupancy = 0.8;   // Above kDirtyWarn, below critical.
     return s;
 }
 
@@ -217,25 +217,25 @@ TEST(HealthMonitor, EscalatesWithHysteresis)
     HealthMonitor mon;
     EXPECT_EQ(mon.state(), HealthState::Healthy);
 
-    // One warning sample is not enough (stressAfter = 2).
+    // One warning sample is not enough (kStressAfter = 2).
     EXPECT_EQ(mon.sample(warnLevel()), HealthState::Healthy);
     EXPECT_EQ(mon.sample(warnLevel()), HealthState::Stressed);
     EXPECT_EQ(mon.takeAction(), RecoveryAction::PurgeDirty);
     EXPECT_EQ(mon.takeAction(), RecoveryAction::None);   // Consumed.
 
-    // Critical streak: Stressed -> Degraded (degradeAfter = 2).
+    // Critical streak: Stressed -> Degraded (kDegradeAfter = 2).
     EXPECT_EQ(mon.sample(critLevel()), HealthState::Stressed);
     EXPECT_EQ(mon.sample(critLevel()), HealthState::Degraded);
     EXPECT_EQ(mon.takeAction(), RecoveryAction::Scrub);
 
-    // Still critical: Degraded -> Quarantined (quarantineAfter = 3).
+    // Still critical: Degraded -> Quarantined (kQuarantineAfter = 3).
     mon.sample(critLevel());
     mon.sample(critLevel());
     EXPECT_EQ(mon.sample(critLevel()), HealthState::Quarantined);
     EXPECT_EQ(mon.takeAction(), RecoveryAction::Resetup);
 
     // Signals clean: probation in Recovering, then Healthy after
-    // recoverAfter = 3 clean samples.
+    // kRecoverAfter = 3 clean samples.
     EXPECT_EQ(mon.sample(quiet()), HealthState::Recovering);
     mon.sample(quiet());
     mon.sample(quiet());
@@ -308,7 +308,7 @@ TEST(HealthMonitor, CapacityPressureArmsResizeAfterStreak)
     HealthMonitor mon(cfg);
 
     HealthSignals pressure;
-    pressure.spillOccupancy = 0.9;   // >= spillWarn, < spillCritical.
+    pressure.spillOccupancy = 0.9;   // >= kSpillWarn, < kSpillCritical.
 
     // Two pressure samples: the severity ladder reaches Stressed
     // (and arms PurgeDirty), but the capacity streak is still short.

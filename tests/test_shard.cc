@@ -627,27 +627,42 @@ TEST(ShardedPersist, CheckpointRacingUpdatesRestartsClean)
             ShardedChisel plane(table, o);
             std::atomic<bool> done{false};
             std::atomic<size_t> started{0};
+            std::atomic<uint64_t> applied{0};
+            // The saver checkpoints again once the writer has applied
+            // a few updates since its last one: saves taken back to
+            // back would starve the writer of the lock (a mutex owes
+            // it no turn), while this gap still lands checkpoints
+            // between arbitrary updates.
             std::thread saver([&] {
+                uint64_t due = 0;
                 while (!done.load(std::memory_order_acquire)) {
+                    uint64_t now = applied.load(std::memory_order_acquire);
+                    if (now < due) {
+                        std::this_thread::yield();
+                        continue;
+                    }
+                    due = now + 8;
                     started.fetch_add(1, std::memory_order_release);
                     plane.saveSnapshots();
                 }
             });
-            // The pauses let the saver take the writer lock (a mutex
-            // owes it no turn while this thread re-takes it), and every
-            // 300 updates a fresh checkpoint must have begun, so each
-            // round races at least five of them in bounded time.
+            // The pauses let the saver take the writer lock, and each
+            // 300 updates hold at least one fresh checkpoint, so each
+            // round races at least five of them in bounded time.  The
+            // round ends on an apply, so its last checkpoint races it.
             UpdateTraceGenerator gen(table, TraceProfile{}, 32, 50 + round);
+            size_t seen = 0;
             for (int i = 0; i < 1500; ++i) {
                 if (i % 300 == 0) {
-                    size_t seen = started.load(std::memory_order_acquire);
                     while (started.load(std::memory_order_acquire) == seen)
                         std::this_thread::yield();
+                    seen = started.load(std::memory_order_acquire);
                 }
-                plane.apply(gen.next());
                 if (i % 50 == 49)
                     std::this_thread::sleep_for(
                         std::chrono::microseconds(100));
+                plane.apply(gen.next());
+                applied.fetch_add(1, std::memory_order_release);
             }
             done.store(true, std::memory_order_release);
             saver.join();
