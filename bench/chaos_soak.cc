@@ -1,9 +1,11 @@
 /**
  * @file
  * Chaos soak: a flap storm applied through ConcurrentChisel::apply()
- * with EVERY registered fault point armed, while the health-state
- * machine runs recovery actions and reader threads hammer lookups
- * (docs/robustness.md).
+ * with the seven engine-path fault points armed (Bloomier setup
+ * failure, forced non-singleton groups, TCAM overflow, and a bit flip
+ * in each of the Index, Filter, Bit-vector and Result tables), while
+ * the health-state machine runs recovery actions and reader threads
+ * hammer lookups (docs/robustness.md).
  *
  * The run passes only if, after the storm ends and the machine is
  * driven back to Healthy:
@@ -16,30 +18,24 @@
  *  - the health monitor ends in Healthy.
  *
  * Exit status is nonzero on any violation, so CI can run this binary
- * directly as its chaos leg.  Flags: --updates=<n> --routes=<n>
- * --seed=<n> --metrics-json=<path>.
+ * directly as its chaos leg.  Flags: --seed=<n> and the telemetry
+ * flags; a flight recorder is always on, and a crash leaves
+ * chaos_soak.crash.json behind (docs/observability.md).
  */
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "concurrent/concurrent_engine.hh"
 #include "fault/fault.hh"
 #include "obs/introspect.hh"
-#include "persist/journal.hh"
-#include "persist/snapshot.hh"
 #include "route/synth.hh"
 #include "route/updates.hh"
-#include "tcam/tcam.hh"
-#include "telemetry/cli.hh"
+#include "soak.hh"
 #include "telemetry/metrics.hh"
-#include "trie/binary_trie.hh"
 
 namespace {
 
@@ -47,51 +43,30 @@ using namespace chisel;
 using concurrent::ConcurrentChisel;
 using concurrent::ConcurrentOptions;
 
-size_t g_failures = 0;
-
-void
-check(bool ok, const char *what)
-{
-    std::printf("  %-52s %s\n", what, ok ? "ok" : "FAIL");
-    if (!ok)
-        ++g_failures;
-}
+constexpr size_t kUpdates = 10000;  ///< Flap-storm length.
+constexpr size_t kRoutes = 5000;    ///< Initial table size.
 
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    auto topts = telemetry::TelemetryOptions::parse(argc, argv);
-    // The chaos harness always flies with the recorder on: when a
-    // soak dies, the crash dump is the whole point of the exercise.
-    if (topts.flightEvents == 0)
-        topts.flightEvents = 4096;
-    telemetry::TelemetrySession session(topts);
-    if (topts.flightDumpPrefix.empty())
-        telemetry::FlightRecorder::installCrashHandler("chaos_soak");
-
-    size_t n_updates = 10000;
-    size_t n_routes = 5000;
-    uint64_t seed = 0xC0A5;
-    telemetry::FlagTable flags(
-        "chaos_soak",
-        "Flap storm through a fault-injected concurrent engine with "
-        "a full recovery-ladder audit.");
-    flags.sizeFlag("updates", "flap-storm length (default 10000)",
-                   &n_updates)
-        .sizeFlag("routes", "table size (default 5000)", &n_routes)
-        .u64Flag("seed", "deterministic scenario seed", &seed);
-    if (!flags.parseStrict(argc, argv))
-        return flags.helpRequested() ? 0 : 2;
+    soak::Soak soak({.name = "chaos_soak",
+                     .summary = "Flap storm through a fault-injected "
+                                "concurrent engine with a full "
+                                "recovery-ladder audit.",
+                     .seed = 0xC0A5,
+                     .crashDump = true});
+    if (int rc = soak.parse(argc, argv); rc >= 0)
+        return rc;
+    const uint64_t seed = soak.seed();
 
     std::printf("chaos soak: %zu routes, %zu-update flap storm, "
                 "seed %llu, fault injection %s\n",
-                n_routes, n_updates,
-                static_cast<unsigned long long>(seed),
+                kRoutes, kUpdates, static_cast<unsigned long long>(seed),
                 CHISEL_FAULT_INJECTION_ENABLED ? "on" : "off");
 
-    RoutingTable table = generateScaledTable(n_routes, 32, seed);
+    RoutingTable table = generateScaledTable(kRoutes, 32, seed);
     std::vector<Key128> keys =
         generateLookupKeys(table, 4096, 32, 0.7, seed + 1);
 
@@ -100,22 +75,16 @@ main(int argc, char **argv)
     TraceProfile prof;
     prof.flapStorm = true;
     UpdateTraceGenerator gen(table, prof, 32, seed + 2);
-    std::vector<Update> storm = gen.generate(n_updates);
+    std::vector<Update> storm = gen.generate(kUpdates);
 
     // Truth: the initial table advanced through the whole storm in
     // order.
     RoutingTable truth = table;
-    for (const Update &u : storm) {
-        if (u.kind == UpdateKind::Announce)
-            truth.add(u.prefix, u.nextHop);
-        else
-            truth.remove(u.prefix);
-    }
+    for (const Update &u : storm)
+        soak::advance(truth, u);
 
-    // Every registered fault point armed.  The engine-path points
-    // fire inside the storm's applies and the maintenance thread's
-    // recovery actions; the two persistence points fire in the
-    // explicit journal/snapshot drills below.
+    // Every engine-path fault point armed: they fire inside the
+    // storm's applies and the maintenance thread's recovery actions.
     fault::FaultInjector inj(seed + 3);
     inj.arm(fault::FaultPoint::BloomierSetupFail, 0.2, 40);
     inj.arm(fault::FaultPoint::ForceNonSingleton, 0.3, 200);
@@ -124,8 +93,6 @@ main(int argc, char **argv)
     inj.arm(fault::FaultPoint::BitFlipFilter, 0.01, 10);
     inj.arm(fault::FaultPoint::BitFlipBitVector, 0.01, 10);
     inj.arm(fault::FaultPoint::BitFlipResult, 0.01, 10);
-    inj.arm(fault::FaultPoint::JournalTornWrite, 1.0, 1);
-    inj.arm(fault::FaultPoint::SnapshotCorrupt, 1.0, 1);
 
     ChiselConfig config;
     config.dirtyBudgetPerCell = 512;
@@ -137,7 +104,7 @@ main(int argc, char **argv)
     copts.faultInjector = &inj;
 
     ConcurrentChisel engine(table, config, copts);
-    if (obs::IntrospectionServer *server = session.introspection())
+    if (obs::IntrospectionServer *server = soak.session().introspection())
         server->attachEngine(&engine);
 
     // Reader threads run through storm, faults and recovery actions;
@@ -159,57 +126,6 @@ main(int argc, char **argv)
     // ---- The storm: every update applied, unpaced -------------------
     for (const Update &u : storm)
         engine.apply(u);
-
-    // ---- Side drills (driver-thread injector) ----------------------
-    //
-    // Three fault points live off the storm's hot path — the spill
-    // TCAM insert and the journal/snapshot codecs; exercise each and
-    // check the defense held.
-    {
-        fault::ScopedInjector scope(&inj);
-
-        // A bounded TCAM that falsely reports "full": the caller must
-        // see a clean refusal, never a corrupted entry list.
-        Tcam spill(64);
-        size_t refused = 0;
-        for (uint32_t i = 0; i < 48; ++i) {
-            Prefix p(Key128::fromIpv4(0xAC100000u + (i << 8)), 24);
-            if (!spill.insert(p, NextHop(i + 1)))
-                ++refused;
-        }
-        check(spill.size() + refused == 48,
-              "tcam overflow: refusals clean, no entry lost");
-        const std::string jpath = "chaos_soak.journal.tmp";
-        const std::string spath = "chaos_soak.snapshot.tmp";
-        std::remove(jpath.c_str());
-        {
-            persist::UpdateJournal journal(
-                jpath, configFingerprint(config));
-            for (size_t i = 0; i < 8; ++i)
-                journal.append(storm[i % storm.size()]);
-        }
-        persist::JournalScan scan = persist::scanJournal(jpath, 0);
-        check(scan.headerOk, "torn journal: valid prefix recovered");
-#if CHISEL_FAULT_INJECTION_ENABLED
-        check(scan.truncatedTail, "torn journal: tail discarded");
-#endif
-        std::remove(jpath.c_str());
-
-        ChiselEngine sidecar(table, config);
-        persist::saveSnapshot(spath, sidecar, 0);
-        persist::SnapshotLoadResult load =
-            persist::loadSnapshot(spath, &config);
-#if CHISEL_FAULT_INJECTION_ENABLED
-        check(load.status == persist::SnapshotLoadStatus::Corrupt,
-              "corrupt snapshot: CRC gate refused the image");
-#else
-        check(load.status == persist::SnapshotLoadStatus::Ok,
-              "snapshot roundtrip clean");
-#endif
-        std::remove(spath.c_str());
-        std::remove(
-            persist::previousSnapshotPath(spath).c_str());
-    }
 
     // ---- Recover ----------------------------------------------------
     //
@@ -238,23 +154,7 @@ main(int argc, char **argv)
     state = engine.healthState();
 
     // ---- Audit ------------------------------------------------------
-    size_t lost = 0, phantom = 0, wrong = 0;
-    for (const Route &r : truth.routes()) {
-        auto nh = engine.find(r.prefix);
-        if (!nh || *nh != r.nextHop)
-            ++lost;
-    }
-    // Oracle sample: random keys through the wait-free path.
-    BinaryTrie oracle(truth);
-    for (const Key128 &k : keys) {
-        auto a = oracle.lookup(k, 32);
-        auto b = engine.lookup(k);
-        if (a.has_value() != b.found || (a && a->nextHop != b.nextHop))
-            ++wrong;
-    }
-    phantom = engine.routeCount() > truth.size()
-                  ? engine.routeCount() - truth.size()
-                  : 0;
+    soak::RouteAudit audit = soak::auditRoutes(engine, truth, keys);
 
     const health::HealthMonitor &mon = engine.monitor();
     RobustnessCounters rc = engine.robustness();
@@ -299,22 +199,22 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(lookups.load()));
 
     std::printf("verdict:\n");
-    check(lost == 0, "zero lost routes");
-    check(phantom == 0, "zero phantom routes");
-    check(wrong == 0, "oracle agreement on key sample");
-    check(state == health::HealthState::Healthy,
-          "health machine returned to Healthy");
-    check(engine.dirtyPeak() <= config.dirtyBudgetPerCell,
-          "dirty retention budget never exceeded");
+    soak.check(audit.lost == 0, "zero lost routes");
+    soak.check(audit.phantom == 0, "zero phantom routes");
+    soak.check(audit.wrong == 0, "oracle agreement on key sample");
+    soak.check(state == health::HealthState::Healthy,
+               "health machine returned to Healthy");
+    soak.check(engine.dirtyPeak() <= config.dirtyBudgetPerCell,
+               "dirty retention budget never exceeded");
 #if CHISEL_FAULT_INJECTION_ENABLED
-    check(inj.totalFires() > 0, "fault points actually fired");
+    soak.check(inj.totalFires() > 0, "fault points actually fired");
 #endif
 
-    if (session.enabled()) {
-        telemetry::MetricRegistry &registry = session.registry();
-        registry.gauge("chaos.lost").set(double(lost));
-        registry.gauge("chaos.phantom").set(double(phantom));
-        registry.gauge("chaos.oracle_mismatches").set(double(wrong));
+    if (soak.session().enabled()) {
+        telemetry::MetricRegistry &registry = soak.session().registry();
+        registry.gauge("chaos.lost").set(double(audit.lost));
+        registry.gauge("chaos.phantom").set(double(audit.phantom));
+        registry.gauge("chaos.oracle_mismatches").set(double(audit.wrong));
         registry.gauge("chaos.fault_fires")
             .set(double(inj.totalFires()));
         registry.gauge("chaos.lookups").set(double(lookups.load()));
@@ -322,12 +222,5 @@ main(int argc, char **argv)
             .set(double(engine.dirtyPeak()));
         mon.publish(registry, "chaos.health");
     }
-    // Stops the introspection server and flushes every requested
-    // sink (metrics JSON, flight dump) before the verdict line.
-    session.finish();
-
-    std::printf("chaos soak: %s (%zu failure%s)\n",
-                g_failures == 0 ? "PASS" : "FAIL", g_failures,
-                g_failures == 1 ? "" : "s");
-    return g_failures == 0 ? 0 : 1;
+    return soak.finish();
 }

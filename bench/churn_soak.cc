@@ -34,14 +34,15 @@
  *  - a warm restart (recoverEngine with audit) replays the same
  *    journal — Expires and ResizeMarks included — to the same state.
  *
- * Emits a chisel.churn.v1 JSON artifact; nonzero exit on any
- * violation, so CI runs this binary directly as its churn leg.
+ * Writes a chisel.churn.v1 JSON report where --json=<path> points;
+ * nonzero exit on any violation, so CI runs this binary directly as
+ * its churn leg.  Flags: --seed=<n>, --json=<path> and the telemetry
+ * flags.
  */
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -56,10 +57,8 @@
 #include "persist/recovery.hh"
 #include "route/synth.hh"
 #include "route/updates.hh"
-#include "telemetry/cli.hh"
-#include "telemetry/json.hh"
+#include "soak.hh"
 #include "telemetry/metrics.hh"
-#include "trie/binary_trie.hh"
 
 namespace {
 
@@ -67,57 +66,43 @@ using namespace chisel;
 using concurrent::ConcurrentChisel;
 using concurrent::ConcurrentOptions;
 
-size_t g_failures = 0;
+constexpr size_t kRoutes = 512;       ///< Initial table: room to grow.
+constexpr size_t kProbes = 64;        ///< Pinned /32 canary routes.
+constexpr uint64_t kTtlMs = 1500;     ///< Default route TTL.
+constexpr uint64_t kMinResizes = 2;   ///< Stop condition.
+constexpr uint64_t kLimitMs = 45000;  ///< Hard wall-clock cap.
 
-void
-check(bool ok, const char *what)
-{
-    std::printf("  %-52s %s\n", what, ok ? "ok" : "FAIL");
-    if (!ok)
-        ++g_failures;
-}
+} // anonymous namespace
 
-struct SoakOptions
+int
+main(int argc, char **argv)
 {
-    std::string journal = "churn_soak.journal";
-    std::string json = "churn_soak.json";
-    size_t routes = 512;            ///< Initial table (small: room to grow).
-    size_t probes = 64;             ///< Pinned /32 canary routes.
-    size_t readers = 0;             ///< Probe threads; 0 = scale to cores.
-    uint64_t seed = 0xC409;
-    uint64_t ttlMs = 1500;          ///< Default route TTL.
-    uint64_t minResizes = 2;        ///< Stop condition.
-    uint64_t limitMs = 45000;       ///< Hard wall-clock cap.
-};
+    soak::Soak soak({.name = "churn_soak",
+                     .summary = "TTL churn + live-resize drill: storm, "
+                                "GC, resize, audit.",
+                     .seed = 0xC409,
+                     .report = true});
+    if (int rc = soak.parse(argc, argv); rc >= 0)
+        return rc;
+    const uint64_t seed = soak.seed();
+    const std::string journal = soak.dir() + "/churn.journal";
 
-/** Under-provisioned on purpose: growth must force resizes. */
-ChiselConfig
-soakConfig(const SoakOptions &o)
-{
+    RoutingTable table = generateScaledTable(kRoutes, 32, seed);
+    // Under-provisioned on purpose: growth must force resizes.
     ChiselConfig config;
     config.spillCapacity = 8;
     config.slowPathCapacity = 4096;
     config.minCellCapacity = 64;
     config.dirtyBudgetPerCell = 256;
-    config.defaultTtlMs = o.ttlMs;
-    return config;
-}
-
-int
-soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
-{
-    std::remove(o.journal.c_str());
-
-    RoutingTable table = generateScaledTable(o.routes, 32, o.seed);
-    ChiselConfig config = soakConfig(o);
+    config.defaultTtlMs = kTtlMs;
 
     // Pinned probe routes: random /32 addresses not present in the
     // initial table.  kTtlNever exempts them from GC, so any reader
     // ever missing one is a serving gap, never an expiry.
-    Rng rng(o.seed + 1);
+    Rng rng(seed + 1);
     std::vector<Prefix> probes;
     std::unordered_set<Prefix, PrefixHasher> probeSet;
-    while (probes.size() < o.probes) {
+    while (probes.size() < kProbes) {
         Prefix p = Prefix::ipv4(
             static_cast<uint32_t>(rng.nextBelow(0xFFFFFFFFull)), 32);
         if (table.contains(p) || probeSet.count(p))
@@ -130,7 +115,7 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     };
 
     // Setup/capacity fault points stay armed for the whole storm.
-    fault::FaultInjector inj(o.seed + 2);
+    fault::FaultInjector inj(seed + 2);
     inj.arm(fault::FaultPoint::BloomierSetupFail, 0.1, 20);
     inj.arm(fault::FaultPoint::ForceNonSingleton, 0.2, 100);
     inj.arm(fault::FaultPoint::TcamOverflow, 0.1, 20);
@@ -154,7 +139,7 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     ConcurrentChisel engine(
         std::make_unique<ChiselEngine>(table, config), copts,
         std::make_unique<persist::UpdateJournal>(
-            o.journal, elasticFingerprint(config), /*fsync_every=*/16));
+            journal, elasticFingerprint(config), /*fsync_every=*/16));
 
     // Announce the probes through the normal (journaled) path, then
     // verify them once before unleashing the storm.
@@ -164,7 +149,8 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         auto nh = engine.find(probes[i]);
         if (!nh || *nh != probeHop(i)) {
             std::printf("probe %zu unreachable before the storm\n", i);
-            return 1;
+            soak.check(false, "every probe served before the storm");
+            return soak.finish();
         }
     }
 
@@ -175,14 +161,10 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     std::atomic<bool> stopReaders{false};
     std::atomic<uint64_t> probeChecks{0};
     std::atomic<uint64_t> probeGaps{0};
-    size_t nReaders = o.readers;
-    if (nReaders == 0) {
-        // Coverage needs continuity, not throughput: on a small box,
-        // spinning readers would starve the writer's grace periods
-        // (every flip waits for reader epochs to turn over).
-        unsigned hw = std::thread::hardware_concurrency();
-        nReaders = hw >= 4 ? 3 : 1;
-    }
+    // Coverage needs continuity, not throughput: on a small box,
+    // spinning readers would starve the writer's grace periods (every
+    // flip waits for reader epochs to turn over).
+    size_t nReaders = std::thread::hardware_concurrency() >= 4 ? 3 : 1;
     std::vector<std::thread> readers;
     for (size_t t = 0; t < nReaders; ++t) {
         readers.emplace_back([&, t] {
@@ -219,22 +201,21 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     prof.routeFlaps = 0.05;
     prof.nextHopChanges = 0.20;
     prof.newPrefixes = 0.70;
-    UpdateTraceGenerator gen(table, prof, 32, o.seed + 3);
+    UpdateTraceGenerator gen(table, prof, 32, seed + 3);
 
     std::printf("churn soak: %zu routes, %zu probes, ttl %llu ms, "
                 "storming until %llu resizes (cap %llu ms)\n",
-                o.routes, o.probes,
-                static_cast<unsigned long long>(o.ttlMs),
-                static_cast<unsigned long long>(o.minResizes),
-                static_cast<unsigned long long>(o.limitMs));
+                kRoutes, kProbes,
+                static_cast<unsigned long long>(kTtlMs),
+                static_cast<unsigned long long>(kMinResizes),
+                static_cast<unsigned long long>(kLimitMs));
 
     uint64_t t0 = monotonicNowNs();
     uint64_t storm_updates = 0;
     for (;;) {
         uint64_t elapsed_ms = (monotonicNowNs() - t0) / 1000000;
-        if ((engine.resizes() >= o.minResizes &&
-             engine.expired() > 0) ||
-            elapsed_ms > o.limitMs)
+        if ((engine.resizes() >= kMinResizes && engine.expired() > 0) ||
+            elapsed_ms > kLimitMs)
             break;
         Update u = gen.next();
         if (probeSet.count(u.prefix))
@@ -281,91 +262,60 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     // a not-yet-due entry is in both truth and engine, an expired one
     // is in neither, and any disagreement is lost state or a phantom.
     persist::JournalScan scan =
-        persist::scanJournal(o.journal, elasticFingerprint(config));
-    RoutingTable truth = table;
+        persist::scanJournal(journal, elasticFingerprint(config));
+    RoutingTable truth = soak::journalTruth(table, scan);
+    using Type = persist::JournalRecord::Type;
     uint64_t expireRecords = 0, resizeMarks = 0;
-    for (const persist::JournalRecord &rec : scan.records) {
-        if (rec.type == persist::JournalRecord::Type::ResizeMark) {
-            ++resizeMarks;
-            continue;
-        }
-        if (rec.type != persist::JournalRecord::Type::Update)
-            continue;
-        if (rec.update.kind == UpdateKind::Announce) {
-            truth.add(rec.update.prefix, rec.update.nextHop);
-        } else {
-            if (rec.update.kind == UpdateKind::Expire)
-                ++expireRecords;
-            truth.remove(rec.update.prefix);
-        }
+    for (const persist::JournalRecord &r : scan.records) {
+        resizeMarks += r.type == Type::ResizeMark;
+        expireRecords += r.type == Type::Update &&
+                         r.update.kind == UpdateKind::Expire;
     }
-
-    size_t lost = 0;
-    for (const Route &r : truth.routes()) {
-        auto nh = engine.find(r.prefix);
-        if (!nh || *nh != r.nextHop)
-            ++lost;
-    }
-    size_t phantom = engine.routeCount() > truth.size()
-                         ? engine.routeCount() - truth.size()
-                         : 0;
-
-    std::vector<Key128> keys =
-        generateLookupKeys(truth, 4096, 32, 0.7, o.seed + 4);
-    BinaryTrie oracle(truth);
-    size_t wrong = 0;
-    for (const Key128 &k : keys) {
-        auto a = oracle.lookup(k, 32);
-        auto b = engine.lookup(k);
-        if (a.has_value() != b.found || (a && a->nextHop != b.nextHop))
-            ++wrong;
-    }
+    soak::RouteAudit audit = soak::auditRoutes(
+        engine, truth,
+        generateLookupKeys(truth, 4096, 32, 0.7, seed + 4));
 
     // ---- Audit 2: warm restart across Expires and ResizeMarks -------
     persist::RecoveryOptions ropts;
     ropts.initialTable = table;
     ropts.config = config;   // The PRE-resize config: the elastic
                              // fingerprint must still claim the journal.
-    ropts.journalPath = o.journal;
+    ropts.journalPath = journal;
     ropts.audit = true;
     persist::RecoveryReport rec = persist::recoverEngine(ropts);
 
     // ---- Verdict ----------------------------------------------------
     std::printf("verdict:\n");
-    check(engine.resizes() >= o.minResizes,
-          "storm forced the required live resizes");
-    check(engine.expired() > 0, "background GC retired entries");
-    check(expireRecords > 0, "Expire records are journal-visible");
-    check(resizeMarks >= o.minResizes,
-          "every resize left a journal ResizeMark");
-    check(probeChecks.load() > 0 && probeGaps.load() == 0,
-          "zero probe serving gaps across all flips");
-    check(lost == 0, "zero non-expired routes lost");
-    check(phantom == 0, "zero phantom routes (expired stay dead)");
-    check(wrong == 0, "oracle agreement on key sample");
-    check(engine.slowPathDrained() > 0 ||
-              engine.robustness().slowPathDrains == 0,
-          "slow-path residents drained back on resize");
-    check(rec.auditRan && rec.auditPassed,
-          "warm restart replays to the identical state");
-    check(rec.journalHeaderOk, "journal valid across the resizes");
+    soak.check(engine.resizes() >= kMinResizes,
+               "storm forced the required live resizes");
+    soak.check(engine.expired() > 0, "background GC retired entries");
+    soak.check(expireRecords > 0, "Expire records are journal-visible");
+    soak.check(resizeMarks >= kMinResizes,
+               "every resize left a journal ResizeMark");
+    soak.check(probeChecks.load() > 0 && probeGaps.load() == 0,
+               "zero probe serving gaps across all flips");
+    soak.check(audit.lost == 0, "zero non-expired routes lost");
+    soak.check(audit.phantom == 0,
+               "zero phantom routes (expired stay dead)");
+    soak.check(audit.wrong == 0, "oracle agreement on key sample");
+    soak.check(engine.slowPathDrained() > 0 ||
+                   engine.robustness().slowPathDrains == 0,
+               "slow-path residents drained back on resize");
+    soak.check(rec.auditRan && rec.auditPassed,
+               "warm restart replays to the identical state");
+    soak.check(rec.journalHeaderOk, "journal valid across the resizes");
 
-    if (session.enabled()) {
-        telemetry::MetricRegistry &registry = session.registry();
+    if (soak.session().enabled()) {
+        telemetry::MetricRegistry &registry = soak.session().registry();
         registry.gauge("churn.resizes").set(double(engine.resizes()));
         registry.gauge("churn.expired").set(double(engine.expired()));
         registry.gauge("churn.probe_gaps")
             .set(double(probeGaps.load()));
-        registry.gauge("churn.lost").set(double(lost));
-        registry.gauge("churn.phantom").set(double(phantom));
+        registry.gauge("churn.lost").set(double(audit.lost));
+        registry.gauge("churn.phantom").set(double(audit.phantom));
     }
 
-    // ---- chisel.churn.v1 artifact -----------------------------------
-    std::ostringstream os;
-    {
-        telemetry::JsonWriter w(os, true);
-        w.beginObject();
-        w.member("schema", "chisel.churn.v1");
+    soak.report("chisel.churn.v1", [&](telemetry::JsonWriter &w) {
         w.member("duration_ms", duration_ms);
         w.member("storm_updates", storm_updates);
         w.member("updates_applied", engine.updatesApplied());
@@ -376,69 +326,15 @@ soakMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         w.member("slowpath_drained", engine.slowPathDrained());
         w.member("probe_checks", probeChecks.load());
         w.member("probe_gaps", probeGaps.load());
-        w.member("lost", uint64_t(lost));
-        w.member("phantom", uint64_t(phantom));
-        w.member("oracle_mismatches", uint64_t(wrong));
+        w.member("lost", uint64_t(audit.lost));
+        w.member("phantom", uint64_t(audit.phantom));
+        w.member("oracle_mismatches", uint64_t(audit.wrong));
         w.member("journal_records", uint64_t(scan.records.size()));
         w.member("journal_last_seq", scan.lastSeq);
         w.member("route_count", uint64_t(engine.routeCount()));
         w.member("final_spill_capacity",
                  uint64_t(engine.config().spillCapacity));
         w.member("replay_audit_passed", rec.auditRan && rec.auditPassed);
-        w.endObject();
-    }
-    if (std::FILE *f = std::fopen(o.json.c_str(), "w")) {
-        std::fputs(os.str().c_str(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
-        std::printf("churn report written to %s\n", o.json.c_str());
-    }
-
-    std::remove(o.journal.c_str());
-
-    std::printf("churn soak: %s (%zu failure%s)\n",
-                g_failures == 0 ? "PASS" : "FAIL", g_failures,
-                g_failures == 1 ? "" : "s");
-    return g_failures == 0 ? 0 : 1;
-}
-
-} // anonymous namespace
-
-int
-main(int argc, char **argv)
-{
-    // Soak progress must be visible while it runs, even piped into a
-    // CI log collector.
-    std::setvbuf(stdout, nullptr, _IONBF, 0);
-
-    auto topts = telemetry::TelemetryOptions::parse(argc, argv);
-
-    SoakOptions o;
-    telemetry::FlagTable flags(
-        "churn_soak",
-        "TTL churn + live-resize drill: storm, GC, resize, audit.");
-    flags.stringFlag("journal", "journal path (deleted afterwards)",
-                     &o.journal)
-        .stringFlag("json", "chisel.churn.v1 report path", &o.json)
-        .sizeFlag("routes", "initial table size (default 512)",
-                  &o.routes)
-        .sizeFlag("probes", "pinned canary routes (default 64)",
-                  &o.probes)
-        .sizeFlag("readers", "probe reader threads (0 = scale to cores)",
-                  &o.readers)
-        .u64Flag("seed", "deterministic scenario seed", &o.seed)
-        .u64Flag("ttl-ms", "default route TTL (default 1500)",
-                 &o.ttlMs)
-        .u64Flag("min-resizes", "live resizes required before the "
-                                "storm stops (default 2)",
-                 &o.minResizes)
-        .u64Flag("limit-ms", "hard wall-clock cap (default 45000)",
-                 &o.limitMs);
-    if (!flags.parseStrict(argc, argv))
-        return flags.helpRequested() ? 0 : 2;
-
-    telemetry::TelemetrySession session(topts);
-    int rc = soakMain(o, session);
-    session.finish();
-    return rc;
+    });
+    return soak.finish();
 }

@@ -17,14 +17,11 @@
  * the final cycle dies by SIGTERM so the graceful drain (per-shard
  * snapshots) is on the audited path.
  *
- * Containment and shedding are proven in-process, where the health
- * window is exact: a force-quarantined shard fails fast for its own
- * keyspace slice only, sibling slices keep serving with bounded p99,
- * /healthz stays 200 until a MAJORITY of shards are sick, a plane
- * induced Degraded answers Overloaded within the client's deadline
- * and one induced Stressed sheds updates but still serves lookups,
- * and a fault-storm on one shard is detected and recovered by that
- * shard's monitor while its siblings never leave Healthy.
+ * Containment is proven in-process, where the health window is
+ * exact: a force-quarantined shard fails fast for its own keyspace
+ * slice while a burst on the sibling slices is served with a bounded
+ * p99, and a fault storm on one shard is detected and recovered by
+ * that shard's monitor while its siblings never leave Healthy.
  *
  * The audit insists, per shard:
  *
@@ -37,19 +34,16 @@
  *    from its own snapshot lane with zero ladder fallbacks — no cold
  *    Bloomier setups.
  *
- * A chisel.shard.v1 JSON artifact reports the counts; exit status is
- * nonzero on any violation so CI runs this binary directly.
+ * A chisel.shard.v1 JSON report (where --json=<path> points) carries
+ * the counts; exit status is nonzero on any violation so CI runs this
+ * binary directly.  Flags: --seed=<n>, --json=<path> and the
+ * telemetry flags; --role, --port and --dir are the node child's.
  */
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <functional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -68,7 +62,6 @@
 #include "net/client.hh"
 #include "net/server.hh"
 #include "net/socket.hh"
-#include "obs/introspect.hh"
 #include "persist/journal.hh"
 #include "persist/recovery.hh"
 #include "route/prefix.hh"
@@ -77,53 +70,34 @@
 #include "route/updates.hh"
 #include "shard/partition.hh"
 #include "shard/sharded.hh"
-#include "telemetry/cli.hh"
-#include "telemetry/json.hh"
+#include "soak.hh"
 #include "telemetry/metrics.hh"
 #include "trie/binary_trie.hh"
 
 namespace {
 
 using namespace chisel;
-using concurrent::ConcurrentOptions;
 using shard::ShardedChisel;
 using shard::ShardedOptions;
 using shard::ShardSelector;
 
-size_t g_failures = 0;
-
-void
-check(bool ok, const char *what)
-{
-    std::printf("  %-56s %s\n", what, ok ? "ok" : "FAIL");
-    if (!ok)
-        ++g_failures;
-}
-
-/** All knobs; the node child re-derives the same geometry. */
-struct SoakOptions
-{
-    std::string role = "driver";
-    uint64_t port = 0;              ///< Node: fixed port to bind.
-    std::string dir = "shard_soak.d";
-    std::string readyFile = "shard_soak.ready";
-    std::string json = "shard_soak.json";
-    size_t shards = 4;
-    uint64_t partitionBits = 8;
-    size_t clients = 3;
-    size_t cycles = 3;              ///< cycles-1 SIGKILLs, 1 SIGTERM.
-    uint64_t killAfter = 200;       ///< Acked updates per cycle.
-    uint64_t seed = 0x54a2d;
-};
+// The drills quarantine shard 1 and storm shard 2 while a third
+// stays healthy.
+constexpr size_t kShards = 4;
+static_assert(kShards >= 3);
+constexpr unsigned kPartitionBits = 8;
+constexpr size_t kClients = 3;        ///< Storm threads.
+constexpr size_t kCycles = 3;         ///< kCycles-1 SIGKILLs, 1 SIGTERM.
+constexpr uint64_t kKillAfter = 200;  ///< Acked updates per cycle.
 
 /** Driver and every node incarnation must agree on the geometry. */
 ShardedOptions
-planeOptions(const SoakOptions &o)
+planeOptions(const soak::Soak &soak)
 {
     ShardedOptions p;
-    p.shards = o.shards;
-    p.partitionBits = static_cast<unsigned>(o.partitionBits);
-    p.persistDir = o.dir;
+    p.shards = kShards;
+    p.partitionBits = kPartitionBits;
+    p.persistDir = soak.dir() + "/plane";
     p.engine.controlThread = true;
     p.engine.healthMonitor = true;
     p.engine.healthInterval = std::chrono::milliseconds(5);
@@ -142,8 +116,15 @@ soakOnTerm(int)
         g_soakService->requestDrain();  // Async-signal-safe.
 }
 
+/** The node's ready file: its port and whether it restarted warm. */
+std::string
+readyPath(const soak::Soak &soak)
+{
+    return soak.dir() + "/ready";
+}
+
 int
-nodeMain(const SoakOptions &o)
+nodeMain(const soak::Soak &soak)
 {
     // Per-shard fault injectors follow each shard's engine: the
     // service thread's applies and the shard's maintenance thread
@@ -152,10 +133,10 @@ nodeMain(const SoakOptions &o)
     // the health monitors flap shards through Stressed/Degraded and
     // the ladders pull them back while siblings serve.
     std::vector<std::unique_ptr<fault::FaultInjector>> injectors;
-    ShardedOptions popts = planeOptions(o);
-    for (size_t s = 0; s < o.shards; ++s) {
+    ShardedOptions popts = planeOptions(soak);
+    for (size_t s = 0; s < kShards; ++s) {
         auto inj = std::make_unique<fault::FaultInjector>(
-            o.seed + 31 * s + 7);
+            soak.seed() + 31 * s + 7);
         inj->arm(fault::FaultPoint::BloomierSetupFail, 0.05, 50);
         inj->arm(fault::FaultPoint::ForceNonSingleton, 0.10, 400);
         inj->arm(fault::FaultPoint::TcamOverflow, 0.05, 40);
@@ -166,7 +147,7 @@ nodeMain(const SoakOptions &o)
     }
     // The transport is hostile too: every connection-level fault
     // point is armed on the serving thread.
-    fault::FaultInjector netInj(o.seed + 7);
+    fault::FaultInjector netInj(soak.seed() + 7);
     netInj.arm(fault::FaultPoint::NetPartialWrite, 0.25);
     netInj.arm(fault::FaultPoint::NetStalledPeer, 0.05);
     netInj.arm(fault::FaultPoint::NetMidFrameReset, 0.01);
@@ -177,17 +158,21 @@ nodeMain(const SoakOptions &o)
     // provides all routes, so per-shard truth is pure journal
     // replay).
     ShardedChisel plane(RoutingTable{}, popts);
+    bool warm = true;  // Every shard restored its snapshot, no fallback.
     for (size_t s = 0; s < plane.shards(); ++s) {
         const shard::ShardRecovery &r = plane.recovery()[s];
+        warm = warm && r.source == persist::RecoverySource::Snapshot &&
+               r.fallbacks == 0;
         std::printf("node: shard %zu recovered via %s "
-                    "(%llu replayed, %zu routes)\n",
+                    "(%llu replayed, %zu routes, %llu fallbacks)\n",
                     s, persist::recoverySourceName(r.source),
                     static_cast<unsigned long long>(r.recordsReplayed),
-                    r.routes);
+                    r.routes,
+                    static_cast<unsigned long long>(r.fallbacks));
     }
 
     net::ServiceOptions sopts;
-    sopts.port = static_cast<uint16_t>(o.port);
+    sopts.port = soak.port();
     sopts.maxOutputBytes = 64 * 1024;  // Small: backpressure is live.
     sopts.idleTimeoutMs = 5000;
     sopts.writeStallMs = 800;
@@ -207,29 +192,18 @@ nodeMain(const SoakOptions &o)
                 std::chrono::milliseconds(50));
     }
     if (!up) {
-        std::fprintf(stderr, "node: cannot bind port %llu\n",
-                     static_cast<unsigned long long>(o.port));
+        std::fprintf(stderr, "node: cannot bind port %u\n",
+                     unsigned(soak.port()));
         return 3;
     }
 
-    // Ready-file handshake: port plus the per-shard recovery ladder
-    // outcome, written via rename so the driver never reads a torn
-    // file.  The driver audits these lines for the warm-restart bar.
-    std::string tmp = o.readyFile + ".tmp";
+    // Ready-file handshake: the port and whether the restart was warm,
+    // written via rename so the driver never reads a torn file.
+    std::string tmp = readyPath(soak) + ".tmp";
     if (std::FILE *f = std::fopen(tmp.c_str(), "w")) {
-        std::fprintf(f, "port %u\n", service.port());
-        for (size_t s = 0; s < plane.shards(); ++s) {
-            const shard::ShardRecovery &r = plane.recovery()[s];
-            std::fprintf(f, "shard %zu source %d fallbacks %llu "
-                            "replayed %llu routes %zu\n",
-                         s, static_cast<int>(r.source),
-                         static_cast<unsigned long long>(r.fallbacks),
-                         static_cast<unsigned long long>(
-                             r.recordsReplayed),
-                         r.routes);
-        }
+        std::fprintf(f, "port %u warm %d\n", service.port(), int(warm));
         std::fclose(f);
-        std::rename(tmp.c_str(), o.readyFile.c_str());
+        std::rename(tmp.c_str(), readyPath(soak).c_str());
     }
 
     while (service.running())
@@ -267,80 +241,23 @@ nodeMain(const SoakOptions &o)
 
 // ---- Driver ----------------------------------------------------------
 
-pid_t
-spawnNode(const SoakOptions &o, uint16_t port)
-{
-    char exe[4096];
-    ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-    if (n <= 0)
-        return -1;
-    exe[n] = '\0';
-
-    std::vector<std::string> args = {
-        exe,
-        "--role=node",
-        "--port=" + std::to_string(port),
-        "--dir=" + o.dir,
-        "--ready-file=" + o.readyFile,
-        "--shards=" + std::to_string(o.shards),
-        "--partition-bits=" + std::to_string(o.partitionBits),
-        "--seed=" + std::to_string(o.seed),
-    };
-    std::vector<char *> argv;
-    for (std::string &a : args)
-        argv.push_back(a.data());
-    argv.push_back(nullptr);
-
-    pid_t pid = ::fork();
-    if (pid == 0) {
-        ::execv(exe, argv.data());
-        _exit(127);
-    }
-    return pid;
-}
-
-/** Poll @p cond up to @p limit_ms; @return ms waited, or -1. */
-int64_t
-waitFor(const std::function<bool()> &cond, int64_t limit_ms)
-{
-    uint64_t t0 = monotonicNowNs();
-    while (!cond()) {
-        if (int64_t((monotonicNowNs() - t0) / 1000000) > limit_ms)
-            return -1;
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    return int64_t((monotonicNowNs() - t0) / 1000000);
-}
-
 /** One parsed node ready file. */
 struct NodeReady
 {
     unsigned port = 0;
-    std::vector<int> sources;         ///< Per shard, RecoverySource.
-    std::vector<uint64_t> fallbacks;  ///< Per shard.
+    int warm = 0;  ///< Every shard restored its snapshot, no fallback.
 };
 
 bool
-readReadyFile(const SoakOptions &o, NodeReady &out)
+readReadyFile(const soak::Soak &soak, NodeReady &out)
 {
-    std::FILE *f = std::fopen(o.readyFile.c_str(), "r");
+    std::FILE *f = std::fopen(readyPath(soak).c_str(), "r");
     if (f == nullptr)
         return false;
-    out = NodeReady{};
-    bool portOk = std::fscanf(f, "port %u\n", &out.port) == 1;
-    size_t idx;
-    int src;
-    unsigned long long fb, replayed;
-    size_t routes;
-    while (std::fscanf(f,
-                       "shard %zu source %d fallbacks %llu "
-                       "replayed %llu routes %zu\n",
-                       &idx, &src, &fb, &replayed, &routes) == 5) {
-        out.sources.push_back(src);
-        out.fallbacks.push_back(fb);
-    }
+    bool ok =
+        std::fscanf(f, "port %u warm %d", &out.port, &out.warm) == 2;
     std::fclose(f);
-    return portOk && out.sources.size() == o.shards;
+    return ok;
 }
 
 /** Structural identity of an update, for the phantom check. */
@@ -379,7 +296,7 @@ struct ClientLog
  * threads cannot change any prefix's final owner).
  */
 void
-clientThread(const SoakOptions &o, uint16_t port, size_t idx,
+clientThread(uint64_t seed, uint16_t port, size_t idx,
              std::atomic<bool> &stop,
              std::atomic<uint64_t> &ackedTotal, ClientLog &log)
 {
@@ -390,10 +307,10 @@ clientThread(const SoakOptions &o, uint16_t port, size_t idx,
     copts.maxAttempts = 3;
     copts.backoffBaseMs = 5;
     copts.backoffMaxMs = 60;
-    copts.seed = o.seed + 101 * idx;
+    copts.seed = seed + 101 * idx;
     net::ServiceClient client(copts);
 
-    Rng rng(o.seed + 977 * idx + 13);
+    Rng rng(seed + 977 * idx + 13);
     auto prefixAt = [&](uint64_t x) {
         uint32_t top = 16 + uint32_t((x >> 8) % 200);
         uint32_t addr = (top << 24) | (uint32_t(idx & 0xff) << 16) |
@@ -447,45 +364,31 @@ clientThread(const SoakOptions &o, uint16_t port, size_t idx,
 
 /**
  * The containment half of the acceptance bar, run in-process so the
- * health windows are exact: a force-quarantined shard sheds only its
- * own slice, siblings keep a bounded p99, and /healthz follows the
- * majority rule.  Then the shed demo, with health induced on every
- * shard: a Degraded plane answers Overloaded within the client's
- * deadline (never queues, never goes dark), and a merely Stressed
- * one sheds updates while still serving lookups.
+ * health window is exact: a force-quarantined shard's slice answers
+ * Overloaded, and a burst on the sibling slices is all served with a
+ * bounded p99 while it stays quarantined.
  */
 struct ContainmentDemo
 {
     bool sickSliceOverloaded = false;
     bool siblingsServed = false;
-    bool broadcastShed = false;
-    bool healthzOkOneSick = false;
-    bool healthzRedMajority = false;
     uint64_t healthyP99Us = 0;
-    uint64_t forcedQuarantines = 0;
-    bool degradedOverloaded = false;
-    bool withinDeadline = false;
-    bool stressedUpdateShed = false;
-    bool stressedLookupOk = false;
-    int64_t shedMs = 0;
 };
 
 ContainmentDemo
-runContainmentDemo(const SoakOptions &o)
+runContainmentDemo(uint64_t seed)
 {
     ContainmentDemo demo;
 
     ShardedOptions popts;
-    popts.shards = o.shards;
-    popts.partitionBits = static_cast<unsigned>(o.partitionBits);
+    popts.shards = kShards;
+    popts.partitionBits = kPartitionBits;
     popts.engine.controlThread = false;
-    ShardedChisel plane(generateScaledTable(2000, 32, o.seed), popts);
+    ShardedChisel plane(generateScaledTable(2000, 32, seed), popts);
 
     net::ChiselService service(plane, {});
     if (!service.start())
         return demo;
-    obs::IntrospectionServer introspect;
-    introspect.attachShards(&plane);
 
     net::ClientOptions cl;
     cl.port = service.port();
@@ -493,11 +396,11 @@ runContainmentDemo(const SoakOptions &o)
     cl.maxAttempts = 2;
     cl.backoffBaseMs = 5;
     cl.backoffMaxMs = 20;
-    cl.seed = o.seed;
+    cl.seed = seed;
     net::ServiceClient client(cl);
 
     // A probe key per shard (the partition hashes the top byte).
-    std::vector<Key128> probe(o.shards);
+    std::vector<Key128> probe(kShards);
     for (uint32_t top = 0; top < 256; ++top) {
         Key128 key = Key128::fromIpv4((top << 24) | 0x00010203u);
         probe[plane.shardOf(key)] = key;
@@ -505,19 +408,15 @@ runContainmentDemo(const SoakOptions &o)
 
     const size_t sick = 1;
     plane.induceHealth(sick, health::HealthState::Quarantined);
-    demo.forcedQuarantines = plane.quarantineEntries(sick);
-
     demo.sickSliceOverloaded =
         client.lookup({probe[sick]}).status ==
         net::CallStatus::Overloaded;
 
-    // Sibling slices keep serving — and the p99 over a burst stays
-    // bounded while the sick sibling is quarantined.
     std::vector<uint64_t> us;
     us.reserve(3000);
     demo.siblingsServed = true;
     for (size_t i = 0; i < 3000; ++i) {
-        size_t s = (sick + 1 + i % (o.shards - 1)) % o.shards;
+        size_t s = (sick + 1 + i % (kShards - 1)) % kShards;
         uint64_t t0 = monotonicNowNs();
         net::LookupCallResult r = client.lookup({probe[s]});
         us.push_back((monotonicNowNs() - t0) / 1000);
@@ -526,53 +425,6 @@ runContainmentDemo(const SoakOptions &o)
     }
     std::sort(us.begin(), us.end());
     demo.healthyP99Us = us[us.size() * 99 / 100];
-
-    // A broadcast write needs every shard writable.
-    Update wide;
-    wide.kind = UpdateKind::Announce;
-    wide.prefix = Prefix(Key128::fromIpv4(0x40000000u), 4);
-    wide.nextHop = 5;
-    demo.broadcastShed = client.update({wide}).status ==
-                         net::CallStatus::Overloaded;
-
-    // /healthz: one sick shard is contained (200); a majority is not
-    // (503).
-    demo.healthzOkOneSick =
-        introspect.handle("GET", "/healthz").status == 200;
-    plane.induceHealth(0, health::HealthState::Degraded);
-    plane.induceHealth(2, health::HealthState::Degraded);
-    demo.healthzRedMajority =
-        introspect.handle("GET", "/healthz").status == 503;
-
-    // Shed demo: a known route to look up, and a client whose whole
-    // call, retries included, must fit in 300 ms.
-    plane.announce(Prefix::fromCidr("10.9.2.3/32"), 9);
-    Key128 key = Key128::fromIpv4(0x0A090203u);
-    Update announce;
-    announce.prefix = Prefix::fromCidr("10.10.0.0/16");
-    announce.nextHop = 10;
-    cl.requestTimeoutMs = 300;
-    net::ServiceClient shedClient(cl);
-
-    // Degraded: everything fails fast with a structured status.
-    for (size_t s = 0; s < o.shards; ++s)
-        plane.induceHealth(s, health::HealthState::Degraded, 5000);
-    uint64_t t0 = monotonicNowNs();
-    net::LookupCallResult shed = shedClient.lookup({key});
-    demo.shedMs = int64_t((monotonicNowNs() - t0) / 1000000);
-    demo.degradedOverloaded = shed.status == net::CallStatus::Overloaded;
-    demo.withinDeadline = demo.shedMs <= cl.requestTimeoutMs;
-
-    // Stressed: updates shed, lookups still serve.
-    for (size_t s = 0; s < o.shards; ++s)
-        plane.induceHealth(s, health::HealthState::Stressed, 5000);
-    demo.stressedUpdateShed = shedClient.update({announce}).status ==
-                              net::CallStatus::Overloaded;
-    net::LookupCallResult ok = shedClient.lookup({key});
-    demo.stressedLookupOk = ok.status == net::CallStatus::Ok &&
-                            ok.results.size() == 1 &&
-                            ok.results[0].found &&
-                            ok.results[0].nextHop == 9;
 
     service.stop();
     return demo;
@@ -594,17 +446,16 @@ struct DetectRecover
 };
 
 DetectRecover
-runDetectRecover(const SoakOptions &o)
+runDetectRecover(uint64_t seed)
 {
     DetectRecover dr;
 
     ShardedOptions popts;
-    popts.shards = o.shards;
-    popts.partitionBits = static_cast<unsigned>(o.partitionBits);
+    popts.shards = kShards;
+    popts.partitionBits = kPartitionBits;
     popts.engine.controlThread = false;
     popts.engine.healthMonitor = true;
-    ShardedChisel plane(generateScaledTable(1000, 32, o.seed + 1),
-                        popts);
+    ShardedChisel plane(generateScaledTable(1000, 32, seed + 1), popts);
 
     const size_t victim = 2;
     Key128 victimKey, siblingKey;
@@ -622,7 +473,7 @@ runDetectRecover(const SoakOptions &o)
     // warn severity with bounded budgets (ForceNonSingleton at p=1
     // would starve every Bloomier seed retry and the drill would
     // never finish a setup).
-    fault::FaultInjector inj(o.seed + 97);
+    fault::FaultInjector inj(seed + 97);
     inj.arm(fault::FaultPoint::BitFlipIndex, 0.5, 300);
     inj.arm(fault::FaultPoint::BitFlipFilter, 0.5, 300);
     inj.arm(fault::FaultPoint::ForceNonSingleton, 0.5, 400);
@@ -631,7 +482,7 @@ runDetectRecover(const SoakOptions &o)
 
     auto siblingsFine = [&] {
         plane.lookup(siblingKey);  // Sibling slices must keep serving.
-        for (size_t s = 0; s < o.shards; ++s)
+        for (size_t s = 0; s < kShards; ++s)
             if (s != victim &&
                 plane.shardHealth(s) != health::HealthState::Healthy)
                 return false;
@@ -644,7 +495,7 @@ runDetectRecover(const SoakOptions &o)
     uint64_t t0 = monotonicNowNs();
     {
         fault::ScopedInjector scope(&inj);
-        Rng rng(o.seed + 5);
+        Rng rng(seed + 5);
         uint32_t base =
             (uint32_t(victimKey.hi() >> 56) << 24);
         for (int i = 0; i < 4000 && !dr.detected; ++i) {
@@ -689,51 +540,33 @@ runDetectRecover(const SoakOptions &o)
 }
 
 int
-driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
+driverMain(soak::Soak &soak)
 {
-    std::filesystem::remove_all(o.dir);
-    std::remove(o.readyFile.c_str());
-
-    ShardSelector selector(o.shards,
-                           static_cast<unsigned>(o.partitionBits));
+    ShardSelector selector(kShards, kPartitionBits);
     ChiselConfig config;
 
-    std::printf("containment demo: forced quarantine, majority rule\n");
-    ContainmentDemo demo = runContainmentDemo(o);
-    check(demo.sickSliceOverloaded,
-          "quarantined shard's slice answers Overloaded");
-    check(demo.siblingsServed,
-          "sibling slices keep serving through the quarantine");
-    check(demo.healthyP99Us > 0 && demo.healthyP99Us < 20000,
-          "healthy-shard p99 bounded during sibling quarantine");
-    check(demo.broadcastShed,
-          "broadcast write refused while any shard is sick");
-    check(demo.healthzOkOneSick,
-          "/healthz stays 200 with one sick shard");
-    check(demo.healthzRedMajority,
-          "/healthz turns 503 on a sick majority");
-    check(demo.forcedQuarantines == 1,
-          "forced quarantine counted per shard");
-    check(demo.degradedOverloaded,
-          "degraded plane answers structured Overloaded");
-    check(demo.withinDeadline,
-          "overloaded reply lands within the request deadline");
-    check(demo.stressedUpdateShed, "stressed plane sheds updates first");
-    check(demo.stressedLookupOk, "stressed plane still serves lookups");
-    std::printf("  healthy-shard p99 %llu us, shed reply in %lld ms\n",
-                static_cast<unsigned long long>(demo.healthyP99Us),
-                static_cast<long long>(demo.shedMs));
+    std::printf("containment demo: one shard quarantined\n");
+    ContainmentDemo demo = runContainmentDemo(soak.seed());
+    soak.check(demo.sickSliceOverloaded,
+               "quarantined shard's slice answers Overloaded");
+    soak.check(demo.siblingsServed,
+               "sibling slices keep serving through the quarantine");
+    soak.check(demo.healthyP99Us > 0 && demo.healthyP99Us < 20000,
+               "healthy-shard p99 bounded during sibling quarantine");
+    std::printf("  healthy-shard p99 %llu us\n",
+                static_cast<unsigned long long>(demo.healthyP99Us));
 
     // The storm is injected faults: with injection compiled out there
     // is nothing to detect, so the drill does not run.
     DetectRecover dr;
     if (CHISEL_FAULT_INJECTION_ENABLED) {
         std::printf("detect/recover drill: fault storm on one shard\n");
-        dr = runDetectRecover(o);
-        check(dr.detected, "victim shard's monitor detected the storm");
-        check(dr.recovered, "victim shard recovered to Healthy");
-        check(dr.siblingsHealthy,
-              "siblings never left Healthy during the drill");
+        dr = runDetectRecover(soak.seed());
+        soak.check(dr.detected,
+                   "victim shard's monitor detected the storm");
+        soak.check(dr.recovered, "victim shard recovered to Healthy");
+        soak.check(dr.siblingsHealthy,
+                   "siblings never left Healthy during the drill");
         std::printf("  detect %lld ms, recover %lld ms\n",
                     static_cast<long long>(dr.detectMs),
                     static_cast<long long>(dr.recoverMs));
@@ -747,16 +580,14 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     uint16_t port = 0;
     {
         int fd = net::listenLoopback(0, 1, &port);
-        if (fd < 0) {
-            std::printf("cannot probe for a free port\n");
-            return 1;
-        }
+        if (fd < 0)
+            return soak.abandon("found a free port for the node");
         net::closeFd(fd);
     }
 
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> ackedTotal{0};
-    std::vector<ClientLog> logs(o.clients);
+    std::vector<ClientLog> logs(kClients);
     std::vector<std::thread> threads;
 
     size_t kills = 0;
@@ -764,53 +595,38 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
     bool drainExitOk = false;
     bool warmSourcesOk = true;
 
-    for (size_t cycle = 0; cycle < o.cycles; ++cycle) {
-        std::remove(o.readyFile.c_str());
-        pid_t node = spawnNode(o, port);
-        if (node <= 0) {
-            std::printf("cannot spawn the node child\n");
-            return 1;
-        }
+    for (size_t cycle = 0; cycle < kCycles; ++cycle) {
+        std::remove(readyPath(soak).c_str());
+        pid_t node = soak.spawnSelf(port);
         NodeReady ready;
-        if (waitFor([&] {
-                return readReadyFile(o, ready) && ready.port == port;
+        if (node <= 0 || soak::waitFor([&] {
+                return readReadyFile(soak, ready) && ready.port == port;
             }, 15000) < 0) {
             spawnsOk = false;
             std::printf("cycle %zu: node never came up\n", cycle);
-            ::kill(node, SIGKILL);
-            ::waitpid(node, nullptr, 0);
+            if (node > 0) {
+                ::kill(node, SIGKILL);
+                ::waitpid(node, nullptr, 0);
+            }
             break;
         }
         std::printf("cycle %zu: node pid %d on port %u\n", cycle,
                     node, port);
-        if (cycle > 0) {
-            // Every restart after the first must be warm: per-shard
-            // snapshot restore, zero ladder fallbacks, no cold
-            // Bloomier setups.
-            for (size_t s = 0; s < o.shards; ++s) {
-                if (ready.sources[s] !=
-                        static_cast<int>(
-                            persist::RecoverySource::Snapshot) ||
-                    ready.fallbacks[s] != 0) {
-                    warmSourcesOk = false;
-                    std::printf("cycle %zu: shard %zu source %d "
-                                "fallbacks %llu\n",
-                                cycle, s, ready.sources[s],
-                                static_cast<unsigned long long>(
-                                    ready.fallbacks[s]));
-                }
-            }
-        }
+        // Every restart after the first must be warm: per-shard
+        // snapshot restore, zero ladder fallbacks, no cold Bloomier
+        // setups (the node's lines above name any shard that was not).
+        if (cycle > 0 && !ready.warm)
+            warmSourcesOk = false;
 
         if (threads.empty())
-            for (size_t i = 0; i < o.clients; ++i)
-                threads.emplace_back(clientThread, std::cref(o), port,
-                                     i, std::ref(stop),
+            for (size_t i = 0; i < kClients; ++i)
+                threads.emplace_back(clientThread, soak.seed(), port, i,
+                                     std::ref(stop),
                                      std::ref(ackedTotal),
                                      std::ref(logs[i]));
 
-        uint64_t target = ackedTotal.load() + o.killAfter;
-        int64_t waited = waitFor(
+        uint64_t target = ackedTotal.load() + kKillAfter;
+        int64_t waited = soak::waitFor(
             [&] { return ackedTotal.load() >= target; }, 30000);
         if (waited < 0)
             std::printf("cycle %zu: ack storm stalled (have %llu)\n",
@@ -818,7 +634,7 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
                         static_cast<unsigned long long>(
                             ackedTotal.load()));
 
-        if (cycle + 1 < o.cycles) {
+        if (cycle + 1 < kCycles) {
             ::kill(node, SIGKILL);
             ::waitpid(node, nullptr, 0);
             ++kills;
@@ -842,11 +658,11 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
             t.join();
     }
 
-    check(spawnsOk, "every node incarnation came up");
-    check(kills >= 2, "at least two SIGKILL + warm-restart cycles");
-    check(drainExitOk, "final SIGTERM drain flushed and exited 0");
-    check(warmSourcesOk,
-          "every restarted shard recovered from its own snapshot");
+    soak.check(spawnsOk, "every node incarnation came up");
+    soak.check(kills >= 2, "at least two SIGKILL + warm-restart cycles");
+    soak.check(drainExitOk, "final SIGTERM drain flushed and exited 0");
+    soak.check(warmSourcesOk,
+               "every restarted shard recovered from its own snapshot");
 
     // ---- Audit: per-shard journals vs acked promises ----------------
     std::unordered_set<std::string> sent;
@@ -857,27 +673,28 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
             sent.insert(updateIdent(u));
     }
 
+    ShardedOptions popts = planeOptions(soak);
     size_t ackedCount = 0, ackedLost = 0, ackedMismatched = 0;
     size_t phantomRecords = 0;
     bool headersOk = true;
-    std::vector<RoutingTable> shardTruth(o.shards);
-    std::vector<uint64_t> shardRecords(o.shards, 0);
+    std::vector<RoutingTable> shardTruth(kShards);
+    std::vector<uint64_t> shardRecords(kShards, 0);
     std::vector<std::unordered_map<
-        uint64_t, const persist::JournalRecord *>> bySeq(o.shards);
-    std::vector<persist::JournalScan> scans(o.shards);
+        uint64_t, const persist::JournalRecord *>> bySeq(kShards);
+    std::vector<persist::JournalScan> scans(kShards);
 
-    for (size_t s = 0; s < o.shards; ++s) {
-        std::string path =
-            o.dir + "/shard-" + std::to_string(s) + "/journal.log";
+    for (size_t s = 0; s < kShards; ++s) {
+        std::string path = popts.persistDir + "/shard-" +
+                           std::to_string(s) + "/journal.log";
         uint64_t fp = shard::shardJournalFingerprint(
-            config, s, o.shards,
-            static_cast<unsigned>(o.partitionBits),
+            config, s, kShards, kPartitionBits,
             ShardSelector::kDefaultSeed);
         scans[s] = persist::scanJournal(path, fp);
         if (!scans[s].headerOk) {
             headersOk = false;
             continue;
         }
+        shardTruth[s] = soak::journalTruth({}, scans[s]);
         for (const persist::JournalRecord &rec : scans[s].records) {
             if (rec.type != persist::JournalRecord::Type::Update)
                 continue;
@@ -885,14 +702,9 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
             ++shardRecords[s];
             if (sent.find(updateIdent(rec.update)) == sent.end())
                 ++phantomRecords;
-            if (rec.update.kind == UpdateKind::Announce)
-                shardTruth[s].add(rec.update.prefix,
-                                  rec.update.nextHop);
-            else
-                shardTruth[s].remove(rec.update.prefix);
         }
     }
-    check(headersOk, "every shard journal survived the kill storm");
+    soak.check(headersOk, "every shard journal survived the kill storm");
 
     for (const ClientLog &log : logs) {
         for (const AckedRec &ar : log.acked) {
@@ -908,23 +720,22 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
                 ++ackedMismatched;
         }
     }
-    check(ackedCount > 0, "the storm produced acked updates");
-    check(ackedLost == 0, "zero acked-but-lost updates (per shard)");
-    check(ackedMismatched == 0,
-          "every acked seq matches its update in its shard journal");
-    check(phantomRecords == 0, "zero phantom journal records");
+    soak.check(ackedCount > 0, "the storm produced acked updates");
+    soak.check(ackedLost == 0, "zero acked-but-lost updates (per shard)");
+    soak.check(ackedMismatched == 0,
+               "every acked seq matches its update in its shard journal");
+    soak.check(phantomRecords == 0, "zero phantom journal records");
 
     // ---- Audit: recovered shards == per-shard journal truth ---------
-    ShardedOptions apopts = planeOptions(o);
-    apopts.engine.controlThread = false;
-    apopts.engine.healthMonitor = false;
-    apopts.audit = true;
-    ShardedChisel recovered(RoutingTable{}, apopts);
+    popts.engine.controlThread = false;
+    popts.engine.healthMonitor = false;
+    popts.audit = true;
+    ShardedChisel recovered(RoutingTable{}, popts);
 
     size_t lostRoutes = 0, phantomRoutes = 0, auditFailed = 0;
-    std::vector<size_t> shardRoutes(o.shards, 0);
+    std::vector<size_t> shardRoutes(kShards, 0);
     RoutingTable unionTruth;
-    for (size_t s = 0; s < o.shards; ++s) {
+    for (size_t s = 0; s < kShards; ++s) {
         const shard::ShardRecovery &r = recovered.recovery()[s];
         if (!r.auditRan || !r.auditPassed)
             ++auditFailed;
@@ -940,16 +751,16 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         if (shardRoutes[s] > shardTruth[s].size())
             phantomRoutes += shardRoutes[s] - shardTruth[s].size();
     }
-    check(auditFailed == 0,
-          "per-shard recovery audit passed on every shard");
-    check(lostRoutes == 0,
-          "every journal-truth route serves from its own shard");
-    check(phantomRoutes == 0, "zero phantom routes in any shard");
+    soak.check(auditFailed == 0,
+               "per-shard recovery audit passed on every shard");
+    soak.check(lostRoutes == 0,
+               "every journal-truth route serves from its own shard");
+    soak.check(phantomRoutes == 0, "zero phantom routes in any shard");
 
     // Oracle sample over the union truth through the sharded
     // front-end path.
     BinaryTrie oracle(unionTruth);
-    Rng rng(o.seed + 42);
+    Rng rng(soak.seed() + 42);
     size_t oracleWrong = 0;
     for (size_t i = 0; i < 4096; ++i) {
         uint32_t top = 16 + uint32_t(rng.nextBelow(200));
@@ -963,7 +774,7 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         if (!same)
             ++oracleWrong;
     }
-    check(oracleWrong == 0, "binary-trie oracle agrees on key sample");
+    soak.check(oracleWrong == 0, "binary-trie oracle agrees on key sample");
 
     net::ClientStats cs;
     uint64_t lookupsOk = 0;
@@ -971,8 +782,6 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         cs.calls += log.stats.calls;
         cs.retries += log.stats.retries;
         cs.reconnects += log.stats.reconnects;
-        cs.timeouts += log.stats.timeouts;
-        cs.overloaded += log.stats.overloaded;
         lookupsOk += log.lookupsOk;
     }
     std::printf("storm: %llu calls, %zu updates attempted, %zu acked, "
@@ -982,16 +791,16 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
                 static_cast<unsigned long long>(lookupsOk),
                 static_cast<unsigned long long>(cs.retries),
                 static_cast<unsigned long long>(cs.reconnects));
-    for (size_t s = 0; s < o.shards; ++s)
+    for (size_t s = 0; s < kShards; ++s)
         std::printf("shard %zu: %llu journal records, %zu routes "
                     "(truth %zu)\n",
                     s,
                     static_cast<unsigned long long>(shardRecords[s]),
                     shardRoutes[s], shardTruth[s].size());
 
-    if (session.enabled()) {
-        telemetry::MetricRegistry &reg = session.registry();
-        reg.gauge("shard.soak.shards").set(double(o.shards));
+    if (soak.session().enabled()) {
+        telemetry::MetricRegistry &reg = soak.session().registry();
+        reg.gauge("shard.soak.shards").set(double(kShards));
         reg.gauge("shard.soak.kills").set(double(kills));
         reg.gauge("shard.soak.acked").set(double(ackedCount));
         reg.gauge("shard.soak.lost").set(double(ackedLost));
@@ -1000,20 +809,14 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         reg.gauge("shard.soak.recover_ms").set(double(dr.recoverMs));
         reg.gauge("shard.soak.healthy_p99_us")
             .set(double(demo.healthyP99Us));
-        reg.gauge("shard.soak.shed_demo_ms").set(double(demo.shedMs));
     }
 
-    // ---- chisel.shard.v1 artifact -----------------------------------
-    std::ostringstream os;
-    {
-        telemetry::JsonWriter w(os, true);
-        w.beginObject();
-        w.member("schema", "chisel.shard.v1");
-        w.member("shards", uint64_t(o.shards));
-        w.member("partition_bits", o.partitionBits);
-        w.member("cycles", uint64_t(o.cycles));
+    soak.report("chisel.shard.v1", [&](telemetry::JsonWriter &w) {
+        w.member("shards", uint64_t(kShards));
+        w.member("partition_bits", kPartitionBits);
+        w.member("cycles", uint64_t(kCycles));
         w.member("kills", uint64_t(kills));
-        w.member("clients", uint64_t(o.clients));
+        w.member("clients", uint64_t(kClients));
         w.member("calls", cs.calls);
         w.member("updates_attempted", uint64_t(attempted));
         w.member("acked", uint64_t(ackedCount));
@@ -1025,18 +828,9 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         w.member("oracle_mismatches", uint64_t(oracleWrong));
         w.member("warm_sources_ok", warmSourcesOk);
         w.member("drain_exit_ok", drainExitOk);
-        w.member("force_quarantines", demo.forcedQuarantines);
         w.member("sick_slice_overloaded", demo.sickSliceOverloaded);
         w.member("siblings_served", demo.siblingsServed);
-        w.member("broadcast_shed", demo.broadcastShed);
-        w.member("no_global_503", demo.healthzOkOneSick);
-        w.member("majority_503", demo.healthzRedMajority);
         w.member("healthy_p99_us", demo.healthyP99Us);
-        w.member("shed_demo_overloaded", demo.degradedOverloaded);
-        w.member("shed_demo_within_deadline", demo.withinDeadline);
-        w.member("shed_demo_ms", uint64_t(demo.shedMs));
-        w.member("stressed_update_shed", demo.stressedUpdateShed);
-        w.member("stressed_lookup_ok", demo.stressedLookupOk);
         w.member("detect_ms", uint64_t(dr.detectMs));
         w.member("recover_ms", uint64_t(dr.recoverMs));
         w.member("siblings_stayed_healthy", dr.siblingsHealthy);
@@ -1045,7 +839,7 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
         w.member("client_reconnects", cs.reconnects);
         w.key("per_shard");
         w.beginArray();
-        for (size_t s = 0; s < o.shards; ++s) {
+        for (size_t s = 0; s < kShards; ++s) {
             w.beginObject();
             w.member("shard", uint64_t(s));
             w.member("journal_records", shardRecords[s]);
@@ -1056,22 +850,8 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
             w.endObject();
         }
         w.endArray();
-        w.endObject();
-    }
-    if (std::FILE *f = std::fopen(o.json.c_str(), "w")) {
-        std::fputs(os.str().c_str(), f);
-        std::fputc('\n', f);
-        std::fclose(f);
-        std::printf("shard report written to %s\n", o.json.c_str());
-    }
-
-    std::filesystem::remove_all(o.dir);
-    std::remove(o.readyFile.c_str());
-
-    std::printf("shard soak: %s (%zu failure%s)\n",
-                g_failures == 0 ? "PASS" : "FAIL", g_failures,
-                g_failures == 1 ? "" : "s");
-    return g_failures == 0 ? 0 : 1;
+    });
+    return soak.finish();
 }
 
 } // anonymous namespace
@@ -1079,57 +859,14 @@ driverMain(const SoakOptions &o, telemetry::TelemetrySession &session)
 int
 main(int argc, char **argv)
 {
-    auto topts = telemetry::TelemetryOptions::parse(argc, argv);
-
-    SoakOptions o;
-    telemetry::FlagTable flags(
-        "shard_soak",
-        "Sharded dataplane kill/quarantine drill: per-shard fault "
-        "storm, SIGKILL + warm restart, per-shard journal audit.");
-    flags.stringFlag("role", "driver (default) or node (internal: "
-                             "the re-exec'd serving child)",
-                     &o.role)
-        .u64Flag("port", "node only: the fixed port to bind", &o.port)
-        .stringFlag("dir", "sharded persist directory", &o.dir)
-        .stringFlag("ready-file", "node-up handshake file",
-                    &o.readyFile)
-        .stringFlag("json", "chisel.shard.v1 report path", &o.json)
-        .sizeFlag("shards", "engine shards, >= 3 (default 4)",
-                  &o.shards)
-        .u64Flag("partition-bits",
-                 "front-end partition width (default 8)",
-                 &o.partitionBits)
-        .sizeFlag("clients", "storm threads (default 3)", &o.clients)
-        .sizeFlag("cycles", "node incarnations; all but the last die "
-                            "by SIGKILL (default 3)",
-                  &o.cycles)
-        .u64Flag("kill-after", "acked updates per cycle before the "
-                               "kill (default 200)",
-                 &o.killAfter)
-        .u64Flag("seed", "deterministic scenario seed", &o.seed);
-    if (!flags.parseStrict(argc, argv))
-        return flags.helpRequested() ? 0 : 2;
-
-    if (o.role == "node")
-        return nodeMain(o);
-    if (o.role != "driver") {
-        std::fprintf(stderr, "shard_soak: unknown --role '%s'\n",
-                     o.role.c_str());
-        return 2;
-    }
-    if (o.cycles < 2) {
-        std::fprintf(stderr, "shard_soak: --cycles must be >= 2\n");
-        return 2;
-    }
-    if (o.shards < 3) {
-        // The in-process demos quarantine shard 1, storm shard 2, and
-        // need a healthy sibling besides.
-        std::fprintf(stderr, "shard_soak: --shards must be >= 3\n");
-        return 2;
-    }
-
-    telemetry::TelemetrySession session(topts);
-    int rc = driverMain(o, session);
-    session.finish();
-    return rc;
+    soak::Soak soak({.name = "shard_soak",
+                     .summary = "Sharded dataplane kill/quarantine drill: "
+                                "per-shard fault storm, SIGKILL + warm "
+                                "restart, per-shard journal audit.",
+                     .seed = 0x54a2d,
+                     .report = true,
+                     .childRole = "node"});
+    if (int rc = soak.parse(argc, argv); rc >= 0)
+        return rc;
+    return soak.isChild() ? nodeMain(soak) : driverMain(soak);
 }

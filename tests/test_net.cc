@@ -501,6 +501,9 @@ TEST(NetService, StressedShedsUpdatesButServesLookups)
     net::LookupCallResult l =
         client.lookup({Key128::fromIpv4(0x0A010203u)});
     EXPECT_EQ(l.status, CallStatus::Ok);
+    ASSERT_EQ(l.results.size(), 1u);
+    EXPECT_TRUE(l.results[0].found);
+    EXPECT_EQ(l.results[0].nextHop, 200u);
     EXPECT_EQ(h.service->stats().shedUpdates, 1u);
 }
 
