@@ -55,6 +55,10 @@ using concurrent::ConcurrentOptions;
 constexpr size_t kRoutes = 4000;
 constexpr size_t kUpdates = 8000;      ///< Storm cycle length.
 constexpr uint64_t kKillAfter = 1500;  ///< Follower-applied records.
+/** The leader's ship tail: small, so a late follower needs a snapshot. */
+constexpr size_t kShipTail = 512;
+/** The follower joins once the leader journaled this many records. */
+constexpr uint64_t kJoinAfter = 2 * kShipTail;
 /** The leader's journal in the run directory; the driver audits it. */
 constexpr char kJournal[] = "/leader.journal";
 
@@ -100,8 +104,7 @@ leaderMain(const soak::Soak &soak)
 
     replica::ReplicationOptions ropts;
     ropts.epoch = 1;
-    ropts.tailCapacity = 512;  // Small: a late follower needs the
-                               // snapshot path, which is the point.
+    ropts.tailCapacity = kShipTail;
     ropts.heartbeatMs = 25;
     replica::ReplicationLog rlog(soak.dir() + kJournal, fingerprint, 1,
                                  ropts);
@@ -178,10 +181,20 @@ driverMain(soak::Soak &soak)
     std::printf("driver: leader pid %d on port %u\n", leader,
                 listener.port());
 
-    // Join late: by now the leader's ship tail has evicted the early
-    // records, so the follower must bootstrap from a shipped snapshot
-    // — never from a genesis replay, never through Bloomier setup.
-    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    // Join late: once the leader's journal runs well past its ship
+    // tail, the early records are evicted, so the follower must
+    // bootstrap from a shipped snapshot — never from a genesis replay,
+    // never through Bloomier setup.
+    if (soak::waitFor(
+            [&] {
+                return persist::scanJournal(journal, fingerprint)
+                           .lastSeq >= kJoinAfter;
+            },
+            15000) < 0) {
+        ::kill(leader, SIGKILL);
+        ::waitpid(leader, nullptr, 0);
+        return soak.abandon("leader journaled past its ship tail");
+    }
     follower.start(listener);
 
     int64_t sync_ms = soak::waitFor(

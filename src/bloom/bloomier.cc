@@ -82,6 +82,29 @@ BloomierFilter::BloomierFilter(size_t capacity,
     buildLanes();
 }
 
+BloomierFilter::BloomierFilter(const BloomierFilter &other,
+                               std::pmr::memory_resource *memory)
+    : capacity_(other.capacity_),
+      config_(other.config_),
+      partitions_(other.partitions_),
+      partitionSlots_(other.partitionSlots_),
+      segmentSlots_(other.segmentSlots_),
+      slotWidthBits_(other.slotWidthBits_),
+      lanes_(memory),
+      segmentMod_(other.segmentMod_),
+      partitionMod_(other.partitionMod_),
+      slots_(other.slots_, memory),
+      counts_(other.counts_),
+      registry_(other.registry_),
+      size_(other.size_),
+      stats_(other.stats_)
+{
+    // The slots first, then the lanes: the constructor's arena order.
+    lanes_.assign(other.lanes_.begin(), other.lanes_.end());
+    std::copy(std::begin(other.laneLengthRows_),
+              std::end(other.laneLengthRows_), laneLengthRows_);
+}
+
 void
 BloomierFilter::buildLanes()
 {

@@ -129,6 +129,13 @@ class BloomierFilter
                        std::pmr::get_default_resource());
 
     /**
+     * A copy of @p other (slots, hash lanes, registry, occupancy and
+     * counters) whose Index slots and lanes live in @p memory.
+     */
+    BloomierFilter(const BloomierFilter &other,
+                   std::pmr::memory_resource *memory);
+
+    /**
      * Bulk setup: replaces the current content with @p entries and
      * runs the peeling setup on every partition.
      *

@@ -19,8 +19,9 @@
  *    period (all readers past the flip), then applies the same update
  *    to the retired image so both stay identical.  Every image pair
  *    — at construction, resetup, resize or snapshot restore — starts
- *    from ONE built or decoded engine and its clone(), made off to
- *    the side and published with the same flip + grace protocol.
+ *    from ONE built or decoded engine and its clone(), a deep copy
+ *    made off to the side and published with the same flip + grace
+ *    protocol.
  *
  * Every published image carries a generation (the count of updates
  * folded in), so a reader can tag each lookup with the exact table
@@ -440,8 +441,9 @@ class ConcurrentChisel
 
     /**
      * One engine and its clone(): the only way an image pair is made.
-     * Constructing it pays for the clone, so a restore makes its pair
-     * before it takes the writer lock.
+     * Constructing it pays for the copy (a table copy, no rebuild and
+     * no decode), so a restore makes its pair before it takes the
+     * writer lock.
      */
     struct ImagePair
     {

@@ -58,6 +58,12 @@ class CellSummary
           always_(cells > 64 ? kSharedBit : 0), masks_(kRegions, 0, memory)
     {}
 
+    /** A copy of @p other whose masks live in @p memory. */
+    CellSummary(const CellSummary &other, std::pmr::memory_resource *memory)
+        : prefixBits_(other.prefixBits_), always_(other.always_),
+          masks_(other.masks_, memory)
+    {}
+
     /**
      * The bit cell @p i of @p cells reports under, or 0 for a cell that
      * shares bit 63 (always probed, so it reports nothing).

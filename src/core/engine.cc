@@ -55,15 +55,24 @@ UpdateStats::incrementalFraction() const
 
 namespace {
 
-/** The collapse plan an engine over @p initial uses. */
+/** The collapse plan an engine over @p routes uses. */
 CollapsePlan
-planFor(const RoutingTable &initial, const ChiselConfig &config)
+planFor(const std::vector<Route> &routes, const ChiselConfig &config)
 {
     if (config.keyWidth < 1 || config.keyWidth > Key128::maxBits)
         fatalError("ChiselEngine key width must be in [1, 128]");
 
-    CollapsePlan plan = makeCollapsePlan(initial.populatedLengths(),
-                                         config.stride, config.keyWidth,
+    std::array<bool, Key128::maxBits + 1> present{};
+    for (const Route &r : routes)
+        present[r.prefix.length()] = true;
+    std::vector<unsigned> lengths;
+    for (unsigned len = 0; len <= Key128::maxBits; ++len) {
+        if (present[len])
+            lengths.push_back(len);
+    }
+
+    CollapsePlan plan = makeCollapsePlan(lengths, config.stride,
+                                         config.keyWidth,
                                          config.coverAllLengths);
     if (plan.cells.empty()) {
         // Empty table and coverage disabled: a single cell over
@@ -80,15 +89,21 @@ planFor(const RoutingTable &initial, const ChiselConfig &config)
 
 ChiselEngine::ChiselEngine(const RoutingTable &initial,
                            const ChiselConfig &config)
+    : ChiselEngine(initial.routes(), config)
+{
+}
+
+ChiselEngine::ChiselEngine(const std::vector<Route> &routes,
+                           const ChiselConfig &config)
     : config_(config), arena_(std::make_unique<ImageArena>()),
-      plan_(planFor(initial, config)),
+      plan_(planFor(routes, config)),
       summary_(config.keyWidth, plan_.cells.size(), arena_.get()),
       spill_(config.spillCapacity), slowPath_(config.slowPathCapacity)
 {
     // Partition the initial routes per cell.
     std::vector<std::vector<Route>> per_cell(plan_.cells.size());
 
-    for (const auto &r : initial.routes()) {
+    for (const auto &r : routes) {
         unsigned len = r.prefix.length();
         if (len == 0) {
             defaultRoute_ = r.nextHop;
@@ -125,7 +140,7 @@ ChiselEngine::ChiselEngine(const RoutingTable &initial,
         cc.dirtyBudget = config_.dirtyBudgetPerCell;
         cc.damping = config_.damping;
         cc.resultPointerBits =
-            addressBits(4ull * std::max<size_t>(initial.size(), 1024));
+            addressBits(4ull * std::max<size_t>(routes.size(), 1024));
         cc.seed = mix64(config_.seed + 0x9e3779b97f4a7c15ULL *
                         (plan_.cells[i].base + 1));
 
@@ -576,6 +591,29 @@ ChiselEngine::exportTable() const
     if (defaultRoute_)
         out.add(Prefix(), *defaultRoute_);
     return out;
+}
+
+ChiselEngine::ChiselEngine(const ChiselEngine &other)
+    : config_(other.config_), arena_(std::make_unique<ImageArena>()),
+      plan_(other.plan_), results_(other.results_),
+      summary_(other.summary_, arena_.get()), spill_(other.spill_),
+      slowPath_(other.slowPath_), defaultRoute_(other.defaultRoute_),
+      ttl_(other.ttl_), ttlClockMs_(other.ttlClockMs_),
+      updateStats_(other.updateStats_), robust_(other.robust_)
+{
+    // Cell by cell, as a build or a restore fills the arena.
+    cells_.reserve(other.cells_.size());
+    for (const auto &cell : other.cells_) {
+        cells_.push_back(std::make_unique<SubCell>(*cell, &results_,
+                                                   &summary_,
+                                                   arena_.get()));
+    }
+}
+
+std::unique_ptr<ChiselEngine>
+ChiselEngine::clone() const
+{
+    return std::unique_ptr<ChiselEngine>(new ChiselEngine(*this));
 }
 
 std::unique_ptr<ChiselEngine>

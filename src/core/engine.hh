@@ -242,12 +242,23 @@ class ChiselEngine
     static constexpr unsigned kLookupAccesses = 4;
 
     /**
-     * Build an engine over an initial routing table.
+     * Build an engine over an initial routing table: the engine over
+     * initial.routes(), in that order.
      *
      * @param initial The initial routes (may be empty).
      * @param config Design parameters.
      */
     explicit ChiselEngine(const RoutingTable &initial,
+                          const ChiselConfig &config = {});
+
+    /**
+     * Build an engine over @p routes, which must have distinct
+     * prefixes (a RoutingTable's routes, or a slice of them).  The
+     * collapse plan comes from the lengths present and the modeled
+     * Result pointer width from the route count; the order of
+     * @p routes decides the table layout, not the answers.
+     */
+    explicit ChiselEngine(const std::vector<Route> &routes,
                           const ChiselConfig &config = {});
 
     /** Longest-prefix match. */
@@ -425,11 +436,12 @@ class ChiselEngine
     restoreState(const ChiselConfig &config, persist::Decoder &dec);
 
     /**
-     * An independent engine in this one's exact state: restoreState()
-     * over saveState(), in memory.  The codec is the one complete
-     * list of engine state, so the clone saves the same bytes as its
-     * original and answers every lookup and update alike.  No
-     * telemetry binding is carried over.
+     * An independent engine in this one's exact state: a member-wise
+     * deep copy into its own ImageArena, with every cell reporting
+     * into the copy's own Result Table and summary.  It saves the
+     * same bytes as its original and answers every lookup and update
+     * alike; restoreState() stays the only decoder.  No telemetry
+     * binding is carried over.
      */
     std::unique_ptr<ChiselEngine> clone() const;
 
@@ -462,6 +474,9 @@ class ChiselEngine
 
     /** Shell engine for restoreState(): config and plan set, no cells. */
     ChiselEngine(const ChiselConfig &config, CollapsePlan plan, RestoreTag);
+
+    /** clone()'s body; private, so no image is copied by accident. */
+    ChiselEngine(const ChiselEngine &other);
 
     /** lookup() body; runs inside the telemetry span when attached. */
     LookupResult lookupImpl(const Key128 &key) const;

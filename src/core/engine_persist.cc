@@ -1,8 +1,7 @@
 /**
  * @file
- * Engine-level persistence: config codec, config fingerprint, the
- * whole-engine saveState/restoreState pair, and clone() over it
- * (docs/persistence.md).
+ * Engine-level persistence: config codec, config fingerprint and the
+ * whole-engine saveState/restoreState pair (docs/persistence.md).
  *
  * Kept out of engine.cc so the hot-path translation unit does not
  * grow serialization concerns.  Everything here routes through the
@@ -12,10 +11,8 @@
 
 #include <cmath>
 #include <memory>
-#include <string>
 #include <utility>
 
-#include "common/logging.hh"
 #include "core/engine.hh"
 #include "persist/codec.hh"
 
@@ -325,25 +322,6 @@ ChiselEngine::restoreState(const ChiselConfig &config,
     engine->ttl_.loadState(dec);
 
     return engine;
-}
-
-std::unique_ptr<ChiselEngine>
-ChiselEngine::clone() const
-{
-    // The raw state codec, not a snapshot image: a header and CRC
-    // would check nothing on bytes this process just wrote.
-    persist::Encoder enc;
-    saveState(enc);
-    persist::Decoder dec(enc.buffer().data(), enc.size());
-    std::unique_ptr<ChiselEngine> twin;
-    try {
-        twin = restoreState(config_, dec);
-    } catch (const persist::DecodeError &e) {
-        // Our own bytes failed to decode: the codec is broken.
-        panicIf(true, (std::string("clone: ") + e.what()).c_str());
-    }
-    panicIf(!dec.atEnd(), "clone: state bytes left undecoded");
-    return twin;
 }
 
 uint64_t

@@ -27,6 +27,17 @@ GroupTable::GroupTable(size_t capacity, unsigned key_bits, unsigned stride,
         freeList_.push_back(static_cast<uint32_t>(i));
 }
 
+GroupTable::GroupTable(const GroupTable &other,
+                       std::pmr::memory_resource *memory)
+    : capacity_(other.capacity_), keyBits_(other.keyBits_),
+      vectorBits_(other.vectorBits_),
+      wordsPerVector_(other.wordsPerVector_),
+      pointerBits_(other.pointerBits_), recordWords_(other.recordWords_),
+      lines_(other.lines_, memory), freeList_(other.freeList_),
+      used_(other.used_)
+{
+}
+
 void
 GroupTable::writeFilter(uint32_t slot, const Key128 &key, bool valid,
                         bool dirty)

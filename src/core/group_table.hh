@@ -68,6 +68,9 @@ class GroupTable
                std::pmr::memory_resource *memory =
                    std::pmr::get_default_resource());
 
+    /** A copy of @p other whose records live in @p memory. */
+    GroupTable(const GroupTable &other, std::pmr::memory_resource *memory);
+
     size_t capacity() const { return capacity_; }
 
     /** Bytes per record: 32, or whole 64-byte lines above stride 6. */

@@ -41,6 +41,17 @@ class ResultTable
     ResultTable() : slots_(hugePageResource()), meta_(hugePageResource()) {}
 
     /**
+     * A deep copy.  Its buffers are huge-page backed like the
+     * original's; a defaulted copy would put them on the default heap.
+     */
+    ResultTable(const ResultTable &other)
+        : slots_(other.slots_, hugePageResource()),
+          meta_(other.meta_, hugePageResource()),
+          freeLists_(other.freeLists_), allocated_(other.allocated_),
+          allocations_(other.allocations_), frees_(other.frees_)
+    {}
+
+    /**
      * Allocate a block of at least @p entries slots; the granted size
      * is the next power of two (the over-provisioning policy).
      * @return Base address of the block.

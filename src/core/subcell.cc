@@ -51,6 +51,29 @@ SubCell::SubCell(const Config &config, ResultTable *results,
             "SubCell range wider than the stride allows");
 }
 
+SubCell::SubCell(const SubCell &other, ResultTable *results,
+                 CellSummary *summary, std::pmr::memory_resource *memory)
+    : config_(other.config_),
+      results_(results),
+      summary_(summary),
+      summaryBit_(other.summaryBit_),
+      regional_(other.regional_),
+      regionGroups_(other.regionGroups_),
+      index_(other.index_, memory),
+      table_(other.table_, memory),
+      groups_(other.groups_),
+      recentlyRemoved_(other.recentlyRemoved_),
+      routes_(other.routes_),
+      dirtyCount_(other.dirtyCount_),
+      dirtyPeak_(other.dirtyPeak_),
+      damper_(other.damper_),
+      health_(other.health_),
+      writes_(other.writes_),
+      faults_(other.faults_),
+      parityPending_(other.parityPending_)
+{
+}
+
 void
 SubCell::refreshImage(const Key128 &ckey, Group &group)
 {

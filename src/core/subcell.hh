@@ -140,6 +140,14 @@ class SubCell
             std::pmr::memory_resource *memory =
                 std::pmr::get_default_resource());
 
+    /**
+     * A deep copy of @p other for another engine image: the same
+     * shadow, tables, counters and flap history, reporting into that
+     * image's @p results and @p summary, its tables in @p memory.
+     */
+    SubCell(const SubCell &other, ResultTable *results,
+            CellSummary *summary, std::pmr::memory_resource *memory);
+
     /** True if this cell serves prefixes of @p len. */
     bool
     coversLength(unsigned len) const

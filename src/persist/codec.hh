@@ -103,6 +103,22 @@ class Encoder
         buf_.insert(buf_.end(), b, b + len);
     }
 
+    /** Overwrite the u32 written at byte @p pos (a placeholder). */
+    void
+    patchU32(size_t pos, uint32_t v)
+    {
+        for (int i = 0; i < 4; ++i)
+            buf_.at(pos + i) = static_cast<uint8_t>(v >> (8 * i));
+    }
+
+    /** Overwrite the u64 written at byte @p pos (a placeholder). */
+    void
+    patchU64(size_t pos, uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            buf_.at(pos + i) = static_cast<uint8_t>(v >> (8 * i));
+    }
+
     const std::vector<uint8_t> &buffer() const { return buf_; }
     std::vector<uint8_t> &buffer() { return buf_; }
     size_t size() const { return buf_.size(); }

@@ -18,6 +18,8 @@ namespace {
 
 constexpr uint32_t kSnapshotMagic = 0x31534843;   // "CHS1"
 constexpr size_t kHeaderBytes = 4 + 4 + 8 + 4;    // magic ver len crc
+constexpr size_t kLengthAt = 8;                   // Header offsets.
+constexpr size_t kCrcAt = 16;
 
 } // anonymous namespace
 
@@ -43,13 +45,21 @@ snapshotLoadStatusName(SnapshotLoadStatus s)
 std::vector<uint8_t>
 encodeSnapshotImage(const ChiselEngine &engine, uint64_t last_seq)
 {
-    Encoder payload;
-    encodeConfig(payload, engine.config());
-    payload.u64(last_seq);
-    engine.saveState(payload);
+    // One buffer: the header with its length and CRC left zero, then
+    // the payload, then the two header fields patched in place.
+    Encoder image;
+    image.u32(kSnapshotMagic);
+    image.u32(kSnapshotVersion);
+    image.u64(0);
+    image.u32(0);
+    encodeConfig(image, engine.config());
+    image.u64(last_seq);
+    engine.saveState(image);
 
-    uint32_t payload_crc =
-        crc32(payload.buffer().data(), payload.size());
+    uint8_t *payload = image.buffer().data() + kHeaderBytes;
+    const size_t payload_size = image.size() - kHeaderBytes;
+    image.patchU64(kLengthAt, payload_size);
+    image.patchU32(kCrcAt, crc32(payload, payload_size));
 
     if (CHISEL_FAULT_FIRE(SnapshotCorrupt)) {
         // Bit rot between checksum and media: flip one payload bit
@@ -57,17 +67,9 @@ encodeSnapshotImage(const ChiselEngine &engine, uint64_t last_seq)
         // own check.  Target drawn deterministically from the
         // injector so a failing scenario replays from its seed.
         fault::FaultInjector *inj = fault::activeInjector();
-        uint64_t bit = inj->draw(payload.size() * 8);
-        payload.buffer()[bit / 8] ^=
-            static_cast<uint8_t>(1u << (bit % 8));
+        uint64_t bit = inj->draw(payload_size * 8);
+        payload[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
     }
-
-    Encoder image;
-    image.u32(kSnapshotMagic);
-    image.u32(kSnapshotVersion);
-    image.u64(payload.size());
-    image.u32(payload_crc);
-    image.bytes(payload.buffer().data(), payload.size());
     return std::move(image.buffer());
 }
 

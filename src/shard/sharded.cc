@@ -85,16 +85,17 @@ ShardedChisel::ShardedChisel(const RoutingTable &initial,
         pinGeometry();
     }
 
-    // Slice the seed table: every prefix to its owning shard,
-    // broadcast prefixes to all of them.
-    std::vector<RoutingTable> slices(options_.shards);
+    // Slice the seed table into one route vector per shard: every
+    // prefix to its owning shard, broadcast prefixes to all of them.
+    // The table's prefixes are distinct, so each slice's are too.
+    std::vector<std::vector<Route>> slices(options_.shards);
     for (const Route &r : initial.routes()) {
         size_t s = selector_.shardOf(r.prefix);
         if (s == kBroadcast) {
-            for (RoutingTable &t : slices)
-                t.add(r.prefix, r.nextHop);
+            for (std::vector<Route> &slice : slices)
+                slice.push_back(r);
         } else {
-            slices[s].add(r.prefix, r.nextHop);
+            slices[s].push_back(r);
         }
     }
 
@@ -144,7 +145,7 @@ ShardedChisel::pinGeometry() const
 }
 
 void
-ShardedChisel::buildShard(size_t i, const RoutingTable &slice)
+ShardedChisel::buildShard(size_t i, const std::vector<Route> &slice)
 {
     Shard &sh = *shards_[i];
     concurrent::ConcurrentOptions copts = options_.engine;
@@ -153,7 +154,7 @@ ShardedChisel::buildShard(size_t i, const RoutingTable &slice)
 
     if (options_.persistDir.empty()) {
         sh.engine = std::make_unique<concurrent::ConcurrentChisel>(
-            slice, options_.config, copts);
+            std::make_unique<ChiselEngine>(slice, options_.config), copts);
         return;
     }
 
@@ -175,7 +176,8 @@ ShardedChisel::buildShard(size_t i, const RoutingTable &slice)
     ro.journalPath = journalPath;
     ro.snapshotPath = copts.recoverySnapshotPath;
     ro.config = options_.config;
-    ro.initialTable = slice;
+    for (const Route &r : slice)
+        ro.initialTable.add(r.prefix, r.nextHop);
     ro.audit = options_.audit;
     ro.expectFingerprint = fp;
     persist::RecoveryReport report = persist::recoverEngine(ro);

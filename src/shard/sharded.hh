@@ -302,8 +302,11 @@ class ShardedChisel
         std::atomic<uint64_t> forcedQuarantines{0};
     };
 
-    /** Build shard @p i's engine (cold or via the recovery ladder). */
-    void buildShard(size_t i, const RoutingTable &slice);
+    /**
+     * Build shard @p i's engine (cold or via the recovery ladder)
+     * from @p slice, its routes (distinct prefixes).
+     */
+    void buildShard(size_t i, const std::vector<Route> &slice);
 
     /** Write or verify `<persistDir>/shards.meta`. */
     void pinGeometry() const;

@@ -103,6 +103,45 @@ TEST(PersistCodec, Crc32KnownAnswer)
     EXPECT_EQ(persist::crc32("", 0), 0u);
 }
 
+/** The bytewise reflected CRC-32 the sliced one must reproduce. */
+uint32_t
+bytewiseCrc32(const uint8_t *data, size_t len, uint32_t seed)
+{
+    uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (size_t i = 0; i < len; ++i) {
+        c ^= data[i];
+        for (int bit = 0; bit < 8; ++bit)
+            c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+TEST(PersistCodec, Crc32MatchesBytewiseReference)
+{
+    // Every length 0-64 from every start offset 0-7 (the word loop's
+    // alignment and tail cases), plain and chained from a seed.
+    std::vector<uint8_t> buf(64 + 8);
+    Rng rng(0xC3C);
+    for (uint8_t &b : buf)
+        b = static_cast<uint8_t>(rng.next64());
+    for (size_t start = 0; start < 8; ++start) {
+        for (size_t len = 0; len <= 64; ++len) {
+            const uint8_t *p = buf.data() + start;
+            ASSERT_EQ(persist::crc32(p, len), bytewiseCrc32(p, len, 0))
+                << "start " << start << " len " << len;
+            ASSERT_EQ(persist::crc32(p, len, 0x9E3779B9u),
+                      bytewiseCrc32(p, len, 0x9E3779B9u))
+                << "start " << start << " len " << len;
+        }
+    }
+    // Chaining splits a buffer anywhere.
+    for (size_t cut = 0; cut <= 64; ++cut) {
+        uint32_t head = persist::crc32(buf.data(), cut);
+        EXPECT_EQ(persist::crc32(buf.data() + cut, 64 - cut, head),
+                  persist::crc32(buf.data(), 64));
+    }
+}
+
 TEST(PersistCodec, RoundtripAndBoundsChecks)
 {
     Encoder enc;
@@ -864,6 +903,34 @@ TEST(PersistRecovery, InjectedSnapshotCorruptionTriggersFallback)
     removeFile(jpath);
     removeFile(spath);
     removeFile(persist::previousSnapshotPath(spath));
+}
+
+TEST(PersistRecovery, InjectedSnapshotCorruptionFlipsTheDrawnBit)
+{
+    // The flip lands on the payload bit the injector draws over the
+    // payload's size, after the CRC: a seed replays the same image.
+    RoutingTable table = generateScaledTable(300, 32, 0x63AD);
+    ChiselEngine engine(table);
+    const std::vector<uint8_t> clean =
+        persist::encodeSnapshotImage(engine, 7);
+    const size_t header = 4 + 4 + 8 + 4;
+
+    FaultInjector inj(93);
+    inj.arm(FaultPoint::SnapshotCorrupt, 1.0, 1);
+    std::vector<uint8_t> corrupt;
+    {
+        ScopedInjector scope(&inj);
+        corrupt = persist::encodeSnapshotImage(engine, 7);
+    }
+    FaultInjector replay(93);
+    replay.arm(FaultPoint::SnapshotCorrupt, 1.0, 1);
+    ASSERT_TRUE(replay.shouldFire(FaultPoint::SnapshotCorrupt));
+    uint64_t bit = replay.draw((clean.size() - header) * 8);
+
+    ASSERT_EQ(corrupt.size(), clean.size());
+    std::vector<uint8_t> want = clean;
+    want[header + bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    EXPECT_EQ(corrupt, want);
 }
 #endif // CHISEL_FAULT_INJECTION_ENABLED
 

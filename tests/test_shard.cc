@@ -339,6 +339,39 @@ TEST(ShardedBasics, BroadcastVisibleFromEveryShard)
     EXPECT_FALSE(plane.lookup(Key128::fromIpv4(0x41424344u)).found);
 }
 
+TEST(ShardedBasics, ShardsAreBuiltFromTheirSlices)
+{
+    // Each shard's engine is built from its slice of the seed table:
+    // its own prefixes plus every broadcast one.  Slicing follows the
+    // table's route order, so the same table builds the same plane.
+    RoutingTable table = generateScaledTable(3000, 32, /*seed=*/17);
+    table.add(v4Prefix(0x40000000u, 4), 901);  // broadcast routes
+    table.add(v4Prefix(0x80000000u, 2), 902);
+    table.add(v4Prefix(0, 0), 903);
+    ShardedChisel plane(table, smallOptions(4, 8));
+    ShardedChisel again(table, smallOptions(4, 8));
+
+    std::vector<size_t> slice(plane.shards(), 0);
+    size_t broadcasts = 0;
+    for (const Route &r : table.routes()) {
+        size_t s = plane.shardOf(r.prefix);
+        if (s != ShardedChisel::kBroadcast) {
+            ++slice[s];
+            continue;
+        }
+        ++broadcasts;
+        for (size_t &n : slice)
+            ++n;
+    }
+    ASSERT_GE(broadcasts, 3u);
+    for (size_t i = 0; i < plane.shards(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(plane.shardEngine(i).routeCount(), slice[i]);
+        EXPECT_EQ(plane.shardEngine(i).snapshotImage(0),
+                  again.shardEngine(i).snapshotImage(0));
+    }
+}
+
 // ---- Per-shard persistence -------------------------------------------
 
 TEST(ShardedPersist, WarmRestartKeepsRoutingStable)

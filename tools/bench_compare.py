@@ -12,11 +12,8 @@ Modes:
     (default)         validate both sides, then compare each scenario
 
 Schema policy: chisel.bench.v1 is additive.  Documents may carry
-fields beyond REQUIRED_FIELDS (newer producers report more gauges,
-e.g. the "replication" family emitted when a bench runs with a warm
-standby attached).  Known additive families are type-checked when
-present; unrecognized extras are warned about but never fail
-validation, so a baseline captured before a gauge existed still
+fields beyond REQUIRED_FIELDS; extras are warned about but never fail
+validation, so a baseline captured before a field existed still
 compares against a candidate that reports it.
 
 Comparison rules (per scenario):
@@ -56,73 +53,6 @@ REQUIRED_FIELDS = {
     "accesses_per_op": (int, float),
 }
 
-# Known additive families: absent is fine, but when present the
-# family must be an object whose listed gauges (if reported) are
-# numeric.  "replication" mirrors the ReplicationLog / Follower
-# telemetry gauges (docs/replication.md).
-OPTIONAL_FAMILIES = {
-    "replication": [
-        "records_shipped",
-        "snapshots_shipped",
-        "bytes_shipped",
-        "reconnects",
-        "lag_records",
-        "epoch",
-        "fence_rejects",
-        "records_applied",
-        "snapshots_installed",
-    ],
-    # RPC service gauges (docs/service.md): the serving-side wear
-    # counters.  The kill/restart drill's numbers are shard gauges.
-    "service": [
-        "requests",
-        "acked",
-        "unacked",
-        "overloaded",
-        "shed_updates",
-        "backpressure_pauses",
-        "idle_disconnects",
-        "stall_disconnects",
-        "retries",
-        "reconnects",
-    ],
-    # Sharded dataplane gauges (docs/sharding.md): the shard soak's
-    # per-shard route counts, quarantine transitions, audit numbers
-    # and shed-demo latency.  Entries ending in "*" are prefix
-    # wildcards -- "routes_shard_*" matches "routes_shard_0",
-    # "routes_shard_1", ... for any shard count; every match is
-    # type-checked exactly like a listed gauge.
-    "shard": [
-        "shards",
-        "partition_bits",
-        "routes",
-        "kills",
-        "force_quarantines",
-        "quarantine_transitions",
-        "lost",
-        "phantom",
-        "oracle_mismatches",
-        "detect_ms",
-        "recover_ms",
-        "healthy_p99_us",
-        "shed_demo_ms",
-        "routes_shard_*",
-        "quarantine_shard_*",
-    ],
-}
-
-
-def gauge_known(gauge, gauges):
-    """Is @p gauge listed, either literally or via a '*' wildcard?"""
-    for known in gauges:
-        if known.endswith("*"):
-            if gauge.startswith(known[:-1]):
-                return True
-        elif gauge == known:
-            return True
-    return False
-
-
 def fail(msg):
     print(f"bench_compare: FAIL: {msg}")
     return False
@@ -156,34 +86,7 @@ def validate(doc, path):
     ):
         ok = fail(f"{path}: ops_per_sec must be > 0")
 
-    for family, gauges in OPTIONAL_FAMILIES.items():
-        if family not in doc:
-            continue
-        block = doc[family]
-        if not isinstance(block, dict):
-            ok = fail(
-                f"{path}: additive family '{family}' must be an "
-                f"object, got {type(block).__name__}"
-            )
-            continue
-        for gauge, value in block.items():
-            if not gauge_known(gauge, gauges):
-                print(
-                    f"bench_compare: note: {path}: unrecognized "
-                    f"'{family}.{gauge}' (additive, tolerated)"
-                )
-            elif not isinstance(value, (int, float)) or isinstance(
-                value, bool
-            ):
-                ok = fail(
-                    f"{path}: gauge '{family}.{gauge}' must be "
-                    f"numeric, got {type(value).__name__}"
-                )
-
-    extras = (
-        set(doc) - set(REQUIRED_FIELDS) - set(OPTIONAL_FAMILIES)
-    )
-    for field in sorted(extras):
+    for field in sorted(set(doc) - set(REQUIRED_FIELDS)):
         # Additive schema: tolerate, but say so -- a typo'd required
         # field shows up here right next to its "missing" failure.
         print(
@@ -275,57 +178,8 @@ def self_test():
     check("additive scalar tolerated", validate(doc, "t"), True)
 
     doc = copy.deepcopy(base_doc)
-    doc["replication"] = {
-        "records_shipped": 1200,
-        "lag_records": 3,
-        "epoch": 2,
-        "fence_rejects": 0,
-    }
-    check("replication gauges tolerated", validate(doc, "t"), True)
-
-    doc = copy.deepcopy(base_doc)
-    doc["replication"] = {"brand_new_gauge": 1}
-    check("unknown replication gauge tolerated",
-          validate(doc, "t"), True)
-
-    doc = copy.deepcopy(base_doc)
-    doc["replication"] = {"lag_records": "three"}
-    check("non-numeric gauge rejected", validate(doc, "t"), False)
-
-    doc = copy.deepcopy(base_doc)
-    doc["replication"] = [1, 2]
-    check("non-object family rejected", validate(doc, "t"), False)
-
-    doc = copy.deepcopy(base_doc)
-    doc["shard"] = {
-        "shards": 4,
-        "kills": 2,
-        "lost": 0,
-        "phantom": 0,
-        "routes_shard_0": 1200,
-        "routes_shard_3": 1180,
-        "quarantine_shard_1": 1,
-    }
-    check("shard gauges incl. wildcards tolerated",
-          validate(doc, "t"), True)
-
-    doc = copy.deepcopy(base_doc)
-    doc["shard"] = {"routes_shard_2": "many"}
-    check("non-numeric wildcard gauge rejected",
-          validate(doc, "t"), False)
-
-    doc = copy.deepcopy(base_doc)
-    doc["shard"] = {"brand_new_gauge": 1}
-    check("unknown shard gauge tolerated", validate(doc, "t"), True)
-
-    doc = copy.deepcopy(base_doc)
-    doc["shard"] = {"shed_demo_ms": "slow"}
-    check("shard shed_demo_ms type-checked",
-          validate(doc, "t"), False)
-    check("service family has no soak gauges",
-          [g for g in ("kills", "acked_lost", "phantom_records",
-                       "shed_demo_ms")
-           if gauge_known(g, OPTIONAL_FAMILIES["service"])], [])
+    doc["brand_new_block"] = {"gauge": "any"}
+    check("additive object tolerated", validate(doc, "t"), True)
 
     doc = copy.deepcopy(base_doc)
     del doc["p99_ns"]
@@ -359,8 +213,8 @@ def self_test():
           compare("t", base_doc, other, Args), False)
 
     richer = copy.deepcopy(base_doc)
-    richer["replication"] = {"records_shipped": 5}
-    check("candidate with extra family compares vs bare baseline",
+    richer["brand_new_block"] = {"gauge": 5}
+    check("candidate with extra field compares vs bare baseline",
           validate(richer, "t") and compare("t", base_doc, richer, Args),
           True)
 
