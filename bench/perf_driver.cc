@@ -9,6 +9,9 @@
  *     lookup_dfz  the same at DFZ scale         -> BENCH_lookup_dfz.json
  *     update      trace-replay update cost      -> BENCH_update.json
  *     concurrent  readers under a live writer   -> BENCH_concurrent.json
+ *     concurrent_update
+ *                 the writer beside two readers
+ *                                   -> BENCH_concurrent_update.json
  *
  * Every document carries the schema tag "chisel.bench.v1", the git
  * commit, a fingerprint of the scenario's pinned configuration,
@@ -19,7 +22,8 @@
  * and must not be diffed.
  *
  *     perf_driver [--out-dir=DIR]
- *                 [--scenario=lookup|lookup_dfz|update|concurrent|all]
+ *                 [--scenario=lookup|lookup_dfz|update|concurrent|
+ *                             concurrent_update|all]
  *                 [--quick]
  *
  * --quick shrinks tables and op counts for CI smoke runs (the
@@ -30,6 +34,7 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -376,6 +381,87 @@ runConcurrent(const DriverOptions &opts)
     return r;
 }
 
+// ---- concurrent_update ----------------------------------------------
+
+/**
+ * Updates through ConcurrentChisel while two readers stream lookups:
+ * writer ops/s and per-apply latency (journal off), the path every
+ * shard of a plane runs — one apply on the idle image, flip, grace
+ * period, replay of the written words onto the other image.
+ */
+ScenarioResult
+runConcurrentUpdate(const DriverOptions &opts)
+{
+    const size_t tableSize = opts.quick ? 5000 : 50000;
+    const size_t ops = opts.quick ? 20000 : 200000;
+    const unsigned readers = 2;
+    const unsigned keyCount = 4096;
+
+    ScenarioResult r;
+    r.scenario = "concurrent_update";
+    r.tableSize = tableSize;
+    r.ops = ops;
+    r.threads = readers + 1;
+    r.fingerprint = hex8(fnv1a(
+        "concurrent_update:v1:table=" + std::to_string(tableSize) +
+        ":readers=" + std::to_string(readers) +
+        ":width=32:seed=e1" + (opts.quick ? ":quick" : "")));
+
+    RoutingTable table = generateScaledTable(tableSize, 32, 0xE1);
+    concurrent::ConcurrentOptions copts;
+    copts.controlThread = false;
+    concurrent::ConcurrentChisel engine(table, {}, copts);
+    std::vector<Key128> keys =
+        generateLookupKeys(table, keyCount, 32, 0.85, 0xE2);
+    UpdateTraceGenerator gen(table, TraceProfile{}, 32, 0xE3);
+    std::vector<Update> updates;
+    updates.reserve(ops);
+    for (size_t i = 0; i < ops; ++i)
+        updates.push_back(gen.next());
+
+    std::atomic<bool> done{false};
+    std::vector<std::thread> threads;
+    threads.reserve(readers);
+    for (unsigned t = 0; t < readers; ++t) {
+        threads.emplace_back([&, t] {
+            for (size_t i = t; !done.load(std::memory_order_relaxed); ++i) {
+                volatile bool found =
+                    engine.lookup(keys[i & (keyCount - 1)]).found;
+                (void)found;
+            }
+        });
+    }
+
+    // ops/s is the median over ten slices of the trace: a grace period
+    // that waits out a reader the scheduler parked mid-section stalls
+    // one slice by milliseconds, which must not set the figure.
+    constexpr size_t kSlices = 10;
+    telemetry::Pow2Histogram lat;
+    std::vector<double> rates;
+    for (size_t slice = 0; slice < kSlices; ++slice) {
+        const size_t first = ops * slice / kSlices;
+        const size_t last = ops * (slice + 1) / kSlices;
+        uint64_t begin = monotonicNowNs();
+        for (size_t i = first; i < last; ++i) {
+            uint64_t t0 = monotonicNowNs();
+            engine.apply(updates[i]);
+            lat.sample(monotonicNowNs() - t0);
+        }
+        uint64_t elapsed = monotonicNowNs() - begin;
+        rates.push_back(elapsed ? (last - first) * 1e9 / double(elapsed)
+                                : 0.0);
+    }
+    done.store(true, std::memory_order_relaxed);
+    for (std::thread &th : threads)
+        th.join();
+
+    std::sort(rates.begin(), rates.end());
+    r.opsPerSec = (rates[kSlices / 2 - 1] + rates[kSlices / 2]) / 2;
+    fillQuantiles(lat, r);
+    r.accessesPerOp = 0.0;   // Untraced, like the concurrent scenario.
+    return r;
+}
+
 } // anonymous namespace
 
 int
@@ -394,7 +480,7 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "usage: perf_driver [--out-dir=DIR] "
                          "[--scenario=lookup|lookup_dfz|update|"
-                         "concurrent|all] [--quick]\n");
+                         "concurrent|concurrent_update|all] [--quick]\n");
             return 2;
         }
     }
@@ -414,6 +500,10 @@ main(int argc, char **argv)
     }
     if (all || opts.scenario == "concurrent") {
         writeResult(opts, runConcurrent(opts));
+        ran = true;
+    }
+    if (all || opts.scenario == "concurrent_update") {
+        writeResult(opts, runConcurrentUpdate(opts));
         ran = true;
     }
     if (!ran) {

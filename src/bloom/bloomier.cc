@@ -48,9 +48,24 @@ BloomierFilter::BloomierFilter(size_t capacity,
     : capacity_(std::max<size_t>(capacity, 1)),
       config_(config),
       partitions_(std::max(1u, config.partitions)),
-      lanes_(memory),
-      slots_(memory)
+      own_(std::make_unique<Image>(memory))
 {
+    initImage(*own_);
+}
+
+BloomierFilter::BloomierFilter(size_t capacity,
+                               const BloomierConfig &config, Image &image)
+    : capacity_(std::max<size_t>(capacity, 1)),
+      config_(config),
+      partitions_(std::max(1u, config.partitions))
+{
+    initImage(image);
+}
+
+void
+BloomierFilter::initImage(Image &image)
+{
+    const BloomierConfig &config = config_;
     if (config.k < 2 || config.k > kMaxHashes)
         fatalError("BloomierFilter requires 2 <= k <= 8");
     if (config.ratio < 1.0)
@@ -58,51 +73,47 @@ BloomierFilter::BloomierFilter(size_t capacity,
     if (config.keyLen > Key128::maxBits)
         fatalError("BloomierFilter requires keyLen <= 128");
 
+    img_ = &image;
+    image.k = config.k;
     // Segment size: each partition holds k equal segments; round up
     // so that m >= ratio * capacity.
     double want = config.ratio * static_cast<double>(capacity_);
     size_t per_segment = static_cast<size_t>(std::ceil(
         want / (static_cast<double>(partitions_) * config.k)));
     per_segment = std::max<size_t>(per_segment, 2);
-    segmentSlots_ = per_segment;
-    partitionSlots_ = segmentSlots_ * config.k;
-    segmentMod_ = FastRemainder(segmentSlots_);
-    partitionMod_ = FastRemainder(partitions_);
+    image.segmentSlots = per_segment;
+    image.partitionSlots = image.segmentSlots * config.k;
+    image.segmentMod = FastRemainder(image.segmentSlots);
+    image.partitionMod = FastRemainder(partitions_);
 
-    size_t m = partitionSlots_ * partitions_;
-    slots_.assign(m, 0);
+    size_t m = image.partitionSlots * partitions_;
+    image.slots.assign(m, 0);
     counts_.assign(m, 0);
     registry_.resize(partitions_);
 
     // Codes are pointers into an n-entry table (Equation 4).  Bit 31
     // of a slot word is its parity bit, so values get 31 bits.
-    slotWidthBits_ = addressBits(capacity_);
-    panicIf(slotWidthBits_ > 31,
+    image.slotWidthBits = addressBits(capacity_);
+    panicIf(image.slotWidthBits > 31,
             "BloomierFilter capacity needs slots wider than 31 bits");
     buildLanes();
 }
 
-BloomierFilter::BloomierFilter(const BloomierFilter &other,
-                               std::pmr::memory_resource *memory)
-    : capacity_(other.capacity_),
-      config_(other.config_),
-      partitions_(other.partitions_),
-      partitionSlots_(other.partitionSlots_),
-      segmentSlots_(other.segmentSlots_),
-      slotWidthBits_(other.slotWidthBits_),
-      lanes_(memory),
-      segmentMod_(other.segmentMod_),
-      partitionMod_(other.partitionMod_),
-      slots_(other.slots_, memory),
-      counts_(other.counts_),
-      registry_(other.registry_),
-      size_(other.size_),
-      stats_(other.stats_)
+BloomierFilter::Image::Image(const Image &other,
+                             std::pmr::memory_resource *memory)
+    : k(other.k),
+      slotWidthBits(other.slotWidthBits),
+      partitionSlots(other.partitionSlots),
+      segmentSlots(other.segmentSlots),
+      segmentMod(other.segmentMod),
+      partitionMod(other.partitionMod),
+      lanes(memory),
+      slots(other.slots, memory)
 {
     // The slots first, then the lanes: the constructor's arena order.
-    lanes_.assign(other.lanes_.begin(), other.lanes_.end());
-    std::copy(std::begin(other.laneLengthRows_),
-              std::end(other.laneLengthRows_), laneLengthRows_);
+    lanes.assign(other.lanes.begin(), other.lanes.end());
+    std::copy(std::begin(other.laneLengthRows),
+              std::end(other.laneLengthRows), laneLengthRows);
 }
 
 void
@@ -116,30 +127,32 @@ BloomierFilter::buildLanes()
                     config_.seed ^ 0x5eedc0deULL);
 
     const unsigned positions = (config_.keyLen + 3) / 4;
-    lanes_.assign(static_cast<size_t>(positions) * 16 * lanes, 0);
+    Image &image = *img_;
+    image.lanes.assign(static_cast<size_t>(positions) * 16 * lanes, 0);
     for (unsigned lane = 0; lane < lanes; ++lane) {
         const H3Hash &fn = lane < k ? family.function(lane) : checksum;
-        laneLengthRows_[lane] = fn.lengthRows(config_.keyLen);
+        image.laneLengthRows[lane] = fn.lengthRows(config_.keyLen);
         for (unsigned pos = 0; pos < positions; ++pos) {
             unsigned kept = std::min(4u, config_.keyLen - 4 * pos);
             unsigned keep_mask = (0xFu << (4 - kept)) & 0xFu;
             for (unsigned value = 0; value < 16; ++value) {
-                lanes_[(pos * 16 + value) * lanes + lane] =
+                image.lanes[(pos * 16 + value) * lanes + lane] =
                     fn.nibbleRows(pos, value & keep_mask);
             }
         }
     }
+    if (log_ != nullptr)
+        log_->add(WriteLog::Table::IndexLanes, logCell_, 0, 0);
 }
 
-BloomierFilter::Probe
-BloomierFilter::probe(const Key128 &key) const
+BloomierFilter::Image::Probe
+BloomierFilter::Image::probe(const Key128 &key) const
 {
-    const unsigned k = config_.k;
     uint64_t h[kMaxHashes + 1];
-    std::copy(laneLengthRows_, laneLengthRows_ + k + 1, h);
+    std::copy(laneLengthRows, laneLengthRows + k + 1, h);
 
-    const uint64_t *row = lanes_.data();
-    const uint64_t *end = row + lanes_.size();
+    const uint64_t *row = lanes.data();
+    const uint64_t *end = row + lanes.size();
     switch (k + 1) {
       case 3: foldNibbles<3>(row, end, key, h); break;
       case 4: foldNibbles<4>(row, end, key, h); break;
@@ -151,10 +164,10 @@ BloomierFilter::probe(const Key128 &key) const
     }
 
     Probe out;
-    out.partition = static_cast<unsigned>(partitionMod_(h[k]));
-    size_t base = static_cast<size_t>(out.partition) * partitionSlots_;
+    out.partition = static_cast<unsigned>(partitionMod(h[k]));
+    size_t base = static_cast<size_t>(out.partition) * partitionSlots;
     for (unsigned i = 0; i < k; ++i)
-        out.slots[i] = base + i * segmentSlots_ + segmentMod_(h[i]);
+        out.slots[i] = base + i * segmentSlots + segmentMod(h[i]);
     return out;
 }
 
@@ -169,25 +182,25 @@ BloomierFilter::encodeAt(const size_t slots[], uint32_t code,
             found = true;
             continue;
         }
-        v ^= slots_[slots[i]];
+        v ^= img_->slots[slots[i]];
     }
     panicIf(!found, "encodeAt target not in key's hash neighborhood");
-    CHISEL_TRACE_WRITE(Index, target, (slotWidthBits_ + 7) / 8);
+    CHISEL_TRACE_WRITE(Index, target, (img_->slotWidthBits + 7) / 8);
     writeSlot(target, v & kValueMask);
 }
 
 uint32_t
-BloomierFilter::lookupCode(const Key128 &key, bool *parity_ok) const
+BloomierFilter::Image::lookupCode(const Key128 &key, bool *parity_ok) const
 {
     Probe where = probe(key);
     uint32_t v = 0;
-    const uint32_t slot_bytes = (slotWidthBits_ + 7) / 8;
-    for (unsigned i = 0; i < config_.k; ++i) {
+    const uint32_t slot_bytes = (slotWidthBits + 7) / 8;
+    for (unsigned i = 0; i < k; ++i) {
         // One hardware access per segment probe (k per lookup); the
         // parity bit rides in the word it guards.
         size_t slot = where.slots[i];
         CHISEL_TRACE_ACCESS(Index, slot, slot_bytes);
-        v ^= slots_[slot];
+        v ^= slots[slot];
         if (parity_ok && !parityOk(slot))
             *parity_ok = false;
     }
@@ -206,20 +219,21 @@ BloomierFilter::reseed(uint64_t seed)
 void
 BloomierFilter::flipSlotBit(size_t slot, unsigned bit)
 {
-    panicIf(slot >= slots_.size(), "flipSlotBit slot out of range");
-    slots_[slot] ^= uint32_t(1) << (bit % std::max(1u, slotWidthBits_));
+    panicIf(slot >= slots(), "flipSlotBit slot out of range");
+    img_->slots[slot] ^= uint32_t(1)
+                         << (bit % std::max(1u, slotWidthBits()));
 }
 
 bool
 BloomierFilter::contains(const Key128 &key) const
 {
-    return registry_[probe(key).partition].contains(key);
+    return registry_[img_->probe(key).partition].contains(key);
 }
 
 std::optional<uint32_t>
 BloomierFilter::findCode(const Key128 &key) const
 {
-    const Registry &reg = registry_[probe(key).partition];
+    const Registry &reg = registry_[img_->probe(key).partition];
     auto it = reg.find(key);
     if (it == reg.end())
         return std::nullopt;
@@ -229,7 +243,7 @@ BloomierFilter::findCode(const Key128 &key) const
 bool
 BloomierFilter::hasSingletonSlot(const Key128 &key) const
 {
-    Probe where = probe(key);
+    Probe where = img_->probe(key);
     for (unsigned i = 0; i < config_.k; ++i) {
         if (counts_[where.slots[i]] == 0)
             return true;
@@ -240,7 +254,7 @@ BloomierFilter::hasSingletonSlot(const Key128 &key) const
 BloomierFilter::InsertResult
 BloomierFilter::insert(const Key128 &key, uint32_t code)
 {
-    Probe where = probe(key);
+    Probe where = img_->probe(key);
     unsigned p = where.partition;
     Registry &reg = registry_[p];
     if (reg.contains(key))
@@ -265,7 +279,16 @@ BloomierFilter::insert(const Key128 &key, uint32_t code)
     ++size_;
 
     if (singleton != SIZE_MAX) {
+        // The encode XORs the key's other k - 1 slots: a soft error in
+        // one of them would make a wrong word with valid parity, so
+        // flag it for the caller to recover the whole cell.
+        for (unsigned i = 0; i < config_.k; ++i) {
+            if (!img_->parityOk(where.slots[i]) &&
+                where.slots[i] != singleton)
+                tainted_ = true;
+        }
         encodeAt(where.slots, code, singleton);
+        logSlots(singleton, 1);
         ++stats_.singletonInserts;
         return InsertResult{InsertMethod::Singleton, {}};
     }
@@ -288,7 +311,7 @@ BloomierFilter::insert(const Key128 &key, uint32_t code)
 bool
 BloomierFilter::erase(const Key128 &key)
 {
-    Probe where = probe(key);
+    Probe where = img_->probe(key);
     Registry &reg = registry_[where.partition];
     auto it = reg.find(key);
     if (it == reg.end())
@@ -312,7 +335,7 @@ BloomierFilter::setup(
     ++stats_.setups;
     clear();
     for (const auto &[key, code] : entries) {
-        Probe where = probe(key);
+        Probe where = img_->probe(key);
         Registry &reg = registry_[where.partition];
         if (reg.contains(key))
             fatalError("BloomierFilter::setup: duplicate key");
@@ -333,7 +356,8 @@ BloomierFilter::rebuildPartition(
     unsigned p, std::vector<std::pair<Key128, uint32_t>> &spilled)
 {
     Registry &reg = registry_[p];
-    size_t base = static_cast<size_t>(p) * partitionSlots_;
+    const size_t partition_slots = img_->partitionSlots;
+    size_t base = static_cast<size_t>(p) * partition_slots;
 
     // Local snapshot of the partition's entries, in canonical (key)
     // order: the peel outcome must not depend on hash-map iteration
@@ -347,16 +371,16 @@ BloomierFilter::rebuildPartition(
               });
     size_t n = entries.size();
 
-    // Per-slot peeling state, local indices [0, partitionSlots_).
-    std::vector<uint32_t> cnt(partitionSlots_, 0);
-    std::vector<uint32_t> xorsum(partitionSlots_, 0);
+    // Per-slot peeling state, local indices [0, partition_slots).
+    std::vector<uint32_t> cnt(partition_slots, 0);
+    std::vector<uint32_t> xorsum(partition_slots, 0);
     std::vector<Probe> where(n);
     auto local = [&](size_t i, unsigned j) {
         return where[i].slots[j] - base;
     };
 
     for (size_t i = 0; i < n; ++i) {
-        where[i] = probe(entries[i].first);
+        where[i] = img_->probe(entries[i].first);
         for (unsigned j = 0; j < config_.k; ++j) {
             ++cnt[local(i, j)];
             xorsum[local(i, j)] ^= static_cast<uint32_t>(i);
@@ -379,7 +403,7 @@ BloomierFilter::rebuildPartition(
     std::vector<bool> peeled(n, false);
 
     std::deque<size_t> work;
-    for (size_t s = 0; s < partitionSlots_; ++s) {
+    for (size_t s = 0; s < partition_slots; ++s) {
         if (cnt[s] == 1)
             work.push_back(s);
     }
@@ -468,24 +492,26 @@ BloomierFilter::rebuildPartition(
 
     // Encode in reverse peel order (the paper's Γ): each write lands
     // in a slot no later write will read or touch.
-    std::fill(slots_.begin() + base,
-              slots_.begin() + base + partitionSlots_, 0);
+    std::fill(img_->slots.begin() + base,
+              img_->slots.begin() + base + partition_slots, 0);
     for (auto it = peel_order.rbegin(); it != peel_order.rend(); ++it) {
         size_t i = *it;
         encodeAt(where[i].slots, entries[i].second, base + peel_slot[i]);
     }
+    logSlots(base, partition_slots);
 }
 
 uint64_t
 BloomierFilter::storageBits() const
 {
-    return static_cast<uint64_t>(slots_.size()) * slotWidthBits_;
+    return static_cast<uint64_t>(slots()) * slotWidthBits();
 }
 
 void
 BloomierFilter::clear()
 {
-    std::fill(slots_.begin(), slots_.end(), 0);
+    std::fill(img_->slots.begin(), img_->slots.end(), 0);
+    logSlots(0, slots());
     std::fill(counts_.begin(), counts_.end(), 0);
     for (auto &reg : registry_)
         reg.clear();
@@ -496,8 +522,8 @@ void
 BloomierFilter::saveState(persist::Encoder &enc) const
 {
     enc.u64(config_.seed);
-    enc.u64(slots_.size());
-    for (uint32_t s : slots_)
+    enc.u64(slots());
+    for (uint32_t s : img_->slots)
         enc.u32(s & kValueMask);
     enc.u64(size_);
     // Canonical (key-sorted) order: the image of a restored filter
@@ -531,12 +557,12 @@ BloomierFilter::loadState(persist::Decoder &dec)
     // encoded under and clears every table; counters restored below.
     reseed(seed);
 
-    if (dec.u64() != slots_.size())
+    if (dec.u64() != slots())
         throw persist::DecodeError("bloomier: slot count mismatch");
-    for (size_t i = 0; i < slots_.size(); ++i) {
+    for (size_t i = 0; i < slots(); ++i) {
         // A wider value would overwrite the parity bit.
         uint32_t value = dec.u32();
-        if (value >> slotWidthBits_ != 0)
+        if (value >> slotWidthBits() != 0)
             throw persist::DecodeError(
                 "bloomier: slot value wider than the slot");
         writeSlot(i, value);
@@ -550,7 +576,7 @@ BloomierFilter::loadState(persist::Decoder &dec)
         uint32_t code = dec.u32();
         if (code >= capacity_)
             throw persist::DecodeError("bloomier: code out of range");
-        Probe where = probe(key);
+        Probe where = img_->probe(key);
         auto [it, inserted] = registry_[where.partition].emplace(key, code);
         (void)it;
         if (!inserted)
@@ -569,11 +595,12 @@ BloomierFilter::loadState(persist::Decoder &dec)
 }
 
 bool
-BloomierFilter::selfCheck() const
+BloomierFilter::selfCheck(const Image *image) const
 {
+    const Image &img = image != nullptr ? *image : *img_;
     for (unsigned p = 0; p < partitions_; ++p) {
         for (const auto &[key, code] : registry_[p]) {
-            if (lookupCode(key) != code)
+            if (img.lookupCode(key) != code)
                 return false;
         }
     }

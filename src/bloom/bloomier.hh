@@ -27,6 +27,7 @@
 #define CHISEL_BLOOM_BLOOMIER_HH
 
 #include <cstdint>
+#include <memory>
 #include <memory_resource>
 #include <optional>
 #include <unordered_map>
@@ -34,6 +35,7 @@
 
 #include "common/bitops.hh"
 #include "common/key128.hh"
+#include "common/write_log.hh"
 #include "hash/mix.hh"
 
 namespace chisel {
@@ -69,13 +71,88 @@ struct BloomierConfig
  * passes Filter/Result-table slot indices).  The filter maintains a
  * software registry of its keys — the "shadow copy" of Section 4.4 —
  * so that partitions can be rebuilt; the hardware image is the slot
- * array returned by storage accessors.
+ * array and hash lanes of its Image, which a lookup reads alone.
+ *
+ * The filter writes one Image at a time: its own (a stand-alone
+ * filter), or one an engine image holds, rebound between updates when
+ * a ConcurrentChisel alternates images.  With a WriteLog attached,
+ * every slot or lane write is also named in it.
  */
 class BloomierFilter
 {
   public:
     /** Largest supported number of hash functions k. */
     static constexpr unsigned kMaxHashes = 8;
+
+    /**
+     * What a lookup reads: the Index Table slots and the hash lanes,
+     * with the geometry that indexes them.  The geometry is fixed at
+     * construction; a reseed rewrites the lanes, every update some
+     * slots.
+     */
+    struct Image
+    {
+        /** Where a key lives: its partition and its k Index slots. */
+        struct Probe
+        {
+            unsigned partition;
+            /** One slot per segment of the partition, in function order. */
+            size_t slots[kMaxHashes];
+        };
+
+        /** Empty arrays in @p memory; the filter's constructor fills them. */
+        explicit Image(std::pmr::memory_resource *memory)
+            : lanes(memory), slots(memory)
+        {}
+
+        /** A copy of @p other whose arrays live in @p memory. */
+        Image(const Image &other, std::pmr::memory_resource *memory);
+
+        Image(Image &&) = default;
+        Image(const Image &) = delete;
+        Image &operator=(const Image &) = delete;
+
+        /**
+         * The fused hash pass: one walk over the key's nibbles through
+         * the lanes gives the k segment hashes and the partition
+         * checksum (Section 4.4.2), each reduced to a slot or
+         * partition index.
+         */
+        Probe probe(const Key128 &key) const;
+
+        /** BloomierFilter::lookupCode() over this image. */
+        uint32_t lookupCode(const Key128 &key,
+                            bool *parity_ok = nullptr) const;
+
+        /** True if @p slot passes its parity check (even over the word). */
+        bool
+        parityOk(size_t slot) const
+        {
+            return (popcount64(slots[slot]) & 1u) == 0;
+        }
+
+        unsigned k = 0;
+        unsigned slotWidthBits = 0;
+        size_t partitionSlots = 0;   ///< Slots per partition (k segments).
+        size_t segmentSlots = 0;     ///< Slots per segment.
+        FastRemainder segmentMod;    ///< x % segmentSlots.
+        FastRemainder partitionMod;  ///< x % partitions.
+
+        /**
+         * Nibble tables of the k segment functions (lanes 0..k-1) and
+         * the partition checksum (lane k), interleaved so the k + 1
+         * entries a nibble selects sit side by side: entry [(pos * 16
+         * + value) * (k + 1) + lane], for the ceil(keyLen / 4) nibble
+         * positions.  Bits of the last nibble beyond keyLen select no
+         * rows.
+         */
+        std::pmr::vector<uint64_t> lanes;
+        /** Per lane, the length rows of keyLen (every key shares it). */
+        uint64_t laneLengthRows[kMaxHashes + 1] = {};
+
+        /** The Index Table D[]: value bits, parity in bit 31. */
+        std::pmr::vector<uint32_t> slots;
+    };
 
     /** How an insert was accomplished (Figure 14's categories). */
     enum class InsertMethod
@@ -116,24 +193,41 @@ class BloomierFilter
     };
 
     /**
+     * A stand-alone filter that owns its image.
+     *
      * @param capacity Number of keys the filter is provisioned for
      *        (n); the Index Table gets ceil(ratio*n) slots, rounded
      *        up so that every partition has k equal segments.
      * @param config Construction parameters.
-     * @param memory Where the Index slots and hash lanes (the arrays
-     *        a lookup reads) live: an engine image's ImageArena, or
-     *        the heap for a stand-alone filter.
+     * @param memory Where the Index slots and hash lanes live.
      */
     BloomierFilter(size_t capacity, const BloomierConfig &config,
                    std::pmr::memory_resource *memory =
                        std::pmr::get_default_resource());
 
     /**
-     * A copy of @p other (slots, hash lanes, registry, occupancy and
-     * counters) whose Index slots and lanes live in @p memory.
+     * A filter writing @p image (an engine image's), which this
+     * constructor sizes and fills; it must outlive the binding.
      */
-    BloomierFilter(const BloomierFilter &other,
-                   std::pmr::memory_resource *memory);
+    BloomierFilter(size_t capacity, const BloomierConfig &config,
+                   Image &image);
+
+    BloomierFilter(const BloomierFilter &) = delete;
+    BloomierFilter &operator=(const BloomierFilter &) = delete;
+
+    /** Write (and read) @p image from now on; same geometry. */
+    void bind(Image &image) { img_ = &image; }
+
+    /** The image this filter writes. */
+    const Image &image() const { return *img_; }
+
+    /** Name every later slot or lane write in @p log as cell @p cell. */
+    void
+    setLog(WriteLog *log, uint32_t cell)
+    {
+        log_ = log;
+        logCell_ = cell;
+    }
 
     /**
      * Bulk setup: replaces the current content with @p entries and
@@ -150,6 +244,20 @@ class BloomierFilter
      * slot of the key is unoccupied, rebuilds the key's partition.
      */
     InsertResult insert(const Key128 &key, uint32_t code);
+
+    /**
+     * True if a singleton encode since the last call XORed a slot
+     * that failed its parity check, so the word it wrote is wrong
+     * though its parity holds; clears the flag.  The caller recovers
+     * the cell before the word can reach another image.
+     */
+    bool
+    takeTainted()
+    {
+        bool t = tainted_;
+        tainted_ = false;
+        return t;
+    }
 
     /**
      * Remove a key's occupancy.  Its stale encoding remains in the
@@ -169,8 +277,11 @@ class BloomierFilter
      *        slots read fails its parity check (soft-error detection;
      *        the returned code must then not be trusted).
      */
-    uint32_t lookupCode(const Key128 &key,
-                        bool *parity_ok = nullptr) const;
+    uint32_t
+    lookupCode(const Key128 &key, bool *parity_ok = nullptr) const
+    {
+        return img_->lookupCode(key, parity_ok);
+    }
 
     /** Software registry membership (exact; no false positives). */
     bool contains(const Key128 &key) const;
@@ -191,19 +302,19 @@ class BloomierFilter
     size_t capacity() const { return capacity_; }
 
     /** Total Index Table slots m. */
-    size_t slots() const { return slots_.size(); }
+    size_t slots() const { return img_->slots.size(); }
 
     /** Number of logical partitions. */
     unsigned partitions() const { return partitions_; }
 
     /** Slots per partition (a rebuild rewrites this many). */
-    size_t partitionSlots() const { return partitionSlots_; }
+    size_t partitionSlots() const { return img_->partitionSlots; }
 
     /**
      * Width of one Index Table slot in bits (storage model); at most
      * 31, since bit 31 of the slot word holds its parity.
      */
-    unsigned slotWidthBits() const { return slotWidthBits_; }
+    unsigned slotWidthBits() const { return img_->slotWidthBits; }
 
     /** Total Index Table storage in bits: m * slot width. */
     uint64_t storageBits() const;
@@ -229,25 +340,22 @@ class BloomierFilter
      * Soft-error model: flip value bit @p bit (mod slotWidthBits()) of
      * Index slot @p slot without updating its parity.  The corruption
      * is detectable by the parity check in lookupCode() until the
-     * slot is legitimately rewritten.
+     * slot is legitimately rewritten.  Not a write: never logged.
      */
     void flipSlotBit(size_t slot, unsigned bit);
 
     /** True if @p slot passes its parity check (even over the word). */
-    bool
-    parityOk(size_t slot) const
-    {
-        return (popcount64(slots_[slot]) & 1u) == 0;
-    }
+    bool parityOk(size_t slot) const { return img_->parityOk(slot); }
 
     /** The raw slot word, parity bit included (tests). */
-    uint32_t slotWord(size_t slot) const { return slots_[slot]; }
+    uint32_t slotWord(size_t slot) const { return img_->slots[slot]; }
 
     /**
      * Consistency check (tests): every registered key's lookupCode
-     * equals its registered code.  O(n).
+     * over @p image (default: the bound one) equals its registered
+     * code.  O(n).
      */
-    bool selfCheck() const;
+    bool selfCheck(const Image *image = nullptr) const;
 
     /**
      * Serialize the filter: seed, the Index Table slot values without
@@ -273,30 +381,27 @@ class BloomierFilter
   private:
     using Registry =
         std::unordered_map<Key128, uint32_t, Key128Hasher>;
+    using Probe = Image::Probe;
 
-    /** Where a key lives: its partition and its k Index slots. */
-    struct Probe
-    {
-        unsigned partition;
-        /** One slot per segment of the partition, in function order. */
-        size_t slots[kMaxHashes];
-    };
+    /** Size and fill @p image for this filter's geometry and seed. */
+    void initImage(Image &image);
 
-    /**
-     * The fused hash pass: one walk over the key's nibbles through
-     * lanes_ gives the k segment hashes and the partition checksum
-     * (Section 4.4.2), each reduced to a slot or partition index.
-     */
-    Probe probe(const Key128 &key) const;
-
-    /** Fill lanes_ from the hash functions of config_.seed. */
+    /** Fill the bound image's lanes from config_.seed's hash functions. */
     void buildLanes();
 
     /**
      * Write the encoding of @p code into slot @p target, one of the
-     * key's k slots @p slots.
+     * key's k slots @p slots.  Unlogged: callers name the range.
      */
     void encodeAt(const size_t slots[], uint32_t code, size_t target);
+
+    /** Name slots [first, first + count) in the write log, if any. */
+    void
+    logSlots(size_t first, size_t count)
+    {
+        if (log_ != nullptr)
+            log_->add(WriteLog::Table::IndexSlots, logCell_, first, count);
+    }
 
     /** Slot value bits; bit 31 is the slot's even-parity bit. */
     static constexpr uint32_t kValueMask = 0x7FFFFFFFu;
@@ -305,7 +410,7 @@ class BloomierFilter
     void
     writeSlot(size_t slot, uint32_t value)
     {
-        slots_[slot] = value | (popcount64(value) & 1u) << 31;
+        img_->slots[slot] = value | (popcount64(value) & 1u) << 31;
     }
 
     /**
@@ -320,25 +425,14 @@ class BloomierFilter
     size_t capacity_;
     BloomierConfig config_;
     unsigned partitions_;
-    size_t partitionSlots_;   ///< Slots per partition (k segments).
-    size_t segmentSlots_;     ///< Slots per segment.
-    unsigned slotWidthBits_;
 
-    /**
-     * Nibble tables of the k segment functions (lanes 0..k-1) and the
-     * partition checksum (lane k), interleaved so the k + 1 entries a
-     * nibble selects sit side by side: entry [(pos * 16 + value) *
-     * (k + 1) + lane], for the ceil(keyLen / 4) nibble positions.
-     * Bits of the last nibble beyond keyLen select no rows.
-     */
-    std::pmr::vector<uint64_t> lanes_;
-    /** Per lane, the length rows of keyLen (every key shares it). */
-    uint64_t laneLengthRows_[kMaxHashes + 1];
-    FastRemainder segmentMod_;    ///< x % segmentSlots_.
-    FastRemainder partitionMod_;  ///< x % partitions_.
+    /** The image a stand-alone filter owns (null when bound to one). */
+    std::unique_ptr<Image> own_;
+    Image *img_ = nullptr;
+    WriteLog *log_ = nullptr;
+    uint32_t logCell_ = 0;
+    bool tainted_ = false;
 
-    /** The Index Table D[]: value bits, parity in bit 31. */
-    std::pmr::vector<uint32_t> slots_;
     std::vector<uint32_t> counts_;    ///< Occupancy per slot.
     std::vector<Registry> registry_;  ///< Per-partition key registry.
     size_t size_ = 0;

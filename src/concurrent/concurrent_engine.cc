@@ -28,11 +28,12 @@ ConcurrentChisel::ConcurrentChisel(
       monitor_(options.health)
 {
     ttlEpoch_ = std::chrono::steady_clock::now();
-    // The twin is a clone, so the two images are identical by
+    // The twin is a copy, so the two images are identical by
     // construction; the update protocol keeps them that way.  No
     // reader exists yet: the first flip publishes images_[0].
     live_.store(&images_[1], std::memory_order_relaxed);
-    install(ImagePair(std::move(engine)));
+    auto twin = std::make_unique<EngineImage>(engine->image());
+    install(std::move(engine), std::move(twin));
 
     bool timer_set = options_.healthMonitor ||
                      options_.gcInterval.count() > 0 ||
@@ -60,22 +61,49 @@ ConcurrentChisel::~ConcurrentChisel()
 LookupResult
 ConcurrentChisel::lookup(const Key128 &key) const
 {
-    EpochManager::ReadGuard guard(epochs_);
-    const Image *img = live_.load(std::memory_order_acquire);
-    return img->engine->lookup(key);
+    {
+        EpochManager::ReadGuard guard(epochs_);
+        const Image *img = live_.load(std::memory_order_acquire);
+        bool parity_ok = true;
+        LookupResult out = img->image->lookup(key, &parity_ok);
+        if (parity_ok) [[likely]]
+            return out;
+    }
+    return softLookup(key).result;
 }
 
 TaggedLookup
 ConcurrentChisel::lookupTagged(const Key128 &key) const
 {
-    EpochManager::ReadGuard guard(epochs_);
-    const Image *img = live_.load(std::memory_order_acquire);
+    {
+        EpochManager::ReadGuard guard(epochs_);
+        const Image *img = live_.load(std::memory_order_acquire);
+        TaggedLookup out;
+        // The generation was stamped before the image was published
+        // and never changes while the image is live, so this relaxed
+        // load is ordered by the acquire on the pointer.
+        out.generation = img->generation.load(std::memory_order_relaxed);
+        bool parity_ok = true;
+        out.result = img->image->lookup(key, &parity_ok);
+        if (parity_ok) [[likely]]
+            return out;
+    }
+    return softLookup(key);
+}
+
+TaggedLookup
+ConcurrentChisel::softLookup(const Key128 &key) const
+{
+    // Called outside the epoch section: the writer can hold this lock
+    // inside synchronize(), waiting for that very section to end.
+    std::lock_guard<std::mutex> lock(writerMutex_);
     TaggedLookup out;
-    // The generation was stamped before the image was published and
-    // never changes while the image is live, so this relaxed load is
-    // ordered by the acquire on the pointer.
-    out.generation = img->generation.load(std::memory_order_relaxed);
-    out.result = img->engine->lookup(key);
+    out.generation = updatesApplied_.load(std::memory_order_relaxed);
+    // Under the lock both images hold every update; the live one is
+    // where the reader most likely met the bad word, and the engine's
+    // path over it answers from the shadow and flags the cell.
+    out.result = engine_->lookupIn(
+        *live_.load(std::memory_order_relaxed)->image, key);
     return out;
 }
 
@@ -95,13 +123,6 @@ ConcurrentChisel::idleImage()
     return l == &images_[0] ? images_[1] : images_[0];
 }
 
-const ConcurrentChisel::Image &
-ConcurrentChisel::idleImage() const
-{
-    const Image *l = live_.load(std::memory_order_relaxed);
-    return l == &images_[0] ? images_[1] : images_[0];
-}
-
 void
 ConcurrentChisel::publish(Image &image)
 {
@@ -113,6 +134,23 @@ ConcurrentChisel::publish(Image &image)
     // Grace period: every reader that might still be inside the old
     // image finishes before the caller mutates it.
     epochs_.synchronize();
+}
+
+void
+ConcurrentChisel::commit()
+{
+    uint64_t gen = updatesApplied_.load(std::memory_order_relaxed);
+    Image &written = idleImage();
+    written.generation.store(gen, std::memory_order_relaxed);
+    publish(written);
+
+    // No reader can see the retired image now: copy the words the
+    // engine wrote onto it, and write it next.
+    Image &retired = idleImage();
+    retired.image->replay(*written.image, log_);
+    log_.clear();
+    retired.generation.store(gen, std::memory_order_relaxed);
+    engine_->bindImage(*retired.image);
 }
 
 UpdateOutcome
@@ -145,28 +183,17 @@ ConcurrentChisel::applyLocked(const Update &update, uint64_t *journal_seq)
         return refused;
     }
 
-    Image &idle = idleImage();
-
-    // 1. Mutate the image no reader can see.
-    UpdateOutcome outcome = idle.engine->apply(update);
-    uint64_t gen =
-        updatesApplied_.fetch_add(1, std::memory_order_relaxed) + 1;
-    idle.generation.store(gen, std::memory_order_relaxed);
-
-    // 2. One atomic flip + grace period...
-    publish(idle);
-
-    // 3. ...then fold the same update into the retired image, keeping
-    // the pair in lockstep.  Fault injection is polled once per
-    // image apply, so an armed injector could fire on one image only
-    // and diverge the pair — the scrub pass reconverges them.
-    Image &retired = idleImage();
-    UpdateOutcome twin = retired.engine->apply(update);
-    retired.generation.store(gen, std::memory_order_relaxed);
+    // 1. Apply once, to the image no reader can see (the engine is
+    // bound to it), naming each word written in log_; fault points are
+    // polled once.  2. Flip + grace, then copy those words onto the
+    // retired image.
+    UpdateOutcome outcome = engine_->apply(update);
+    updatesApplied_.fetch_add(1, std::memory_order_relaxed);
+    commit();
 
     if (journal_)
         journal_->appendOutcome(seq, outcome);
-    health::addUpdateEvents(events_, outcome, twin);
+    health::addUpdateEvents(events_, outcome);
 
     monitor_.endUpdate();
     return outcome;
@@ -270,16 +297,12 @@ ConcurrentChisel::gcTick(size_t max_batch)
 
     std::lock_guard<std::mutex> lock(writerMutex_);
 
-    // Move both images' TTL clocks forward so deadlines armed by the
-    // next announce use current time, then harvest what is due.  The
-    // idle image is a faithful replica of the live one, so its index
-    // answers for both.
-    uint64_t now = ttlNowMs();
-    images_[0].engine->setTtlClock(now);
-    images_[1].engine->setTtlClock(now);
+    // Move the TTL clock forward so deadlines armed by the next
+    // announce use current time, then harvest what is due.
+    engine_->setTtlClock(ttlNowMs());
 
     std::vector<Prefix> due;
-    idleImage().engine->collectExpired(max_batch, due);
+    engine_->collectExpired(max_batch, due);
 
     // Each expiry is a first-class update: journaled like any other,
     // counted in its own class, published with the standard flip —
@@ -294,8 +317,7 @@ ConcurrentChisel::gcTick(size_t max_batch)
     }
     if (retired > 0) {
         expired_.fetch_add(retired, std::memory_order_relaxed);
-        CHISEL_FLIGHT_EVENT(TtlExpire, 0, retired,
-                            idleImage().engine->ttlArmed());
+        CHISEL_FLIGHT_EVENT(TtlExpire, 0, retired, engine_->ttlArmed());
     }
     return retired;
 }
@@ -309,14 +331,14 @@ ConcurrentChisel::resizeLocked(const ChiselConfig &grown)
     // reader-visible step is the one pointer flip inside install().
     // Slow-path residents of the old images drain back into the grown
     // tables during construction.
-    const ChiselEngine &current = *idleImage().engine;
-    size_t resident_before = current.slowPathCount();
-    ImagePair pair(current.rebuilt(grown));
-    size_t resident_after = pair.live->slowPathCount();
+    size_t resident_before = engine_->slowPathCount();
+    std::unique_ptr<ChiselEngine> engine = engine_->rebuilt(grown);
+    size_t resident_after = engine->slowPathCount();
     size_t drained = resident_before > resident_after
                          ? resident_before - resident_after
                          : 0;
-    install(std::move(pair));
+    auto twin = std::make_unique<EngineImage>(engine->image());
+    install(std::move(engine), std::move(twin));
 
     uint64_t count =
         resizes_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -333,7 +355,7 @@ bool
 ConcurrentChisel::resizeNow()
 {
     std::lock_guard<std::mutex> lock(writerMutex_);
-    const ChiselEngine &engine = *idleImage().engine;
+    const ChiselEngine &engine = *engine_;
     ResizeLoad load;
     load.routeCount = engine.routeCount();
     load.spillCount = engine.spillCount();
@@ -359,32 +381,26 @@ ConcurrentChisel::resizeTo(const ChiselConfig &target)
 
 // ---- Scrubbing -------------------------------------------------------------
 
-void
-ConcurrentChisel::scrubIdleLocked(ScrubReport &report)
-{
-    Image &idle = idleImage();
-    ScrubReport r = idle.engine->scrub();
-    report.wordsChecked += r.wordsChecked;
-    report.errorsFound += r.errorsFound;
-    report.cellsRecovered += r.cellsRecovered;
-}
-
 ScrubReport
 ConcurrentChisel::scrubNow()
 {
     std::lock_guard<std::mutex> lock(writerMutex_);
-    ScrubReport report;
 
-    // Scrub the idle image, make it live, then scrub the other while
-    // *it* is idle — one flip covers both sides, and at no point does
-    // the scrubber touch a word a reader could be loading.
-    scrubIdleLocked(report);
-    Image &scrubbed = idleImage();
-    scrubbed.generation.store(
-        updatesApplied_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    publish(scrubbed);
-    scrubIdleLocked(report);
+    // Verify both images: reads only, so the live one may be read
+    // beside the readers.  Each bad word is counted once, in the image
+    // it sits in, and its cell is flagged in the one control state.
+    ScrubReport report;
+    for (const Image &image : images_) {
+        ScrubReport r = engine_->verifyParity(*image.image);
+        report.wordsChecked += r.wordsChecked;
+        report.errorsFound += r.errorsFound;
+    }
+
+    // Recover the union of flagged cells once, on the idle image; a
+    // recovery rewrites its whole cell, so the replay in commit()
+    // repairs the other image too.  One flip per pass.
+    report.cellsRecovered = engine_->recoverFlagged();
+    commit();
 
     events_.parityRecoveries += report.cellsRecovered;
     scrubPasses_.fetch_add(1, std::memory_order_relaxed);
@@ -414,15 +430,11 @@ ConcurrentChisel::purgeDirtyNow()
             return 0;
     }
 
-    // Same choreography as scrubNow: mutate the idle image, flip,
-    // then mutate the other while it is idle — readers never observe
-    // a half-purged table.
-    Image &idle = idleImage();
-    size_t purged = idle.engine->purgeDirty();
-    idle.generation.store(updatesApplied_.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-    publish(idle);
-    idleImage().engine->purgeDirty();
+    // Same choreography as an update: purge once on the idle image,
+    // flip, then replay the purge's words onto the other — readers
+    // never observe a half-purged table.
+    size_t purged = engine_->purgeDirty();
+    commit();
     return purged;
 }
 
@@ -436,7 +448,7 @@ ConcurrentChisel::collectSignals()
     std::lock_guard<std::mutex> lock(writerMutex_);
     health::HealthSignals sig = std::exchange(events_, {});
     sig.watchdogExpired = watchdog;
-    health::setOccupancies(sig, *idleImage().engine);
+    health::setOccupancies(sig, *engine_);
     return sig;
 }
 
@@ -487,14 +499,14 @@ ConcurrentChisel::healthTick()
 size_t
 ConcurrentChisel::saveSnapshot(const std::string &path) const
 {
-    // The idle image equals the live one, so serializing it captures
-    // the current state while lookups proceed undisturbed; only the
-    // update path waits on the lock.
+    // The engine is bound to the idle image, which equals the live
+    // one, so serializing it captures the current state while lookups
+    // proceed undisturbed; only the update path waits on the lock.
     std::lock_guard<std::mutex> lock(writerMutex_);
     uint64_t seq = journal_
                        ? journal_->lastSeq()
                        : updatesApplied_.load(std::memory_order_relaxed);
-    return persist::saveSnapshot(path, *idleImage().engine, seq);
+    return persist::saveSnapshot(path, *engine_, seq);
 }
 
 size_t
@@ -510,7 +522,7 @@ ConcurrentChisel::checkpoint()
     size_t bytes = 0;
     try {
         bytes = persist::saveSnapshot(options_.recoverySnapshotPath,
-                                      *idleImage().engine, seq);
+                                      *engine_, seq);
     } catch (const ChiselError &e) {
         // No image, no mark: the journal still holds every record,
         // so a warm restart replays a longer tail instead.
@@ -526,7 +538,7 @@ std::vector<uint8_t>
 ConcurrentChisel::snapshotImage(uint64_t last_seq) const
 {
     std::lock_guard<std::mutex> lock(writerMutex_);
-    return persist::encodeSnapshotImage(*idleImage().engine, last_seq);
+    return persist::encodeSnapshotImage(*engine_, last_seq);
 }
 
 bool
@@ -560,17 +572,19 @@ ConcurrentChisel::restoreLoaded(persist::SnapshotLoadResult &&loaded)
         // the tail past it, locked from the scan through the flip so
         // no update lands in between.
         lock.lock();
+        // The scan reads the file: hand it the held-back Outcome too.
+        journal_->flush();
         uint64_t head = loaded.lastSeq;
         persist::replayTail(loaded.engine,
                             persist::scanJournal(journal_->path(), 0),
                             loaded.lastSeq, head);
     }
     // Without a journal the decoded engine owes nothing to the current
-    // images, so its twin is cloned before updates have to wait.
-    ImagePair pair(std::move(loaded.engine));
+    // images, so its image is copied before updates have to wait.
+    auto twin = std::make_unique<EngineImage>(loaded.engine->image());
     if (!lock.owns_lock())
         lock.lock();
-    install(std::move(pair));
+    install(std::move(loaded.engine), std::move(twin));
     return true;
 }
 
@@ -581,32 +595,37 @@ ConcurrentChisel::resetup()
     // deadlines over unchanged, so a rebuilt route still expires on
     // schedule.
     std::lock_guard<std::mutex> lock(writerMutex_);
-    install(ImagePair(idleImage().engine->rebuilt(config_)));
-}
-
-ConcurrentChisel::ImagePair::ImagePair(std::unique_ptr<ChiselEngine> engine)
-    : live(std::move(engine)), twin(live->clone())
-{
+    std::unique_ptr<ChiselEngine> engine = engine_->rebuilt(config_);
+    auto twin = std::make_unique<EngineImage>(engine->image());
+    install(std::move(engine), std::move(twin));
 }
 
 void
-ConcurrentChisel::install(ImagePair pair)
+ConcurrentChisel::install(std::unique_ptr<ChiselEngine> engine,
+                          std::unique_ptr<EngineImage> twin)
 {
     uint64_t gen = updatesApplied_.load(std::memory_order_relaxed);
-    config_ = pair.live->config();
+    config_ = engine->config();
 
-    // Swap the new engine into the idle slot and flip to it: readers
-    // move from the old live image to the fresh one in one step.
+    // Point the idle slot at the new engine's image and flip to it:
+    // readers move from the old live image to the fresh one in one
+    // step.
     Image &idle = idleImage();
-    idle.engine = std::move(pair.live);
+    idle.image = &engine->image();
     idle.generation.store(gen, std::memory_order_relaxed);
     publish(idle);
 
-    // The grace period has passed: the retired image is unreferenced
-    // and its engine can be replaced outright.
+    // The grace period has passed: the retired slot is unreferenced,
+    // and neither old image is reachable, so the old engine and twin
+    // can go.
     Image &retired = idleImage();
-    retired.engine = std::move(pair.twin);
+    retired.image = twin.get();
     retired.generation.store(gen, std::memory_order_relaxed);
+    engine_ = std::move(engine);
+    twin_ = std::move(twin);
+    log_.clear();
+    engine_->setWriteLog(&log_);
+    engine_->bindImage(*twin_);
 }
 
 // ---- Introspection ---------------------------------------------------------
@@ -615,46 +634,35 @@ size_t
 ConcurrentChisel::routeCount() const
 {
     std::lock_guard<std::mutex> lock(writerMutex_);
-    return idleImage().engine->routeCount();
+    return engine_->routeCount();
 }
 
 RobustnessCounters
 ConcurrentChisel::robustness() const
 {
     std::lock_guard<std::mutex> lock(writerMutex_);
-    // A soft error, the lookup that detects it and an injected fault
-    // each land in one image: report the larger count of each field.
-    using R = RobustnessCounters;
-    R r = images_[0].engine->robustness();
-    R twin = images_[1].engine->robustness();
-    for (RelaxedU64 R::*field :
-         {&R::rejectedUpdates, &R::tcamOverflows, &R::slowPathInserts,
-          &R::slowPathDrains, &R::slowPathRejected, &R::setupRetries,
-          &R::parityDetected, &R::parityRecoveries, &R::dirtyEvictions,
-          &R::suppressedFlaps})
-        r.*field = std::max<uint64_t>(r.*field, twin.*field);
-    return r;
+    return engine_->robustness();
 }
 
 size_t
 ConcurrentChisel::dirtyCount() const
 {
     std::lock_guard<std::mutex> lock(writerMutex_);
-    return idleImage().engine->dirtyCount();
+    return engine_->dirtyCount();
 }
 
 size_t
 ConcurrentChisel::dirtyPeak() const
 {
     std::lock_guard<std::mutex> lock(writerMutex_);
-    return idleImage().engine->dirtyPeak();
+    return engine_->dirtyPeak();
 }
 
 std::optional<NextHop>
 ConcurrentChisel::find(const Prefix &prefix) const
 {
     std::lock_guard<std::mutex> lock(writerMutex_);
-    return idleImage().engine->find(prefix);
+    return engine_->find(prefix);
 }
 
 uint64_t
@@ -674,8 +682,8 @@ bool
 ConcurrentChisel::selfCheck() const
 {
     std::lock_guard<std::mutex> lock(writerMutex_);
-    return images_[0].engine->selfCheck() &&
-           images_[1].engine->selfCheck();
+    return engine_->selfCheck(*images_[0].image) &&
+           engine_->selfCheck(*images_[1].image);
 }
 
 // ---- Journal ---------------------------------------------------------------

@@ -5,23 +5,32 @@
  *
  * The hardware pipeline the paper models serves lookups every cycle
  * while the control processor rewrites tables; this wrapper gives the
- * software model the same property.  It maintains two ChiselEngine
- * images kept in lockstep and publishes one of them through a single
+ * software model the same property.  It keeps ONE writer-owned
+ * control state (a ChiselEngine) and TWO reader images (EngineImage:
+ * every word a lookup reads), and publishes one image through a single
  * atomic pointer:
  *
  *  - readers enter an epoch-protected critical section, load the live
- *    pointer (acquire) and run the ordinary lookup path against an
- *    image the writer is guaranteed not to touch.  Reader entry, the
- *    lookup itself and exit perform no locks, no CAS, no retries —
- *    lookups are wait-free;
- *  - the writer applies each update to the *idle* image, stamps its
- *    generation, flips the pointer (release), waits one epoch grace
- *    period (all readers past the flip), then applies the same update
- *    to the retired image so both stay identical.  Every image pair
- *    — at construction, resetup, resize or snapshot restore — starts
- *    from ONE built or decoded engine and its clone(), a deep copy
- *    made off to the side and published with the same flip + grace
- *    protocol.
+ *    pointer (acquire) and run the image's lookup against words the
+ *    writer is guaranteed not to touch.  Reader entry, the lookup
+ *    itself and exit perform no locks, no CAS, no retries;
+ *  - the writer applies each update ONCE, through the control state,
+ *    to the *idle* image, naming every word it writes in a WriteLog;
+ *    stamps the generation, flips the pointer (release), waits one
+ *    epoch grace period (all readers past the flip), then copies
+ *    exactly the logged words onto the retired image — the paper's
+ *    update model (Section 4.4), in which one software shadow
+ *    computes an update and only the changed words reach the
+ *    hardware.  At construction, resetup, resize or snapshot restore
+ *    one engine is built or decoded and its image copied, and the
+ *    pair is published with the same flip + grace protocol.
+ *
+ * A lookup that hits a parity error cannot answer from the image
+ * alone: it leaves its epoch section, takes the writer lock and
+ * answers through the engine's own path, which falls back to the
+ * shadow.  It must leave the section first, since the writer may hold
+ * that lock inside a grace period that waits for this very section.
+ * So lookups are wait-free except after a soft error.
  *
  * Every published image carries a generation (the count of updates
  * folded in), so a reader can tag each lookup with the exact table
@@ -31,9 +40,9 @@
  * Every update enters through apply(), on whichever thread calls it,
  * serialized by the writer lock.  One optional maintenance thread runs
  * the timers that are set — health sampling, TTL garbage collection
- * and the parity scrub, which walks the idle image's parity words and
- * recovers by resetup off the reader critical path — and sleeps until
- * the next one is due.
+ * and the parity scrub, which walks both images' parity words and
+ * recovers by resetup on the idle one, off the reader critical path —
+ * and sleeps until the next one is due.
  *
  * An engine handed a write-ahead journal is its only writer: every
  * record of its history (updates and their outcomes, resize marks,
@@ -144,7 +153,7 @@ struct ConcurrentOptions
 };
 
 /**
- * Thread-safe facade over a pair of lockstep ChiselEngine images.
+ * Thread-safe facade over one engine and two reader images.
  *
  * Thread roles: any number of lookup threads; any number of threads
  * may call the update entry points (serialized on an internal mutex).
@@ -158,12 +167,13 @@ class ConcurrentChisel
                               const ConcurrentOptions &options = {});
 
     /**
-     * Serve @p engine (built, decoded or recovered by the caller) as
-     * the live image, with its clone() as the twin; the config is
-     * the engine's own.  With @p journal, this engine becomes that
-     * journal's only writer: updates, GC Expires, resizes and purges
-     * are appended under the writer lock in exactly the order
-     * the images change, so no record can land out of order.
+     * Serve @p engine (built, decoded or recovered by the caller): it
+     * becomes the control state, its image the live one and a copy of
+     * that image the other; the config is the engine's own.  With
+     * @p journal, this engine becomes that journal's only writer:
+     * updates, GC Expires, resizes and purges are appended under the
+     * writer lock in exactly the order the images change, so no
+     * record can land out of order.
      */
     explicit ConcurrentChisel(
         std::unique_ptr<ChiselEngine> engine,
@@ -176,7 +186,7 @@ class ConcurrentChisel
     ConcurrentChisel(const ConcurrentChisel &) = delete;
     ConcurrentChisel &operator=(const ConcurrentChisel &) = delete;
 
-    // ---- Read side (any thread, wait-free) -------------------------
+    // ---- Read side (any thread; wait-free unless a parity error) -----
 
     /** Longest-prefix match against the live image. */
     LookupResult lookup(const Key128 &key) const;
@@ -190,7 +200,7 @@ class ConcurrentChisel
     // ---- Write side (any thread, serialized internally) ------------
 
     /**
-     * BGP announce applied to both images; returns the live class.
+     * BGP announce, applied once and replayed onto the other image.
      * @param ttl_ms Per-route TTL override: 0 uses the config default,
      *        kTtlNever pins the route against expiry.
      */
@@ -202,10 +212,11 @@ class ConcurrentChisel
 
     /**
      * Apply one trace update.  With a journal, its Update record is
-     * appended before either image changes and its Outcome record
-     * after both have; a refused append (a latched I/O failure)
-     * rejects the update and leaves state untouched.  @p journal_seq,
-     * when given, receives the update's journal seq (0: none).
+     * appended (and flushed) before either image changes and its
+     * Outcome record after both have; a refused append (a latched I/O
+     * failure) rejects the update and leaves state untouched.
+     * @p journal_seq, when given, receives the update's journal seq
+     * (0: none).
      */
     UpdateOutcome apply(const Update &update,
                         uint64_t *journal_seq = nullptr);
@@ -213,9 +224,11 @@ class ConcurrentChisel
     // ---- Scrubbing -------------------------------------------------
 
     /**
-     * One synchronous scrub pass over BOTH images (each scrubbed
-     * while idle; the pass flips the live pointer once).  Also run
-     * by the maintenance thread every scrubInterval.
+     * One synchronous scrub pass: verify both images' parity words
+     * (read-only, so the live one too), recover the union of bad cells
+     * once on the idle image, then publish it and replay the recovered
+     * words onto the other — one flip.  Also run by the maintenance
+     * thread every scrubInterval.
      */
     ScrubReport scrubNow();
 
@@ -225,12 +238,12 @@ class ConcurrentChisel
     // ---- Health ----------------------------------------------------
 
     /**
-     * One synchronous purgeDirty() over both images (same flip +
-     * grace protocol as scrubNow, so readers never see a purge in
-     * progress).  With a journal, a Housekeeping(PurgeDirty) record
-     * goes first, so replay re-runs the purge between the same two
-     * updates; a refused append skips the purge.  @return dirty
-     * groups dismantled (live image).
+     * One synchronous purgeDirty(), on the idle image, published with
+     * one flip and replayed onto the other, so readers never see a
+     * purge in progress.  With a journal, a Housekeeping(PurgeDirty)
+     * record goes first, so replay re-runs the purge between the same
+     * two updates; a refused append skips the purge.  @return dirty
+     * groups dismantled.
      */
     size_t purgeDirtyNow();
 
@@ -282,9 +295,9 @@ class ConcurrentChisel
 
     /**
      * Capacity-driven live resize: re-plan a grown config from the
-     * current load (core/resize.hh), rebuild both images from the
-     * route set off the serving path, and publish with one pointer
-     * flip — lookups stay wait-free throughout, and slow-path
+     * current load (core/resize.hh), rebuild the engine from the
+     * route set off the serving path, copy its image, and publish with
+     * one pointer flip — lookups are not blocked, and slow-path
      * residents drain back into the grown tables.  A journaled engine
      * appends a ResizeMark carrying the grown config.  @return false
      * (no-op) when the plan does not grow the engine.
@@ -315,13 +328,13 @@ class ConcurrentChisel
 
     /**
      * Write a snapshot of the current state WITHOUT stalling readers:
-     * the idle image (identical to the live one: lookups write
-     * nothing) is serialized under the writer lock, so only updates
-     * wait.  The image is stamped with the journal's lastSeq(), or
-     * with the update count without a journal.  It appends no
-     * SnapshotMark (see checkpoint()): a stray mark would hide the
-     * housekeeping records before it from replay.  @return bytes
-     * written.
+     * the control state and the idle image (identical to the live
+     * one: lookups write nothing) are serialized under the writer
+     * lock, so only updates wait.  The image is stamped with the
+     * journal's lastSeq(), or with the update count without a
+     * journal.  It appends no SnapshotMark (see checkpoint()): a stray
+     * mark would hide the housekeeping records before it from replay.
+     * @return bytes written.
      */
     size_t saveSnapshot(const std::string &path) const;
 
@@ -352,7 +365,7 @@ class ConcurrentChisel
      * journal tail past the image (persist::replayTail), holding the
      * writer lock from the journal scan to the flip, so it serves
      * every update its journal holds; without a journal the decoded
-     * engine's clone is made before the lock is taken.  A snapshot
+     * engine's image is copied before the lock is taken.  A snapshot
      * written after a live resize differs from the running config
      * only in elastic capacities: it is accepted and its plan
      * adopted, exactly as a warm restart does.  @return false (state
@@ -380,7 +393,7 @@ class ConcurrentChisel
     /** Routes currently stored. */
     size_t routeCount() const;
 
-    /** Robustness counters, each the larger of the two images' values. */
+    /** Robustness counters of the one control state. */
     RobustnessCounters robustness() const;
 
     /** Dirty groups retained for flap damping (§4.4.1). */
@@ -398,7 +411,10 @@ class ConcurrentChisel
     /** The running config (a copy: a resize may replace it). */
     ChiselConfig config() const;
 
-    /** Deep consistency check of both images (tests; takes the lock). */
+    /**
+     * Deep consistency check of both images against the one control
+     * state (tests; takes the lock).
+     */
     bool selfCheck() const;
 
     // ---- Journal (each takes the writer lock) ------------------------
@@ -416,10 +432,10 @@ class ConcurrentChisel
     bool ensureDurable(uint64_t seq);
 
   private:
-    /** One publishable engine image. */
+    /** One publishable image. */
     struct Image
     {
-        std::unique_ptr<ChiselEngine> engine;
+        EngineImage *image = nullptr;
 
         /** Updates folded in; stamped before the image goes live. */
         std::atomic<uint64_t> generation{0};
@@ -427,11 +443,18 @@ class ConcurrentChisel
 
     /** The image the live pointer does NOT currently reference. */
     Image &idleImage();
-    const Image &idleImage() const;
 
     /**
-     * Journal @p update, then apply it to both images with the flip +
-     * grace protocol; @p journal_seq receives its seq when non-null.
+     * The slow half of a lookup whose image read failed parity: under
+     * the writer lock, the engine's own path over the live image,
+     * which answers from the shadow.  The caller has left its epoch
+     * section.
+     */
+    TaggedLookup softLookup(const Key128 &key) const;
+
+    /**
+     * Journal @p update, then apply it once to the idle image and
+     * commit(); @p journal_seq receives its seq when non-null.
      */
     UpdateOutcome applyLocked(const Update &update,
                               uint64_t *journal_seq = nullptr);
@@ -440,33 +463,25 @@ class ConcurrentChisel
     void publish(Image &image);
 
     /**
-     * One engine and its clone(): the only way an image pair is made.
-     * Constructing it pays for the copy (a table copy, no rebuild and
-     * no decode), so a restore makes its pair before it takes the
-     * writer lock.
+     * Publish the idle image (the one the engine just wrote), copy the
+     * words the write log names onto the retired one, and make that
+     * the engine's target; caller holds writerMutex_.
      */
-    struct ImagePair
-    {
-        explicit ImagePair(std::unique_ptr<ChiselEngine> engine);
-
-        std::unique_ptr<ChiselEngine> live;
-        std::unique_ptr<ChiselEngine> twin;
-    };
+    void commit();
 
     /**
-     * Publish @p pair with one flip and adopt its config; caller
-     * holds writerMutex_ (or is the constructor).
+     * Serve @p engine and @p twin, a copy of its image, with one flip
+     * and adopt their config; caller holds writerMutex_ (or is the
+     * constructor).
      */
-    void install(ImagePair pair);
+    void install(std::unique_ptr<ChiselEngine> engine,
+                 std::unique_ptr<EngineImage> twin);
 
     /**
      * Install a loaded snapshot's engine, replaying the journal tail
      * into it first; false unless it loaded.
      */
     bool restoreLoaded(persist::SnapshotLoadResult &&loaded);
-
-    /** Scrub the idle image once; caller holds writerMutex_. */
-    void scrubIdleLocked(ScrubReport &report);
 
     /** Take and clear the tally; add the idle image's occupancies. */
     health::HealthSignals collectSignals();
@@ -496,6 +511,18 @@ class ConcurrentChisel
      */
     std::unique_ptr<persist::UpdateJournal> journal_;
 
+    /**
+     * The control state: the one engine, bound to the idle image
+     * between updates.  Its own image is one of the two.
+     */
+    std::unique_ptr<ChiselEngine> engine_;
+
+    /** The other image: a copy of the engine's own. */
+    std::unique_ptr<EngineImage> twin_;
+
+    /** Image words the current update wrote (reused). */
+    WriteLog log_;
+
     Image images_[2];
     std::atomic<Image *> live_;
 
@@ -506,9 +533,9 @@ class ConcurrentChisel
 
     /**
      * Events published since the last health sample: each applied
-     * update's, counted once across both images, and each scrub
-     * pass's recovered cells; rebuilds (install) add none.  Guarded
-     * by writerMutex_; collectSignals() takes and clears it.
+     * update's and each scrub pass's recovered cells; rebuilds
+     * (install) add none.  Guarded by writerMutex_; collectSignals()
+     * takes and clears it.
      */
     health::HealthSignals events_;
 

@@ -100,6 +100,16 @@ class CellSummary
     void setAlways(uint64_t bit) { always_ |= bit; }
     void clearAlways(uint64_t bit) { always_ &= ~bit; }
 
+    /** Copy region @p region's mask from @p src (image replay). */
+    void
+    copyRegion(const CellSummary &src, uint32_t region)
+    {
+        masks_[region] = src.masks_[region];
+    }
+
+    /** Copy the always-probed mask from @p src (image replay). */
+    void copyAlways(const CellSummary &src) { always_ = src.always_; }
+
     bool operator==(const CellSummary &other) const = default;
 
   private:

@@ -93,12 +93,86 @@ ChiselEngine::ChiselEngine(const RoutingTable &initial,
 {
 }
 
+EngineImage::EngineImage(unsigned key_width, size_t cells,
+                         size_t spill_capacity, size_t slow_path_capacity)
+    : arena(std::make_unique<ImageArena>()),
+      summary(key_width, cells, arena.get()), spill(spill_capacity),
+      slowPath(slow_path_capacity)
+{
+    this->cells.reserve(cells);
+}
+
+EngineImage::EngineImage(const EngineImage &other)
+    : arena(std::make_unique<ImageArena>()),
+      summary(other.summary, arena.get()), results(other.results),
+      spill(other.spill), slowPath(other.slowPath),
+      defaultRoute(other.defaultRoute)
+{
+    // Cell by cell, as a build or a restore fills the arena.
+    cells.reserve(other.cells.size());
+    for (const CellImage &cell : other.cells)
+        cells.emplace_back(cell, arena.get());
+}
+
+void
+EngineImage::replay(const EngineImage &src, const WriteLog &log)
+{
+    using Table = WriteLog::Table;
+    for (const WriteLog::Range &w : log.ranges()) {
+        switch (w.table) {
+          case Table::SummaryRegion:
+            summary.copyRegion(src.summary, static_cast<uint32_t>(w.first));
+            break;
+          case Table::SummaryAlways:
+            summary.copyAlways(src.summary);
+            break;
+          case Table::IndexLanes: {
+            const BloomierFilter::Image &from = src.cells[w.cell].index;
+            BloomierFilter::Image &to = cells[w.cell].index;
+            std::copy(from.lanes.begin(), from.lanes.end(),
+                      to.lanes.begin());
+            std::copy(std::begin(from.laneLengthRows),
+                      std::end(from.laneLengthRows), to.laneLengthRows);
+            break;
+          }
+          case Table::IndexSlots:
+            std::copy_n(src.cells[w.cell].index.slots.begin() + w.first,
+                        w.count,
+                        cells[w.cell].index.slots.begin() + w.first);
+            break;
+          case Table::Records:
+            std::copy_n(src.cells[w.cell].records.words() + w.first,
+                        w.count, cells[w.cell].records.words() + w.first);
+            break;
+          case Table::Results:
+            std::copy_n(src.results.slots.begin() + w.first, w.count,
+                        results.slots.begin() + w.first);
+            [[fallthrough]];
+          case Table::ResultMeta:
+            std::copy_n(src.results.meta.begin() + w.first, w.count,
+                        results.meta.begin() + w.first);
+            break;
+          case Table::ResultGrow:
+            results.grow(w.first + w.count);
+            break;
+        }
+    }
+    if (log.spill())
+        spill = src.spill;
+    if (log.slowPath())
+        slowPath = src.slowPath;
+    if (log.defaultRoute())
+        defaultRoute = src.defaultRoute;
+}
+
 ChiselEngine::ChiselEngine(const std::vector<Route> &routes,
                            const ChiselConfig &config)
-    : config_(config), arena_(std::make_unique<ImageArena>()),
-      plan_(planFor(routes, config)),
-      summary_(config.keyWidth, plan_.cells.size(), arena_.get()),
-      spill_(config.spillCapacity), slowPath_(config.slowPathCapacity)
+    : config_(config), plan_(planFor(routes, config)),
+      own_(std::make_unique<EngineImage>(config.keyWidth,
+                                         plan_.cells.size(),
+                                         config.spillCapacity,
+                                         config.slowPathCapacity)),
+      image_(own_.get()), results_(image_->results)
 {
     // Partition the initial routes per cell.
     std::vector<std::vector<Route>> per_cell(plan_.cells.size());
@@ -106,7 +180,7 @@ ChiselEngine::ChiselEngine(const std::vector<Route> &routes,
     for (const auto &r : routes) {
         unsigned len = r.prefix.length();
         if (len == 0) {
-            defaultRoute_ = r.nextHop;
+            image_->defaultRoute = r.nextHop;
             continue;
         }
         int c = plan_.cellFor(len);
@@ -144,9 +218,11 @@ ChiselEngine::ChiselEngine(const std::vector<Route> &routes,
         cc.seed = mix64(config_.seed + 0x9e3779b97f4a7c15ULL *
                         (plan_.cells[i].base + 1));
 
+        image_->cells.emplace_back(image_->arena.get());
         cells_.push_back(std::make_unique<SubCell>(
-            cc, &results_, &summary_,
-            CellSummary::bitFor(i, plan_.cells.size()), arena_.get()));
+            cc, &results_, &image_->summary,
+            CellSummary::bitFor(i, plan_.cells.size()),
+            &image_->cells.back()));
         cells_.back()->buildFrom(per_cell[i], displaced);
     }
     UpdateOutcome boot;
@@ -158,13 +234,16 @@ ChiselEngine::absorbDisplaced(std::vector<Route> &displaced,
                               UpdateOutcome &out)
 {
     for (const auto &r : displaced) {
-        if (spill_.insert(r.prefix, r.nextHop))
+        if (image_->spill.insert(r.prefix, r.nextHop)) {
+            touchSpill();
             continue;
+        }
         // TCAM full (or an injected overflow): degrade to the
         // software slow path rather than drop the route.
         ++out.tcamOverflows;
         ++robust_.tcamOverflows;
-        switch (slowPath_.insert(r.prefix, r.nextHop)) {
+        touchSlowPath();
+        switch (image_->slowPath.insert(r.prefix, r.nextHop)) {
           case SlowPathMap::Insert::Inserted:
             ++out.slowPathInserts;
             ++robust_.slowPathInserts;
@@ -186,6 +265,28 @@ ChiselEngine::absorbDisplaced(std::vector<Route> &displaced,
                  "software slow path");
     }
     displaced.clear();
+}
+
+void
+ChiselEngine::recoverTainted(size_t c, UpdateOutcome &out)
+{
+    if (!cells_[c]->takeTainted())
+        return;
+    // The word the encode wrote is wrong though its parity holds:
+    // rewrite the cell from the shadow before the write log can carry
+    // it into the other image.
+    std::vector<Route> displaced;
+    cells_[c]->recoverParity(displaced);
+    absorbDisplaced(displaced, out);
+    ++out.parityRecoveries;
+}
+
+size_t
+ChiselEngine::recoverFlagged()
+{
+    UpdateOutcome out;
+    recoverPendingParity(out);
+    return out.parityRecoveries;
 }
 
 void
@@ -216,6 +317,8 @@ ChiselEngine::applyInjectedFaults()
         pick().corruptFilterBit(*inj);
     if (inj->shouldFire(fault::FaultPoint::BitFlipBitVector))
         pick().corruptBitVectorBit(*inj);
+    // Soft errors, not writes: nothing here is named in the write log,
+    // so a flip stays in the one image it landed in.
     if (inj->shouldFire(fault::FaultPoint::BitFlipResult)) {
         uint64_t high = results_.highWater();
         if (high > 0) {
@@ -228,18 +331,21 @@ ChiselEngine::applyInjectedFaults()
 void
 ChiselEngine::drainSlowPath()
 {
+    SlowPathMap &slow_path = image_->slowPath;
+    Tcam &spill = image_->spill;
     uint64_t drained = 0;
-    while (!slowPath_.empty() && !spill_.full()) {
-        Route r = *slowPath_.longest();   // Longest first.
-        if (!spill_.insert(r.prefix, r.nextHop))
+    while (!slow_path.empty() && !spill.full()) {
+        Route r = *slow_path.longest();   // Longest first.
+        if (!spill.insert(r.prefix, r.nextHop))
             break;   // Injected overflow; retry at the next update.
-        slowPath_.erase(r.prefix);
+        slow_path.erase(r.prefix);
         ++robust_.slowPathDrains;
         ++drained;
     }
     if (drained > 0) {
-        CHISEL_FLIGHT_EVENT(SlowPathDrain, 0, drained,
-                            slowPath_.size());
+        touchSpill();
+        touchSlowPath();
+        CHISEL_FLIGHT_EVENT(SlowPathDrain, 0, drained, slow_path.size());
     }
 }
 
@@ -268,19 +374,15 @@ ChiselEngine::robustness() const
     return r;
 }
 
-LookupResult
-ChiselEngine::lookup(const Key128 &key) const
-{
-    if (telemetry_ == nullptr)
-        return lookupImpl(key);
-    telemetry::LookupSpan span(*telemetry_);
-    LookupResult out = lookupImpl(key);
-    span.finish(out);
-    return out;
-}
+namespace {
 
+/**
+ * The engine's lookup over @p image.  @p probe(c, hit) probes cell c;
+ * false abandons the lookup (a reader's parity error).
+ */
+template <class ProbeCell>
 LookupResult
-ChiselEngine::lookupImpl(const Key128 &key) const
+lookupImage(const EngineImage &image, const Key128 &key, ProbeCell &&probe)
 {
     LookupResult out;
 
@@ -289,13 +391,15 @@ ChiselEngine::lookupImpl(const Key128 &key) const
     // summary names, lowest bit (longest base) first, so the first
     // hit is that winner (cell ranges are disjoint).  Bit j is cell
     // n-1-j; bit 63 also covers every cell below n-64.
-    const size_t n = cells_.size();
-    for (uint64_t m = summary_.candidates(key); m != 0 && !out.found;
+    const size_t n = image.cells.size();
+    for (uint64_t m = image.summary.candidates(key); m != 0 && !out.found;
          m &= m - 1) {
         unsigned j = static_cast<unsigned>(std::countr_zero(m));
         size_t lowest = j == 63 ? 0 : n - 1 - j;
         for (size_t c = n - j; c-- > lowest;) {
-            SubCell::Hit h = cells_[c]->lookup(key);
+            CellHit h;
+            if (!probe(c, h))
+                return LookupResult{};
             if (h.hit) {
                 out.found = true;
                 out.nextHop = h.nextHop;
@@ -307,7 +411,7 @@ ChiselEngine::lookupImpl(const Key128 &key) const
 
     // The spillover TCAM is searched in parallel with the cells; a
     // longer TCAM match overrides.
-    if (auto t = spill_.lookup(key)) {
+    if (auto t = image.spill.lookup(key)) {
         if (!out.found || t->prefix.length() > out.matchedLength) {
             out.found = true;
             out.nextHop = t->nextHop;
@@ -319,8 +423,8 @@ ChiselEngine::lookupImpl(const Key128 &key) const
     // Degraded mode: routes diverted past the TCAM live in the
     // software slow path; a longer match there overrides.  Empty in
     // normal operation, so this costs one branch.
-    if (!slowPath_.empty()) {
-        if (auto s = slowPath_.lookup(key)) {
+    if (!image.slowPath.empty()) {
+        if (auto s = image.slowPath.lookup(key)) {
             if (!out.found || s->prefix.length() > out.matchedLength) {
                 out.found = true;
                 out.nextHop = s->nextHop;
@@ -331,13 +435,64 @@ ChiselEngine::lookupImpl(const Key128 &key) const
         }
     }
 
-    if (!out.found && defaultRoute_) {
+    if (!out.found && image.defaultRoute) {
         out.found = true;
-        out.nextHop = *defaultRoute_;
+        out.nextHop = *image.defaultRoute;
         out.matchedLength = 0;
         out.fromDefault = true;
     }
     return out;
+}
+
+} // anonymous namespace
+
+LookupResult
+EngineImage::lookup(const Key128 &key, bool *parity_ok) const
+{
+    return lookupImage(*this, key, [&](size_t c, CellHit &h) {
+        if (cells[c].probe(key, results, h) != CellImage::Probe::Parity)
+            return true;
+        *parity_ok = false;
+        return false;
+    });
+}
+
+LookupResult
+ChiselEngine::lookupIn(const EngineImage &image, const Key128 &key) const
+{
+    return lookupImage(image, key, [&](size_t c, CellHit &h) {
+        h = cells_[c]->lookup(image.cells[c], image.results, key);
+        return true;
+    });
+}
+
+LookupResult
+ChiselEngine::lookup(const Key128 &key) const
+{
+    if (telemetry_ == nullptr)
+        return lookupIn(*image_, key);
+    telemetry::LookupSpan span(*telemetry_);
+    LookupResult out = lookupIn(*image_, key);
+    span.finish(out);
+    return out;
+}
+
+void
+ChiselEngine::bindImage(EngineImage &image)
+{
+    image_ = &image;
+    results_.bind(image.results);
+    for (size_t i = 0; i < cells_.size(); ++i)
+        cells_[i]->bind(image.cells[i], &image.summary);
+}
+
+void
+ChiselEngine::setWriteLog(WriteLog *log)
+{
+    log_ = log;
+    results_.setLog(log);
+    for (size_t i = 0; i < cells_.size(); ++i)
+        cells_[i]->setLog(log, static_cast<uint32_t>(i));
 }
 
 UpdateOutcome
@@ -427,9 +582,10 @@ ChiselEngine::announceImpl(const Prefix &prefix, NextHop next_hop)
     applyInjectedFaults();
 
     if (prefix.length() == 0) {
-        out.cls = defaultRoute_ ? UpdateClass::NextHopChange
-                                : UpdateClass::AddCollapsed;
-        defaultRoute_ = next_hop;
+        out.cls = image_->defaultRoute ? UpdateClass::NextHopChange
+                                       : UpdateClass::AddCollapsed;
+        image_->defaultRoute = next_hop;
+        touchDefaultRoute();
         updateStats_.record(out.cls);
         finalizeOutcome(out);
         return out;
@@ -437,8 +593,12 @@ ChiselEngine::announceImpl(const Prefix &prefix, NextHop next_hop)
 
     // A prefix already parked in the TCAM or the slow path is
     // updated in place.
-    if (spill_.setNextHop(prefix, next_hop) ||
-        slowPath_.setNextHop(prefix, next_hop)) {
+    bool in_spill = image_->spill.setNextHop(prefix, next_hop);
+    if (in_spill)
+        touchSpill();
+    if (in_spill || image_->slowPath.setNextHop(prefix, next_hop)) {
+        if (!in_spill)
+            touchSlowPath();
         out.cls = UpdateClass::NextHopChange;
         updateStats_.record(out.cls);
         finalizeOutcome(out);
@@ -458,6 +618,7 @@ ChiselEngine::announceImpl(const Prefix &prefix, NextHop next_hop)
     uint64_t retries_before = cellSetupRetries();
     std::vector<Route> displaced;
     out.cls = cells_[c]->announce(prefix, next_hop, displaced);
+    recoverTainted(static_cast<size_t>(c), out);
     absorbDisplaced(displaced, out);
     out.setupRetries =
         static_cast<uint32_t>(cellSetupRetries() - retries_before);
@@ -511,15 +672,21 @@ ChiselEngine::withdrawImpl(const Prefix &prefix, bool expiry)
     applyInjectedFaults();
 
     if (prefix.length() == 0) {
-        out.cls = defaultRoute_ ? UpdateClass::Withdraw
-                                : UpdateClass::NoOp;
-        defaultRoute_.reset();
+        out.cls = image_->defaultRoute ? UpdateClass::Withdraw
+                                       : UpdateClass::NoOp;
+        image_->defaultRoute.reset();
+        touchDefaultRoute();
         updateStats_.record(out.cls);
         finalizeOutcome(out);
         return out;
     }
 
-    if (spill_.erase(prefix) || slowPath_.erase(prefix)) {
+    bool in_spill = image_->spill.erase(prefix);
+    if (in_spill)
+        touchSpill();
+    if (in_spill || image_->slowPath.erase(prefix)) {
+        if (!in_spill)
+            touchSlowPath();
         out.cls = expiry ? UpdateClass::Expire : UpdateClass::Withdraw;
         ttl_.disarm(prefix);
         updateStats_.record(out.cls);
@@ -554,10 +721,10 @@ std::optional<NextHop>
 ChiselEngine::find(const Prefix &prefix) const
 {
     if (prefix.length() == 0)
-        return defaultRoute_;
-    if (auto t = spill_.find(prefix))
+        return image_->defaultRoute;
+    if (auto t = image_->spill.find(prefix))
         return t;
-    if (auto s = slowPath_.find(prefix))
+    if (auto s = image_->slowPath.find(prefix))
         return s;
     int c = plan_.cellFor(prefix.length());
     if (c < 0)
@@ -568,8 +735,8 @@ ChiselEngine::find(const Prefix &prefix) const
 size_t
 ChiselEngine::routeCount() const
 {
-    size_t n = spill_.size() + slowPath_.size() +
-               (defaultRoute_ ? 1 : 0);
+    size_t n = image_->spill.size() + image_->slowPath.size() +
+               (image_->defaultRoute ? 1 : 0);
     for (const auto &cell : cells_)
         n += cell->routeCount();
     return n;
@@ -584,36 +751,13 @@ ChiselEngine::exportTable() const
         cell->exportRoutes(routes);
     for (const auto &r : routes)
         out.add(r.prefix, r.nextHop);
-    for (const auto &e : spill_.entries())
+    for (const auto &e : image_->spill.entries())
         out.add(e.prefix, e.nextHop);
-    for (const auto &e : slowPath_.entries())
+    for (const auto &e : image_->slowPath.entries())
         out.add(e.prefix, e.nextHop);
-    if (defaultRoute_)
-        out.add(Prefix(), *defaultRoute_);
+    if (image_->defaultRoute)
+        out.add(Prefix(), *image_->defaultRoute);
     return out;
-}
-
-ChiselEngine::ChiselEngine(const ChiselEngine &other)
-    : config_(other.config_), arena_(std::make_unique<ImageArena>()),
-      plan_(other.plan_), results_(other.results_),
-      summary_(other.summary_, arena_.get()), spill_(other.spill_),
-      slowPath_(other.slowPath_), defaultRoute_(other.defaultRoute_),
-      ttl_(other.ttl_), ttlClockMs_(other.ttlClockMs_),
-      updateStats_(other.updateStats_), robust_(other.robust_)
-{
-    // Cell by cell, as a build or a restore fills the arena.
-    cells_.reserve(other.cells_.size());
-    for (const auto &cell : other.cells_) {
-        cells_.push_back(std::make_unique<SubCell>(*cell, &results_,
-                                                   &summary_,
-                                                   arena_.get()));
-    }
-}
-
-std::unique_ptr<ChiselEngine>
-ChiselEngine::clone() const
-{
-    return std::unique_ptr<ChiselEngine>(new ChiselEngine(*this));
 }
 
 std::unique_ptr<ChiselEngine>
@@ -671,46 +815,48 @@ ChiselEngine::dirtyPeak() const
 ScrubReport
 ChiselEngine::scrub()
 {
+    ScrubReport report = verifyParity(*image_);
+    report.cellsRecovered = recoverFlagged();
+    return report;
+}
+
+ScrubReport
+ChiselEngine::verifyParity(const EngineImage &image) const
+{
     ScrubReport report;
 
     // Result Table first: a bad word there does not name its owning
     // cell, but recover-by-resetup rewrites every allocated result
     // word from the shadow copy, so recovering all cells scrubs it.
-    bool resultsBad = false;
-    uint64_t high = results_.highWater();
+    bool results_bad = false;
+    uint64_t high = image.results.slots.size();
     report.wordsChecked += high;
     for (uint32_t addr = 0; addr < high; ++addr) {
-        if (!results_.parityOk(addr)) {
+        if (!image.results.parityOk(addr)) {
             ++report.errorsFound;
-            resultsBad = true;
+            results_bad = true;
         }
     }
 
-    UpdateOutcome out;
-    for (auto &cell : cells_) {
-        report.wordsChecked += cell->parityWordCount();
-        size_t bad = cell->verifyParity();
-        report.errorsFound += bad;
-        if (bad > 0 || resultsBad || cell->parityPending()) {
-            std::vector<Route> displaced;
-            cell->recoverParity(displaced);
-            absorbDisplaced(displaced, out);
-            ++report.cellsRecovered;
-        }
+    for (size_t i = 0; i < cells_.size(); ++i) {
+        report.wordsChecked += cells_[i]->parityWordCount();
+        report.errorsFound += cells_[i]->verifyParity(image.cells[i]);
+        if (results_bad)
+            cells_[i]->flagRecovery();
     }
     return report;
 }
 
 bool
-ChiselEngine::selfCheck() const
+ChiselEngine::selfCheck(const EngineImage &image) const
 {
     CellSummary recount(config_.keyWidth, cells_.size());
-    for (const auto &cell : cells_) {
-        if (!cell->selfCheck())
+    for (size_t i = 0; i < cells_.size(); ++i) {
+        if (!cells_[i]->selfCheck(image.cells[i], image.results))
             return false;
-        cell->markGroups(recount);
+        cells_[i]->markGroups(recount);
     }
-    return recount == summary_;
+    return recount == image.summary;
 }
 
 } // namespace chisel

@@ -13,11 +13,22 @@
  * probes only those, longest base first; the modeled access counts
  * still charge every cell.
  *
- * Every fixed-size array a lookup reads — the summary masks and, per
- * cell, the hash lanes, Index slots and GroupTable records — lives in
- * one huge-page-advised ImageArena, released with the engine; the
- * Result Table, which grows, uses hugePageResource()
- * (docs/ARCHITECTURE.md, "Memory layout").
+ * An engine is two parts (docs/ARCHITECTURE.md, "Memory layout"):
+ *
+ *  - an EngineImage, everything a lookup reads: the summary masks and,
+ *    per cell, the hash lanes, Index slots and GroupTable records, in
+ *    one huge-page-advised ImageArena; the Result Table entries, which
+ *    grow, on hugePageResource(); the spill TCAM, the slow path and
+ *    the default route;
+ *  - the writer-owned control state: shadow groups, Bloomier key
+ *    registries and occupancy, free lists, the Result allocator,
+ *    damper, TTL index and clock, and the counters.
+ *
+ * A stand-alone engine is one control state plus its own image.  A
+ * ConcurrentChisel keeps one engine and a copy of its image, rebinds
+ * the engine to whichever image is idle, and has every image word an
+ * update writes named in a WriteLog, so the other image receives
+ * exactly those words (docs/concurrency.md).
  *
  * Updates follow Section 4.4: the shadow copies inside the sub-cells
  * are modified first and the changed hardware words (bit-vectors,
@@ -36,6 +47,7 @@
 #include <vector>
 
 #include "common/huge_pages.hh"
+#include "common/write_log.hh"
 #include "concurrent/relaxed.hh"
 #include "core/cell_summary.hh"
 #include "core/collapse.hh"
@@ -162,6 +174,57 @@ struct LookupResult
 };
 
 /**
+ * One engine image: every word a lookup reads, and nothing else.  A
+ * lookup over it is the engine's lookup path without the shadow: a
+ * word that fails its parity check abandons it (parity_ok false), and
+ * the caller answers through the engine's control state instead.
+ */
+class EngineImage
+{
+  public:
+    /** An empty image for @p cells cells; the engine fills it. */
+    EngineImage(unsigned key_width, size_t cells, size_t spill_capacity,
+                size_t slow_path_capacity);
+
+    /**
+     * A deep copy into its own ImageArena, laid out as a build lays
+     * out its original; the Result entries stay on hugePageResource().
+     */
+    EngineImage(const EngineImage &other);
+
+    EngineImage &operator=(const EngineImage &) = delete;
+
+    /**
+     * Longest-prefix match over this image alone.  @p parity_ok is
+     * set false (and the result is void) if a word read failed its
+     * parity check.  Writes nothing.
+     */
+    LookupResult lookup(const Key128 &key, bool *parity_ok) const;
+
+    /**
+     * Copy the words @p log names from @p src, an image of the same
+     * engine with the same layout: the replay that brings the retired
+     * image up to the one just published.
+     */
+    void replay(const EngineImage &src, const WriteLog &log);
+
+    /**
+     * Memory of the fixed-size lookup arrays (summary masks, cells'
+     * lanes, Index slots and records); declared before its users so
+     * it outlives them.  Behind a pointer so its address is stable.
+     */
+    std::unique_ptr<ImageArena> arena;
+    /** Which cells can match a key; the cells keep it exact. */
+    CellSummary summary;
+    /** One per cell, in plan order; reserved up front, never moved. */
+    std::vector<CellImage> cells;
+    ResultTable::Image results;
+    Tcam spill;
+    SlowPathMap slowPath;
+    std::optional<NextHop> defaultRoute;
+};
+
+/**
  * Engine-wide robustness counters (docs/robustness.md): how often
  * each rung of the degradation ladder was exercised.  Relaxed atomics
  * so concurrent readers and stat exporters never race the writer.
@@ -261,8 +324,37 @@ class ChiselEngine
     explicit ChiselEngine(const std::vector<Route> &routes,
                           const ChiselConfig &config = {});
 
+    ChiselEngine(const ChiselEngine &) = delete;
+    ChiselEngine &operator=(const ChiselEngine &) = delete;
+
     /** Longest-prefix match. */
     LookupResult lookup(const Key128 &key) const;
+
+    /**
+     * Longest-prefix match over @p image, another copy of this
+     * engine's image: a word that fails parity is answered from the
+     * shadow and flags its cell for recovery, as lookup() does.
+     * Writer side: the caller excludes updates.
+     */
+    LookupResult lookupIn(const EngineImage &image,
+                          const Key128 &key) const;
+
+    /** The image this engine writes and lookup() reads. */
+    EngineImage &image() { return *image_; }
+    const EngineImage &image() const { return *image_; }
+
+    /**
+     * Write and read @p image from now on: a copy of this engine's
+     * image with the same content (up to soft errors), which must
+     * outlive the binding.
+     */
+    void bindImage(EngineImage &image);
+
+    /**
+     * Name every image word later updates, purges and recoveries write
+     * in @p log (nullptr: none).  The log is borrowed.
+     */
+    void setWriteLog(WriteLog *log);
 
     /**
      * BGP announce(p, l, h) (Section 4.4.2).  The outcome converts
@@ -340,10 +432,10 @@ class ChiselEngine
     RoutingTable exportTable() const;
 
     /** Entries parked in the spillover TCAM. */
-    size_t spillCount() const { return spill_.size(); }
+    size_t spillCount() const { return image_->spill.size(); }
 
     /** Routes diverted past the TCAM into the software slow path. */
-    size_t slowPathCount() const { return slowPath_.size(); }
+    size_t slowPathCount() const { return image_->slowPath.size(); }
 
     /**
      * True if routes overflowed the spill TCAM's design capacity
@@ -352,7 +444,7 @@ class ChiselEngine
     bool
     spillOverCapacity() const
     {
-        return !slowPath_.empty();
+        return !image_->slowPath.empty();
     }
 
     /** Robustness counters (engine-level plus all sub-cells). */
@@ -393,15 +485,29 @@ class ChiselEngine
     size_t dirtyPeak() const;
 
     /**
-     * One full scrub pass (docs/concurrency.md): verify every parity
-     * word in every sub-cell's Index/Filter/Bit-vector image and the
-     * shared Result Table, then run recover-by-resetup on any cell
-     * that failed — proactively, instead of waiting for a lookup to
-     * trip over the corruption.  Mutates on recovery, so callers must
-     * hold the same exclusion as announce()/withdraw() (the
-     * concurrent wrapper scrubs the idle instance only).
+     * One full scrub pass (docs/concurrency.md): verifyParity() over
+     * the bound image, then recoverFlagged() — proactively, instead
+     * of waiting for a lookup to trip over the corruption.  Mutates
+     * on recovery, so callers must hold the same exclusion as
+     * announce()/withdraw().
      */
     ScrubReport scrub();
+
+    /**
+     * The read side of a scrub: verify every parity word of @p image
+     * (each sub-cell's Index/Filter/Bit-vector tables and the Result
+     * Table) and flag each failing cell for recovery — every cell if
+     * a Result word failed, since recovery rewrites each cell's
+     * blocks.  Changes only counters and flags, so @p image may be
+     * one readers are using.  cellsRecovered stays 0.
+     */
+    ScrubReport verifyParity(const EngineImage &image) const;
+
+    /**
+     * Recover-by-resetup every flagged cell on the bound image, as
+     * the next update would.  @return cells recovered.
+     */
+    size_t recoverFlagged();
 
     size_t cellCount() const { return cells_.size(); }
     const SubCell &cell(size_t i) const { return *cells_[i]; }
@@ -410,7 +516,13 @@ class ChiselEngine
     const ResultTable &resultTable() const { return results_; }
 
     /** Deep consistency check across all sub-cells (tests). */
-    bool selfCheck() const;
+    bool selfCheck() const { return selfCheck(*image_); }
+
+    /**
+     * selfCheck() of @p image, another copy of this engine's image,
+     * against this control state.
+     */
+    bool selfCheck(const EngineImage &image) const;
 
     /**
      * Serialize the complete engine state — collapse plan, every
@@ -434,16 +546,6 @@ class ChiselEngine
      */
     static std::unique_ptr<ChiselEngine>
     restoreState(const ChiselConfig &config, persist::Decoder &dec);
-
-    /**
-     * An independent engine in this one's exact state: a member-wise
-     * deep copy into its own ImageArena, with every cell reporting
-     * into the copy's own Result Table and summary.  It saves the
-     * same bytes as its original and answers every lookup and update
-     * alike; restoreState() stays the only decoder.  No telemetry
-     * binding is carried over.
-     */
-    std::unique_ptr<ChiselEngine> clone() const;
 
     /**
      * Full Bloomier setup passes run by this engine's cells since
@@ -475,13 +577,7 @@ class ChiselEngine
     /** Shell engine for restoreState(): config and plan set, no cells. */
     ChiselEngine(const ChiselConfig &config, CollapsePlan plan, RestoreTag);
 
-    /** clone()'s body; private, so no image is copied by accident. */
-    ChiselEngine(const ChiselEngine &other);
-
-    /** lookup() body; runs inside the telemetry span when attached. */
-    LookupResult lookupImpl(const Key128 &key) const;
-
-    /** announce()/withdraw() bodies, likewise. */
+    /** announce()'s body; runs inside the telemetry span when attached. */
     UpdateOutcome announceImpl(const Prefix &prefix, NextHop next_hop);
 
     /**
@@ -500,8 +596,33 @@ class ChiselEngine
     void absorbDisplaced(std::vector<Route> &displaced,
                          UpdateOutcome &out);
 
-    /** Run recover-by-resetup on cells flagged by lookups. */
+    /** Run recover-by-resetup on cells flagged by lookups or scrubs. */
     void recoverPendingParity(UpdateOutcome &out);
+
+    /** Recover cell @p c if its last announce XORed a bad word. */
+    void recoverTainted(size_t c, UpdateOutcome &out);
+
+    /** The spill TCAM, slow path or default route changed. */
+    void
+    touchSpill()
+    {
+        if (log_ != nullptr)
+            log_->markSpill();
+    }
+
+    void
+    touchSlowPath()
+    {
+        if (log_ != nullptr)
+            log_->markSlowPath();
+    }
+
+    void
+    touchDefaultRoute()
+    {
+        if (log_ != nullptr)
+            log_->markDefaultRoute();
+    }
 
     /** Poll the soft-error injection points (no-op when disarmed). */
     void applyInjectedFaults();
@@ -513,20 +634,16 @@ class ChiselEngine
     uint64_t cellSetupRetries() const;
 
     ChiselConfig config_;
-    /**
-     * Memory of the lookup arrays (summary masks, cells' lanes, Index
-     * slots and records); declared before its users so it outlives
-     * them.  Behind a pointer so its address is stable.
-     */
-    std::unique_ptr<ImageArena> arena_;
     CollapsePlan plan_;
+    /** The image this engine was built or decoded into. */
+    std::unique_ptr<EngineImage> own_;
+    /** The image it writes now: own_, or a copy it was bound to. */
+    EngineImage *image_;
+    /** Names each image word written, when set (setWriteLog). */
+    WriteLog *log_ = nullptr;
+    /** The Result allocator, writing image_->results. */
     ResultTable results_;
-    /** Which cells can match a key; the cells keep it exact. */
-    CellSummary summary_;
     std::vector<std::unique_ptr<SubCell>> cells_;
-    Tcam spill_;
-    SlowPathMap slowPath_;
-    std::optional<NextHop> defaultRoute_;
     TtlIndex ttl_;
     uint64_t ttlClockMs_ = 0;
     UpdateStats updateStats_;

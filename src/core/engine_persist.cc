@@ -189,10 +189,12 @@ decodeCellConfig(persist::Decoder &dec)
 
 ChiselEngine::ChiselEngine(const ChiselConfig &config, CollapsePlan plan,
                            RestoreTag)
-    : config_(config), arena_(std::make_unique<ImageArena>()),
-      plan_(std::move(plan)),
-      summary_(config.keyWidth, plan_.cells.size(), arena_.get()),
-      spill_(config.spillCapacity), slowPath_(config.slowPathCapacity)
+    : config_(config), plan_(std::move(plan)),
+      own_(std::make_unique<EngineImage>(config.keyWidth,
+                                         plan_.cells.size(),
+                                         config.spillCapacity,
+                                         config.slowPathCapacity)),
+      image_(own_.get()), results_(image_->results)
 {
 }
 
@@ -220,11 +222,11 @@ ChiselEngine::saveState(persist::Encoder &enc) const
         cell->saveState(enc);
     }
 
-    spill_.saveState(enc);
-    slowPath_.saveState(enc);
+    image_->spill.saveState(enc);
+    image_->slowPath.saveState(enc);
 
-    enc.boolean(defaultRoute_.has_value());
-    enc.u32(defaultRoute_.value_or(kNoRoute));
+    enc.boolean(image_->defaultRoute.has_value());
+    enc.u32(image_->defaultRoute.value_or(kNoRoute));
 
     for (uint64_t c : updateStats_.counts)
         enc.u64(c);
@@ -288,20 +290,22 @@ ChiselEngine::restoreState(const ChiselConfig &config,
         if (!(cc.range == engine->plan_.cells[i]))
             throw persist::DecodeError(
                 "restore: cell range does not match plan");
+        EngineImage &image = *engine->image_;
+        image.cells.emplace_back(image.arena.get());
         auto cell = std::make_unique<SubCell>(
-            cc, &engine->results_, &engine->summary_,
-            CellSummary::bitFor(i, cell_count), engine->arena_.get());
+            cc, &engine->results_, &image.summary,
+            CellSummary::bitFor(i, cell_count), &image.cells.back());
         cell->loadState(dec);
         engine->cells_.push_back(std::move(cell));
     }
 
-    engine->spill_.loadState(dec);
-    engine->slowPath_.loadState(dec);
+    engine->image_->spill.loadState(dec);
+    engine->image_->slowPath.loadState(dec);
 
     bool have_default = dec.boolean();
     NextHop default_hop = dec.u32();
     if (have_default)
-        engine->defaultRoute_ = default_hop;
+        engine->image_->defaultRoute = default_hop;
 
     for (auto &c : engine->updateStats_.counts)
         c = dec.u64();

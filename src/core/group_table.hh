@@ -37,12 +37,14 @@
 #define CHISEL_CORE_GROUP_TABLE_HH
 
 #include <cstdint>
+#include <memory>
 #include <memory_resource>
 #include <vector>
 
 #include "common/bitops.hh"
 #include "common/key128.hh"
 #include "common/logging.hh"
+#include "common/write_log.hh"
 #include "telemetry/trace.hh"
 
 namespace chisel {
@@ -51,213 +53,14 @@ namespace persist { class Encoder; class Decoder; }
 
 /**
  * Fixed-capacity Filter and Bit-vector records with a slot free-list.
+ *
+ * The records and their geometry are the Image a lookup reads; the
+ * free list is writer-owned.  The table writes one image at a time —
+ * its own (stand-alone) or an engine image's, rebound between updates
+ * — and names every word it writes in the WriteLog, if one is set.
  */
 class GroupTable
 {
-  public:
-    /**
-     * @param capacity Number of slots (n in the paper's sizing).
-     * @param key_bits Width of the stored collapsed prefixes.
-     * @param stride Collapse stride; vectors have 2^stride bits.
-     * @param pointer_bits Result pointer width (storage model).
-     * @param memory Where the records live (an engine image's arena,
-     *        or the heap for a stand-alone cell).
-     */
-    GroupTable(size_t capacity, unsigned key_bits, unsigned stride,
-               unsigned pointer_bits,
-               std::pmr::memory_resource *memory =
-                   std::pmr::get_default_resource());
-
-    /** A copy of @p other whose records live in @p memory. */
-    GroupTable(const GroupTable &other, std::pmr::memory_resource *memory);
-
-    size_t capacity() const { return capacity_; }
-
-    /** Bytes per record: 32, or whole 64-byte lines above stride 6. */
-    size_t recordBytes() const { return recordWords_ * 8; }
-
-    /** Address of @p slot's record (layout tests). */
-    const void *
-    recordAddress(uint32_t slot) const
-    {
-        return record(slot);
-    }
-
-    // ---- Filter half ---------------------------------------------
-
-    /** Allocate a slot.  @return slot index, or -1 if full. */
-    int64_t allocate();
-
-    /** Release a slot back to the free list. */
-    void release(uint32_t slot);
-
-    /** Install @p key at @p slot and mark it valid and clean. */
-    void set(uint32_t slot, const Key128 &key);
-
-    /** True if @p slot is valid and stores exactly @p key. */
-    bool
-    matches(uint32_t slot, const Key128 &key) const
-    {
-        if (slot >= capacity_)
-            return false;
-        // One hardware access: the whole entry (key + flags) is one
-        // word.
-        CHISEL_TRACE_ACCESS(Filter, slot, (filterWidthBits() + 7) / 8);
-        const uint64_t *r = record(slot);
-        return (r[kMeta] & kValid) && r[kKeyHi] == key.hi() &&
-               r[kKeyLo] == key.lo();
-    }
-
-    /** True if @p slot currently holds a key. */
-    bool valid(uint32_t slot) const { return record(slot)[kMeta] & kValid; }
-
-    /** The key stored at @p slot. */
-    Key128
-    keyAt(uint32_t slot) const
-    {
-        const uint64_t *r = record(slot);
-        return Key128(r[kKeyHi], r[kKeyLo]);
-    }
-
-    /** Dirty flag (withdrawn-but-retained group). */
-    bool dirty(uint32_t slot) const { return record(slot)[kMeta] & kDirty; }
-    void setDirty(uint32_t slot, bool dirty);
-
-    /** True if @p slot's Filter half passes its parity check. */
-    bool
-    filterParityOk(uint32_t slot) const
-    {
-        const uint64_t *r = record(slot);
-        return ((popcount64(r[kKeyHi]) + popcount64(r[kKeyLo]) +
-                 popcount64(r[kMeta] & kFilterFields)) & 1u) == 0;
-    }
-
-    /**
-     * Soft-error model: flip bit @p bit of the key stored at @p slot
-     * without updating parity (detectable until rewritten).
-     */
-    void flipKeyBit(uint32_t slot, unsigned bit);
-
-    /**
-     * Restore @p slot's Filter half to the pristine empty state
-     * (recovery path: scrubs any soft error in a slot no group owns).
-     * Free-list membership is not affected.
-     */
-    void resetSlot(uint32_t slot);
-
-    /** Slots in use (valid). */
-    size_t used() const { return used_; }
-
-    /** Free slots remaining. */
-    size_t available() const { return freeList_.size(); }
-
-    /** Filter entry width in bits: key plus valid and dirty flags. */
-    unsigned filterWidthBits() const { return keyBits_ + 2; }
-
-    /** Filter Table storage in bits. */
-    uint64_t
-    filterStorageBits() const
-    {
-        return static_cast<uint64_t>(capacity_) * filterWidthBits();
-    }
-
-    /**
-     * Serialize Filter entries and the free list (its order
-     * determines which slot the next allocate() hands out, so it must
-     * survive a restart for determinism).  Parity is recomputed on
-     * load.
-     */
-    void saveFilter(persist::Encoder &enc) const;
-
-    /** Restore from saveFilter(); throws persist::DecodeError. */
-    void loadFilter(persist::Decoder &dec);
-
-    // ---- Bit-vector half -----------------------------------------
-
-    /** Bits per vector (2^stride). */
-    unsigned vectorBits() const { return vectorBits_; }
-
-    /** Replace the vector and Result pointer at @p slot. */
-    void setVector(uint32_t slot, const std::vector<uint64_t> &bits,
-                   uint32_t pointer);
-
-    /** Zero the vector and pointer at @p slot (withdrawn group). */
-    void clearVector(uint32_t slot);
-
-    /** Bit @p index of the vector at @p slot. */
-    bool
-    bit(uint32_t slot, uint64_t index) const
-    {
-        checkRange(slot, index, "GroupTable bit out of range");
-        // One hardware access fetches the whole entry (vector +
-        // pointer); the lookup's onesUpTo()/pointer() calls reuse
-        // that word, so only this read is traced.
-        CHISEL_TRACE_ACCESS(BitVector, slot, (vectorWidthBits() + 7) / 8);
-        return (record(slot)[kVector + index / 64] >> (index % 64)) & 1;
-    }
-
-    /** Number of ones in the vector at @p slot. */
-    unsigned onesCount(uint32_t slot) const;
-
-    /**
-     * Number of ones up to and including @p index — the 1-based
-     * result offset of Figure 5(d).  Only meaningful when
-     * bit(slot, index) is set.
-     */
-    unsigned
-    onesUpTo(uint32_t slot, uint64_t index) const
-    {
-        checkRange(slot, index, "GroupTable rank out of range");
-        const uint64_t *v = record(slot) + kVector;
-        unsigned total = 0;
-        uint64_t word = index / 64;
-        for (uint64_t w = 0; w < word; ++w)
-            total += popcount64(v[w]);
-        unsigned rem = static_cast<unsigned>(index % 64) + 1;
-        return total + popcount64(v[word] & lowMask(rem));
-    }
-
-    /** Result-region pointer of @p slot. */
-    uint32_t
-    pointer(uint32_t slot) const
-    {
-        return static_cast<uint32_t>(record(slot)[kMeta]);
-    }
-
-    /** True if @p slot's Bit-vector half passes its parity check. */
-    bool
-    vectorParityOk(uint32_t slot) const
-    {
-        checkRange(slot, 0, "GroupTable parity out of range");
-        const uint64_t *r = record(slot);
-        unsigned ones = popcount64(r[kMeta] & kVectorFields);
-        for (unsigned w = 0; w < wordsPerVector_; ++w)
-            ones += popcount64(r[kVector + w]);
-        return (ones & 1u) == 0;
-    }
-
-    /**
-     * Soft-error model: flip bit @p bit (mod vectorBits()) of the
-     * vector at @p slot without updating parity.
-     */
-    void flipVectorBit(uint32_t slot, uint64_t bit);
-
-    /** Bit-vector entry width in bits: vector plus pointer. */
-    unsigned vectorWidthBits() const { return vectorBits_ + pointerBits_; }
-
-    /** Bit-vector Table storage in bits. */
-    uint64_t
-    vectorStorageBits() const
-    {
-        return static_cast<uint64_t>(capacity_) * vectorWidthBits();
-    }
-
-    /** Serialize vector words and pointers (parity is recomputed). */
-    void saveVectors(persist::Encoder &enc) const;
-
-    /** Restore from saveVectors(); throws persist::DecodeError. */
-    void loadVectors(persist::Decoder &dec);
-
   private:
     /** Word offsets inside a record. */
     static constexpr unsigned kKeyHi = 0;
@@ -281,25 +84,358 @@ class GroupTable
         uint64_t words[8];
     };
 
-    const uint64_t *
-    record(uint32_t slot) const
+  public:
+    /** The records and the geometry a lookup indexes them with. */
+    struct Image
     {
-        return reinterpret_cast<const uint64_t *>(lines_.data()) +
-               size_t(slot) * recordWords_;
-    }
+        /** No records yet, in @p memory; the table's constructor sizes it. */
+        explicit Image(std::pmr::memory_resource *memory) : lines(memory) {}
 
-    uint64_t *
-    record(uint32_t slot)
-    {
-        return reinterpret_cast<uint64_t *>(lines_.data()) +
-               size_t(slot) * recordWords_;
-    }
+        /** A copy of @p other whose records live in @p memory. */
+        Image(const Image &other, std::pmr::memory_resource *memory)
+            : capacity(other.capacity), keyBits(other.keyBits),
+              vectorBits(other.vectorBits),
+              wordsPerVector(other.wordsPerVector),
+              pointerBits(other.pointerBits),
+              recordWords(other.recordWords), lines(other.lines, memory)
+        {}
 
+        Image(Image &&) = default;
+        Image(const Image &) = delete;
+        Image &operator=(const Image &) = delete;
+
+        const uint64_t *
+        record(uint32_t slot) const
+        {
+            return words() + size_t(slot) * recordWords;
+        }
+
+        uint64_t *
+        record(uint32_t slot)
+        {
+            return words() + size_t(slot) * recordWords;
+        }
+
+        const uint64_t *
+        words() const
+        {
+            return reinterpret_cast<const uint64_t *>(lines.data());
+        }
+
+        uint64_t *
+        words()
+        {
+            return reinterpret_cast<uint64_t *>(lines.data());
+        }
+
+        unsigned filterWidthBits() const { return keyBits + 2; }
+        unsigned vectorWidthBits() const { return vectorBits + pointerBits; }
+
+        /** True if @p slot is valid and stores exactly @p key. */
+        bool
+        matches(uint32_t slot, const Key128 &key) const
+        {
+            if (slot >= capacity)
+                return false;
+            // One hardware access: the whole entry (key + flags) is one
+            // word.
+            CHISEL_TRACE_ACCESS(Filter, slot, (filterWidthBits() + 7) / 8);
+            const uint64_t *r = record(slot);
+            return (r[kMeta] & kValid) && r[kKeyHi] == key.hi() &&
+                   r[kKeyLo] == key.lo();
+        }
+
+        bool
+        filterParityOk(uint32_t slot) const
+        {
+            const uint64_t *r = record(slot);
+            return ((popcount64(r[kKeyHi]) + popcount64(r[kKeyLo]) +
+                     popcount64(r[kMeta] & kFilterFields)) & 1u) == 0;
+        }
+
+        bool
+        bit(uint32_t slot, uint64_t index) const
+        {
+            checkRange(slot, index, "GroupTable bit out of range");
+            // One hardware access fetches the whole entry (vector +
+            // pointer); the lookup's onesUpTo()/pointer() calls reuse
+            // that word, so only this read is traced.
+            CHISEL_TRACE_ACCESS(BitVector, slot,
+                                (vectorWidthBits() + 7) / 8);
+            return (record(slot)[kVector + index / 64] >> (index % 64)) & 1;
+        }
+
+        unsigned
+        onesUpTo(uint32_t slot, uint64_t index) const
+        {
+            checkRange(slot, index, "GroupTable rank out of range");
+            const uint64_t *v = record(slot) + kVector;
+            unsigned total = 0;
+            uint64_t word = index / 64;
+            for (uint64_t w = 0; w < word; ++w)
+                total += popcount64(v[w]);
+            unsigned rem = static_cast<unsigned>(index % 64) + 1;
+            return total + popcount64(v[word] & lowMask(rem));
+        }
+
+        uint32_t
+        pointer(uint32_t slot) const
+        {
+            return static_cast<uint32_t>(record(slot)[kMeta]);
+        }
+
+        bool
+        vectorParityOk(uint32_t slot) const
+        {
+            checkRange(slot, 0, "GroupTable parity out of range");
+            const uint64_t *r = record(slot);
+            unsigned ones = popcount64(r[kMeta] & kVectorFields);
+            for (unsigned w = 0; w < wordsPerVector; ++w)
+                ones += popcount64(r[kVector + w]);
+            return (ones & 1u) == 0;
+        }
+
+        void
+        checkRange(uint32_t slot, uint64_t index, const char *what) const
+        {
+            if (slot >= capacity || index >= vectorBits) [[unlikely]]
+                panicIf(true, what);
+        }
+
+        size_t capacity = 0;
+        unsigned keyBits = 0;
+        unsigned vectorBits = 0;
+        unsigned wordsPerVector = 0;
+        unsigned pointerBits = 0;
+        unsigned recordWords = 0;
+        std::pmr::vector<Line> lines;
+    };
+
+    /**
+     * A stand-alone table that owns its records.
+     *
+     * @param capacity Number of slots (n in the paper's sizing).
+     * @param key_bits Width of the stored collapsed prefixes.
+     * @param stride Collapse stride; vectors have 2^stride bits.
+     * @param pointer_bits Result pointer width (storage model).
+     * @param memory Where the records live.
+     */
+    GroupTable(size_t capacity, unsigned key_bits, unsigned stride,
+               unsigned pointer_bits,
+               std::pmr::memory_resource *memory =
+                   std::pmr::get_default_resource());
+
+    /**
+     * A table writing @p image (an engine image's), which this
+     * constructor sizes; it must outlive the binding.
+     */
+    GroupTable(size_t capacity, unsigned key_bits, unsigned stride,
+               unsigned pointer_bits, Image &image);
+
+    GroupTable(const GroupTable &) = delete;
+    GroupTable &operator=(const GroupTable &) = delete;
+    /** A move keeps the image where it is (an owned one is on the heap). */
+    GroupTable(GroupTable &&) = default;
+
+    /** Write (and read) @p image from now on; same geometry. */
+    void bind(Image &image) { img_ = &image; }
+
+    /** The image this table writes. */
+    const Image &image() const { return *img_; }
+
+    /** Name every later record write in @p log as cell @p cell. */
     void
-    checkRange(uint32_t slot, uint64_t index, const char *what) const
+    setLog(WriteLog *log, uint32_t cell)
     {
-        if (slot >= capacity_ || index >= vectorBits_) [[unlikely]]
-            panicIf(true, what);
+        log_ = log;
+        logCell_ = cell;
+    }
+
+    /** Name every record word in the write log (a whole-cell rewrite). */
+    void
+    logAll()
+    {
+        logWords(0, capacity() * img_->recordWords);
+    }
+
+    size_t capacity() const { return img_->capacity; }
+
+    /** Bytes per record: 32, or whole 64-byte lines above stride 6. */
+    size_t recordBytes() const { return img_->recordWords * 8; }
+
+    /** Address of @p slot's record (layout tests). */
+    const void *
+    recordAddress(uint32_t slot) const
+    {
+        return img_->record(slot);
+    }
+
+    // ---- Filter half ---------------------------------------------
+
+    /** Allocate a slot.  @return slot index, or -1 if full. */
+    int64_t allocate();
+
+    /** Release a slot back to the free list. */
+    void release(uint32_t slot);
+
+    /** Install @p key at @p slot and mark it valid and clean. */
+    void set(uint32_t slot, const Key128 &key);
+
+    /** True if @p slot is valid and stores exactly @p key. */
+    bool
+    matches(uint32_t slot, const Key128 &key) const
+    {
+        return img_->matches(slot, key);
+    }
+
+    /** True if @p slot currently holds a key. */
+    bool
+    valid(uint32_t slot) const
+    {
+        return img_->record(slot)[kMeta] & kValid;
+    }
+
+    /** The key stored at @p slot. */
+    Key128
+    keyAt(uint32_t slot) const
+    {
+        const uint64_t *r = img_->record(slot);
+        return Key128(r[kKeyHi], r[kKeyLo]);
+    }
+
+    /** Dirty flag (withdrawn-but-retained group). */
+    bool
+    dirty(uint32_t slot) const
+    {
+        return img_->record(slot)[kMeta] & kDirty;
+    }
+
+    void setDirty(uint32_t slot, bool dirty);
+
+    /** True if @p slot's Filter half passes its parity check. */
+    bool
+    filterParityOk(uint32_t slot) const
+    {
+        return img_->filterParityOk(slot);
+    }
+
+    /**
+     * Soft-error model: flip bit @p bit of the key stored at @p slot
+     * without updating parity (detectable until rewritten).  Not a
+     * write: never logged.
+     */
+    void flipKeyBit(uint32_t slot, unsigned bit);
+
+    /**
+     * Restore @p slot's Filter half to the pristine empty state
+     * (recovery path: scrubs any soft error in a slot no group owns).
+     * Free-list membership is not affected.
+     */
+    void resetSlot(uint32_t slot);
+
+    /** Slots in use (valid). */
+    size_t used() const { return used_; }
+
+    /** Free slots remaining. */
+    size_t available() const { return freeList_.size(); }
+
+    /** Filter entry width in bits: key plus valid and dirty flags. */
+    unsigned filterWidthBits() const { return img_->filterWidthBits(); }
+
+    /** Filter Table storage in bits. */
+    uint64_t
+    filterStorageBits() const
+    {
+        return static_cast<uint64_t>(capacity()) * filterWidthBits();
+    }
+
+    /**
+     * Serialize Filter entries and the free list (its order
+     * determines which slot the next allocate() hands out, so it must
+     * survive a restart for determinism).  Parity is recomputed on
+     * load.
+     */
+    void saveFilter(persist::Encoder &enc) const;
+
+    /** Restore from saveFilter(); throws persist::DecodeError. */
+    void loadFilter(persist::Decoder &dec);
+
+    // ---- Bit-vector half -----------------------------------------
+
+    /** Bits per vector (2^stride). */
+    unsigned vectorBits() const { return img_->vectorBits; }
+
+    /** Replace the vector and Result pointer at @p slot. */
+    void setVector(uint32_t slot, const std::vector<uint64_t> &bits,
+                   uint32_t pointer);
+
+    /** Zero the vector and pointer at @p slot (withdrawn group). */
+    void clearVector(uint32_t slot);
+
+    /** Bit @p index of the vector at @p slot. */
+    bool
+    bit(uint32_t slot, uint64_t index) const
+    {
+        return img_->bit(slot, index);
+    }
+
+    /** Number of ones in the vector at @p slot. */
+    unsigned onesCount(uint32_t slot) const;
+
+    /**
+     * Number of ones up to and including @p index — the 1-based
+     * result offset of Figure 5(d).  Only meaningful when
+     * bit(slot, index) is set.
+     */
+    unsigned
+    onesUpTo(uint32_t slot, uint64_t index) const
+    {
+        return img_->onesUpTo(slot, index);
+    }
+
+    /** Result-region pointer of @p slot. */
+    uint32_t pointer(uint32_t slot) const { return img_->pointer(slot); }
+
+    /** True if @p slot's Bit-vector half passes its parity check. */
+    bool
+    vectorParityOk(uint32_t slot) const
+    {
+        return img_->vectorParityOk(slot);
+    }
+
+    /**
+     * Soft-error model: flip bit @p bit (mod vectorBits()) of the
+     * vector at @p slot without updating parity.  Not logged.
+     */
+    void flipVectorBit(uint32_t slot, uint64_t bit);
+
+    /** Bit-vector entry width in bits: vector plus pointer. */
+    unsigned vectorWidthBits() const { return img_->vectorWidthBits(); }
+
+    /** Bit-vector Table storage in bits. */
+    uint64_t
+    vectorStorageBits() const
+    {
+        return static_cast<uint64_t>(capacity()) * vectorWidthBits();
+    }
+
+    /** Serialize vector words and pointers (parity is recomputed). */
+    void saveVectors(persist::Encoder &enc) const;
+
+    /** Restore from saveVectors(); throws persist::DecodeError. */
+    void loadVectors(persist::Decoder &dec);
+
+  private:
+    /** Size @p image for this geometry and fill the free list. */
+    void initImage(Image &image, size_t capacity, unsigned key_bits,
+                   unsigned stride, unsigned pointer_bits);
+
+    /** Name record words [first, first + count) in the write log. */
+    void
+    logWords(size_t first, size_t count)
+    {
+        if (log_ != nullptr)
+            log_->add(WriteLog::Table::Records, logCell_, first, count);
     }
 
     /** A legal Filter write: key, flags and a recomputed parity. */
@@ -312,13 +448,11 @@ class GroupTable
      */
     void writePointer(uint32_t slot, uint32_t pointer);
 
-    size_t capacity_;
-    unsigned keyBits_;
-    unsigned vectorBits_;
-    unsigned wordsPerVector_;
-    unsigned pointerBits_;
-    unsigned recordWords_;
-    std::pmr::vector<Line> lines_;
+    /** The image a stand-alone table owns (null when bound to one). */
+    std::unique_ptr<Image> own_;
+    Image *img_ = nullptr;
+    WriteLog *log_ = nullptr;
+    uint32_t logCell_ = 0;
     std::vector<uint32_t> freeList_;
     size_t used_ = 0;
 };

@@ -34,9 +34,10 @@ ResultTable::allocate(uint32_t entries)
         list.pop_back();
         return base;
     }
-    uint32_t base = static_cast<uint32_t>(slots_.size());
-    slots_.resize(slots_.size() + size, kNoRoute);
-    meta_.resize(slots_.size(), parityOf(kNoRoute));
+    uint32_t base = static_cast<uint32_t>(highWater());
+    img_->grow(size_t(base) + size);
+    if (log_ != nullptr)
+        log_->add(WriteLog::Table::ResultGrow, 0, base, size);
     return base;
 }
 
@@ -53,36 +54,30 @@ ResultTable::free(uint32_t base, uint32_t entries)
     ++frees_;
 }
 
-NextHop
-ResultTable::read(uint32_t addr) const
+void
+ResultTable::Image::grow(size_t size)
 {
-    panicIf(addr >= slots_.size(), "ResultTable read out of range");
-    CHISEL_TRACE_ACCESS(Result, addr, sizeof(NextHop));
-    return slots_[addr];
+    slots.resize(size, kNoRoute);
+    meta.resize(size, parityOf(kNoRoute));
 }
 
 void
 ResultTable::write(uint32_t addr, NextHop next_hop, uint8_t length_offset)
 {
-    panicIf(addr >= slots_.size(), "ResultTable write out of range");
+    panicIf(addr >= highWater(), "ResultTable write out of range");
     CHISEL_TRACE_WRITE(Result, addr, sizeof(NextHop));
-    slots_[addr] = next_hop;
-    meta_[addr] =
+    img_->slots[addr] = next_hop;
+    img_->meta[addr] =
         static_cast<uint8_t>(parityOf(next_hop) | (length_offset << 1));
-}
-
-bool
-ResultTable::parityOk(uint32_t addr) const
-{
-    panicIf(addr >= slots_.size(), "ResultTable parity out of range");
-    return parityOf(slots_[addr]) == (meta_[addr] & 1u);
+    if (log_ != nullptr)
+        log_->add(WriteLog::Table::Results, 0, addr, 1);
 }
 
 void
 ResultTable::saveState(persist::Encoder &enc) const
 {
-    enc.u64(slots_.size());
-    for (NextHop h : slots_)
+    enc.u64(highWater());
+    for (NextHop h : img_->slots)
         enc.u32(h);
     enc.u64(freeLists_.size());
     for (const auto &list : freeLists_) {
@@ -99,11 +94,13 @@ void
 ResultTable::loadState(persist::Decoder &dec)
 {
     uint64_t n = dec.count(4);
-    slots_.assign(n, kNoRoute);
-    meta_.assign(n, 0);
+    std::pmr::vector<NextHop> &slots = img_->slots;
+    std::pmr::vector<uint8_t> &meta = img_->meta;
+    slots.assign(n, kNoRoute);
+    meta.assign(n, 0);
     for (uint64_t i = 0; i < n; ++i) {
-        slots_[i] = dec.u32();
-        meta_[i] = parityOf(slots_[i]);
+        slots[i] = dec.u32();
+        meta[i] = parityOf(slots[i]);
     }
     uint64_t classes = dec.count(8);
     if (classes > 33)
@@ -131,8 +128,8 @@ ResultTable::loadState(persist::Decoder &dec)
 void
 ResultTable::flipBit(uint32_t addr, unsigned bit)
 {
-    panicIf(addr >= slots_.size(), "ResultTable flip out of range");
-    slots_[addr] ^= static_cast<NextHop>(
+    panicIf(addr >= highWater(), "ResultTable flip out of range");
+    img_->slots[addr] ^= static_cast<NextHop>(
         NextHop(1) << (bit % (8 * sizeof(NextHop))));
 }
 

@@ -22,11 +22,15 @@
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/bitops.hh"
 #include "common/huge_pages.hh"
+#include "common/logging.hh"
+#include "common/write_log.hh"
 #include "route/prefix.hh"
+#include "telemetry/trace.hh"
 
 namespace chisel {
 
@@ -34,22 +38,85 @@ namespace persist { class Encoder; class Decoder; }
 
 /**
  * Next-hop array with power-of-two block allocation.
+ *
+ * The entries are the Image a lookup reads; the allocator is
+ * writer-owned.  The table writes one image at a time — its own
+ * (stand-alone) or an engine image's, rebound between updates — and
+ * names every entry it writes, and every growth, in the WriteLog.
  */
 class ResultTable
 {
   public:
-    ResultTable() : slots_(hugePageResource()), meta_(hugePageResource()) {}
+    /** What a lookup reads: the entries and their meta bytes. */
+    struct Image
+    {
+        /** Empty; buffers of 2 MiB or more are huge-page mappings. */
+        Image() : slots(hugePageResource()), meta(hugePageResource()) {}
 
-    /**
-     * A deep copy.  Its buffers are huge-page backed like the
-     * original's; a defaulted copy would put them on the default heap.
-     */
-    ResultTable(const ResultTable &other)
-        : slots_(other.slots_, hugePageResource()),
-          meta_(other.meta_, hugePageResource()),
-          freeLists_(other.freeLists_), allocated_(other.allocated_),
-          allocations_(other.allocations_), frees_(other.frees_)
-    {}
+        /**
+         * A deep copy.  Its buffers are huge-page backed like the
+         * original's; a defaulted copy would put them on the default
+         * heap.
+         */
+        Image(const Image &other)
+            : slots(other.slots, hugePageResource()),
+              meta(other.meta, hugePageResource())
+        {}
+
+        Image &operator=(const Image &) = delete;
+
+        /** Read the next hop at @p addr. */
+        NextHop
+        read(uint32_t addr) const
+        {
+            checkRange(addr, "ResultTable read out of range");
+            CHISEL_TRACE_ACCESS(Result, addr, sizeof(NextHop));
+            return slots[addr];
+        }
+
+        /** ResultTable::lengthOffset() over this image. */
+        uint8_t lengthOffset(uint32_t addr) const { return meta[addr] >> 1; }
+
+        /** True if @p addr passes its parity check. */
+        bool
+        parityOk(uint32_t addr) const
+        {
+            checkRange(addr, "ResultTable parity out of range");
+            return parityOf(slots[addr]) == (meta[addr] & 1u);
+        }
+
+        void
+        checkRange(uint32_t addr, const char *what) const
+        {
+            if (addr >= slots.size()) [[unlikely]]
+                panicIf(true, what);
+        }
+
+        /** Grow to @p size entries, new ones holding kNoRoute. */
+        void grow(size_t size);
+
+        std::pmr::vector<NextHop> slots;
+        /** Per slot: even-parity bit (bit 0), matched-length offset above. */
+        std::pmr::vector<uint8_t> meta;
+    };
+
+    /** A stand-alone table that owns its entries. */
+    ResultTable() : own_(std::make_unique<Image>()), img_(own_.get()) {}
+
+    /** A table writing @p image (an engine image's); it must outlive it. */
+    explicit ResultTable(Image &image) : img_(&image) {}
+
+    ResultTable(const ResultTable &) = delete;
+    ResultTable &operator=(const ResultTable &) = delete;
+
+    /** Write (and read) @p image from now on; same content. */
+    void bind(Image &image) { img_ = &image; }
+
+    /** The image this table writes. */
+    const Image &image() const { return *img_; }
+
+    /** Name every later entry write in @p log. */
+    void setLog(WriteLog *log) { log_ = log; }
 
     /**
      * Allocate a block of at least @p entries slots; the granted size
@@ -65,7 +132,7 @@ class ResultTable
     static uint32_t grantedSize(uint32_t entries);
 
     /** Read the next hop at @p addr. */
-    NextHop read(uint32_t addr) const;
+    NextHop read(uint32_t addr) const { return img_->read(addr); }
 
     /**
      * Write the next hop at @p addr, with the matched-length offset a
@@ -83,7 +150,7 @@ class ResultTable
     uint8_t
     lengthOffset(uint32_t addr) const
     {
-        return meta_[addr] >> 1;
+        return img_->lengthOffset(addr);
     }
 
     /**
@@ -94,9 +161,12 @@ class ResultTable
     void
     setLengthOffset(uint32_t addr, uint8_t length_offset)
     {
-        assert(addr < meta_.size());
-        meta_[addr] =
-            static_cast<uint8_t>((meta_[addr] & 1u) | (length_offset << 1));
+        std::pmr::vector<uint8_t> &meta = img_->meta;
+        assert(addr < meta.size());
+        meta[addr] =
+            static_cast<uint8_t>((meta[addr] & 1u) | (length_offset << 1));
+        if (log_ != nullptr)
+            log_->add(WriteLog::Table::ResultMeta, 0, addr, 1);
     }
 
     /**
@@ -104,11 +174,11 @@ class ResultTable
      * per slot, maintained by write(); a soft error is detectable
      * until the slot is rewritten.
      */
-    bool parityOk(uint32_t addr) const;
+    bool parityOk(uint32_t addr) const { return img_->parityOk(addr); }
 
     /**
      * Soft-error model: flip bit @p bit of the next hop stored at
-     * @p addr without updating parity.
+     * @p addr without updating parity.  Not a write: never logged.
      */
     void flipBit(uint32_t addr, unsigned bit);
 
@@ -116,7 +186,7 @@ class ResultTable
     uint64_t allocatedSlots() const { return allocated_; }
 
     /** Highest table address ever provisioned + 1. */
-    uint64_t highWater() const { return slots_.size(); }
+    uint64_t highWater() const { return img_->slots.size(); }
 
     /** Allocations performed (update-cost statistic). */
     uint64_t allocations() const { return allocations_; }
@@ -135,7 +205,6 @@ class ResultTable
     /** Restore from saveState(); throws persist::DecodeError. */
     void loadState(persist::Decoder &dec);
 
-  private:
     /** Parity bit of a slot's next hop, bit 0 of its meta byte. */
     static uint8_t
     parityOf(NextHop next_hop)
@@ -144,9 +213,11 @@ class ResultTable
             popcount64(static_cast<uint64_t>(next_hop)) & 1u);
     }
 
-    std::pmr::vector<NextHop> slots_;
-    /** Per slot: even-parity bit (bit 0), matched-length offset above. */
-    std::pmr::vector<uint8_t> meta_;
+  private:
+    /** The image a stand-alone table owns (null when bound to one). */
+    std::unique_ptr<Image> own_;
+    Image *img_;
+    WriteLog *log_ = nullptr;
     /** freeLists_[c] holds bases of free blocks of size 2^c. */
     std::vector<std::vector<uint32_t>> freeLists_;
     uint64_t allocated_ = 0;

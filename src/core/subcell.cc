@@ -29,8 +29,12 @@ updateClassName(UpdateClass c)
 
 SubCell::SubCell(const Config &config, ResultTable *results,
                  CellSummary *summary, uint64_t summary_bit,
-                 std::pmr::memory_resource *memory)
+                 CellImage *image)
     : config_(config),
+      own_(image != nullptr ? nullptr
+                            : std::make_unique<CellImage>(
+                                  std::pmr::get_default_resource())),
+      img_(image != nullptr ? image : own_.get()),
       results_(results),
       summary_(summary),
       summaryBit_(summary ? summary_bit : 0),
@@ -39,9 +43,9 @@ SubCell::SubCell(const Config &config, ResultTable *results,
       index_(config.capacity,
              BloomierConfig{config.k, config.ratio, config.range.base,
                             config.partitions, config.seed},
-             memory),
+             img_->index),
       table_(config.capacity, std::min(config.range.base, config.keyWidth),
-             config.stride, config.resultPointerBits, memory),
+             config.stride, config.resultPointerBits, img_->records),
       damper_(config.damping)
 {
     panicIf(results == nullptr, "SubCell requires a ResultTable");
@@ -49,29 +53,33 @@ SubCell::SubCell(const Config &config, ResultTable *results,
             "SubCell cannot serve length 0 (default route)");
     panicIf(config.range.top > config.range.base + config.stride,
             "SubCell range wider than the stride allows");
+    img_->base = config.range.base;
+    img_->stride = config.stride;
 }
 
-SubCell::SubCell(const SubCell &other, ResultTable *results,
-                 CellSummary *summary, std::pmr::memory_resource *memory)
-    : config_(other.config_),
-      results_(results),
-      summary_(summary),
-      summaryBit_(other.summaryBit_),
-      regional_(other.regional_),
-      regionGroups_(other.regionGroups_),
-      index_(other.index_, memory),
-      table_(other.table_, memory),
-      groups_(other.groups_),
-      recentlyRemoved_(other.recentlyRemoved_),
-      routes_(other.routes_),
-      dirtyCount_(other.dirtyCount_),
-      dirtyPeak_(other.dirtyPeak_),
-      damper_(other.damper_),
-      health_(other.health_),
-      writes_(other.writes_),
-      faults_(other.faults_),
-      parityPending_(other.parityPending_)
+void
+SubCell::bind(CellImage &image, CellSummary *summary)
 {
+    img_ = &image;
+    index_.bind(image.index);
+    table_.bind(image.records);
+    summary_ = summary;
+}
+
+void
+SubCell::setLog(WriteLog *log, uint32_t cell)
+{
+    log_ = log;
+    logCell_ = cell;
+    index_.setLog(log, cell);
+    table_.setLog(log, cell);
+}
+
+void
+SubCell::logSummary(WriteLog::Table table, uint32_t region)
+{
+    if (log_ != nullptr)
+        log_->add(table, 0, region, 1);
 }
 
 void
@@ -119,9 +127,13 @@ SubCell::refreshImage(const Key128 &ckey, Group &group)
     // just the modified words to hardware (Section 4.4).  A slot whose
     // next hop stays but whose covering member changed length gets
     // only its software offset re-stamped: no hardware word moves.
+    // A word that fails parity is rewritten whatever it reads: its
+    // value cannot be trusted to match, and the rewrite must reach the
+    // other image.
     for (uint32_t i = 0; i < needed; ++i) {
         uint32_t addr = group.resultBase + i;
-        if (fresh_block || results_->read(addr) != image.hops[i]) {
+        if (fresh_block || results_->read(addr) != image.hops[i] ||
+            !results_->parityOk(addr)) {
             results_->write(addr, image.hops[i], image.lengths[i]);
             ++writes_.resultWrites;
         } else if (results_->lengthOffset(addr) != image.lengths[i]) {
@@ -141,13 +153,16 @@ SubCell::noteGroupAdded(const Key128 &ckey)
         // A group shorter than the region prefix spans many regions:
         // the cell is probed for every key while it holds any group.
         summary_->setAlways(summaryBit_);
+        logSummary(WriteLog::Table::SummaryAlways, 0);
         return;
     }
     if (regionGroups_.empty())
         regionGroups_.assign(CellSummary::kRegions, 0);
     uint32_t r = summary_->region(ckey);
-    if (regionGroups_[r]++ == 0)
+    if (regionGroups_[r]++ == 0) {
         summary_->setRegion(r, summaryBit_);
+        logSummary(WriteLog::Table::SummaryRegion, r);
+    }
 }
 
 void
@@ -156,13 +171,17 @@ SubCell::noteGroupErased(const Key128 &ckey)
     if (summaryBit_ == 0)
         return;
     if (!regional_) {
-        if (groups_.empty())
+        if (groups_.empty()) {
             summary_->clearAlways(summaryBit_);
+            logSummary(WriteLog::Table::SummaryAlways, 0);
+        }
         return;
     }
     uint32_t r = summary_->region(ckey);
-    if (--regionGroups_[r] == 0)
+    if (--regionGroups_[r] == 0) {
         summary_->clearRegion(r, summaryBit_);
+        logSummary(WriteLog::Table::SummaryRegion, r);
+    }
 }
 
 void
@@ -289,6 +308,11 @@ SubCell::recoverParity(std::vector<Route> &displaced)
     ++faults_.parityRecoveries;
     CHISEL_FLIGHT_EVENT(ParityRecovery, 0, faults_.parityRecoveries, 0);
 
+    // Every Index and record word of the cell is rewritten below: name
+    // the cell whole once, at the end, instead of word by word.
+    index_.setLog(nullptr, 0);
+    table_.setLog(nullptr, 0);
+
     // Recover-by-resetup: every hardware word is re-derived from the
     // shadow copy.  Stage 1 — the Index (slot codes are preserved, so
     // surviving groups keep their Filter/Bit-vector locations).
@@ -347,20 +371,27 @@ SubCell::recoverParity(std::vector<Route> &displaced)
         table_.setVector(g.slot, image.bits, g.resultBase);
         ++writes_.bitvectorWrites;
     }
+
+    setLog(log_, logCell_);
+    if (log_ != nullptr) {
+        log_->add(WriteLog::Table::IndexLanes, logCell_, 0, 0);
+        log_->add(WriteLog::Table::IndexSlots, logCell_, 0, index_.slots());
+        table_.logAll();
+    }
 }
 
 size_t
-SubCell::verifyParity() const
+SubCell::verifyParity(const CellImage &image) const
 {
     size_t bad = 0;
-    for (size_t s = 0; s < index_.slots(); ++s) {
-        if (!index_.parityOk(s))
+    for (size_t s = 0; s < image.index.slots.size(); ++s) {
+        if (!image.index.parityOk(s))
             ++bad;
     }
     for (uint32_t s = 0; s < config_.capacity; ++s) {
-        if (!table_.filterParityOk(s))
+        if (!image.records.filterParityOk(s))
             ++bad;
-        if (!table_.vectorParityOk(s))
+        if (!image.records.vectorParityOk(s))
             ++bad;
     }
     if (bad > 0) {
@@ -401,53 +432,65 @@ SubCell::corruptBitVectorBit(fault::FaultInjector &injector)
         injector.draw(uint64_t(1) << config_.stride));
 }
 
-SubCell::Hit
-SubCell::lookup(const Key128 &key) const
+CellImage::Probe
+CellImage::probe(const Key128 &key, const ResultTable::Image &results,
+                 CellHit &out) const
 {
-    Hit out;
-    const unsigned base = config_.range.base;
-
     // Access 1: Index Table (k segments read in parallel).  Each
     // parity check below rides along with the access it guards — it
     // adds no extra table reads, so traced access counts are
     // unchanged from the fault-free pipeline.
     Key128 ckey = key.masked(base);
     bool parity = true;
-    uint32_t code = index_.lookupCode(ckey, &parity);
+    uint32_t code = index.lookupCode(ckey, &parity);
     if (!parity)
-        return softLookup(key, ckey);
-    if (code >= config_.capacity)
-        return out;   // Garbage code for an absent key.
+        return Probe::Parity;
+    if (code >= records.capacity)
+        return Probe::Miss;   // Garbage code for an absent key.
 
     // Access 2: Filter Table — the false-positive check.
-    if (!table_.filterParityOk(code))
-        return softLookup(key, ckey);
-    if (!table_.matches(code, ckey))
-        return out;
+    if (!records.filterParityOk(code))
+        return Probe::Parity;
+    if (!records.matches(code, ckey))
+        return Probe::Miss;
 
     // Access 3: Bit-vector Table (the same record as the Filter entry).
-    if (!table_.vectorParityOk(code))
-        return softLookup(key, ckey);
-    unsigned avail = std::min(config_.stride,
-                              Key128::maxBits - base);
-    uint64_t v = key.extract(base, avail)
-                 << (config_.stride - avail);
-    if (!table_.bit(code, v))
-        return out;
+    if (!records.vectorParityOk(code))
+        return Probe::Parity;
+    uint64_t v = suffix(key);
+    if (!records.bit(code, v))
+        return Probe::Miss;
 
     // Access 4: Result Table (off-chip), pointer + popcount offset.
-    unsigned offset = table_.onesUpTo(code, v);
-    uint32_t addr = table_.pointer(code) + offset - 1;
-    if (!results_->parityOk(addr))
-        return softLookup(key, ckey);
-    NextHop nh = results_->read(addr);
+    unsigned offset = records.onesUpTo(code, v);
+    uint32_t addr = records.pointer(code) + offset - 1;
+    if (!results.parityOk(addr))
+        return Probe::Parity;
 
     out.hit = true;
-    out.nextHop = nh;
+    out.nextHop = results.read(addr);
     // Reporting only (the hardware result is the next hop itself):
     // the offset stored beside the next hop, no shadow walk.
-    out.matchedLength = base + results_->lengthOffset(addr);
-    assert(out.matchedLength == shadowLength(ckey, v));
+    out.matchedLength = base + results.lengthOffset(addr);
+    return Probe::Hit;
+}
+
+SubCell::Hit
+SubCell::lookup(const CellImage &image, const ResultTable::Image &results,
+                const Key128 &key) const
+{
+    Hit out;
+    switch (image.probe(key, results, out)) {
+      case CellImage::Probe::Parity:
+        return softLookup(key, key.masked(config_.range.base));
+      case CellImage::Probe::Hit:
+        assert(out.matchedLength ==
+               shadowLength(key.masked(config_.range.base),
+                            image.suffix(key)));
+        return out;
+      case CellImage::Probe::Miss:
+        break;
+    }
     return out;
 }
 
@@ -688,9 +731,10 @@ SubCell::purgeDirty()
 }
 
 bool
-SubCell::selfCheck() const
+SubCell::selfCheck(const CellImage &cell_image,
+                   const ResultTable::Image &results) const
 {
-    if (!index_.selfCheck())
+    if (!index_.selfCheck(&cell_image.index))
         return false;
     const unsigned base = config_.range.base;
     unsigned avail = std::min(config_.stride, Key128::maxBits - base);
@@ -704,7 +748,7 @@ SubCell::selfCheck() const
                 continue;
             Key128 key = ckey;
             key.deposit(base, avail, v >> (config_.stride - avail));
-            Hit h = lookup(key);
+            Hit h = lookup(cell_image, results, key);
             if (!h.hit || h.nextHop != image.hops[hop] ||
                 h.matchedLength != shadowLength(ckey, v))
                 return false;

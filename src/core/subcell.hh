@@ -13,11 +13,13 @@
  *    Result Table pointer — one GroupTable record per slot;
  *  - the shadow state (per-group member sets) that drives updates.
  *
+ * What a lookup reads of a cell — the Index slots and hash lanes and
+ * the GroupTable records, with the length range and stride — is its
+ * CellImage, which lives in an engine image (in that image's
+ * ImageArena); the rest of the SubCell is writer-owned control state.
  * The Result Table is shared across sub-cells and passed in by the
- * engine, as is the memory the Index and GroupTable arrays live in
- * (the engine image's ImageArena).  A lookup makes exactly four table
- * accesses: Index, Filter, Bit-vector, Result — independent of key
- * width.  The Result entry
+ * engine.  A lookup makes exactly four table accesses: Index, Filter,
+ * Bit-vector, Result — independent of key width.  The Result entry
  * also carries, beside its parity bit, the matched length minus the
  * cell base, so a lookup reads no shadow state; only the soft lookup
  * after a parity error does.
@@ -33,13 +35,16 @@
 #ifndef CHISEL_CORE_SUBCELL_HH
 #define CHISEL_CORE_SUBCELL_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "bloom/bloomier.hh"
+#include "common/write_log.hh"
 #include "concurrent/relaxed.hh"
 #include "core/cell_summary.hh"
 #include "core/collapse.hh"
@@ -76,6 +81,65 @@ constexpr size_t kUpdateClassCount = 9;
 
 /** Human-readable category name. */
 const char *updateClassName(UpdateClass c);
+
+/** Result of a sub-cell probe. */
+struct CellHit
+{
+    bool hit = false;
+    NextHop nextHop = kNoRoute;
+    unsigned matchedLength = 0;
+};
+
+/**
+ * What a lookup reads of one sub-cell: its Index image and GroupTable
+ * records, and the length range and stride that address them.  None
+ * of it changes between two installs except the words an update
+ * writes (and, on a reseed, the lanes).
+ */
+struct CellImage
+{
+    /** How a probe ended. */
+    enum class Probe : uint8_t
+    {
+        Miss,
+        Hit,
+        Parity,   ///< A word read failed its parity check.
+    };
+
+    /** Empty tables in @p memory; the SubCell constructor sizes them. */
+    explicit CellImage(std::pmr::memory_resource *memory)
+        : index(memory), records(memory)
+    {}
+
+    /** A copy of @p other whose tables live in @p memory. */
+    CellImage(const CellImage &other, std::pmr::memory_resource *memory)
+        : base(other.base), stride(other.stride),
+          index(other.index, memory), records(other.records, memory)
+    {}
+
+    CellImage(CellImage &&) = default;
+
+    /**
+     * The hardware four-access lookup sequence against this image and
+     * @p results.  On Hit, @p out holds the answer; on Parity the
+     * answer must come from elsewhere (the shadow).
+     */
+    Probe probe(const Key128 &key, const ResultTable::Image &results,
+                CellHit &out) const;
+
+    /** Suffix value (the Bit-vector index) of @p key in this cell. */
+    uint64_t
+    suffix(const Key128 &key) const
+    {
+        unsigned avail = std::min(stride, Key128::maxBits - base);
+        return key.extract(base, avail) << (stride - avail);
+    }
+
+    unsigned base = 0;
+    unsigned stride = 0;
+    BloomierFilter::Image index;
+    GroupTable::Image records;
+};
 
 /**
  * One sub-cell of the Chisel LPM engine.
@@ -121,32 +185,31 @@ class SubCell
     };
 
     /** Result of a sub-cell probe. */
-    struct Hit
-    {
-        bool hit = false;
-        NextHop nextHop = kNoRoute;
-        unsigned matchedLength = 0;
-    };
+    using Hit = CellHit;
 
     /**
      * @param summary The engine's cell-presence summary, kept exact
      *        for this cell's groups under @p summary_bit; nullptr (a
      *        stand-alone cell) or bit 0 reports nothing.
-     * @param memory Where the Index slots, hash lanes and GroupTable
-     *        records live: the engine image's arena, or the heap.
+     * @param image The engine image's slot for this cell, which the
+     *        constructor sizes and fills; nullptr, the cell owns one
+     *        on the heap.
      */
     SubCell(const Config &config, ResultTable *results,
             CellSummary *summary = nullptr, uint64_t summary_bit = 0,
-            std::pmr::memory_resource *memory =
-                std::pmr::get_default_resource());
+            CellImage *image = nullptr);
+
+    SubCell(const SubCell &) = delete;
+    SubCell &operator=(const SubCell &) = delete;
 
     /**
-     * A deep copy of @p other for another engine image: the same
-     * shadow, tables, counters and flap history, reporting into that
-     * image's @p results and @p summary, its tables in @p memory.
+     * Write (and read) @p image and @p summary from now on: the same
+     * cell of another engine image, with the same content.
      */
-    SubCell(const SubCell &other, ResultTable *results,
-            CellSummary *summary, std::pmr::memory_resource *memory);
+    void bind(CellImage &image, CellSummary *summary);
+
+    /** Name every later image write in @p log as cell @p cell. */
+    void setLog(WriteLog *log, uint32_t cell);
 
     /** True if this cell serves prefixes of @p len. */
     bool
@@ -166,7 +229,19 @@ class SubCell
     /**
      * Probe the cell: the hardware four-access lookup sequence.
      */
-    Hit lookup(const Key128 &key) const;
+    Hit lookup(const Key128 &key) const
+    {
+        return lookup(*img_, results_->image(), key);
+    }
+
+    /**
+     * Probe @p image (this cell's, in any engine image) and
+     * @p results; a parity error is answered from the shadow and
+     * flags the cell for recovery.  Writer side: the caller excludes
+     * updates.
+     */
+    Hit lookup(const CellImage &image, const ResultTable::Image &results,
+               const Key128 &key) const;
 
     /**
      * Announce a prefix with a covered length.  Groups displaced by
@@ -296,14 +371,17 @@ class SubCell
      */
     bool parityPending() const { return parityPending_; }
 
+    /** Flag the cell for recovery at the next update (a scrub's verdict). */
+    void flagRecovery() const { parityPending_ = true; }
+
     /**
      * Walk every parity word of this cell's Index, Filter and
-     * Bit-vector images, flagging the cell for recovery if any check
-     * fails — the read side of the background scrubber
+     * Bit-vector tables in @p image, flagging the cell for recovery if
+     * any check fails — the read side of the background scrubber
      * (docs/concurrency.md).  Const: only counters and the pending
      * flag (both atomic) change.  @return parity words that failed.
      */
-    size_t verifyParity() const;
+    size_t verifyParity(const CellImage &image) const;
 
     /** Parity words a verifyParity() pass checks. */
     size_t
@@ -317,8 +395,15 @@ class SubCell
      * Filter, Bit-vector, Result block) of this cell from the shadow
      * copy, scrubbing any soft error.  Groups the retried Index
      * setup still cannot place are dismantled into @p displaced.
+     * With a write log, the whole cell is named in it.
      */
     void recoverParity(std::vector<Route> &displaced);
+
+    /**
+     * True if the last announce's singleton encode XORed a word that
+     * failed parity (BloomierFilter::takeTainted); clears the flag.
+     */
+    bool takeTainted() { return index_.takeTainted(); }
 
     /** Soft-error injection: corrupt one random Index slot bit. */
     void corruptIndexBit(fault::FaultInjector &injector);
@@ -331,11 +416,19 @@ class SubCell
 
     /**
      * Deep consistency check (tests): every shadow member is
-     * retrievable through the hardware lookup path with the matched
-     * length ShadowGroup::longestCover() derives, and the per-region
-     * group counts match a recount.
+     * retrievable through the hardware lookup path of @p image and
+     * @p results with the matched length ShadowGroup::longestCover()
+     * derives, and the per-region group counts match a recount.
      */
-    bool selfCheck() const;
+    bool selfCheck(const CellImage &image,
+                   const ResultTable::Image &results) const;
+
+    /** selfCheck() of the bound image. */
+    bool
+    selfCheck() const
+    {
+        return selfCheck(*img_, results_->image());
+    }
 
     /**
      * Set this cell's bit in @p summary for every group it holds — a
@@ -392,6 +485,9 @@ class SubCell
     /** Summary bookkeeping after groups_ lost @p ckey. */
     void noteGroupErased(const Key128 &ckey);
 
+    /** Name summary region @p region (or the always mask) in the log. */
+    void logSummary(WriteLog::Table table, uint32_t region);
+
     /** The matched length the shadow copy derives (for cross-checks). */
     unsigned shadowLength(const Key128 &ckey, uint64_t slot) const;
 
@@ -423,6 +519,11 @@ class SubCell
     void noteRemoved(const Prefix &prefix);
 
     Config config_;
+    /** The image a stand-alone cell owns (null when bound to one). */
+    std::unique_ptr<CellImage> own_;
+    CellImage *img_;
+    WriteLog *log_ = nullptr;
+    uint32_t logCell_ = 0;
     ResultTable *results_;
     CellSummary *summary_;
     uint64_t summaryBit_;
@@ -442,7 +543,11 @@ class SubCell
     health::FlapDamper damper_;
     HealthCounters health_;
     WriteCounters writes_;
-    /** Mutable: lookups (const) detect soft errors and flag them. */
+    /**
+     * Mutable: lookups (const) detect soft errors and flag them — on
+     * the writer's side only (a stand-alone engine, or a reader that
+     * took the writer lock for its soft lookup).
+     */
     mutable FaultCounters faults_;
     mutable concurrent::RelaxedFlag parityPending_;
 };

@@ -41,16 +41,12 @@ recoveryActionName(RecoveryAction a)
 // ---- Signals ---------------------------------------------------------------
 
 void
-addUpdateEvents(HealthSignals &signals, const UpdateOutcome &outcome,
-                const UpdateOutcome &twin)
+addUpdateEvents(HealthSignals &signals, const UpdateOutcome &outcome)
 {
-    signals.tcamOverflows +=
-        std::max(outcome.tcamOverflows, twin.tcamOverflows);
-    signals.setupRetries += std::max(outcome.setupRetries, twin.setupRetries);
-    signals.parityRecoveries +=
-        std::max(outcome.parityRecoveries, twin.parityRecoveries);
-    signals.slowPathRejected +=
-        std::max(outcome.slowPathRejections, twin.slowPathRejections);
+    signals.tcamOverflows += outcome.tcamOverflows;
+    signals.setupRetries += outcome.setupRetries;
+    signals.parityRecoveries += outcome.parityRecoveries;
+    signals.slowPathRejected += outcome.slowPathRejections;
 }
 
 void

@@ -63,9 +63,9 @@ const char *healthStateName(HealthState s);
 enum class RecoveryAction : uint8_t
 {
     None,
-    PurgeDirty,       ///< ChiselEngine::purgeDirty on both images.
+    PurgeDirty,       ///< ConcurrentChisel::purgeDirtyNow.
     Scrub,            ///< Full parity scrub (ConcurrentChisel::scrubNow).
-    Resetup,          ///< Rebuild both images from the live route set.
+    Resetup,          ///< Rebuild the engine from the live route set.
     SnapshotRestore,  ///< Last resort: reload a known-good snapshot.
     Resize,           ///< Capacity pressure: re-plan a grown engine
                       ///< off the serving path and pointer-flip it in
@@ -103,12 +103,8 @@ struct HealthSignals
     bool watchdogExpired = false;    ///< An update overran its deadline.
 };
 
-/**
- * Add one applied update's events to @p signals.  @p twin is its
- * outcome on a second image: an event in either image counts once.
- */
-void addUpdateEvents(HealthSignals &signals, const UpdateOutcome &outcome,
-                     const UpdateOutcome &twin = {});
+/** Add one applied update's events to @p signals. */
+void addUpdateEvents(HealthSignals &signals, const UpdateOutcome &outcome);
 
 /** Set @p signals' occupancies from @p engine and its config. */
 void setOccupancies(HealthSignals &signals, const ChiselEngine &engine);

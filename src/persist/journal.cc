@@ -36,6 +36,13 @@ std::vector<uint8_t>
 encodeJournalRecord(const JournalRecord &rec)
 {
     Encoder enc;
+    encodeJournalRecord(rec, enc);
+    return std::move(enc.buffer());
+}
+
+void
+encodeJournalRecord(const JournalRecord &rec, Encoder &enc)
+{
     enc.u8(static_cast<uint8_t>(rec.type));
     enc.u64(rec.seq);
     switch (rec.type) {
@@ -63,7 +70,6 @@ encodeJournalRecord(const JournalRecord &rec)
         encodeConfig(enc, rec.resizeConfig);
         break;
     }
-    return enc.buffer();
 }
 
 /** Decode one record payload; throws DecodeError on malformed bytes. */
@@ -289,16 +295,24 @@ UpdateJournal::recordIoError(const std::string &what)
 }
 
 bool
-UpdateJournal::writeRecord(const std::vector<uint8_t> &payload,
-                           uint64_t seq_after)
+UpdateJournal::writeRecord(const JournalRecord &rec, uint64_t seq_after,
+                           bool flush)
 {
     if (torn_)
         return true;   // "Crashed" by a previous torn write.
     if (ioFailed_)
         return false;  // Durability already void; refuse loudly.
 
-    const std::vector<uint8_t> bytes =
-        encodeFrame(payload.data(), payload.size());
+    // The frame (len | crc | payload), encoded in place: the header is
+    // patched once the payload is in.
+    std::vector<uint8_t> &bytes = frame_.buffer();
+    bytes.clear();
+    frame_.u32(0);
+    frame_.u32(0);
+    encodeJournalRecord(rec, frame_);
+    const size_t len = bytes.size() - kFrameHeaderBytes;
+    frame_.patchU32(0, static_cast<uint32_t>(len));
+    frame_.patchU32(4, crc32(bytes.data() + kFrameHeaderBytes, len));
 
     if (CHISEL_FAULT_FIRE(JournalTornWrite)) {
         // Crash mid-append: a leading fragment reaches the disk, the
@@ -329,7 +343,7 @@ UpdateJournal::writeRecord(const std::vector<uint8_t> &payload,
     ++sinceSync_;
     if (fsyncEvery_ != 0 && sinceSync_ >= fsyncEvery_)
         syncTo(seq_after);
-    else if (std::fflush(file_) != 0) {
+    else if (flush && std::fflush(file_) != 0) {
         recordIoError("flush failed: " +
                       std::string(std::strerror(errno)));
         return false;
@@ -344,7 +358,7 @@ UpdateJournal::append(const Update &update)
     rec.type = JournalRecord::Type::Update;
     rec.seq = seq_ + 1;
     rec.update = update;
-    if (!writeRecord(encodeJournalRecord(rec), rec.seq))
+    if (!writeRecord(rec, rec.seq))
         return 0;   // Not durable: the caller must not acknowledge.
     seq_ = rec.seq;
     CHISEL_FLIGHT_EVENT(JournalAppend, rec.type, rec.seq, 0);
@@ -364,7 +378,7 @@ UpdateJournal::appendOutcome(uint64_t seq, const UpdateOutcome &outcome)
     rec.slowPathInserts = outcome.slowPathInserts;
     rec.slowPathRejections = outcome.slowPathRejections;
     rec.parityRecoveries = outcome.parityRecoveries;
-    if (writeRecord(encodeJournalRecord(rec), seq_))
+    if (writeRecord(rec, seq_, /*flush=*/false))
         CHISEL_FLIGHT_EVENT(JournalAppend, rec.type, rec.seq, 0);
 }
 
@@ -374,7 +388,7 @@ UpdateJournal::appendSnapshotMark(uint64_t seq)
     JournalRecord rec;
     rec.type = JournalRecord::Type::SnapshotMark;
     rec.seq = seq;
-    if (writeRecord(encodeJournalRecord(rec), seq_))
+    if (writeRecord(rec, seq_))
         CHISEL_FLIGHT_EVENT(JournalAppend, rec.type, rec.seq, 0);
 }
 
@@ -385,7 +399,7 @@ UpdateJournal::appendHousekeeping(JournalRecord::HousekeepingKind kind)
     rec.type = JournalRecord::Type::Housekeeping;
     rec.seq = seq_;   // Stamped, not consumed: updates keep their seqs.
     rec.housekeeping = kind;
-    if (writeRecord(encodeJournalRecord(rec), seq_))
+    if (writeRecord(rec, seq_))
         CHISEL_FLIGHT_EVENT(JournalAppend, rec.type, rec.seq, 0);
 }
 
@@ -396,7 +410,7 @@ UpdateJournal::appendResizeMark(const ChiselConfig &config)
     rec.type = JournalRecord::Type::ResizeMark;
     rec.seq = seq_;   // Stamped, not consumed, like housekeeping.
     rec.resizeConfig = config;
-    if (writeRecord(encodeJournalRecord(rec), seq_))
+    if (writeRecord(rec, seq_))
         CHISEL_FLIGHT_EVENT(JournalAppend, rec.type, rec.seq, 0);
 }
 
@@ -404,6 +418,15 @@ void
 UpdateJournal::sync()
 {
     syncTo(seq_);
+}
+
+void
+UpdateJournal::flush()
+{
+    if (torn_ || ioFailed_)
+        return;
+    if (std::fflush(file_) != 0)
+        recordIoError("flush failed: " + std::string(std::strerror(errno)));
 }
 
 bool

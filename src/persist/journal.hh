@@ -32,6 +32,7 @@
 
 #include "core/engine.hh"
 #include "core/update_outcome.hh"
+#include "persist/codec.hh"
 #include "route/updates.hh"
 
 namespace chisel::persist {
@@ -157,7 +158,15 @@ class UpdateJournal
      */
     uint64_t append(const Update &update);
 
-    /** Log the outcome of applied seq @p seq (the commit marker). */
+    /**
+     * Log the outcome of applied seq @p seq (the commit marker).  The
+     * record stays in the stdio buffer: it reaches the kernel with the
+     * next record's flush, with sync() or ensureDurable(), or when the
+     * journal closes — one write syscall per update, not two.  Replay,
+     * followers and the audit ignore Outcome records, so losing the
+     * last one to a crash changes no recovered state.  It is flushed
+     * on its own only when a batch fsync falls due.
+     */
     void appendOutcome(uint64_t seq, const UpdateOutcome &outcome);
 
     /** Record that a snapshot covering seqs <= @p seq was written. */
@@ -182,6 +191,12 @@ class UpdateJournal
 
     /** Force an fsync now regardless of the batch policy. */
     void sync();
+
+    /**
+     * Hand buffered records (a held-back Outcome) to the kernel, so a
+     * scan of path() in this process sees them; no fsync.
+     */
+    void flush();
 
     /**
      * Make sure every record up to @p seq is fsync-covered before
@@ -231,14 +246,16 @@ class UpdateJournal
 
   private:
     /**
-     * @return false iff the record was refused by an I/O failure.
-     * @p seq_after is the journal head once this record is durable
-     * (the record's own seq for updates, the current head otherwise);
-     * a batch-boundary fsync inside the write advances the durable
-     * head to exactly that.
+     * Frame @p rec and write it.  @return false iff the record was
+     * refused by an I/O failure.  @p seq_after is the journal head
+     * once this record is durable (the record's own seq for updates,
+     * the current head otherwise); a batch-boundary fsync inside the
+     * write advances the durable head to exactly that.  @p flush
+     * false leaves the record in the stdio buffer unless that fsync
+     * falls due.
      */
-    bool writeRecord(const std::vector<uint8_t> &payload,
-                     uint64_t seq_after);
+    bool writeRecord(const JournalRecord &rec, uint64_t seq_after,
+                     bool flush = true);
 
     /** sync() targeting @p head as the durable seq on success. */
     void syncTo(uint64_t head);
@@ -248,6 +265,8 @@ class UpdateJournal
 
     std::string path_;
     FILE *file_ = nullptr;
+    /** One record's frame, encoded in place; reused across records. */
+    Encoder frame_;
     size_t fsyncEvery_;
     size_t sinceSync_ = 0;
     uint64_t seq_ = 0;
@@ -272,6 +291,9 @@ class UpdateJournal
  * replays what the disk would have replayed.
  */
 std::vector<uint8_t> encodeJournalRecord(const JournalRecord &rec);
+
+/** encodeJournalRecord() appended to @p enc. */
+void encodeJournalRecord(const JournalRecord &rec, Encoder &enc);
 
 /**
  * Decode one journal record payload; throws DecodeError on malformed

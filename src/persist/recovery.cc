@@ -187,6 +187,13 @@ recoverEngine(const RecoveryOptions &options)
         report.lastSeq = 0;
     }
 
+    if (report.source != RecoverySource::ColdSetup) {
+        for (const JournalRecord &rec : scan.records) {
+            if (rec.type == JournalRecord::Type::SnapshotMark)
+                report.snapshotMarked = rec.seq == report.lastSeq;
+        }
+    }
+
     report.recordsReplayed =
         replayTail(report.engine, scan, report.lastSeq,
                    report.lastSeq);

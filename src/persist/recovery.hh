@@ -109,6 +109,14 @@ struct RecoveryReport
     /** Update records re-applied to the engine. */
     uint64_t recordsReplayed = 0;
 
+    /**
+     * True if the journal's last SnapshotMark names the restored
+     * image's seq: with recordsReplayed 0 and source Snapshot, the
+     * snapshot on disk is already the checkpoint a restart would
+     * write (ShardedChisel skips re-saving it).
+     */
+    bool snapshotMarked = false;
+
     /** Sequence number the engine is current through. */
     uint64_t lastSeq = 0;
 

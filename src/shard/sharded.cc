@@ -168,10 +168,13 @@ ShardedChisel::buildShard(size_t i, const std::vector<Route> &slice)
         options_.hashSeed);
 
     // Warm restart: run the recovery ladder against this shard's
-    // lane and serve the recovered engine itself — its twin is a
-    // clone, so no Bloomier setup runs beyond the ladder's own.  The
+    // lane and serve the recovered engine itself — its twin image is
+    // a copy, so no Bloomier setup runs beyond the ladder's own.  The
     // engine takes the journal over and checkpoints once, so the
-    // shard snapshot covers the replayed tail.
+    // shard snapshot covers the replayed tail — unless the primary
+    // snapshot, marked as the journal's last checkpoint, already is
+    // that state (nothing replayed): then re-saving it would write the
+    // same bytes again.
     persist::RecoveryOptions ro;
     ro.journalPath = journalPath;
     ro.snapshotPath = copts.recoverySnapshotPath;
@@ -186,7 +189,10 @@ ShardedChisel::buildShard(size_t i, const std::vector<Route> &slice)
         std::move(report.engine), copts,
         std::make_unique<persist::UpdateJournal>(journalPath, fp,
                                                  options_.fsyncEvery));
-    sh.engine->checkpoint();
+    bool current = report.source == persist::RecoverySource::Snapshot &&
+                   report.recordsReplayed == 0 && report.snapshotMarked;
+    if (!current)
+        sh.engine->checkpoint();
 
     ShardRecovery &rec = recovery_[i];
     rec.source = report.source;

@@ -28,9 +28,10 @@
  * of the persist directory pins the partition geometry and a reopen
  * with different parameters is refused.  Warm restart recovers every
  * shard independently through the persist ladder, serves the
- * recovered engine itself (its twin a clone) with zero full Bloomier
- * setups, and checkpoints it so the shard snapshot covers the
- * replayed tail.
+ * recovered engine itself (its twin a copy of its image) with zero
+ * full Bloomier setups, and checkpoints it so the shard snapshot
+ * covers the replayed tail, unless nothing was replayed onto the
+ * primary snapshot its journal last marked.
  */
 
 #ifndef CHISEL_SHARD_SHARDED_HH

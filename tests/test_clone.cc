@@ -1,15 +1,18 @@
 /**
  * @file
- * The engine set-up path: ChiselEngine::clone(), the member-wise deep
- * copy every ConcurrentChisel image pair is made with, and the engine
- * built straight from a route vector.
+ * The engine set-up path: the EngineImage copy every ConcurrentChisel
+ * twin is made with, the write-log replay that keeps it equal to the
+ * image the engine writes, and the engine built straight from a route
+ * vector.
  *
- * A clone must save the same bytes as its source, pass selfCheck()
- * and answer like the trie oracle, whether the source was built (with
+ * A copied image must pass selfCheck() against the engine's control
+ * state, make the engine save the same bytes when bound to it, and
+ * answer like the trie oracle, whether the source was built (with
  * routes in the spill TCAM and the slow path, dirty groups, armed
  * TTLs and a default route), decoded from a golden snapshot, or
  * driven through a seeded update trace.  It must also share nothing
- * with its source: updates and bit flips in one stay in that one.
+ * with its source: updates and bit flips in one stay in that one
+ * unless a write log carries them over.
  */
 
 #include <gtest/gtest.h>
@@ -76,49 +79,101 @@ expectMatchesOracle(const ChiselEngine &twin, const RoutingTable &routes,
     }
 }
 
-/** The clone of @p source is faithful: same bytes, sound, correct. */
+/** @p image answers every probe like a trie over @p routes. */
 void
-expectFaithfulClone(const ChiselEngine &source)
+expectImageMatchesOracle(const EngineImage &image,
+                         const RoutingTable &routes, unsigned width)
 {
-    std::unique_ptr<ChiselEngine> twin = source.clone();
-    EXPECT_EQ(stateBytes(*twin), stateBytes(source));
-    EXPECT_TRUE(twin->selfCheck());
-    EXPECT_EQ(twin->routeCount(), source.routeCount());
-    EXPECT_EQ(twin->bloomierSetups(), source.bloomierSetups());
-    expectMatchesOracle(*twin, source.exportTable(),
-                        source.config().keyWidth);
+    BinaryTrie oracle(routes);
+    for (const Key128 &key : probeKeys(routes, width, 0xC10F)) {
+        bool parity_ok = true;
+        LookupResult got = image.lookup(key, &parity_ok);
+        ASSERT_TRUE(parity_ok);
+        std::optional<Route> want = oracle.lookup(key, width);
+        ASSERT_EQ(got.found, want.has_value()) << key.toBitString(width);
+        if (!want)
+            continue;
+        ASSERT_EQ(got.nextHop, want->nextHop) << key.toBitString(width);
+        ASSERT_EQ(got.matchedLength, want->prefix.length())
+            << key.toBitString(width);
+    }
 }
 
 /**
- * Clone @p source, then show the two share nothing: 200 updates on
- * the clone leave the source's bytes alone, and the same 200 on the
- * source make the two equal again.
+ * A copy of @p source's image is faithful: sound against the control
+ * state, the same saved bytes when the engine is bound to it, and
+ * correct on its own.
  */
 void
-expectIndependentClone(ChiselEngine &source, uint64_t seed)
+expectFaithfulCopy(ChiselEngine &source)
 {
-    std::unique_ptr<ChiselEngine> twin = source.clone();
-    const std::vector<uint8_t> before = stateBytes(source);
-    const unsigned width = source.config().keyWidth;
-    std::vector<Update> trace =
-        UpdateTraceGenerator(source.exportTable(), TraceProfile{}, width,
-                             seed)
-            .generate(200);
+    EngineImage &own = source.image();
+    const std::vector<uint8_t> bytes = stateBytes(source);
+    EngineImage copy(own);
+    EXPECT_TRUE(source.selfCheck(copy));
+    expectImageMatchesOracle(copy, source.exportTable(),
+                             source.config().keyWidth);
 
-    for (const Update &u : trace)
-        twin->apply(u);
-    EXPECT_EQ(stateBytes(source), before);
-    EXPECT_NE(stateBytes(*twin), before);
-    EXPECT_TRUE(twin->selfCheck());
-
-    for (const Update &u : trace)
-        source.apply(u);
-    EXPECT_EQ(stateBytes(source), stateBytes(*twin));
+    source.bindImage(copy);
+    EXPECT_EQ(stateBytes(source), bytes);
+    expectMatchesOracle(source, source.exportTable(),
+                        source.config().keyWidth);
+    source.bindImage(own);
 }
 
 /**
- * A small IPv4 engine with every kind of state a codec clone would
- * have to carry: routes in the two-entry spill TCAM and the slow
+ * 200 updates written through a copy of @p source's image with no
+ * write log leave the original image answering for the old table;
+ * the same protocol a ConcurrentChisel runs — write one image, replay
+ * the log onto the other, write that one next — keeps the two equal.
+ */
+void
+expectIndependentCopy(ChiselEngine &source, uint64_t seed)
+{
+    const unsigned width = source.config().keyWidth;
+    const RoutingTable before = source.exportTable();
+    std::vector<Update> trace =
+        UpdateTraceGenerator(before, TraceProfile{}, width, seed)
+            .generate(200);
+
+    {
+        ChiselEngine fresh(before, source.config());
+        EngineImage &own = fresh.image();
+        EngineImage copy(own);
+        fresh.bindImage(copy);
+        for (const Update &u : trace)
+            fresh.apply(u);
+        EXPECT_TRUE(fresh.selfCheck(copy));
+        expectImageMatchesOracle(own, before, width);
+        fresh.bindImage(own);
+    }
+
+    EngineImage &own = source.image();
+    EngineImage copy(own);
+    WriteLog log;
+    source.setWriteLog(&log);
+    EngineImage *images[2] = {&own, &copy};
+    for (size_t i = 0; i < trace.size(); ++i) {
+        EngineImage &written = *images[i % 2];
+        EngineImage &other = *images[(i + 1) % 2];
+        source.bindImage(written);
+        source.apply(trace[i]);
+        other.replay(written, log);
+        log.clear();
+    }
+    source.setWriteLog(nullptr);
+    EXPECT_TRUE(source.selfCheck(own));
+    EXPECT_TRUE(source.selfCheck(copy));
+    source.bindImage(copy);
+    const std::vector<uint8_t> via_copy = stateBytes(source);
+    source.bindImage(own);
+    EXPECT_EQ(stateBytes(source), via_copy);
+    expectImageMatchesOracle(copy, source.exportTable(), width);
+}
+
+/**
+ * A small IPv4 engine with every kind of state an image copy must
+ * carry: routes in the two-entry spill TCAM and the slow
  * path, dirty groups, armed TTLs and a default route.
  */
 std::unique_ptr<ChiselEngine>
@@ -148,7 +203,7 @@ crowdedEngine()
     return engine;
 }
 
-TEST(EngineClone, CopiesSpillSlowPathDirtyTtlAndDefault)
+TEST(EngineImageCopy, CopiesSpillSlowPathDirtyAndDefault)
 {
     std::unique_ptr<ChiselEngine> engine = crowdedEngine();
     ASSERT_EQ(engine->spillCount(), 2u);
@@ -157,15 +212,15 @@ TEST(EngineClone, CopiesSpillSlowPathDirtyTtlAndDefault)
     ASSERT_GT(engine->ttlArmed(), 0u);
     ASSERT_TRUE(engine->find(Prefix()).has_value());
 
-    expectFaithfulClone(*engine);
-    std::unique_ptr<ChiselEngine> twin = engine->clone();
-    EXPECT_EQ(twin->ttlClock(), engine->ttlClock());
-    EXPECT_EQ(twin->dirtyCount(), engine->dirtyCount());
-    EXPECT_EQ(twin->slowPathCount(), engine->slowPathCount());
-    expectIndependentClone(*engine, 0xC3);
+    expectFaithfulCopy(*engine);
+    EngineImage copy(engine->image());
+    EXPECT_EQ(copy.spill.entries(), engine->image().spill.entries());
+    EXPECT_EQ(copy.slowPath.entries(), engine->image().slowPath.entries());
+    EXPECT_EQ(copy.defaultRoute, engine->image().defaultRoute);
+    expectIndependentCopy(*engine, 0xC3);
 }
 
-TEST(EngineClone, CopiesDecodedGoldenImages)
+TEST(EngineImageCopy, CopiesDecodedGoldenImages)
 {
     for (const char *name : {"golden_v4", "golden_v6"}) {
         SCOPED_TRACE(name);
@@ -176,12 +231,12 @@ TEST(EngineClone, CopiesDecodedGoldenImages)
             persist::loadSnapshot(path, nullptr);
         ASSERT_EQ(snap.status, persist::SnapshotLoadStatus::Ok)
             << snap.error;
-        expectFaithfulClone(*snap.engine);
-        expectIndependentClone(*snap.engine, 0xC4);
+        expectFaithfulCopy(*snap.engine);
+        expectIndependentCopy(*snap.engine, 0xC4);
     }
 }
 
-TEST(EngineClone, CopiesEngineAfterSeededUpdates)
+TEST(EngineImageCopy, CopiesEngineAfterSeededUpdates)
 {
     for (unsigned width : {32u, 128u}) {
         SCOPED_TRACE(width);
@@ -192,35 +247,50 @@ TEST(EngineClone, CopiesEngineAfterSeededUpdates)
         UpdateTraceGenerator gen(table, TraceProfile{}, width, 0xC6);
         for (const Update &u : gen.generate(1000))
             engine.apply(u);
-        expectFaithfulClone(engine);
-        expectIndependentClone(engine, 0xC7);
+        expectFaithfulCopy(engine);
+        expectIndependentCopy(engine, 0xC7);
     }
 }
 
 #if CHISEL_FAULT_INJECTION_ENABLED
-TEST(EngineClone, BitFlipStaysInItsOwnImage)
+TEST(EngineImageCopy, BitFlipStaysInItsOwnImage)
 {
     RoutingTable table = generateScaledTable(2000, 32, 0xC8);
     ChiselEngine source(table);
-    std::unique_ptr<ChiselEngine> twin = source.clone();
+    EngineImage &own = source.image();
+    EngineImage copy(own);
+    WriteLog log;
+    source.setWriteLog(&log);
     const Prefix absent(Key128::fromIpv4(0xDEADBE00u), 24);
 
     // A NoOp withdraw polls the injection points and writes nothing,
-    // so the one flipped Index bit is all that changes.
-    auto flipOneBit = [&](ChiselEngine &engine) {
+    // so the one flipped Index bit is all that changes, and a flip is
+    // not a write: the log stays empty.
+    auto flipOneBit = [&](EngineImage &image) {
+        source.bindImage(image);
         fault::FaultInjector inj(0xC9);
         inj.arm(fault::FaultPoint::BitFlipIndex, 1.0, 1);
         fault::ScopedInjector scope(&inj);
-        engine.withdraw(absent);
+        source.withdraw(absent);
+        EXPECT_TRUE(log.ranges().empty());
     };
 
-    flipOneBit(*twin);
-    EXPECT_EQ(source.scrub().errorsFound, 0u);
-    EXPECT_GT(twin->scrub().errorsFound, 0u);
+    flipOneBit(copy);
+    EXPECT_EQ(source.verifyParity(own).errorsFound, 0u);
+    EXPECT_GT(source.verifyParity(copy).errorsFound, 0u);
 
-    flipOneBit(source);
-    EXPECT_EQ(twin->scrub().errorsFound, 0u);
-    EXPECT_GT(source.scrub().errorsFound, 0u);
+    // Recovering on the copy names the whole flagged cell; replaying it
+    // leaves both images clean.
+    EXPECT_EQ(source.recoverFlagged(), 1u);
+    own.replay(copy, log);
+    log.clear();
+    EXPECT_EQ(source.verifyParity(own).errorsFound, 0u);
+    EXPECT_EQ(source.verifyParity(copy).errorsFound, 0u);
+
+    flipOneBit(own);
+    EXPECT_EQ(source.verifyParity(copy).errorsFound, 0u);
+    EXPECT_GT(source.verifyParity(own).errorsFound, 0u);
+    source.setWriteLog(nullptr);
 }
 #endif // CHISEL_FAULT_INJECTION_ENABLED
 

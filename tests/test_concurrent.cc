@@ -611,11 +611,11 @@ sheds(health::HealthState s)
            s == health::HealthState::Quarantined;
 }
 
-// One repaired soft error is one critical sample.  The two images'
-// counters differ by it, so a sample that read them back from
-// whichever image is idle would count it again after every odd number
-// of flips and flap the shard into Degraded, where the RPC front end
-// sheds it.
+// One repaired soft error is one critical sample.  A sample that read
+// counters back from whichever image is idle, when each image kept its
+// own, counted it again after every odd number of flips and flapped
+// the shard into Degraded, where the RPC front end sheds it; the
+// writer now tallies each event once.
 TEST(HealthEvents, RepairedFlipDoesNotFlap)
 {
     if (!CHISEL_FAULT_INJECTION_ENABLED)
@@ -634,8 +634,8 @@ TEST(HealthEvents, RepairedFlipDoesNotFlap)
     }
 }
 
-// robustness() reports an event in either image, so a flip repaired
-// in one image reads the same whichever image is idle.
+// robustness() reads the one control state, so a repaired flip reads
+// the same whichever image is idle.
 TEST(HealthEvents, RobustnessIsStableAcrossFlips)
 {
     if (!CHISEL_FAULT_INJECTION_ENABLED)
@@ -829,6 +829,104 @@ TEST(ConcurrentStress, ReadersAlwaysSeeSomePublishedGeneration)
     // just the endpoints — otherwise this test proved nothing.
     EXPECT_GT(generationsObserved, 2u);
 
+    EXPECT_TRUE(c.selfCheck());
+}
+
+/**
+ * Readers against soft errors: the writer's updates run with every
+ * BitFlip point armed through ConcurrentOptions::faultInjector, so
+ * flips land in the images readers use.  A reader whose probe fails
+ * parity leaves its epoch section and answers under the writer lock
+ * through the engine's shadow fallback, tagged with the update count
+ * read under that lock; every tagged answer must still be the
+ * oracle's for its generation.  Finishing at all shows the soft path
+ * cannot deadlock against a writer waiting out a grace period.
+ */
+TEST(ConcurrentStress, SoftErrorReadersGetTheTaggedGenerationsAnswer)
+{
+    if (!CHISEL_FAULT_INJECTION_ENABLED)
+        GTEST_SKIP() << "fault injection compiled out";
+    constexpr size_t kRoutes = 300;
+    constexpr size_t kUpdates = 600;
+
+    RoutingTable table = generateScaledTable(kRoutes, 32, 71);
+    std::vector<Key128> keys =
+        generateLookupKeys(table, 2048, 32, 0.8, 72);
+    std::vector<Update> updates =
+        UpdateTraceGenerator(table, TraceProfile{}, 32, 73)
+            .generate(kUpdates);
+
+    fault::FaultInjector inj(74);
+    for (fault::FaultPoint p :
+         {fault::FaultPoint::BitFlipIndex, fault::FaultPoint::BitFlipFilter,
+          fault::FaultPoint::BitFlipBitVector,
+          fault::FaultPoint::BitFlipResult})
+        inj.arm(p, 0.1);
+    ConcurrentOptions opts = noThreadsOptions();
+    opts.faultInjector = &inj;
+    ConcurrentChisel c(table, {}, opts);
+
+    const unsigned nReaders = readerThreads();
+    std::atomic<bool> writerDone{false};
+    std::vector<std::vector<Sample>> samples(nReaders);
+    std::vector<std::thread> readers;
+    for (unsigned t = 0; t < nReaders; ++t) {
+        readers.emplace_back([&, t] {
+            std::vector<Sample> &mine = samples[t];
+            uint64_t i = t;
+            while (!writerDone.load(std::memory_order_acquire)) {
+                uint32_t ki = static_cast<uint32_t>(i++ % keys.size());
+                TaggedLookup r = c.lookupTagged(keys[ki]);
+                if (mine.size() < 20000)
+                    mine.push_back({ki, r.generation, r.result.found,
+                                    r.result.nextHop});
+                std::this_thread::yield();
+            }
+        });
+    }
+
+    for (size_t n = 0; n < updates.size(); ++n) {
+        c.apply(updates[n]);
+        if (n % 50 == 49)
+            c.scrubNow();
+        if (n % 10 == 0)
+            std::this_thread::sleep_for(std::chrono::microseconds(300));
+        std::this_thread::yield();
+    }
+    writerDone.store(true, std::memory_order_release);
+    for (auto &r : readers)
+        r.join();
+
+    std::vector<std::vector<Sample>> byGen(kUpdates + 1);
+    for (const auto &vec : samples) {
+        for (const Sample &s : vec) {
+            ASSERT_LE(s.generation, kUpdates);
+            byGen[s.generation].push_back(s);
+        }
+    }
+    BinaryTrie oracle(table);
+    for (uint64_t g = 0; g <= kUpdates; ++g) {
+        if (g > 0) {
+            const Update &u = updates[g - 1];
+            if (u.kind == UpdateKind::Announce)
+                oracle.insert(u.prefix, u.nextHop);
+            else
+                oracle.erase(u.prefix);
+        }
+        for (const Sample &s : byGen[g]) {
+            auto expect = oracle.lookup(keys[s.keyIndex], 32);
+            ASSERT_EQ(expect.has_value(), s.found)
+                << "generation " << g << " key " << s.keyIndex;
+            if (expect) {
+                ASSERT_EQ(expect->nextHop, s.nextHop)
+                    << "generation " << g << " key " << s.keyIndex;
+            }
+        }
+    }
+    EXPECT_GT(inj.totalFires(), 0u);
+    // Readers did take the soft path (a soft lookup counts one).
+    EXPECT_GT(c.robustness().parityDetected, 0u);
+    c.scrubNow();
     EXPECT_TRUE(c.selfCheck());
 }
 

@@ -414,6 +414,54 @@ TEST(PersistJournal, AppendScanRoundtrip)
     removeFile(path);
 }
 
+// An Update record is flushed before the engine touches an image; its
+// Outcome waits in the stdio buffer for the next record's flush, a
+// sync() or the close, so an update costs one write syscall.
+TEST(PersistJournal, OutcomeRidesWithTheNextWrite)
+{
+    std::string path = tempPath("journal_outcome");
+    removeFile(path);
+    ChiselConfig config;
+    uint64_t fp = configFingerprint(config);
+    auto types = [&] {
+        std::vector<JournalRecord::Type> out;
+        for (const JournalRecord &rec : persist::scanJournal(path, fp).records)
+            out.push_back(rec.type);
+        return out;
+    };
+    using T = JournalRecord::Type;
+    Update u{UpdateKind::Announce, Prefix(Key128::fromIpv4(0x0A000000), 8),
+             42};
+    UpdateOutcome out;
+    {
+        // No batch fsync falls due, so nothing but the flushes moves
+        // bytes to the kernel.
+        UpdateJournal journal(path, fp, /*fsync_every=*/0);
+        EXPECT_EQ(journal.append(u), 1u);
+        EXPECT_EQ(types(), (std::vector<T>{T::Update}));
+        journal.appendOutcome(1, out);
+        EXPECT_EQ(types(), (std::vector<T>{T::Update}));
+        EXPECT_EQ(journal.append(u), 2u);
+        EXPECT_EQ(types(),
+                  (std::vector<T>{T::Update, T::Outcome, T::Update}));
+        journal.appendOutcome(2, out);
+        journal.sync();
+        EXPECT_EQ(types(), (std::vector<T>{T::Update, T::Outcome,
+                                           T::Update, T::Outcome}));
+        EXPECT_EQ(journal.append(u), 3u);
+        journal.appendOutcome(3, out);
+        journal.flush();
+        EXPECT_EQ(types().size(), 6u);
+        EXPECT_EQ(journal.append(u), 4u);
+        journal.appendOutcome(4, out);
+        EXPECT_EQ(types().size(), 7u);
+    }
+    // Closing the journal writes the last Outcome.
+    EXPECT_EQ(types().size(), 8u);
+    EXPECT_EQ(persist::scanJournal(path, fp).lastCommittedSeq, 4u);
+    removeFile(path);
+}
+
 TEST(PersistJournal, EmptyAndHeaderOnlyJournals)
 {
     std::string path = tempPath("journal_empty");

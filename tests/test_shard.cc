@@ -428,6 +428,63 @@ TEST(ShardedPersist, WarmRestartKeepsRoutingStable)
     std::filesystem::remove_all(dir);
 }
 
+// A warm restart that replays nothing serves the snapshot it loaded:
+// re-saving it would write the same bytes and a second mark.  Only a
+// restart that replayed records checkpoints.
+TEST(ShardedPersist, RestartThatReplayedNothingDoesNotResave)
+{
+    std::string dir = tempDir("clean");
+    RoutingTable table = generateScaledTable(500, 32, /*seed=*/13);
+    auto files = [&] {
+        std::vector<std::vector<uint8_t>> out;
+        for (int i = 0; i < 2; ++i) {
+            std::string shard = dir + "/shard-" + std::to_string(i);
+            out.push_back(readBytes(shard + "/snapshot.chs"));
+            out.push_back(readBytes(shard + "/journal.log"));
+        }
+        return out;
+    };
+    ShardedOptions o = smallOptions(2, 8);
+    o.persistDir = dir;
+    {
+        ShardedChisel plane(table, o);
+        UpdateTraceGenerator gen(table, TraceProfile{}, 32, 41);
+        for (int i = 0; i < 100; ++i)
+            plane.apply(gen.next());
+        EXPECT_EQ(plane.saveSnapshots(), 2u);
+    }
+    const std::vector<std::vector<uint8_t>> saved = files();
+    {
+        ShardedChisel plane(table, o);
+        for (const shard::ShardRecovery &rec : plane.recovery()) {
+            EXPECT_EQ(rec.source, persist::RecoverySource::Snapshot);
+            EXPECT_EQ(rec.recordsReplayed, 0u);
+        }
+        // Booting wrote nothing: same snapshots, same journal records.
+        EXPECT_EQ(files(), saved);
+        UpdateTraceGenerator gen(table, TraceProfile{}, 32, 42);
+        for (int i = 0; i < 10; ++i)
+            plane.apply(gen.next());
+    }
+    const std::vector<std::vector<uint8_t>> updated = files();
+    {
+        // The tail is replayed, so each shard that took an update
+        // checkpoints: a new snapshot and a SnapshotMark.
+        ShardedChisel plane(table, o);
+        uint64_t replayed = 0;
+        for (const shard::ShardRecovery &rec : plane.recovery())
+            replayed += rec.recordsReplayed;
+        EXPECT_EQ(replayed, 10u);
+        std::vector<std::vector<uint8_t>> after = files();
+        for (size_t i = 0; i < after.size(); i += 2) {
+            // [i] is a shard's snapshot, [i + 1] its journal.
+            bool took_updates = updated[i + 1] != saved[i + 1];
+            EXPECT_EQ(after[i] != saved[i], took_updates) << "shard " << i / 2;
+        }
+    }
+    std::filesystem::remove_all(dir);
+}
+
 TEST(ShardedPersist, GeometryChangeRefused)
 {
     std::string dir = tempDir("geom");

@@ -35,7 +35,8 @@ import os
 import sys
 
 SCHEMA = "chisel.bench.v1"
-SCENARIOS = ["lookup", "lookup_dfz", "update", "concurrent"]
+SCENARIOS = ["lookup", "lookup_dfz", "update", "concurrent",
+             "concurrent_update"]
 
 REQUIRED_FIELDS = {
     "schema": str,
