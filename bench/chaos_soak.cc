@@ -99,7 +99,6 @@ main(int argc, char **argv)
 
     ConcurrentOptions copts;
     copts.controlThread = true;
-    copts.healthMonitor = true;
     copts.healthInterval = std::chrono::milliseconds(2);
     copts.faultInjector = &inj;
 

@@ -122,7 +122,6 @@ main(int argc, char **argv)
 
     ConcurrentOptions copts;
     copts.controlThread = true;
-    copts.healthMonitor = true;
     copts.healthInterval = std::chrono::milliseconds(2);
     copts.health.resizeAfter = 2;
     copts.gcInterval = std::chrono::milliseconds(5);

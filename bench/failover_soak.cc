@@ -4,9 +4,11 @@
  * replication stack (docs/replication.md).
  *
  * The driver re-execs itself as a --role=leader child.  The leader
- * runs a flap storm with engine fault points armed, journaling every
- * update through a ReplicationLog that ships to the driver's follower
- * over loopback TCP.  The follower joins late on purpose, so it
+ * runs a flap storm with engine fault points armed through a
+ * journaled ConcurrentChisel, the journal's one writer; a
+ * ReplicationLog attached to that journal ships what it writes to
+ * the driver's follower over loopback TCP, health-ladder purges and
+ * resizes included.  The follower joins late on purpose, so it
  * bootstraps from a shipped snapshot before tailing records.
  * Mid-storm the driver SIGKILLs the leader, detects the silence,
  * promotes the follower (replaying the valid prefix of the leader's
@@ -26,7 +28,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -86,8 +88,9 @@ leaderMain(const soak::Soak &soak)
     uint64_t fingerprint = configFingerprint(config);
 
     // The storm runs with the engine-path fault points armed; the
-    // snapshot provider scrubs before imaging so a shipped image never
-    // carries a fault-induced divergence forward.
+    // snapshot provider scrubs right before imaging, so a shipped
+    // image seldom carries a flipped bit, and one that lands between
+    // the two fails parity on the follower like any soft error.
     fault::FaultInjector inj(soak.seed() + 3);
     inj.arm(fault::FaultPoint::BloomierSetupFail, 0.1, 20);
     inj.arm(fault::FaultPoint::ForceNonSingleton, 0.2, 100);
@@ -97,54 +100,43 @@ leaderMain(const soak::Soak &soak)
 
     ConcurrentOptions copts;
     copts.controlThread = true;
-    copts.healthMonitor = true;
     copts.healthInterval = std::chrono::milliseconds(2);
     copts.faultInjector = &inj;
-    ConcurrentChisel engine(table, config, copts);
 
+    // The shipper attaches to the journal before the engine takes it,
+    // and outlives the engine's last write.
+    auto journal = std::make_unique<persist::UpdateJournal>(
+        soak.dir() + kJournal, fingerprint, 1);
     replica::ReplicationOptions ropts;
     ropts.epoch = 1;
     ropts.tailCapacity = kShipTail;
     ropts.heartbeatMs = 25;
-    replica::ReplicationLog rlog(soak.dir() + kJournal, fingerprint, 1,
-                                 ropts);
-
-    // The storm holds this around append + apply, and the snapshot
-    // provider (on the shipper thread) around scrub + image, so an
-    // image covers exactly the records appended before it.
-    std::mutex stormMutex;
-    uint64_t lastAppended = 0;
+    replica::ReplicationLog rlog(*journal, ropts);
+    ConcurrentChisel engine(std::make_unique<ChiselEngine>(table, config),
+                            copts, std::move(journal));
 
     rlog.start(
         [&soak] { return replica::tcpConnect(soak.port(), 500); },
-        [&](uint64_t &covered) -> std::vector<uint8_t> {
-            std::lock_guard<std::mutex> lk(stormMutex);
-            covered = lastAppended;
+        [&](uint64_t &covered) {
             engine.scrubNow();
-            return engine.snapshotImage(covered);
+            return engine.snapshotImage(&covered);
         });
 
     std::printf("leader: pid %d storming %zu routes to port %u\n",
                 getpid(), kRoutes, unsigned(soak.port()));
 
-    // The storm cycles until the driver kills us.  Every update is
-    // durably journaled BEFORE it is applied; an append the journal
-    // refuses stops the run (a leader that cannot log must stop
-    // acknowledging, and here acknowledging IS applying).
+    // The storm cycles until the driver kills us.  The engine journals
+    // every update before applying it; an append the journal refuses
+    // rejects the update and stops the run (a leader that cannot log
+    // must stop acknowledging, and here acknowledging IS applying).
     for (size_t i = 0;; ++i) {
-        const Update &u = storm[i % storm.size()];
-        {
-            std::lock_guard<std::mutex> lk(stormMutex);
-            uint64_t seq = rlog.append(u);
-            if (seq == 0) {
-                std::printf("leader: journal refused append (%llu I/O "
-                            "errors); stopping degraded\n",
-                            static_cast<unsigned long long>(
-                                rlog.ioErrors()));
-                return 3;
-            }
-            lastAppended = seq;
-            engine.apply(u);
+        uint64_t seq = 0;
+        engine.apply(storm[i % storm.size()], &seq);
+        if (seq == 0) {
+            std::printf("leader: journal refused an append; stopping "
+                        "degraded\n");
+            rlog.stop();
+            return 3;
         }
         if (i % 32 == 0)
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -260,8 +252,9 @@ driverMain(soak::Soak &soak)
     replica::ReplicationOptions sopts;
     sopts.epoch = 1;
     sopts.backoffMinMs = 5;
-    replica::ReplicationLog stale(soak.dir() + "/stale.journal",
-                                  fingerprint, 1, sopts);
+    persist::UpdateJournal staleJournal(soak.dir() + "/stale.journal",
+                                        fingerprint);
+    replica::ReplicationLog stale(staleJournal, sopts);
     uint16_t port = listener.port();
     stale.start([port] { return replica::tcpConnect(port, 500); },
                 nullptr);

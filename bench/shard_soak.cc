@@ -99,7 +99,6 @@ planeOptions(const soak::Soak &soak)
     p.partitionBits = kPartitionBits;
     p.persistDir = soak.dir() + "/plane";
     p.engine.controlThread = true;
-    p.engine.healthMonitor = true;
     p.engine.healthInterval = std::chrono::milliseconds(5);
     p.engine.scrubInterval = std::chrono::milliseconds(25);
     return p;
@@ -454,7 +453,7 @@ runDetectRecover(uint64_t seed)
     popts.shards = kShards;
     popts.partitionBits = kPartitionBits;
     popts.engine.controlThread = false;
-    popts.engine.healthMonitor = true;
+    popts.engine.healthInterval = std::chrono::milliseconds(50);
     ShardedChisel plane(generateScaledTable(1000, 32, seed + 1), popts);
 
     const size_t victim = 2;
@@ -728,7 +727,6 @@ driverMain(soak::Soak &soak)
 
     // ---- Audit: recovered shards == per-shard journal truth ---------
     popts.engine.controlThread = false;
-    popts.engine.healthMonitor = false;
     popts.audit = true;
     ShardedChisel recovered(RoutingTable{}, popts);
 

@@ -35,7 +35,7 @@ ConcurrentChisel::ConcurrentChisel(
     auto twin = std::make_unique<EngineImage>(engine->image());
     install(std::move(engine), std::move(twin));
 
-    bool timer_set = options_.healthMonitor ||
+    bool timer_set = options_.healthInterval.count() > 0 ||
                      options_.gcInterval.count() > 0 ||
                      options_.scrubInterval.count() > 0;
     if (options_.controlThread && timer_set)
@@ -241,7 +241,7 @@ ConcurrentChisel::controlLoop()
                    std::function<void()> tick) {
         timers.push_back({every, std::move(tick), start + every});
     };
-    if (options_.healthMonitor)
+    if (options_.healthInterval.count() > 0)
         add(options_.healthInterval, [this] { healthTick(); });
     if (options_.gcInterval.count() > 0)
         add(options_.gcInterval, [this] { gcTick(); });
@@ -496,6 +496,13 @@ ConcurrentChisel::healthTick()
 
 // ---- Snapshots and rebuilds ------------------------------------------------
 
+uint64_t
+ConcurrentChisel::stampLocked() const
+{
+    return journal_ ? journal_->lastSeq()
+                    : updatesApplied_.load(std::memory_order_relaxed);
+}
+
 size_t
 ConcurrentChisel::saveSnapshot(const std::string &path) const
 {
@@ -503,10 +510,7 @@ ConcurrentChisel::saveSnapshot(const std::string &path) const
     // one, so serializing it captures the current state while lookups
     // proceed undisturbed; only the update path waits on the lock.
     std::lock_guard<std::mutex> lock(writerMutex_);
-    uint64_t seq = journal_
-                       ? journal_->lastSeq()
-                       : updatesApplied_.load(std::memory_order_relaxed);
-    return persist::saveSnapshot(path, *engine_, seq);
+    return persist::saveSnapshot(path, *engine_, stampLocked());
 }
 
 size_t
@@ -535,10 +539,13 @@ ConcurrentChisel::checkpoint()
 }
 
 std::vector<uint8_t>
-ConcurrentChisel::snapshotImage(uint64_t last_seq) const
+ConcurrentChisel::snapshotImage(uint64_t *covered_seq) const
 {
     std::lock_guard<std::mutex> lock(writerMutex_);
-    return persist::encodeSnapshotImage(*engine_, last_seq);
+    uint64_t seq = stampLocked();
+    if (covered_seq != nullptr)
+        *covered_seq = seq;
+    return persist::encodeSnapshotImage(*engine_, seq);
 }
 
 bool

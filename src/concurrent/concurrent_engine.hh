@@ -48,7 +48,9 @@
  * record of its history (updates and their outcomes, resize marks,
  * dirty purges, snapshot marks) is appended under the writer lock in
  * the order the images changed, and every snapshot restore replays
- * the journal tail past the restored image (docs/persistence.md).
+ * the journal tail past the restored image (docs/persistence.md).  A
+ * replicated leader is such an engine with a replica::ReplicationLog
+ * observing its journal (docs/replication.md).
  */
 
 #ifndef CHISEL_CONCURRENT_CONCURRENT_ENGINE_HH
@@ -88,7 +90,7 @@ struct TaggedLookup
 struct ConcurrentOptions
 {
     /**
-     * Run the timers that are set (healthMonitor, gcInterval,
+     * Run the timers that are set (healthInterval, gcInterval,
      * scrubInterval) on one background maintenance thread, which
      * sleeps until the next one is due and starts only when at least
      * one is set.  Off, nothing runs in the background: the caller
@@ -104,17 +106,15 @@ struct ConcurrentOptions
     std::chrono::milliseconds scrubInterval{0};
 
     /**
-     * Run the health-state machine on the maintenance thread: sample
-     * signals every healthInterval and execute the recommended
-     * recovery actions automatically.  Requires controlThread.
+     * Health sampling cadence on the maintenance thread; zero disables
+     * it (healthTick() remains callable directly).  Each sample steps
+     * the health-state machine and executes the recommended recovery
+     * action.
      */
-    bool healthMonitor = false;
+    std::chrono::milliseconds healthInterval{0};
 
     /** The monitor's resize streak, its cooldown and the watchdog. */
     health::MonitorConfig health;
-
-    /** Health sampling cadence (when healthMonitor is on). */
-    std::chrono::milliseconds healthInterval{50};
 
     /**
      * Known-good snapshot backing the SnapshotRestore ladder rung;
@@ -261,7 +261,7 @@ class ConcurrentChisel
      * recovery action.  The sample counts the events the writer
      * published since the previous tick; it reads no image counter.
      * Runs periodically on the maintenance thread
-     * when options.healthMonitor is set; also callable directly (tests,
+     * when options.healthInterval > 0; also callable directly (tests,
      * chaos harness).  @return the state after the sample.
      */
     health::HealthState healthTick();
@@ -352,11 +352,13 @@ class ConcurrentChisel
     size_t checkpoint();
 
     /**
-     * The bytes saveSnapshot() would write, stamped with @p last_seq
-     * and taken under the writer lock the same way: a replication
+     * The bytes saveSnapshot() would write, stamped and taken in one
+     * hold of the writer lock the same way: a replication
      * SnapshotProvider ships them without touching the disk.
+     * @p covered_seq, when given, receives the seq the image is
+     * stamped with.
      */
-    std::vector<uint8_t> snapshotImage(uint64_t last_seq) const;
+    std::vector<uint8_t> snapshotImage(uint64_t *covered_seq = nullptr) const;
 
     /**
      * Replace the routing state from a snapshot file, read once, and
@@ -488,6 +490,12 @@ class ConcurrentChisel
 
     /** Run one recovery action; @return success. */
     bool executeAction(health::RecoveryAction action);
+
+    /**
+     * A snapshot's seq stamp: the journal's lastSeq(), or the update
+     * count without a journal; caller holds writerMutex_.
+     */
+    uint64_t stampLocked() const;
 
     /** Current TTL time in ms (wall or manual clock). */
     uint64_t ttlNowMs() const;

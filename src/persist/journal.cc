@@ -220,7 +220,8 @@ scanJournal(const std::string &path, uint64_t expect_fingerprint)
 UpdateJournal::UpdateJournal(const std::string &path,
                              uint64_t config_fingerprint,
                              size_t fsync_every)
-    : path_(path), fsyncEvery_(fsync_every)
+    : path_(path), fingerprint_(config_fingerprint),
+      fsyncEvery_(fsync_every)
 {
     // Scan whatever is there: continue a valid journal, refuse a
     // foreign one, and truncate a torn tail before appending.
@@ -348,7 +349,11 @@ UpdateJournal::writeRecord(const JournalRecord &rec, uint64_t seq_after,
                       std::string(std::strerror(errno)));
         return false;
     }
-    return !ioFailed_;
+    if (ioFailed_)
+        return false;
+    if (observer_)
+        observer_(rec, bytes.data() + kFrameHeaderBytes, len);
+    return true;
 }
 
 uint64_t
@@ -412,6 +417,12 @@ UpdateJournal::appendResizeMark(const ChiselConfig &config)
     rec.resizeConfig = config;
     if (writeRecord(rec, seq_))
         CHISEL_FLIGHT_EVENT(JournalAppend, rec.type, rec.seq, 0);
+}
+
+void
+UpdateJournal::setObserver(RecordObserver observer)
+{
+    observer_ = std::move(observer);
 }
 
 void

@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -130,6 +131,14 @@ class UpdateJournal
 {
   public:
     /**
+     * Receives each record once it is written: the record (its seq
+     * stamp and fields) and the payload bytes its frame's CRC covers.
+     * Called on the writing thread, inside the append.
+     */
+    using RecordObserver = std::function<void(
+        const JournalRecord &rec, const uint8_t *payload, size_t size)>;
+
+    /**
      * Open @p path for appending, creating it (with a header) if
      * absent or empty.  An existing journal is scanned: its header
      * must carry @p config_fingerprint, and a torn tail is truncated
@@ -189,6 +198,14 @@ class UpdateJournal
      */
     void appendResizeMark(const ChiselConfig &config);
 
+    /**
+     * Hand every record written from now on to @p observer (a
+     * replication shipper); one at most, replacing any earlier one.
+     * A record the journal refuses (an I/O failure) or tears is
+     * handed to no one.  Set it before any other thread appends.
+     */
+    void setObserver(RecordObserver observer);
+
     /** Force an fsync now regardless of the batch policy. */
     void sync();
 
@@ -244,6 +261,9 @@ class UpdateJournal
 
     const std::string &path() const { return path_; }
 
+    /** The config fingerprint stamped in the header. */
+    uint64_t fingerprint() const { return fingerprint_; }
+
   private:
     /**
      * Frame @p rec and write it.  @return false iff the record was
@@ -264,9 +284,11 @@ class UpdateJournal
     void recordIoError(const std::string &what);
 
     std::string path_;
+    uint64_t fingerprint_;
     FILE *file_ = nullptr;
     /** One record's frame, encoded in place; reused across records. */
     Encoder frame_;
+    RecordObserver observer_;
     size_t fsyncEvery_;
     size_t sinceSync_ = 0;
     uint64_t seq_ = 0;

@@ -269,59 +269,49 @@ bool
 Follower::applyRecord(const persist::JournalRecord &rec)
 {
     std::lock_guard<std::mutex> lock(applyMutex_);
+    if (!replayLocked(rec)) {
+        // Commit markers and snapshot anchors carry no engine state;
+        // anything else the engine already holds is a resume
+        // duplicate.
+        if (rec.type != persist::JournalRecord::Type::Outcome &&
+            rec.type != persist::JournalRecord::Type::SnapshotMark)
+            duplicatesSkipped_.fetch_add(1, std::memory_order_relaxed);
+        return false;
+    }
+    recordsApplied_.fetch_add(1, std::memory_order_relaxed);
+    CHISEL_FLIGHT_EVENT(ReplicaApply, rec.type, rec.seq, 0);
+    uint64_t prev = leaderLastSeq_.load(std::memory_order_relaxed);
+    while (rec.seq > prev &&
+           !leaderLastSeq_.compare_exchange_weak(
+               prev, rec.seq, std::memory_order_acq_rel))
+        ;
+    return true;
+}
+
+bool
+Follower::replayLocked(const persist::JournalRecord &rec)
+{
     uint64_t applied = lastApplied_.load(std::memory_order_acquire);
+    if (covered(rec.type, rec.seq, applied))
+        return false;
     switch (rec.type) {
       case persist::JournalRecord::Type::Update:
-        if (rec.seq <= applied) {
-            duplicatesSkipped_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-        }
         engine_.apply(rec.update);
         lastApplied_.store(rec.seq, std::memory_order_release);
-        {
-            uint64_t prev =
-                leaderLastSeq_.load(std::memory_order_relaxed);
-            while (rec.seq > prev &&
-                   !leaderLastSeq_.compare_exchange_weak(
-                       prev, rec.seq, std::memory_order_acq_rel))
-                ;
-        }
-        recordsApplied_.fetch_add(1, std::memory_order_relaxed);
-        CHISEL_FLIGHT_EVENT(ReplicaApply, rec.type, rec.seq, 0);
         return true;
       case persist::JournalRecord::Type::Housekeeping:
-        // Stamped (not sequenced); duplicates on resume are benign —
-        // purgeDirty is a maintenance sweep, not a state mutation
-        // replay depends on (docs/replication.md).
-        if (rec.seq < applied) {
-            duplicatesSkipped_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-        }
         engine_.purgeDirtyNow();
-        recordsApplied_.fetch_add(1, std::memory_order_relaxed);
-        CHISEL_FLIGHT_EVENT(ReplicaApply, rec.type, rec.seq, 0);
         return true;
       case persist::JournalRecord::Type::ResizeMark:
-        // Stamped like Housekeeping; a duplicate on resume is a
-        // no-op anyway (resizeTo is idempotent on a matching config).
-        if (rec.seq < applied) {
-            duplicatesSkipped_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-        }
         // Re-plan at the same point in the stream the leader did, so
         // both sides' spill/slow-path admission decisions agree from
         // here on.  An incompatible mark (geometry change) is refused
         // by resizeTo and logged; the stream continues.
         engine_.resizeTo(rec.resizeConfig);
-        recordsApplied_.fetch_add(1, std::memory_order_relaxed);
-        CHISEL_FLIGHT_EVENT(ReplicaApply, rec.type, rec.seq, 0);
         return true;
       case persist::JournalRecord::Type::Outcome:
       case persist::JournalRecord::Type::SnapshotMark:
-        // Commit markers and snapshot anchors carry no engine state;
-        // they matter to disk recovery, not to a live replica.
-        CHISEL_FLIGHT_EVENT(ReplicaApply, rec.type, rec.seq, 0);
-        return false;
+        break;
     }
     return false;
 }
@@ -402,43 +392,20 @@ Follower::promote(const std::string &journal_path)
 {
     std::lock_guard<std::mutex> lock(applyMutex_);
     PromotionReport report;
-    uint64_t applied = lastApplied_.load(std::memory_order_acquire);
 
     if (!journal_path.empty()) {
         // Replay the old leader's durable tail: every journal-synced
-        // update beyond our replicated position gets applied, so an
-        // acknowledged route can only be lost if its journal record
-        // was lost too — which the leader's durability contract
-        // (append-before-ack) rules out.
+        // record beyond our replicated position gets applied, through
+        // the same rule as the live stream, so an acknowledged route
+        // can only be lost if its journal record was lost too — which
+        // the leader's durability contract (append-before-ack) rules
+        // out.
         persist::JournalScan scan =
             persist::scanJournal(journal_path, fingerprint_);
         if (scan.headerOk) {
-            for (const persist::JournalRecord &rec : scan.records) {
-                if (rec.type ==
-                        persist::JournalRecord::Type::Update &&
-                    rec.seq > applied) {
-                    engine_.apply(rec.update);
-                    applied = rec.seq;
+            for (const persist::JournalRecord &rec : scan.records)
+                if (replayLocked(rec))
                     ++report.replayedRecords;
-                } else if (rec.type == persist::JournalRecord::Type::
-                                           Housekeeping &&
-                           rec.seq >= applied) {
-                    // Stamped with the preceding update's seq, not
-                    // sequenced — an exact-seq match means the mark
-                    // sits right at our replicated position and has
-                    // not been applied yet.  Re-applying is benign.
-                    engine_.purgeDirtyNow();
-                    ++report.replayedRecords;
-                } else if (rec.type == persist::JournalRecord::Type::
-                                           ResizeMark &&
-                           rec.seq >= applied) {
-                    // Same stamping rule; resizeTo is idempotent on a
-                    // matching config, so a duplicate is a no-op.
-                    engine_.resizeTo(rec.resizeConfig);
-                    ++report.replayedRecords;
-                }
-            }
-            lastApplied_.store(applied, std::memory_order_release);
         } else {
             warn("replica: promotion journal '" + journal_path +
                  "' unreadable (" + scan.error +
@@ -461,7 +428,7 @@ Follower::promote(const std::string &journal_path)
            " journal records)");
 
     report.epoch = new_epoch;
-    report.lastAppliedSeq = applied;
+    report.lastAppliedSeq = lastApplied_.load(std::memory_order_acquire);
     return report;
 }
 

@@ -210,7 +210,17 @@ class Follower
     bool handleFrame(ByteStream &stream, const Frame &frame,
                      SnapshotTransfer &xfer, uint64_t &since_ack);
 
+    /** Apply one live record; counts it applied or a duplicate. */
     bool applyRecord(const persist::JournalRecord &rec);
+
+    /**
+     * Apply @p rec to the engine unless it carries no engine state
+     * (Outcome, SnapshotMark) or the engine already holds it
+     * (replica::covered); the live stream and promotion both replay
+     * through here.  Caller holds applyMutex_.  @return true iff
+     * applied.
+     */
+    bool replayLocked(const persist::JournalRecord &rec);
 
     /**
      * Install a fully transferred, CRC-valid image.  @return false

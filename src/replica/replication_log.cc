@@ -9,25 +9,27 @@
 #include "persist/codec.hh"
 #include "replica/wire.hh"
 #include "telemetry/flight.hh"
-#include "telemetry/metrics.hh"
 
 namespace chisel::replica {
 
 /** Seed of the reconnect-backoff jitter stream. */
 constexpr uint64_t kJitterSeed = 0x5ca1ab1e;
 
-ReplicationLog::ReplicationLog(const std::string &path,
-                               uint64_t config_fingerprint,
-                               size_t fsync_every,
+ReplicationLog::ReplicationLog(persist::UpdateJournal &journal,
                                const ReplicationOptions &options)
-    : journal_(path, config_fingerprint, fsync_every),
-      options_(options), fingerprint_(config_fingerprint)
+    : options_(options), fingerprint_(journal.fingerprint()),
+      head_(journal.lastSeq()),
+      // A reopened journal recovers history (lastSeq > 0) that was
+      // never enqueued in the ship tail.  Treat everything up to the
+      // recovered head as evicted, so a follower resuming from below
+      // it takes the snapshot path instead of silently skipping
+      // pre-restart records.
+      resumeFloor_(head_)
 {
-    // A reopened journal recovers history (lastSeq > 0) that was never
-    // enqueued in the ship tail.  Treat everything up to the recovered
-    // head as evicted, so a follower resuming from below it takes the
-    // snapshot path instead of silently skipping pre-restart records.
-    evictedThroughSeq_ = journal_.lastSeq();
+    journal.setObserver([this](const persist::JournalRecord &rec,
+                               const uint8_t *payload, size_t size) {
+        enqueue(rec, payload, size);
+    });
 }
 
 ReplicationLog::~ReplicationLog()
@@ -35,135 +37,31 @@ ReplicationLog::~ReplicationLog()
     stop();
 }
 
-// ---- Append surface --------------------------------------------------
-
 void
-ReplicationLog::enqueue(const persist::JournalRecord &rec)
+ReplicationLog::enqueue(const persist::JournalRecord &rec,
+                        const uint8_t *payload, size_t size)
 {
-    // Caller holds mutex_ (the append surface serializes here).
-    tail_.push_back({rec.seq, persist::encodeJournalRecord(rec)});
+    // Commit markers and snapshot anchors carry no engine state: they
+    // matter to disk recovery, not to a live replica.
+    if (rec.type == persist::JournalRecord::Type::Outcome ||
+        rec.type == persist::JournalRecord::Type::SnapshotMark)
+        return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    tail_.push_back({rec.type, rec.seq,
+                     std::vector<uint8_t>(payload, payload + size)});
     ++tailNext_;
+    head_ = std::max(head_, rec.seq);
     while (tail_.size() > options_.tailCapacity) {
-        evictedThroughSeq_ =
-            std::max(evictedThroughSeq_, tail_.front().seq);
+        // Records leave in seq order, so the last one evicted sets
+        // the floor: its own seq, or one past it for a stamped record.
+        const ShipEntry &gone = tail_.front();
+        resumeFloor_ = covered(gone.type, gone.seq, gone.seq)
+                           ? gone.seq
+                           : gone.seq + 1;
         tail_.pop_front();
         ++tailBase_;
     }
     tailCv_.notify_all();
-}
-
-uint64_t
-ReplicationLog::append(const Update &update)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    uint64_t seq = journal_.append(update);
-    if (seq == 0)
-        return 0;  // Not durable -> not shipped, not acknowledged.
-    persist::JournalRecord rec;
-    rec.type = persist::JournalRecord::Type::Update;
-    rec.seq = seq;
-    rec.update = update;
-    enqueue(rec);
-    return seq;
-}
-
-void
-ReplicationLog::appendOutcome(uint64_t seq, const UpdateOutcome &outcome)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    journal_.appendOutcome(seq, outcome);
-    if (!journal_.ioHealthy())
-        return;
-    persist::JournalRecord rec;
-    rec.type = persist::JournalRecord::Type::Outcome;
-    rec.seq = seq;
-    rec.cls = static_cast<uint8_t>(outcome.cls);
-    rec.status = static_cast<uint8_t>(outcome.status);
-    rec.setupRetries = outcome.setupRetries;
-    rec.tcamOverflows = outcome.tcamOverflows;
-    rec.slowPathInserts = outcome.slowPathInserts;
-    rec.slowPathRejections = outcome.slowPathRejections;
-    rec.parityRecoveries = outcome.parityRecoveries;
-    enqueue(rec);
-}
-
-void
-ReplicationLog::appendSnapshotMark(uint64_t seq)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    journal_.appendSnapshotMark(seq);
-    if (!journal_.ioHealthy())
-        return;
-    persist::JournalRecord rec;
-    rec.type = persist::JournalRecord::Type::SnapshotMark;
-    rec.seq = seq;
-    enqueue(rec);
-}
-
-void
-ReplicationLog::appendHousekeeping(
-    persist::JournalRecord::HousekeepingKind kind)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    uint64_t stamp = journal_.lastSeq();
-    journal_.appendHousekeeping(kind);
-    if (!journal_.ioHealthy())
-        return;
-    persist::JournalRecord rec;
-    rec.type = persist::JournalRecord::Type::Housekeeping;
-    rec.seq = stamp;
-    rec.housekeeping = kind;
-    enqueue(rec);
-}
-
-void
-ReplicationLog::appendResizeMark(const ChiselConfig &config)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    uint64_t stamp = journal_.lastSeq();
-    journal_.appendResizeMark(config);
-    if (!journal_.ioHealthy())
-        return;
-    persist::JournalRecord rec;
-    rec.type = persist::JournalRecord::Type::ResizeMark;
-    rec.seq = stamp;
-    rec.resizeConfig = config;
-    enqueue(rec);
-}
-
-void
-ReplicationLog::sync()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    journal_.sync();
-}
-
-bool
-ReplicationLog::durable() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return journal_.ioHealthy();
-}
-
-uint64_t
-ReplicationLog::ioErrors() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return journal_.ioErrors();
-}
-
-uint64_t
-ReplicationLog::lastSeq() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return journal_.lastSeq();
-}
-
-uint64_t
-ReplicationLog::lastDurableSeq() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return journal_.lastDurableSeq();
 }
 
 // ---- Shipping --------------------------------------------------------
@@ -330,7 +228,7 @@ ReplicationLog::serveConnection(ByteStream &stream,
     uint64_t head;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        head = journal_.lastSeq();
+        head = head_;
     }
     if (!sendFrame(stream,
                    makeWelcome(options_.epoch, fingerprint_, head),
@@ -346,7 +244,7 @@ ReplicationLog::serveConnection(ByteStream &stream,
     bool needSnapshot;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        needSnapshot = resumeSeq < evictedThroughSeq_;
+        needSnapshot = resumeSeq < resumeFloor_;
     }
     if (needSnapshot) {
         // Snapshot-unavailable is a backoff-eligible failure: the
@@ -357,16 +255,15 @@ ReplicationLog::serveConnection(ByteStream &stream,
                  "no snapshot provider is configured");
             return false;
         }
-        uint64_t covered = 0;
+        uint64_t coveredSeq = 0;
         std::vector<uint8_t> image;
         bool consistent = false;
         for (int attempt = 0; attempt < 3 && !consistent; ++attempt) {
-            image = snapshots(covered);
+            image = snapshots(coveredSeq);
             std::lock_guard<std::mutex> lock(mutex_);
             // The snapshot must meet the retained tail, or records
             // between its covered seq and the tail would be lost.
-            consistent = !image.empty() &&
-                         covered >= evictedThroughSeq_;
+            consistent = !image.empty() && coveredSeq >= resumeFloor_;
         }
         if (!consistent) {
             warn("replication: snapshot provider could not produce a "
@@ -374,7 +271,7 @@ ReplicationLog::serveConnection(ByteStream &stream,
             return false;
         }
         if (!sendFrame(stream,
-                       makeSnapshotBegin(options_.epoch, covered,
+                       makeSnapshotBegin(options_.epoch, coveredSeq,
                                          image.size()),
                        nullptr))
             return true;
@@ -397,17 +294,21 @@ ReplicationLog::serveConnection(ByteStream &stream,
                                 std::memory_order_relaxed);
         snapshotsShipped_.fetch_add(1, std::memory_order_relaxed);
         CHISEL_FLIGHT_EVENT(ReplicaShip, FrameType::SnapshotEnd,
-                            covered, image.size());
-        resumeSeq = covered;
+                            coveredSeq, image.size());
+        resumeSeq = coveredSeq;
     }
 
-    // Position the cursor at the first retained entry past resumeSeq.
+    // Position the cursor at the first retained entry resumeSeq does
+    // not cover.
     uint64_t cursor;
     {
         std::lock_guard<std::mutex> lock(mutex_);
+        if (resumeSeq < resumeFloor_)
+            return true;  // Evicted while the snapshot went out.
         cursor = tailBase_;
         while (cursor < tailNext_ &&
-               tail_[cursor - tailBase_].seq <= resumeSeq)
+               covered(tail_[cursor - tailBase_].type,
+                       tail_[cursor - tailBase_].seq, resumeSeq))
             ++cursor;
     }
 
@@ -460,7 +361,7 @@ ReplicationLog::serveConnection(ByteStream &stream,
             uint64_t seq;
             {
                 std::lock_guard<std::mutex> lock(mutex_);
-                seq = journal_.lastSeq();
+                seq = head_;
             }
             if (!sendFrame(stream,
                            makeHeartbeat(options_.epoch, seq),
@@ -484,9 +385,7 @@ ReplicationLog::stats() const
     s.epoch = options_.epoch;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        s.lastSeq = journal_.lastSeq();
-        s.lastDurableSeq = journal_.lastDurableSeq();
-        s.journalIoErrors = journal_.ioErrors();
+        s.lastSeq = head_;
     }
     s.lastAckedSeq = lastAckedSeq_.load(std::memory_order_relaxed);
     s.lagRecords =
@@ -501,30 +400,6 @@ ReplicationLog::stats() const
     s.connected = connected_.load(std::memory_order_acquire);
     s.fenced = fenced();
     return s;
-}
-
-void
-ReplicationLog::publish(telemetry::MetricRegistry &registry,
-                        const std::string &prefix) const
-{
-    ReplicationStats s = stats();
-    auto set = [&](const char *name, uint64_t v) {
-        registry.gauge(prefix + "." + name)
-            .set(static_cast<double>(v));
-    };
-    set("epoch", s.epoch);
-    set("last_seq", s.lastSeq);
-    set("last_durable_seq", s.lastDurableSeq);
-    set("last_acked_seq", s.lastAckedSeq);
-    set("lag_records", s.lagRecords);
-    set("records_shipped", s.recordsShipped);
-    set("bytes_shipped", s.bytesShipped);
-    set("snapshots_shipped", s.snapshotsShipped);
-    set("reconnects", s.reconnects);
-    set("connect_failures", s.connectFailures);
-    set("journal_io_errors", s.journalIoErrors);
-    set("connected", s.connected ? 1 : 0);
-    set("fenced", s.fenced ? 1 : 0);
 }
 
 } // namespace chisel::replica

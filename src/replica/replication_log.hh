@@ -2,13 +2,16 @@
  * @file
  * Leader-side journal shipping (docs/replication.md).
  *
- * ReplicationLog wraps an UpdateJournal with the same append surface
- * and tees every durably logged record to a warm standby: records go
- * to disk first (the journal stays the source of truth — a record
- * that was not durably logged is never shipped, so the follower can
- * never be *ahead* of the leader's durable history), then into a
- * bounded in-memory tail that a background shipper thread drains
- * over a ByteStream to the follower.
+ * A ReplicationLog attaches to the leader's UpdateJournal as its
+ * record observer and ships what that journal writes to a warm
+ * standby.  The journal keeps its one writer (on a leader, the
+ * ConcurrentChisel that owns it): a record reaches the bounded
+ * in-memory ship tail only once it is written, so a record that was
+ * not durably logged is never shipped and the follower can never be
+ * *ahead* of the leader's durable history.  A background shipper
+ * thread drains the tail over a ByteStream to the follower.  Update,
+ * Housekeeping and ResizeMark records ship; Outcome and SnapshotMark
+ * records carry no engine state and stay on disk.
  *
  * The shipper owns every unreliable part of the path:
  *
@@ -27,10 +30,11 @@
  *    keeps a revived stale leader from corrupting a promoted
  *    follower.
  *
- * Thread-safety: the append surface is mutex-serialized and safe
- * against the shipper; appends never block on the network (the tail
- * is bounded by eviction, not backpressure — a slow follower falls
- * back to snapshot catch-up instead of stalling the leader).
+ * Thread-safety: records enter the tail on the journal's writing
+ * thread, under a mutex the shipper shares; they never block on the
+ * network (the tail is bounded by eviction, not backpressure — a
+ * slow follower falls back to snapshot catch-up instead of stalling
+ * the leader).
  */
 
 #ifndef CHISEL_REPLICA_REPLICATION_LOG_HH
@@ -51,8 +55,6 @@
 #include "replica/transport.hh"
 #include "replica/wire.hh"
 
-namespace chisel::telemetry { class MetricRegistry; }
-
 namespace chisel::replica {
 
 /**
@@ -65,9 +67,9 @@ using TransportFactory =
 /**
  * Produces a full snapshot image (persist snapshot format) of the
  * leader's engine, reporting the journal seq it covers.  Called from
- * the shipper thread; the implementation must do its own
- * synchronization against the update path (ConcurrentChisel's
- * saveSnapshot already does).
+ * the shipper thread, outside the tail's lock; the implementation must
+ * take image and seq in one step against the update path
+ * (ConcurrentChisel::snapshotImage(&covered_seq) does).
  */
 using SnapshotProvider =
     std::function<std::vector<uint8_t>(uint64_t &covered_seq)>;
@@ -93,8 +95,7 @@ struct ReplicationOptions
 struct ReplicationStats
 {
     uint64_t epoch = 0;
-    uint64_t lastSeq = 0;         ///< Journal head (acknowledged).
-    uint64_t lastDurableSeq = 0;  ///< Journal head covered by fsync.
+    uint64_t lastSeq = 0;         ///< Journal head (last written seq).
     uint64_t lastAckedSeq = 0;    ///< Follower-confirmed applied seq.
     uint64_t lagRecords = 0;      ///< lastSeq - lastAckedSeq.
     uint64_t recordsShipped = 0;
@@ -102,7 +103,6 @@ struct ReplicationStats
     uint64_t snapshotsShipped = 0;
     uint64_t reconnects = 0;      ///< Successful handshakes.
     uint64_t connectFailures = 0;
-    uint64_t journalIoErrors = 0;
     bool connected = false;
     bool fenced = false;
 };
@@ -111,49 +111,20 @@ class ReplicationLog
 {
   public:
     /**
-     * Open (or create) the journal at @p path exactly like
-     * UpdateJournal, with shipping configured by @p options but not
-     * yet started (call start()).
+     * Attach to @p journal as its record observer, with shipping
+     * configured by @p options but not yet started (call start()).
+     * Attach before any other thread appends, and keep this log alive
+     * until the journal's last write: hand the journal to its engine
+     * after this constructor, and stop() before that engine goes.
+     * History the journal already holds is never in the tail, so a
+     * follower behind it catches up from a snapshot.
      */
-    ReplicationLog(const std::string &path, uint64_t config_fingerprint,
-                   size_t fsync_every = 1,
-                   const ReplicationOptions &options = {});
+    explicit ReplicationLog(persist::UpdateJournal &journal,
+                            const ReplicationOptions &options = {});
     ~ReplicationLog();
 
     ReplicationLog(const ReplicationLog &) = delete;
     ReplicationLog &operator=(const ReplicationLog &) = delete;
-
-    // ---- The UpdateJournal append surface (tee'd) -------------------
-
-    /**
-     * Durably log @p update and queue it for shipping.  @return the
-     * assigned seq, or 0 if the journal refused the append (I/O
-     * failure) — in which case nothing is shipped either: a leader
-     * that cannot durably log must stop acknowledging, not keep a
-     * follower more durable than itself.
-     */
-    uint64_t append(const Update &update);
-
-    void appendOutcome(uint64_t seq, const UpdateOutcome &outcome);
-    void appendSnapshotMark(uint64_t seq);
-    void appendHousekeeping(persist::JournalRecord::HousekeepingKind kind);
-
-    /**
-     * Durably log a live-resize mark carrying the grown config, and
-     * ship it so the follower re-plans its engine at the same point
-     * in the update stream the leader did.
-     */
-    void appendResizeMark(const ChiselConfig &config);
-
-    void sync();
-
-    /** See UpdateJournal::ioHealthy — false means stop acking. */
-    bool durable() const;
-    uint64_t ioErrors() const;
-    uint64_t lastSeq() const;
-
-    /** See UpdateJournal::lastDurableSeq — the fsync-covered head. */
-    uint64_t lastDurableSeq() const;
 
     // ---- Shipping ---------------------------------------------------
 
@@ -177,20 +148,18 @@ class ReplicationLog
 
     ReplicationStats stats() const;
 
-    /** Export stats as gauges under @p prefix (default "replication"). */
-    void publish(telemetry::MetricRegistry &registry,
-                 const std::string &prefix = "replication") const;
-
   private:
-    /** One queued shipment: an encoded journal record. */
+    /** One queued shipment: a journal record's payload bytes. */
     struct ShipEntry
     {
+        persist::JournalRecord::Type type;
         uint64_t seq;  ///< The record's seq stamp.
-        std::vector<uint8_t> bytes;  ///< encodeJournalRecord output.
+        std::vector<uint8_t> bytes;  ///< As the journal framed them.
     };
 
-    /** Queue @p rec for shipping (caller holds mutex_). */
-    void enqueue(const persist::JournalRecord &rec);
+    /** The journal's observer: queue a written record for shipping. */
+    void enqueue(const persist::JournalRecord &rec,
+                 const uint8_t *payload, size_t size);
 
     void shipperMain(TransportFactory factory,
                      SnapshotProvider snapshots);
@@ -209,7 +178,6 @@ class ReplicationLog
     bool sleepMs(uint64_t ms);
 
     mutable std::mutex mutex_;
-    persist::UpdateJournal journal_;
     ReplicationOptions options_;
     uint64_t fingerprint_;
 
@@ -219,7 +187,13 @@ class ReplicationLog
     std::deque<ShipEntry> tail_;
     uint64_t tailBase_ = 0;       ///< Index of tail_.front().
     uint64_t tailNext_ = 0;       ///< Index one past tail_.back().
-    uint64_t evictedThroughSeq_ = 0;  ///< Max seq stamp ever evicted.
+    uint64_t head_ = 0;           ///< Highest seq stamp written.
+    /**
+     * The least applied seq that covers (replica::covered) every
+     * record evicted from the tail; a follower below it needs a
+     * snapshot.
+     */
+    uint64_t resumeFloor_ = 0;
     std::condition_variable tailCv_;  ///< Signalled on enqueue/stop.
 
     std::thread shipper_;

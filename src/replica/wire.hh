@@ -111,6 +111,26 @@ Frame makeHeartbeat(uint64_t epoch, uint64_t last_seq);
 Frame makeAck(uint64_t epoch, uint64_t applied_seq);
 Frame makeFenced(uint64_t epoch, uint64_t current_epoch);
 
+/**
+ * True iff a replica whose last applied update is @p applied already
+ * holds a record of @p type stamped @p seq.  An Update at seq s is
+ * covered once s <= applied.  A stamped record (Housekeeping,
+ * ResizeMark) carries the seq of the update before it, so only a
+ * later update covers it: s < applied.  A stamped record at exactly
+ * the resume point is therefore shipped and applied again, which is
+ * harmless: a second purge finds nothing dirty, and a resize to the
+ * running config is a no-op.  The leader's resume cursor, the
+ * follower's live apply and promotion's journal replay all use this
+ * one rule.
+ */
+inline bool
+covered(persist::JournalRecord::Type type, uint64_t seq, uint64_t applied)
+{
+    bool stamped = type == persist::JournalRecord::Type::Housekeeping ||
+                   type == persist::JournalRecord::Type::ResizeMark;
+    return stamped ? seq < applied : seq <= applied;
+}
+
 /** Upper bound a peer will accept for one frame's payload. */
 constexpr uint32_t kMaxFramePayload = 64u << 20;
 

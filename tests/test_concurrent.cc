@@ -495,7 +495,7 @@ TEST(ConcurrentChisel, EveryWayInServesTwinImages)
     advance(c);
     std::string path = differential::scratchPath("every_way.snap");
     ASSERT_GT(c.saveSnapshot(path), 0u);
-    std::vector<uint8_t> image = c.snapshotImage(c.updatesApplied());
+    std::vector<uint8_t> image = c.snapshotImage();
     EXPECT_EQ(image, differential::readBytes(path));
 
     ConcurrentChisel from_file(RoutingTable{}, config, noThreadsOptions());
@@ -689,7 +689,7 @@ TEST(ConcurrentChisel, OneMaintenanceThreadOnlyWhenATimerIsSet)
 
     // Health, GC and scrub together share one maintenance thread.
     ConcurrentOptions opts;
-    opts.healthMonitor = true;
+    opts.healthInterval = std::chrono::milliseconds(5);
     opts.gcInterval = std::chrono::milliseconds(5);
     opts.scrubInterval = std::chrono::milliseconds(5);
     ConcurrentChisel timed(table, {}, opts);

@@ -2,9 +2,11 @@
  * @file
  * Tests for the warm-standby replication stack: wire-protocol framing
  * (roundtrip, incremental feed, corruption/oversize poisoning),
- * leader-to-follower shipping over pipes and loopback TCP, snapshot
- * bootstrap after tail eviction, resume-from-sequence-number without
- * duplicates, torn mid-snapshot transfers, fencing-epoch rejection of
+ * leader-to-follower shipping over pipes and loopback TCP (a shipper
+ * attached to a bare journal, and to a journaled ConcurrentChisel
+ * leader), snapshot bootstrap after tail eviction,
+ * resume-from-sequence-number without duplicates or skipped stamped
+ * records, torn mid-snapshot transfers, fencing-epoch rejection of
  * stale leaders, heartbeat silence detection, and promotion replay of
  * a journal tail.
  */
@@ -25,6 +27,7 @@
 
 #include "concurrent/concurrent_engine.hh"
 #include "core/engine.hh"
+#include "differential.hh"
 #include "core/resize.hh"
 #include "fault/fault.hh"
 #include "health/monitor.hh"
@@ -314,14 +317,15 @@ TEST(Replica, ShipsRecordsOverLoopbackTcp)
 
     ReplicationOptions ropts;
     ropts.heartbeatMs = 10;
-    ReplicationLog rlog(journal.path, fp, 1, ropts);
+    persist::UpdateJournal j(journal.path, fp);
+    ReplicationLog rlog(j, ropts);
     uint16_t port = listener.port();
     rlog.start([port] { return replica::tcpConnect(port, 500); },
                nullptr);
 
     uint64_t last = 0;
     for (const Update &u : updates) {
-        last = rlog.append(u);
+        last = j.append(u);
         ASSERT_NE(last, 0u);
     }
     EXPECT_TRUE(waitUntil(
@@ -356,11 +360,12 @@ TEST(Replica, SnapshotBootstrapAfterTailEviction)
     ReplicationOptions ropts;
     ropts.tailCapacity = 8;
     ropts.heartbeatMs = 10;
-    ReplicationLog rlog(journal.path, fp, 1, ropts);
+    persist::UpdateJournal j(journal.path, fp);
+    ReplicationLog rlog(j, ropts);
 
     uint64_t last = 0;
     for (const Update &u : updates) {
-        last = rlog.append(u);
+        last = j.append(u);
         ASSERT_NE(last, 0u);
     }
 
@@ -412,7 +417,7 @@ TEST(Replica, LeaderRestartForcesSnapshotCatchup)
 
     // First leader life: durably log history that is never shipped.
     {
-        ReplicationLog first(journal.path, fp, 1, {});
+        persist::UpdateJournal first(journal.path, fp);
         for (size_t i = 0; i < 40; ++i)
             ASSERT_NE(first.append(updates[i]), 0u);
     }
@@ -423,7 +428,8 @@ TEST(Replica, LeaderRestartForcesSnapshotCatchup)
     ReplicationOptions ropts;
     ropts.heartbeatMs = 10;
     ropts.backoffMinMs = 5;
-    ReplicationLog rlog(journal.path, fp, 1, ropts);
+    persist::UpdateJournal j(journal.path, fp);
+    ReplicationLog rlog(j, ropts);
 
     ChiselEngine sidecar(advance(table, updates, 40), config);
     auto provider = [&](uint64_t &covered) {
@@ -444,7 +450,7 @@ TEST(Replica, LeaderRestartForcesSnapshotCatchup)
 
     uint64_t last = 0;
     for (size_t i = 40; i < updates.size(); ++i) {
-        last = rlog.append(updates[i]);
+        last = j.append(updates[i]);
         ASSERT_NE(last, 0u);
     }
     EXPECT_TRUE(waitUntil(
@@ -472,9 +478,10 @@ TEST(Replica, SnapshotUnavailableBacksOffInsteadOfTightLooping)
     ropts.tailCapacity = 4;
     ropts.heartbeatMs = 10;
     ropts.backoffMinMs = 5;
-    ReplicationLog rlog(journal.path, fp, 1, ropts);
+    persist::UpdateJournal j(journal.path, fp);
+    ReplicationLog rlog(j, ropts);
     for (const Update &u : updates)
-        ASSERT_NE(rlog.append(u), 0u);
+        ASSERT_NE(j.append(u), 0u);
 
     ConcurrentOptions copts;
     copts.controlThread = false;
@@ -524,12 +531,13 @@ TEST(Replica, ResumesFromSequenceWithoutDuplicates)
     ReplicationOptions ropts;
     ropts.heartbeatMs = 10;
     ropts.backoffMinMs = 5;
-    ReplicationLog rlog(journal.path, fp, 1, ropts);
+    persist::UpdateJournal j(journal.path, fp);
+    ReplicationLog rlog(j, ropts);
     rlog.start([&ends] { return ends.pop(); }, nullptr);
 
     uint64_t last = 0;
     for (size_t i = 0; i < 60; ++i) {
-        last = rlog.append(updates[i]);
+        last = j.append(updates[i]);
         ASSERT_NE(last, 0u);
     }
     ASSERT_TRUE(waitUntil(
@@ -548,7 +556,7 @@ TEST(Replica, ResumesFromSequenceWithoutDuplicates)
         });
 
     for (size_t i = 60; i < updates.size(); ++i) {
-        last = rlog.append(updates[i]);
+        last = j.append(updates[i]);
         ASSERT_NE(last, 0u);
     }
     EXPECT_TRUE(waitUntil(
@@ -566,6 +574,134 @@ TEST(Replica, ResumesFromSequenceWithoutDuplicates)
     EXPECT_TRUE(matchesTruth(
         standby, advance(table, updates, updates.size())));
     EXPECT_GE(rlog.stats().reconnects, 2u);
+}
+
+TEST(Replica, ResumeShipsAStampedRecordAtTheResumePoint)
+{
+    // A ResizeMark written while the link is down carries the seq of
+    // the update before it, which is exactly the follower's resume
+    // point: the reconnect must ship it, not skip it with the updates
+    // the follower already holds.
+    TempFile journal("test_replica_resume_mark.journal");
+    RoutingTable table = smallTable(0x3a1);
+    std::vector<Update> updates = smallTrace(table, 80, 0x3a2);
+    ChiselConfig config;
+    config.minCellCapacity = 64;
+    uint64_t fp = elasticFingerprint(config);
+    ChiselConfig grown = config;
+    grown.spillCapacity *= 4;
+    grown.minCellCapacity *= 2;
+
+    ConcurrentOptions copts;
+    copts.controlThread = false;
+    ConcurrentChisel standby(table, config, copts);
+    Follower follower(standby, fp);
+
+    EndQueue ends;
+    auto pair1 = replica::makePipePair();
+    ends.push(pair1.first);
+    std::thread serve1([&follower, end = pair1.second] {
+        follower.handleConnection(*end);
+    });
+
+    ReplicationOptions ropts;
+    ropts.heartbeatMs = 10;
+    ropts.backoffMinMs = 5;
+    persist::UpdateJournal j(journal.path, fp);
+    ReplicationLog rlog(j, ropts);
+    rlog.start([&ends] { return ends.pop(); }, nullptr);
+
+    for (size_t i = 0; i < 60; ++i)
+        ASSERT_NE(j.append(updates[i]), 0u);
+    ASSERT_TRUE(waitUntil(
+        [&] { return follower.lastAppliedSeq() == 60u; }));
+    pair1.second->shutdown();
+    serve1.join();
+
+    j.appendResizeMark(grown);  // Stamped 60, the resume point.
+    uint64_t last = 0;
+    for (size_t i = 60; i < updates.size(); ++i) {
+        last = j.append(updates[i]);
+        ASSERT_NE(last, 0u);
+    }
+
+    auto pair2 = replica::makePipePair();
+    ends.push(pair2.first);
+    std::thread serve2([&follower, end = pair2.second] {
+        follower.handleConnection(*end);
+    });
+    EXPECT_TRUE(waitUntil(
+        [&] { return follower.lastAppliedSeq() == last; }));
+    rlog.stop();
+    pair2.second->shutdown();
+    serve2.join();
+
+    EXPECT_EQ(standby.resizes(), 1u);
+    EXPECT_TRUE(standby.config() == grown);
+    EXPECT_TRUE(matchesTruth(
+        standby, advance(table, updates, updates.size())));
+    EXPECT_EQ(follower.stats().connectionsServed, 2u);
+}
+
+TEST(Replica, EvictedStampedRecordForcesSnapshotCatchup)
+{
+    // The only record evicted past the follower's resume point is a
+    // ResizeMark stamped with that very seq: resuming from the tail
+    // would skip it, so the follower must take a snapshot instead.
+    TempFile journal("test_replica_evicted_mark.journal");
+    RoutingTable table = smallTable(0x3b1);
+    std::vector<Update> updates = smallTrace(table, 64, 0x3b2);
+    ChiselConfig config;
+    config.minCellCapacity = 64;
+    uint64_t fp = elasticFingerprint(config);
+    ChiselConfig grown = config;
+    grown.spillCapacity *= 4;
+    grown.minCellCapacity *= 2;
+
+    ConcurrentOptions copts;
+    copts.controlThread = false;
+    ConcurrentChisel standby(table, config, copts);
+    replica::TcpListener listener;
+    ASSERT_TRUE(listener.listen(0));
+    Follower follower(standby, fp);
+    follower.start(listener);
+
+    auto j = std::make_unique<persist::UpdateJournal>(journal.path, fp);
+    ReplicationOptions ropts;
+    ropts.tailCapacity = 4;
+    ropts.heartbeatMs = 10;
+    ropts.backoffMinMs = 5;
+    ReplicationLog rlog(*j, ropts);
+    ConcurrentChisel leader(std::make_unique<ChiselEngine>(table, config),
+                            copts, std::move(j));
+    uint16_t port = listener.port();
+    rlog.start([port] { return replica::tcpConnect(port, 500); },
+               [&](uint64_t &covered) {
+                   return leader.snapshotImage(&covered);
+               });
+
+    for (size_t i = 0; i < 60; ++i)
+        leader.apply(updates[i]);
+    ASSERT_TRUE(waitUntil(
+        [&] { return follower.lastAppliedSeq() == 60u; }));
+    follower.stop();
+
+    // The mark, then exactly a tail's worth of updates: the mark is
+    // the last record evicted.
+    ASSERT_TRUE(leader.resizeTo(grown));
+    for (size_t i = 60; i < updates.size(); ++i)
+        leader.apply(updates[i]);
+    uint64_t installed = follower.stats().snapshotsInstalled;
+    follower.start(listener);
+    EXPECT_TRUE(waitUntil(
+        [&] { return follower.lastAppliedSeq() == updates.size(); }));
+    rlog.stop();
+    follower.stop();
+
+    EXPECT_EQ(follower.stats().snapshotsInstalled, installed + 1);
+    EXPECT_TRUE(standby.config() == grown);
+    EXPECT_TRUE(matchesTruth(
+        standby, advance(table, updates, updates.size())));
 }
 
 // ---- Torn snapshot transfers -----------------------------------------
@@ -834,7 +970,8 @@ TEST(Replica, StaleLeaderLatchesFenceEndToEnd)
     ReplicationOptions ropts;
     ropts.epoch = 1;  // The dead leader's epoch: stale by now.
     ropts.backoffMinMs = 5;
-    ReplicationLog stale(journal.path, fp, 1, ropts);
+    persist::UpdateJournal j(journal.path, fp);
+    ReplicationLog stale(j, ropts);
     uint16_t port = listener.port();
     stale.start([port] { return replica::tcpConnect(port, 500); },
                 nullptr);
@@ -915,91 +1052,120 @@ TEST(Replica, PromotionReplaysJournalTail)
               1u);
 }
 
+/**
+ * A journaled leader's program: churn, short-TTL announces that the
+ * GC retires as Expire updates, a live resize to @p grown, more churn,
+ * a dirty purge, and announces past it.  Manual TTL clock, no
+ * maintenance thread: two runs write the same journal.
+ */
+void
+runLeaderProgram(ConcurrentChisel &leader,
+                 const std::vector<Update> &updates,
+                 const ChiselConfig &grown)
+{
+    size_t half = updates.size() / 2;
+    for (size_t i = 0; i < half; ++i)
+        leader.apply(updates[i]);
+    for (uint32_t i = 0; i < 5; ++i)
+        leader.announce(
+            Prefix(Key128::fromIpv4(0xDE000000 + (i << 8)), 24),
+            0xBB00 + i, /*ttl_ms=*/100);
+    leader.advanceTtlClock(1000);
+    EXPECT_EQ(leader.gcTick(), 5u);
+    EXPECT_TRUE(leader.resizeTo(grown));
+    for (size_t i = half; i < updates.size(); ++i)
+        leader.apply(updates[i]);
+    EXPECT_GT(leader.purgeDirtyNow(), 0u);
+    for (uint32_t i = 0; i < 10; ++i)
+        leader.announce(
+            Prefix(Key128::fromIpv4(0xDF000000 + (i << 8)), 24),
+            0xAA00 + i);
+}
+
 TEST(Replica, FollowerTracksExpiryAndResizeMark)
 {
-    // The full lifecycle over the wire: the leader journals churn,
-    // GC-style Expire updates, then a live resize (ResizeMark) and
-    // post-resize traffic.  The standby must land on the identical
-    // route set AND the grown config — otherwise the next failover
-    // promotes a leader that re-inherits the capacity pressure the
-    // old one just grew out of.
-    TempFile journal("test_replica_lifecycle.journal");
+    // The full lifecycle over the wire, from a real journaled leader:
+    // GC Expires, a live resize (ResizeMark) and a dirty purge
+    // (Housekeeping) reach the follower because the engine journals
+    // them and the shipper ships what the journal writes.  The
+    // standby must land on the leader's routes, its grown config and
+    // its dirty set — otherwise the next failover promotes a leader
+    // that re-inherits the capacity pressure the old one grew out of.
+    TempFile shipped("test_replica_leader_shipped.journal");
+    TempFile alone("test_replica_leader_alone.journal");
     RoutingTable table = smallTable(0x77a);
-    std::vector<Update> updates = smallTrace(table, 80, 0x77b);
+    std::vector<Update> updates = smallTrace(table, 160, 0x77b);
     ChiselConfig config;
     config.minCellCapacity = 64;
     // The elastic fingerprint is the session identity: it survives
     // the resize, unlike configFingerprint.
     uint64_t fp = elasticFingerprint(config);
+    ChiselConfig grown = config;
+    grown.spillCapacity *= 4;
+    grown.minCellCapacity *= 2;
 
     ConcurrentOptions copts;
     copts.controlThread = false;
+    copts.ttlWallClock = false;
     ConcurrentChisel standby(table, config, copts);
     replica::TcpListener listener;
     ASSERT_TRUE(listener.listen(0));
     Follower follower(standby, fp);
     follower.start(listener);
 
-    ReplicationOptions ropts;
-    ropts.heartbeatMs = 10;
-    ReplicationLog rlog(journal.path, fp, 1, ropts);
-    uint16_t port = listener.port();
-    rlog.start([port] { return replica::tcpConnect(port, 500); },
-               nullptr);
+    {
+        // The shipper attaches before the leader takes the journal.
+        auto journal =
+            std::make_unique<persist::UpdateJournal>(shipped.path, fp);
+        ReplicationOptions ropts;
+        ropts.heartbeatMs = 10;
+        ReplicationLog rlog(*journal, ropts);
+        ConcurrentChisel leader(
+            std::make_unique<ChiselEngine>(table, config), copts,
+            std::move(journal));
+        uint16_t port = listener.port();
+        rlog.start([port] { return replica::tcpConnect(port, 500); },
+                   nullptr);
 
-    RoutingTable truth = advance(table, updates, updates.size());
-    uint64_t last = 0;
-    for (const Update &u : updates) {
-        last = rlog.append(u);
-        ASSERT_NE(last, 0u);
+        runLeaderProgram(leader, updates, grown);
+        uint64_t last = leader.journalSeq();
+        EXPECT_TRUE(waitUntil(
+            [&] { return follower.lastAppliedSeq() == last; }));
+        rlog.stop();
+        follower.stop();
+
+        EXPECT_EQ(rlog.stats().lastSeq, last);
+        EXPECT_EQ(leader.expired(), 5u);
+        EXPECT_EQ(standby.resizes(), 1u);
+        EXPECT_TRUE(standby.config() == leader.config());
+        EXPECT_TRUE(standby.config() == grown);
+        EXPECT_EQ(standby.dirtyCount(), leader.dirtyCount());
+        EXPECT_EQ(standby.routeCount(), leader.routeCount());
+        RoutingTable truth = advance(table, updates, updates.size());
+        for (uint32_t i = 0; i < 5; ++i)
+            EXPECT_FALSE(standby
+                             .find(Prefix(Key128::fromIpv4(
+                                              0xDE000000 + (i << 8)),
+                                          24))
+                             .has_value());
+        for (uint32_t i = 0; i < 10; ++i)
+            truth.add(Prefix(Key128::fromIpv4(0xDF000000 + (i << 8)), 24),
+                      0xAA00 + i);
+        EXPECT_TRUE(matchesTruth(standby, truth));
+        EXPECT_EQ(follower.stats().duplicatesSkipped, 0u);
     }
 
-    // Leader-side GC: deadlines are decided once, on the leader, and
-    // ship as first-class Expire records — the follower needs no
-    // synchronized clock.
-    std::vector<Prefix> victims;
-    for (const Route &r : truth.routes()) {
-        victims.push_back(r.prefix);
-        if (victims.size() == 5)
-            break;
+    // Shipping writes nothing: the same program with no shipper
+    // attached leaves the same journal, byte for byte.
+    {
+        ConcurrentChisel leader(
+            std::make_unique<ChiselEngine>(table, config), copts,
+            std::make_unique<persist::UpdateJournal>(alone.path, fp));
+        runLeaderProgram(leader, updates, grown);
     }
-    for (const Prefix &p : victims) {
-        Update e;
-        e.kind = UpdateKind::Expire;
-        e.prefix = p;
-        e.nextHop = kNoRoute;
-        last = rlog.append(e);
-        ASSERT_NE(last, 0u);
-        truth.remove(p);
-    }
-
-    // Live resize on the leader, then post-resize traffic.
-    ChiselConfig grown = config;
-    grown.spillCapacity *= 4;
-    grown.minCellCapacity *= 2;
-    rlog.appendResizeMark(grown);
-    for (uint32_t i = 0; i < 10; ++i) {
-        Update a;
-        a.kind = UpdateKind::Announce;
-        a.prefix = Prefix(Key128::fromIpv4(0xDF000000 + (i << 8)), 24);
-        a.nextHop = 0xAA00 + i;
-        last = rlog.append(a);
-        ASSERT_NE(last, 0u);
-        truth.add(a.prefix, a.nextHop);
-    }
-
-    EXPECT_TRUE(waitUntil(
-        [&] { return follower.lastAppliedSeq() == last; }));
-    rlog.stop();
-    follower.stop();
-
-    // The standby tracked every Expire and adopted the grown config.
-    EXPECT_TRUE(matchesTruth(standby, truth));
-    for (const Prefix &p : victims)
-        EXPECT_FALSE(standby.find(p).has_value());
-    EXPECT_EQ(standby.resizes(), 1u);
-    EXPECT_TRUE(standby.config() == grown);
-    EXPECT_EQ(follower.stats().duplicatesSkipped, 0u);
+    std::vector<uint8_t> with = differential::readBytes(shipped.path);
+    EXPECT_FALSE(with.empty());
+    EXPECT_EQ(with, differential::readBytes(alone.path));
 }
 
 TEST(Replica, PromotionReplaysResizeMark)
@@ -1039,29 +1205,59 @@ TEST(Replica, PromotionReplaysResizeMark)
 #if CHISEL_FAULT_INJECTION_ENABLED
 TEST(Replica, JournalIoErrorStopsShippingAndAcking)
 {
+    // A leader whose journal refuses an append rejects the update
+    // inside the engine, and the refused record never reaches the
+    // shipper: the follower stays at the durable head.
     TempFile journal("test_replica_ioerr.journal");
     RoutingTable table = smallTable(0x10e);
     std::vector<Update> updates = smallTrace(table, 4, 0x10f);
     ChiselConfig config;
     uint64_t fp = configFingerprint(config);
 
-    ReplicationLog rlog(journal.path, fp, 1, {});
-    ASSERT_TRUE(rlog.durable());
-    ASSERT_NE(rlog.append(updates[0]), 0u);
+    ConcurrentOptions copts;
+    copts.controlThread = false;
+    ConcurrentChisel standby(table, config, copts);
+    replica::TcpListener listener;
+    ASSERT_TRUE(listener.listen(0));
+    Follower follower(standby, fp);
+    follower.start(listener);
+
+    auto j = std::make_unique<persist::UpdateJournal>(journal.path, fp);
+    ReplicationOptions ropts;
+    ropts.heartbeatMs = 10;
+    ReplicationLog rlog(*j, ropts);
+    ConcurrentChisel leader(std::make_unique<ChiselEngine>(table, config),
+                            copts, std::move(j));
+    uint16_t port = listener.port();
+    rlog.start([port] { return replica::tcpConnect(port, 500); },
+               nullptr);
+
+    uint64_t seq = 0;
+    leader.apply(updates[0], &seq);
+    ASSERT_EQ(seq, 1u);
+    ASSERT_TRUE(waitUntil([&] { return follower.lastAppliedSeq() == 1; }));
 
     fault::FaultInjector inj(7);
     inj.arm(fault::FaultPoint::JournalIoError, 1.0, 1);
     {
         fault::ScopedInjector scope(&inj);
-        EXPECT_EQ(rlog.append(updates[1]), 0u);
+        EXPECT_EQ(leader.apply(updates[1], &seq).status,
+                  UpdateStatus::Rejected);
+        EXPECT_EQ(seq, 0u);
     }
     // Latched: even with the fault disarmed, a journal that lost a
     // write refuses every later append — the leader stops acking.
-    EXPECT_EQ(rlog.append(updates[2]), 0u);
-    EXPECT_FALSE(rlog.durable());
-    EXPECT_GE(rlog.ioErrors(), 1u);
-    EXPECT_GE(rlog.stats().journalIoErrors, 1u);
-    EXPECT_EQ(rlog.lastSeq(), 1u);
+    EXPECT_EQ(leader.apply(updates[2], &seq).status,
+              UpdateStatus::Rejected);
+    EXPECT_EQ(seq, 0u);
+    EXPECT_EQ(leader.journalSeq(), 1u);
+    EXPECT_EQ(leader.updatesApplied(), 1u);
+
+    rlog.stop();
+    follower.stop();
+    EXPECT_EQ(rlog.stats().lastSeq, 1u);
+    EXPECT_EQ(rlog.stats().recordsShipped, 1u);
+    EXPECT_EQ(follower.lastAppliedSeq(), 1u);
 }
 #endif
 

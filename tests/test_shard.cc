@@ -90,7 +90,6 @@ smallOptions(size_t shards, unsigned bits)
     o.shards = shards;
     o.partitionBits = bits;
     o.engine.controlThread = false;
-    o.engine.healthMonitor = false;
     return o;
 }
 
@@ -367,8 +366,8 @@ TEST(ShardedBasics, ShardsAreBuiltFromTheirSlices)
     for (size_t i = 0; i < plane.shards(); ++i) {
         SCOPED_TRACE(i);
         EXPECT_EQ(plane.shardEngine(i).routeCount(), slice[i]);
-        EXPECT_EQ(plane.shardEngine(i).snapshotImage(0),
-                  again.shardEngine(i).snapshotImage(0));
+        EXPECT_EQ(plane.shardEngine(i).snapshotImage(),
+                  again.shardEngine(i).snapshotImage());
     }
 }
 
