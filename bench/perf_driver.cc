@@ -39,9 +39,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <malloc.h>
+#include <unistd.h>
 
 #include "common/clock.hh"
 #include "concurrent/concurrent_engine.hh"
@@ -75,6 +79,12 @@ struct ScenarioResult
     uint64_t p95Ns = 0;
     uint64_t p99Ns = 0;
     double accessesPerOp = 0.0;
+    /**
+     * Resident bytes the engine build added, per route; only where
+     * the engine outgrows one 2 MiB arena page, so the figure reads
+     * the control state and the image rather than page rounding.
+     */
+    std::optional<double> bytesPerRoute;
 };
 
 uint32_t
@@ -141,6 +151,8 @@ writeResult(const DriverOptions &opts, const ScenarioResult &r)
     w.member("p95_ns", r.p95Ns);
     w.member("p99_ns", r.p99Ns);
     w.member("accesses_per_op", r.accessesPerOp);
+    if (r.bytesPerRoute)
+        w.member("bytes_per_route", *r.bytesPerRoute);
     w.endObject();
     out << "\n";
     std::printf("perf_driver: %-10s %12.0f ops/s  p50 %6lu ns  "
@@ -149,6 +161,20 @@ writeResult(const DriverOptions &opts, const ScenarioResult &r)
                 static_cast<unsigned long>(r.p50Ns),
                 static_cast<unsigned long>(r.p99Ns), r.accessesPerOp,
                 path.c_str());
+}
+
+/**
+ * Resident set size after returning freed heap pages to the kernel,
+ * read the way perfbench's residentBytes() reads it.
+ */
+uint64_t
+residentBytes()
+{
+    malloc_trim(0);
+    std::ifstream statm("/proc/self/statm");
+    uint64_t size = 0, resident = 0;
+    statm >> size >> resident;
+    return resident * static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
 }
 
 void
@@ -248,7 +274,11 @@ runLookupDfz(const DriverOptions &opts)
         ":width=32:match=0.85:seed=df" + (opts.quick ? ":quick" : "")));
 
     RoutingTable table = generateScaledTable(tableSize, 32, 0xDF);
+    const uint64_t rss0 = residentBytes();
     ChiselEngine engine(table);
+    r.bytesPerRoute = (static_cast<double>(residentBytes()) -
+                       static_cast<double>(rss0)) /
+                      static_cast<double>(tableSize);
     measureLookups(engine,
                    generateLookupKeys(table, keyCount, 32, 0.85, 0xE0),
                    opts.quick ? 200000 : 800000, r);

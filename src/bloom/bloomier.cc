@@ -171,6 +171,24 @@ BloomierFilter::Image::probe(const Key128 &key) const
     return out;
 }
 
+unsigned
+BloomierFilter::Image::partition(const Key128 &key) const
+{
+    // probe()'s walk restricted to lane k of each interleaved entry.
+    const unsigned width = k + 1;
+    const uint64_t *row = lanes.data() + k;
+    const uint64_t *end = lanes.data() + lanes.size();
+    uint64_t h = laneLengthRows[k];
+    for (uint64_t word : {key.hi(), key.lo()}) {
+        for (unsigned n = 0; n < 16 && row < end; ++n) {
+            h ^= row[(word >> 60) * width];
+            word <<= 4;
+            row += 16 * width;
+        }
+    }
+    return static_cast<unsigned>(partitionMod(h));
+}
+
 void
 BloomierFilter::encodeAt(const size_t slots[], uint32_t code,
                          size_t target)
@@ -227,17 +245,36 @@ BloomierFilter::flipSlotBit(size_t slot, unsigned bit)
 bool
 BloomierFilter::contains(const Key128 &key) const
 {
-    return registry_[img_->probe(key).partition].contains(key);
+    return registry_[partitionOf(key)].find(key) != kNoCode;
 }
 
 std::optional<uint32_t>
 BloomierFilter::findCode(const Key128 &key) const
 {
-    const Registry &reg = registry_[img_->probe(key).partition];
-    auto it = reg.find(key);
-    if (it == reg.end())
+    uint32_t code = registry_[partitionOf(key)].find(key);
+    if (code == kNoCode)
         return std::nullopt;
-    return it->second;
+    return code;
+}
+
+void
+BloomierFilter::occupy(const Probe &where)
+{
+    for (unsigned i = 0; i < config_.k; ++i) {
+        uint8_t &count = counts_[where.slots[i]];
+        panicIf(count == UINT8_MAX, "BloomierFilter occupancy past 255");
+        ++count;
+    }
+}
+
+void
+BloomierFilter::vacate(const Probe &where)
+{
+    for (unsigned i = 0; i < config_.k; ++i) {
+        uint8_t &count = counts_[where.slots[i]];
+        panicIf(count == 0, "BloomierFilter occupancy underflow");
+        --count;
+    }
 }
 
 bool
@@ -257,8 +294,9 @@ BloomierFilter::insert(const Key128 &key, uint32_t code)
     Probe where = img_->probe(key);
     unsigned p = where.partition;
     Registry &reg = registry_[p];
-    if (reg.contains(key))
+    if (reg.find(key) != kNoCode)
         return InsertResult{InsertMethod::Duplicate, {}};
+    panicIf(code == kNoCode, "BloomierFilter code out of range");
 
     // Fast path: a singleton slot lets us encode in O(1) (§4.4.2).
     size_t singleton = SIZE_MAX;
@@ -273,9 +311,8 @@ BloomierFilter::insert(const Key128 &key, uint32_t code)
     if (singleton != SIZE_MAX && CHISEL_FAULT_FIRE(ForceNonSingleton))
         singleton = SIZE_MAX;
 
-    reg.emplace(key, code);
-    for (unsigned i = 0; i < config_.k; ++i)
-        ++counts_[where.slots[i]];
+    reg.insert(key, code);
+    occupy(where);
     ++size_;
 
     if (singleton != SIZE_MAX) {
@@ -312,17 +349,9 @@ bool
 BloomierFilter::erase(const Key128 &key)
 {
     Probe where = img_->probe(key);
-    Registry &reg = registry_[where.partition];
-    auto it = reg.find(key);
-    if (it == reg.end())
+    if (!registry_[where.partition].erase(key))
         return false;
-    reg.erase(it);
-
-    for (unsigned i = 0; i < config_.k; ++i) {
-        size_t slot = where.slots[i];
-        panicIf(counts_[slot] == 0, "BloomierFilter occupancy underflow");
-        --counts_[slot];
-    }
+    vacate(where);
     --size_;
     ++stats_.erases;
     return true;
@@ -334,14 +363,16 @@ BloomierFilter::setup(
 {
     ++stats_.setups;
     clear();
+    for (Registry &reg : registry_)
+        reg.reset(entries.size() / partitions_);
     for (const auto &[key, code] : entries) {
         Probe where = img_->probe(key);
         Registry &reg = registry_[where.partition];
-        if (reg.contains(key))
+        if (reg.find(key) != kNoCode)
             fatalError("BloomierFilter::setup: duplicate key");
-        reg.emplace(key, code);
-        for (unsigned i = 0; i < config_.k; ++i)
-            ++counts_[where.slots[i]];
+        panicIf(code == kNoCode, "BloomierFilter code out of range");
+        reg.insert(key, code);
+        occupy(where);
         ++size_;
     }
 
@@ -360,11 +391,14 @@ BloomierFilter::rebuildPartition(
     size_t base = static_cast<size_t>(p) * partition_slots;
 
     // Local snapshot of the partition's entries, in canonical (key)
-    // order: the peel outcome must not depend on hash-map iteration
+    // order: the peel outcome must not depend on the registry's table
     // order, or a rebuild replayed after snapshot restore could
     // assign different slots than the original run.
-    std::vector<std::pair<Key128, uint32_t>> entries(reg.begin(),
-                                                     reg.end());
+    std::vector<std::pair<Key128, uint32_t>> entries;
+    entries.reserve(reg.size());
+    reg.forEach([&](const Key128 &key, uint32_t code) {
+        entries.emplace_back(key, code);
+    });
     std::sort(entries.begin(), entries.end(),
               [](const auto &a, const auto &b) {
                   return a.first < b.first;
@@ -485,8 +519,7 @@ BloomierFilter::rebuildPartition(
         spilled.push_back(entries[i]);
         ++stats_.spilledKeys;
         reg.erase(entries[i].first);
-        for (unsigned j = 0; j < config_.k; ++j)
-            --counts_[where[i].slots[j]];
+        vacate(where[i]);
         --size_;
     }
 
@@ -513,8 +546,8 @@ BloomierFilter::clear()
     std::fill(img_->slots.begin(), img_->slots.end(), 0);
     logSlots(0, slots());
     std::fill(counts_.begin(), counts_.end(), 0);
-    for (auto &reg : registry_)
-        reg.clear();
+    for (Registry &reg : registry_)
+        reg.reset(0);
     size_ = 0;
 }
 
@@ -528,11 +561,12 @@ BloomierFilter::saveState(persist::Encoder &enc) const
     enc.u64(size_);
     // Canonical (key-sorted) order: the image of a restored filter
     // must be byte-identical to the image it was restored from, so
-    // hash-map iteration order must not leak into the encoding.
+    // the registry's table order must not leak into the encoding.
     std::vector<std::pair<Key128, uint32_t>> keys;
     keys.reserve(size_);
-    for (const Registry &reg : registry_)
-        keys.insert(keys.end(), reg.begin(), reg.end());
+    forEach([&](const Key128 &key, uint32_t code) {
+        keys.emplace_back(key, code);
+    });
     std::sort(keys.begin(), keys.end(),
               [](const auto &a, const auto &b) {
                   return a.first < b.first;
@@ -571,18 +605,24 @@ BloomierFilter::loadState(persist::Decoder &dec)
     uint64_t n = dec.count(20);   // Key128 (16) + code (4).
     if (n > capacity_)
         throw persist::DecodeError("bloomier: more keys than capacity");
+    for (Registry &reg : registry_)
+        reg.reset(n / partitions_);
     for (uint64_t i = 0; i < n; ++i) {
         Key128 key = dec.key();
         uint32_t code = dec.u32();
         if (code >= capacity_)
             throw persist::DecodeError("bloomier: code out of range");
         Probe where = img_->probe(key);
-        auto [it, inserted] = registry_[where.partition].emplace(key, code);
-        (void)it;
-        if (!inserted)
+        Registry &reg = registry_[where.partition];
+        if (reg.find(key) != kNoCode)
             throw persist::DecodeError("bloomier: duplicate key");
-        for (unsigned j = 0; j < config_.k; ++j)
-            ++counts_[where.slots[j]];
+        for (unsigned j = 0; j < config_.k; ++j) {
+            if (counts_[where.slots[j]] == UINT8_MAX)
+                throw persist::DecodeError(
+                    "bloomier: slot occupancy past 255");
+        }
+        reg.insert(key, code);
+        occupy(where);
     }
     size_ = n;
 
@@ -598,13 +638,110 @@ bool
 BloomierFilter::selfCheck(const Image *image) const
 {
     const Image &img = image != nullptr ? *image : *img_;
+    size_t keys = 0;
+    bool ok = true;
     for (unsigned p = 0; p < partitions_; ++p) {
-        for (const auto &[key, code] : registry_[p]) {
-            if (img.lookupCode(key) != code)
-                return false;
-        }
+        registry_[p].forEach([&](const Key128 &key, uint32_t code) {
+            ++keys;
+            if (img.lookupCode(key) != code || partitionOf(key) != p)
+                ok = false;
+        });
     }
+    return ok && keys == size_;
+}
+
+void
+BloomierFilter::Registry::reset(size_t expected)
+{
+    // Load at most 0.8 until `expected` keys are in.
+    const size_t capacity = expected == 0 ? 0 : expected + expected / 4 + 1;
+    keys_.assign(capacity, Key128());
+    keys_.shrink_to_fit();
+    codes_.assign(capacity, kNoCode);
+    codes_.shrink_to_fit();
+    size_ = 0;
+}
+
+size_t
+BloomierFilter::Registry::home(const Key128 &key) const
+{
+    // Multiply-shift range reduction: any table size, no division.
+    return static_cast<size_t>(
+        (static_cast<unsigned __int128>(hashKey128(key)) * codes_.size()) >>
+        64);
+}
+
+uint32_t
+BloomierFilter::Registry::find(const Key128 &key) const
+{
+    if (codes_.empty())
+        return kNoCode;
+    const size_t capacity = codes_.size();
+    for (size_t i = home(key);; i = (i + 1 == capacity) ? 0 : i + 1) {
+        if (codes_[i] == kNoCode || keys_[i] == key)
+            return codes_[i];
+    }
+}
+
+void
+BloomierFilter::Registry::insert(const Key128 &key, uint32_t code)
+{
+    // Past 7/8 load a probe run grows long: grow by half.
+    if (8 * (size_ + 1) > 7 * codes_.size())
+        rehash(codes_.size() + codes_.size() / 2 + 8);
+    const size_t capacity = codes_.size();
+    size_t i = home(key);
+    while (codes_[i] != kNoCode)
+        i = (i + 1 == capacity) ? 0 : i + 1;
+    keys_[i] = key;
+    codes_[i] = code;
+    ++size_;
+}
+
+bool
+BloomierFilter::Registry::erase(const Key128 &key)
+{
+    if (codes_.empty())
+        return false;
+    const size_t capacity = codes_.size();
+    auto next = [capacity](size_t i) { return i + 1 == capacity ? 0 : i + 1; };
+    size_t hole = home(key);
+    for (;; hole = next(hole)) {
+        if (codes_[hole] == kNoCode)
+            return false;
+        if (keys_[hole] == key)
+            break;
+    }
+    // Backward shift: an entry later in the run moves into the hole
+    // unless its home lies cyclically in (hole, j] — then the hole
+    // would sit before its home and a find would stop short of it.
+    for (size_t j = next(hole); codes_[j] != kNoCode; j = next(j)) {
+        size_t h = home(keys_[j]);
+        bool stays = hole <= j ? (hole < h && h <= j)
+                               : (hole < h || h <= j);
+        if (stays)
+            continue;
+        keys_[hole] = keys_[j];
+        codes_[hole] = codes_[j];
+        hole = j;
+    }
+    codes_[hole] = kNoCode;
+    --size_;
     return true;
+}
+
+void
+BloomierFilter::Registry::rehash(size_t capacity)
+{
+    std::vector<Key128> keys = std::move(keys_);
+    std::vector<uint32_t> codes = std::move(codes_);
+    keys_.assign(capacity, Key128());
+    codes_.assign(capacity, kNoCode);
+    size_ = 0;
+    for (size_t i = 0; i < codes.size(); ++i) {
+        if (codes[i] != kNoCode)
+            insert(keys[i], codes[i]);
+    }
 }
 
 } // namespace chisel

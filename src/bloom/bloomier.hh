@@ -30,7 +30,6 @@
 #include <memory>
 #include <memory_resource>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bitops.hh"
@@ -67,11 +66,13 @@ struct BloomierConfig
 /**
  * A dynamic Bloomier filter mapping fixed-length keys to codes.
  *
- * Codes are arbitrary 32-bit values chosen by the caller (Chisel
- * passes Filter/Result-table slot indices).  The filter maintains a
- * software registry of its keys — the "shadow copy" of Section 4.4 —
- * so that partitions can be rebuilt; the hardware image is the slot
- * array and hash lanes of its Image, which a lookup reads alone.
+ * Codes are 31-bit values chosen by the caller (Chisel passes
+ * Filter-table slot indices).  The filter maintains a software
+ * registry of its keys — the "shadow copy" of Section 4.4 — so that
+ * partitions can be rebuilt; the hardware image is the slot array and
+ * hash lanes of its Image, which a lookup reads alone.  The registry
+ * is one flat open-addressing table per partition, and it is the only
+ * software copy of the keys a SubCell keeps.
  *
  * The filter writes one Image at a time: its own (a stand-alone
  * filter), or one an engine image holds, rebound between updates when
@@ -119,6 +120,12 @@ class BloomierFilter
          * partition index.
          */
         Probe probe(const Key128 &key) const;
+
+        /**
+         * The partition of @p key alone: the checksum lane of probe(),
+         * without the k segment lanes.
+         */
+        unsigned partition(const Key128 &key) const;
 
         /** BloomierFilter::lookupCode() over this image. */
         uint32_t lookupCode(const Key128 &key,
@@ -286,8 +293,23 @@ class BloomierFilter
     /** Software registry membership (exact; no false positives). */
     bool contains(const Key128 &key) const;
 
-    /** Code of a key per the software registry, if present. */
+    /**
+     * Code of a key per the software registry, if present.  Hashes
+     * only the partition lane, not the key's k Index slots.
+     */
     std::optional<uint32_t> findCode(const Key128 &key) const;
+
+    /**
+     * Call @p fn(key, code) for every registered key, partition by
+     * partition in table order (not key order).
+     */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (const Registry &reg : registry_)
+            reg.forEach(fn);
+    }
 
     /**
      * True if inserting @p key now would find a singleton slot, i.e.
@@ -379,9 +401,67 @@ class BloomierFilter
     void loadState(persist::Decoder &dec);
 
   private:
-    using Registry =
-        std::unordered_map<Key128, uint32_t, Key128Hasher>;
+    /** Registry code of an empty table entry (never a valid code). */
+    static constexpr uint32_t kNoCode = UINT32_MAX;
+
+    /**
+     * One partition's keys and codes, flat: open addressing with
+     * linear probing.  An erase shifts the entries behind it back, so
+     * churn leaves no tombstones.
+     */
+    class Registry
+    {
+      public:
+        /** Drop every key; room for @p expected keys before growing. */
+        void reset(size_t expected);
+
+        size_t size() const { return size_; }
+
+        /** The code of @p key, or kNoCode. */
+        uint32_t find(const Key128 &key) const;
+
+        /** Add @p key, which must be absent, with @p code. */
+        void insert(const Key128 &key, uint32_t code);
+
+        /** Remove @p key.  @return true if it was present. */
+        bool erase(const Key128 &key);
+
+        template <typename Fn>
+        void
+        forEach(Fn &&fn) const
+        {
+            for (size_t i = 0; i < codes_.size(); ++i) {
+                if (codes_[i] != kNoCode)
+                    fn(keys_[i], codes_[i]);
+            }
+        }
+
+      private:
+        /** First table index probed for @p key. */
+        size_t home(const Key128 &key) const;
+
+        /** Re-insert every key into a table of @p capacity entries. */
+        void rehash(size_t capacity);
+
+        std::vector<Key128> keys_;
+        std::vector<uint32_t> codes_;   ///< kNoCode marks a free entry.
+        size_t size_ = 0;
+    };
+
     using Probe = Image::Probe;
+
+    /** The partition of @p key (the checksum lane alone). */
+    unsigned
+    partitionOf(const Key128 &key) const
+    {
+        return partitions_ == 1 ? 0 : img_->partition(key);
+    }
+
+    /** Count @p where's k slots as occupied by one more key. */
+    void occupy(const Probe &where);
+
+    /** Undo occupy(). */
+    void vacate(const Probe &where);
 
     /** Size and fill @p image for this filter's geometry and seed. */
     void initImage(Image &image);
@@ -433,7 +513,11 @@ class BloomierFilter
     uint32_t logCell_ = 0;
     bool tainted_ = false;
 
-    std::vector<uint32_t> counts_;    ///< Occupancy per slot.
+    /**
+     * Keys per Index slot.  A byte: the mean is k·n/m ≤ 1 at the
+     * design point, and occupy() refuses to pass 255.
+     */
+    std::vector<uint8_t> counts_;
     std::vector<Registry> registry_;  ///< Per-partition key registry.
     size_t size_ = 0;
     Stats stats_;

@@ -29,6 +29,7 @@
 #include "common/huge_pages.hh"
 #include "common/logging.hh"
 #include "common/write_log.hh"
+#include "core/block_allocator.hh"
 #include "route/prefix.hh"
 #include "telemetry/trace.hh"
 
@@ -129,7 +130,11 @@ class ResultTable
     void free(uint32_t base, uint32_t entries);
 
     /** Granted size for a request (next power of two, min 1). */
-    static uint32_t grantedSize(uint32_t entries);
+    static uint32_t
+    grantedSize(uint32_t entries)
+    {
+        return BlockAllocator::grantedSize(entries);
+    }
 
     /** Read the next hop at @p addr. */
     NextHop read(uint32_t addr) const { return img_->read(addr); }
@@ -183,16 +188,16 @@ class ResultTable
     void flipBit(uint32_t addr, unsigned bit);
 
     /** Slots currently inside allocated blocks. */
-    uint64_t allocatedSlots() const { return allocated_; }
+    uint64_t allocatedSlots() const { return blocks_.allocated(); }
 
     /** Highest table address ever provisioned + 1. */
     uint64_t highWater() const { return img_->slots.size(); }
 
     /** Allocations performed (update-cost statistic). */
-    uint64_t allocations() const { return allocations_; }
+    uint64_t allocations() const { return blocks_.allocations(); }
 
     /** Frees performed. */
-    uint64_t frees() const { return frees_; }
+    uint64_t frees() const { return blocks_.frees(); }
 
     /**
      * Serialize slots, free lists and allocator counters (parity is
@@ -218,11 +223,7 @@ class ResultTable
     std::unique_ptr<Image> own_;
     Image *img_;
     WriteLog *log_ = nullptr;
-    /** freeLists_[c] holds bases of free blocks of size 2^c. */
-    std::vector<std::vector<uint32_t>> freeLists_;
-    uint64_t allocated_ = 0;
-    uint64_t allocations_ = 0;
-    uint64_t frees_ = 0;
+    BlockAllocator blocks_;
 };
 
 } // namespace chisel

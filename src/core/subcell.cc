@@ -46,6 +46,9 @@ SubCell::SubCell(const Config &config, ResultTable *results,
              img_->index),
       table_(config.capacity, std::min(config.range.base, config.keyWidth),
              config.stride, config.resultPointerBits, img_->records),
+      shadow_(config.range.base, config.stride, config.capacity),
+      resultBase_(config.capacity, 0),
+      resultClass_(config.capacity, 0),
       damper_(config.damping)
 {
     panicIf(results == nullptr, "SubCell requires a ResultTable");
@@ -83,12 +86,46 @@ SubCell::logSummary(WriteLog::Table table, uint32_t region)
 }
 
 void
-SubCell::refreshImage(const Key128 &ckey, Group &group)
+SubCell::allocateResults(uint32_t slot, uint32_t entries)
 {
-    (void)ckey;
+    // Over-provisioned growth; the old block returns to the allocator
+    // (Section 4.3.2).
+    freeResults(slot);
+    resultBase_[slot] = results_->allocate(entries);
+    resultClass_[slot] = static_cast<uint8_t>(
+        ceilLog2(ResultTable::grantedSize(entries)) + 1);
+}
+
+void
+SubCell::freeResults(uint32_t slot)
+{
+    if (resultClass_[slot] != 0)
+        results_->free(resultBase_[slot], resultSize(slot));
+    resultBase_[slot] = 0;
+    resultClass_[slot] = 0;
+}
+
+SubCell::Entries
+SubCell::groupsBySlot() const
+{
+    Entries groups;
+    groups.reserve(groups_);
+    index_.forEach([&](const Key128 &ckey, uint32_t slot) {
+        groups.emplace_back(ckey, slot);
+    });
+    std::sort(groups.begin(), groups.end(),
+              [](const auto &a, const auto &b) {
+                  return a.second < b.second;
+              });
+    return groups;
+}
+
+void
+SubCell::refreshImage(uint32_t slot)
+{
     GroupImage &image = image_;
-    group.shadow.computeImage(image);
-    bool was_dirty = table_.dirty(group.slot);
+    shadow_.computeImage(slot, image);
+    bool was_dirty = table_.dirty(slot);
 
     if (image.empty()) {
         // Withdrawn group: clear the vector and mark the entry dirty
@@ -96,10 +133,10 @@ SubCell::refreshImage(const Key128 &ckey, Group &group)
         // (Section 4.4.1) — a route flap restores everything with a
         // handful of writes.  The block is reclaimed when the group
         // is purged or dismantled.
-        table_.clearVector(group.slot);
+        table_.clearVector(slot);
         ++writes_.bitvectorWrites;
         if (!was_dirty) {
-            table_.setDirty(group.slot, true);
+            table_.setDirty(slot, true);
             ++writes_.filterWrites;
             ++dirtyCount_;
         }
@@ -107,22 +144,16 @@ SubCell::refreshImage(const Key128 &ckey, Group &group)
     }
 
     if (was_dirty) {
-        table_.setDirty(group.slot, false);
+        table_.setDirty(slot, false);
         ++writes_.filterWrites;
         --dirtyCount_;
     }
 
     uint32_t needed = static_cast<uint32_t>(image.hops.size());
-    bool fresh_block =
-        group.resultSize == 0 || needed > group.resultSize;
-    if (fresh_block) {
-        // Over-provisioned growth; the old block returns to the
-        // allocator (Section 4.3.2).
-        if (group.resultSize > 0)
-            results_->free(group.resultBase, group.resultSize);
-        group.resultBase = results_->allocate(needed);
-        group.resultSize = ResultTable::grantedSize(needed);
-    }
+    bool fresh_block = needed > resultSize(slot);
+    if (fresh_block)
+        allocateResults(slot, needed);
+    const uint32_t result_base = resultBase_[slot];
     // Write only the slots that changed — the shadow copy transfers
     // just the modified words to hardware (Section 4.4).  A slot whose
     // next hop stays but whose covering member changed length gets
@@ -131,7 +162,7 @@ SubCell::refreshImage(const Key128 &ckey, Group &group)
     // value cannot be trusted to match, and the rewrite must reach the
     // other image.
     for (uint32_t i = 0; i < needed; ++i) {
-        uint32_t addr = group.resultBase + i;
+        uint32_t addr = result_base + i;
         if (fresh_block || results_->read(addr) != image.hops[i] ||
             !results_->parityOk(addr)) {
             results_->write(addr, image.hops[i], image.lengths[i]);
@@ -140,13 +171,14 @@ SubCell::refreshImage(const Key128 &ckey, Group &group)
             results_->setLengthOffset(addr, image.lengths[i]);
         }
     }
-    table_.setVector(group.slot, image.bits, group.resultBase);
+    table_.setVector(slot, image.bits, result_base);
     ++writes_.bitvectorWrites;
 }
 
 void
 SubCell::noteGroupAdded(const Key128 &ckey)
 {
+    ++groups_;
     if (summaryBit_ == 0)
         return;
     if (!regional_) {
@@ -168,10 +200,11 @@ SubCell::noteGroupAdded(const Key128 &ckey)
 void
 SubCell::noteGroupErased(const Key128 &ckey)
 {
+    --groups_;
     if (summaryBit_ == 0)
         return;
     if (!regional_) {
-        if (groups_.empty()) {
+        if (groups_ == 0) {
             summary_->clearAlways(summaryBit_);
             logSummary(WriteLog::Table::SummaryAlways, 0);
         }
@@ -189,38 +222,33 @@ SubCell::markGroups(CellSummary &summary) const
 {
     if (summaryBit_ == 0)
         return;
-    for (const auto &[ckey, g] : groups_) {
-        (void)g;
+    index_.forEach([&](const Key128 &ckey, uint32_t) {
         if (regional_)
             summary.setRegion(summary.region(ckey), summaryBit_);
         else
             summary.setAlways(summaryBit_);
-    }
+    });
 }
 
 void
-SubCell::dismantleGroup(const Key128 &ckey,
+SubCell::dismantleGroup(const Key128 &ckey, uint32_t slot,
                         std::vector<Route> *displaced)
 {
-    auto it = groups_.find(ckey);
-    panicIf(it == groups_.end(), "dismantleGroup: unknown group");
-    Group &g = it->second;
-
     if (displaced) {
-        for (const auto &[p, nh] : g.shadow.members())
-            displaced->push_back(Route{p, nh});
+        for (const ShadowMember &m : shadow_.members(slot))
+            displaced->push_back(
+                Route{shadow_.prefix(ckey, m.position), m.nextHop});
     }
-    routes_ -= g.shadow.memberCount();
+    routes_ -= shadow_.memberCount(slot);
     // The guard against dirtyCount_ == 0 matters during parity
     // recovery: a corrupted dirty bit must not underflow the count.
-    if (table_.dirty(g.slot) && dirtyCount_ > 0)
+    if (table_.dirty(slot) && dirtyCount_ > 0)
         --dirtyCount_;
-    if (g.resultSize > 0)
-        results_->free(g.resultBase, g.resultSize);
-    table_.clearVector(g.slot);
-    table_.release(g.slot);
+    freeResults(slot);
+    shadow_.clear(slot);
+    table_.clearVector(slot);
+    table_.release(slot);
     index_.erase(ckey);   // No-op if a rebuild already evicted it.
-    groups_.erase(it);
     noteGroupErased(ckey);
 }
 
@@ -238,51 +266,71 @@ void
 SubCell::buildFrom(const std::vector<Route> &routes,
                    std::vector<Route> &displaced)
 {
-    // Group the routes by collapsed prefix.
-    std::unordered_map<Key128, std::vector<Route>, Key128Hasher> bins;
+    // Group the routes by collapsed prefix: sorted by key, then by
+    // position, each run of one key is one group's member list.  The
+    // sort is stable, so of two routes for one prefix the later wins.
+    struct Member
+    {
+        Key128 ckey;
+        ShadowMember member;
+    };
+    std::vector<Member> sorted;
+    sorted.reserve(routes.size());
     for (const auto &r : routes) {
         panicIf(!coversLength(r.prefix.length()),
                 "SubCell::buildFrom route with uncovered length");
-        bins[collapsedKey(r.prefix)].push_back(r);
+        sorted.push_back(Member{collapsedKey(r.prefix),
+                                {shadow_.position(r.prefix), r.nextHop}});
     }
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const Member &a, const Member &b) {
+                         if (a.ckey != b.ckey)
+                             return a.ckey < b.ckey;
+                         return a.member.position < b.member.position;
+                     });
 
-    for (auto &[ckey, members] : bins) {
+    Entries groups;
+    std::vector<ShadowMember> members;
+    for (size_t i = 0, next = 0; i < sorted.size(); i = next) {
+        const Key128 ckey = sorted[i].ckey;
+        members.clear();
+        for (next = i; next < sorted.size() && sorted[next].ckey == ckey;
+             ++next) {
+            const ShadowMember &m = sorted[next].member;
+            if (!members.empty() && members.back().position == m.position)
+                members.back() = m;
+            else
+                members.push_back(m);
+        }
         int64_t slot = table_.allocate();
         if (slot < 0) {
             // Capacity exceeded: these members go to the TCAM.
-            for (const auto &r : members)
-                displaced.push_back(r);
+            for (const ShadowMember &m : members)
+                displaced.push_back(
+                    Route{shadow_.prefix(ckey, m.position), m.nextHop});
             continue;
         }
-        auto [it, inserted] = groups_.emplace(
-            ckey, Group(static_cast<uint32_t>(slot),
-                        config_.range.base, config_.stride));
-        panicIf(!inserted, "buildFrom: duplicate group");
+        const auto s = static_cast<uint32_t>(slot);
         noteGroupAdded(ckey);
-        for (const auto &r : members) {
-            it->second.shadow.announce(r.prefix, r.nextHop);
-            ++routes_;
-        }
-        table_.set(static_cast<uint32_t>(slot), ckey);
+        shadow_.assign(s, members);
+        routes_ += members.size();
+        table_.set(s, ckey);
+        groups.emplace_back(ckey, s);
     }
+    std::vector<Member>().swap(sorted);
 
     // One bulk Bloomier setup over all groups, with the bounded
     // reseed-retry ladder; stragglers leave through @p displaced.
-    resetupIndex(&displaced);
+    resetupIndex(groups, &displaced);
 
-    for (auto &[ckey, group] : groups_)
-        refreshImage(ckey, group);
+    for (const auto &[ckey, slot] : groupsBySlot())
+        refreshImage(slot);
 }
 
 size_t
-SubCell::resetupIndex(std::vector<Route> *displaced)
+SubCell::resetupIndex(const Entries &groups, std::vector<Route> *displaced)
 {
-    std::vector<std::pair<Key128, uint32_t>> entries;
-    entries.reserve(groups_.size());
-    for (const auto &[ckey, g] : groups_)
-        entries.emplace_back(ckey, g.slot);
-
-    auto spilled = index_.setup(entries);
+    auto spilled = index_.setup(groups);
     unsigned attempt = 0;
     while (!spilled.empty() && attempt < config_.setupRetries) {
         // Bounded retry: a fresh hash seed redraws the hypergraph, so
@@ -292,12 +340,10 @@ SubCell::resetupIndex(std::vector<Route> *displaced)
         ++faults_.setupRetries;
         index_.reseed(
             mix64(index_.seed() + 0x9e3779b97f4a7c15ULL * attempt));
-        spilled = index_.setup(entries);
+        spilled = index_.setup(groups);
     }
-    for (const auto &[ckey, code] : spilled) {
-        (void)code;
-        dismantleGroup(ckey, displaced);
-    }
+    for (const auto &[ckey, slot] : spilled)
+        dismantleGroup(ckey, slot, displaced);
     return spilled.size();
 }
 
@@ -316,18 +362,19 @@ SubCell::recoverParity(std::vector<Route> &displaced)
     // Recover-by-resetup: every hardware word is re-derived from the
     // shadow copy.  Stage 1 — the Index (slot codes are preserved, so
     // surviving groups keep their Filter/Bit-vector locations).
-    resetupIndex(&displaced);
+    resetupIndex(groupsBySlot(), &displaced);
+    const Entries groups = groupsBySlot();
 
     // Stage 2 — the Filter: rewrite owned slots (restoring key, valid,
     // dirty and parity), wipe unowned ones.
     std::vector<uint8_t> owned(config_.capacity, 0);
     dirtyCount_ = 0;
-    for (auto &[ckey, g] : groups_) {
-        owned[g.slot] = 1;
-        table_.set(g.slot, ckey);
+    for (const auto &[ckey, slot] : groups) {
+        owned[slot] = 1;
+        table_.set(slot, ckey);
         ++writes_.filterWrites;
-        if (g.shadow.empty()) {
-            table_.setDirty(g.slot, true);
+        if (shadow_.empty(slot)) {
+            table_.setDirty(slot, true);
             ++dirtyCount_;
             if (dirtyCount_ > dirtyPeak_)
                 dirtyPeak_ = dirtyCount_;
@@ -344,31 +391,26 @@ SubCell::recoverParity(std::vector<Route> &displaced)
     // usual read-compare diff: a corrupted word that happens to equal
     // its correct value would otherwise keep broken parity.
     GroupImage &image = image_;
-    for (auto &[ckey, g] : groups_) {
-        (void)ckey;
-        g.shadow.computeImage(image);
+    for (const auto &[ckey, slot] : groups) {
+        shadow_.computeImage(slot, image);
         if (image.empty()) {
-            table_.clearVector(g.slot);
+            table_.clearVector(slot);
             ++writes_.bitvectorWrites;
             // Scrub the retained result block too; a flap restore
             // rewrites its contents, but parity must hold meanwhile.
-            for (uint32_t i = 0; i < g.resultSize; ++i)
-                results_->write(g.resultBase + i, kNoRoute);
+            for (uint32_t i = 0; i < resultSize(slot); ++i)
+                results_->write(resultBase_[slot] + i, kNoRoute);
             continue;
         }
         uint32_t needed = static_cast<uint32_t>(image.hops.size());
-        if (g.resultSize == 0 || needed > g.resultSize) {
-            if (g.resultSize > 0)
-                results_->free(g.resultBase, g.resultSize);
-            g.resultBase = results_->allocate(needed);
-            g.resultSize = ResultTable::grantedSize(needed);
-        }
+        if (needed > resultSize(slot))
+            allocateResults(slot, needed);
         for (uint32_t i = 0; i < needed; ++i) {
-            results_->write(g.resultBase + i, image.hops[i],
+            results_->write(resultBase_[slot] + i, image.hops[i],
                             image.lengths[i]);
             ++writes_.resultWrites;
         }
-        table_.setVector(g.slot, image.bits, g.resultBase);
+        table_.setVector(slot, image.bits, resultBase_[slot]);
         ++writes_.bitvectorWrites;
     }
 
@@ -497,11 +539,11 @@ SubCell::lookup(const CellImage &image, const ResultTable::Image &results,
 unsigned
 SubCell::shadowLength(const Key128 &ckey, uint64_t slot) const
 {
-    auto it = groups_.find(ckey);
-    if (it == groups_.end())
+    std::optional<uint32_t> code = index_.findCode(ckey);
+    if (!code)
         return 0;
-    auto cover = it->second.shadow.longestCover(slot);
-    return cover ? cover->prefix.length() : 0;
+    auto cover = shadow_.longestCover(*code, slot);
+    return cover ? shadow_.length(cover->position) : 0;
 }
 
 SubCell::Hit
@@ -515,18 +557,18 @@ SubCell::softLookup(const Key128 &key, const Key128 &ckey) const
     parityPending_ = true;
 
     Hit out;
-    auto it = groups_.find(ckey);
-    if (it == groups_.end())
+    std::optional<uint32_t> code = index_.findCode(ckey);
+    if (!code)
         return out;
     const unsigned base = config_.range.base;
     unsigned avail = std::min(config_.stride, Key128::maxBits - base);
     uint64_t v = key.extract(base, avail) << (config_.stride - avail);
-    auto cover = it->second.shadow.longestCover(v);
+    auto cover = shadow_.longestCover(*code, v);
     if (!cover.has_value())
         return out;
     out.hit = true;
     out.nextHop = cover->nextHop;
-    out.matchedLength = cover->prefix.length();
+    out.matchedLength = shadow_.length(cover->position);
     return out;
 }
 
@@ -539,13 +581,12 @@ SubCell::announce(const Prefix &prefix, NextHop next_hop,
     Key128 ckey = collapsedKey(prefix);
     damper_.advance();
 
-    auto it = groups_.find(ckey);
-    if (it != groups_.end()) {
-        Group &g = it->second;
-        bool was_dirty = table_.dirty(g.slot);
+    if (std::optional<uint32_t> code = index_.findCode(ckey)) {
+        const uint32_t slot = *code;
+        bool was_dirty = table_.dirty(slot);
 
         UpdateClass cls;
-        if (g.shadow.find(prefix)) {
+        if (shadow_.find(slot, prefix)) {
             cls = UpdateClass::NextHopChange;
         } else if (was_dirty || recentlyRemoved_.contains(prefix)) {
             cls = UpdateClass::RouteFlap;
@@ -560,9 +601,9 @@ SubCell::announce(const Prefix &prefix, NextHop next_hop,
             cls = UpdateClass::AddCollapsed;
         }
 
-        if (g.shadow.announce(prefix, next_hop))
+        if (shadow_.announce(slot, prefix, next_hop))
             ++routes_;
-        refreshImage(ckey, g);
+        refreshImage(slot);
         return cls;
     }
 
@@ -577,7 +618,8 @@ SubCell::announce(const Prefix &prefix, NextHop next_hop,
         return UpdateClass::Spill;
     }
 
-    auto result = index_.insert(ckey, static_cast<uint32_t>(slot));
+    const auto s = static_cast<uint32_t>(slot);
+    auto result = index_.insert(ckey, s);
     panicIf(result.method == BloomierFilter::InsertMethod::Duplicate,
             "Index Table and shadow groups out of sync");
 
@@ -585,31 +627,30 @@ SubCell::announce(const Prefix &prefix, NextHop next_hop,
     // *first*, so that whatever the Index setup does below, every
     // route is accounted for — either placed in this cell or handed
     // back through @p displaced.  Nothing is half-applied.
-    auto [git, inserted] = groups_.emplace(
-        ckey, Group(static_cast<uint32_t>(slot),
-                    config_.range.base, config_.stride));
-    panicIf(!inserted, "announce: duplicate group emplace");
     noteGroupAdded(ckey);
-    table_.set(static_cast<uint32_t>(slot), ckey);
+    table_.set(s, ckey);
     ++writes_.filterWrites;
-    git->second.shadow.announce(prefix, next_hop);
+    shadow_.announce(s, prefix, next_hop);
     ++routes_;
 
     if (result.method == BloomierFilter::InsertMethod::Failed ||
         !result.spilled.empty()) {
         // The insert forced a rebuild that could not place every
-        // group.  Re-run the full setup with the bounded reseed-retry
+        // group: the registry dropped the spilled ones.  Re-run the
+        // full setup over every group with the bounded reseed-retry
         // ladder; groups that still fail (possibly the new one) are
         // dismantled into @p displaced.
-        resetupIndex(&displaced);
-        auto self = groups_.find(ckey);
-        if (self == groups_.end())
+        Entries groups = groupsBySlot();
+        groups.insert(groups.end(), result.spilled.begin(),
+                      result.spilled.end());
+        resetupIndex(groups, &displaced);
+        if (!index_.contains(ckey))
             return UpdateClass::Spill;   // New route is in displaced.
-        refreshImage(ckey, self->second);
+        refreshImage(s);
         return UpdateClass::Resetup;
     }
 
-    refreshImage(ckey, git->second);
+    refreshImage(s);
     return result.method == BloomierFilter::InsertMethod::Singleton
                ? UpdateClass::SingletonInsert
                : UpdateClass::Resetup;
@@ -622,24 +663,25 @@ SubCell::withdraw(const Prefix &prefix)
         return UpdateClass::NoOp;
     Key128 ckey = collapsedKey(prefix);
     damper_.advance();
-    auto it = groups_.find(ckey);
-    if (it == groups_.end())
+    std::optional<uint32_t> code = index_.findCode(ckey);
+    if (!code)
         return UpdateClass::NoOp;
+    const uint32_t slot = *code;
 
-    auto removed = it->second.shadow.withdraw(prefix);
+    auto removed = shadow_.withdraw(slot, prefix);
     if (!removed)
         return UpdateClass::NoOp;
 
     --routes_;
     noteRemoved(prefix);
-    if (!config_.retainDirtyGroups && it->second.shadow.empty()) {
+    bool emptied = shadow_.empty(slot);
+    if (!config_.retainDirtyGroups && emptied) {
         // Ablation mode: no dirty bit — the emptied group leaves the
         // Index Table immediately, so a flap pays a full re-insert.
-        dismantleGroup(ckey, nullptr);
+        dismantleGroup(ckey, slot, nullptr);
         return UpdateClass::Withdraw;
     }
-    bool emptied = it->second.shadow.empty();
-    refreshImage(ckey, it->second);
+    refreshImage(slot);
     if (emptied) {
         // The group just went dirty: charge its flap penalty and make
         // room if the retention budget is exceeded.
@@ -664,24 +706,21 @@ SubCell::enforceDirtyBudget()
         // decayed penalty is the least likely to flap back, so its
         // state is the cheapest to sacrifice.  Slot order breaks ties
         // so the choice is deterministic under replay.
-        const Key128 *victim = nullptr;
+        std::optional<std::pair<Key128, uint32_t>> victim;
         double best = 0.0;
-        uint32_t best_slot = 0;
-        for (const auto &[ckey, g] : groups_) {
-            if (!table_.dirty(g.slot))
-                continue;
+        index_.forEach([&](const Key128 &ckey, uint32_t slot) {
+            if (!table_.dirty(slot))
+                return;
             double p = damper_.penalty(ckey);
-            if (victim == nullptr || p < best ||
-                (p == best && g.slot < best_slot)) {
-                victim = &ckey;
+            if (!victim || p < best ||
+                (p == best && slot < victim->second)) {
+                victim.emplace(ckey, slot);
                 best = p;
-                best_slot = g.slot;
             }
-        }
-        if (victim == nullptr)
+        });
+        if (!victim)
             break;   // Dirty bits and count disagree; scrub reconciles.
-        Key128 evict = *victim;
-        dismantleGroup(evict, nullptr);
+        dismantleGroup(victim->first, victim->second, nullptr);
         ++health_.dirtyEvictions;
     }
 }
@@ -691,42 +730,39 @@ SubCell::find(const Prefix &prefix) const
 {
     if (!coversLength(prefix.length()))
         return std::nullopt;
-    auto it = groups_.find(collapsedKey(prefix));
-    if (it == groups_.end())
+    std::optional<uint32_t> code = index_.findCode(collapsedKey(prefix));
+    if (!code)
         return std::nullopt;
-    return it->second.shadow.find(prefix);
+    return shadow_.find(*code, prefix);
 }
 
 void
 SubCell::exportRoutes(std::vector<Route> &out) const
 {
-    for (const auto &[ckey, g] : groups_) {
-        (void)ckey;
-        for (const auto &[p, nh] : g.shadow.members())
-            out.push_back(Route{p, nh});
+    for (const auto &[ckey, slot] : groupsBySlot()) {
+        for (const ShadowMember &m : shadow_.members(slot))
+            out.push_back(Route{shadow_.prefix(ckey, m.position), m.nextHop});
     }
 }
 
 size_t
 SubCell::purgeDirty()
 {
-    std::vector<std::pair<uint32_t, Key128>> dirty;
-    for (const auto &[ckey, g] : groups_) {
-        if (table_.dirty(g.slot))
-            dirty.emplace_back(g.slot, ckey);
-    }
-    // Slot order, not map order: dismantling releases Filter slots
-    // into the free list, and journal replay (docs/persistence.md)
-    // must reproduce that order byte-for-byte on an engine whose map
-    // was populated in a different insertion sequence.
+    // Slot order, not registry order: dismantling releases Filter
+    // slots into the free list, and journal replay
+    // (docs/persistence.md) must reproduce that order byte-for-byte on
+    // an engine whose registry was filled in a different sequence.
+    Entries dirty;
+    index_.forEach([&](const Key128 &ckey, uint32_t slot) {
+        if (table_.dirty(slot))
+            dirty.emplace_back(ckey, slot);
+    });
     std::sort(dirty.begin(), dirty.end(),
               [](const auto &a, const auto &b) {
-                  return a.first < b.first;
+                  return a.second < b.second;
               });
-    for (const auto &[slot, ckey] : dirty) {
-        (void)slot;
-        dismantleGroup(ckey, nullptr);
-    }
+    for (const auto &[ckey, slot] : dirty)
+        dismantleGroup(ckey, slot, nullptr);
     return dirty.size();
 }
 
@@ -739,8 +775,16 @@ SubCell::selfCheck(const CellImage &cell_image,
     const unsigned base = config_.range.base;
     unsigned avail = std::min(config_.stride, Key128::maxBits - base);
 
-    for (const auto &[ckey, g] : groups_) {
-        GroupImage image = g.shadow.computeImage();
+    const Entries groups = groupsBySlot();
+    size_t members = 0;
+    for (const auto &[ckey, slot] : groups) {
+        std::span<const ShadowMember> m = shadow_.members(slot);
+        members += m.size();
+        for (size_t i = 1; i < m.size(); ++i) {
+            if (m[i - 1].position >= m[i].position)
+                return false;
+        }
+        GroupImage image = shadow_.computeImage(slot);
         size_t hop = 0;
         for (uint64_t v = 0; v < (uint64_t(1) << config_.stride); ++v) {
             bool set = (image.bits[v / 64] >> (v % 64)) & 1;
@@ -756,12 +800,13 @@ SubCell::selfCheck(const CellImage &cell_image,
         }
     }
 
+    if (groups.size() != groups_ || members != routes_)
+        return false;
+
     if (!regionGroups_.empty()) {
         std::vector<uint32_t> recount(CellSummary::kRegions, 0);
-        for (const auto &[ckey, g] : groups_) {
-            (void)g;
+        for (const auto &[ckey, slot] : groups)
             ++recount[summary_->region(ckey)];
-        }
         if (recount != regionGroups_)
             return false;
     }
@@ -775,27 +820,21 @@ SubCell::saveState(persist::Encoder &enc) const
     table_.saveFilter(enc);
     table_.saveVectors(enc);
 
-    // Canonical (sorted) order for the hashed containers: a restored
-    // cell must re-serialize byte-identically to its source image.
-    std::vector<const Key128 *> ckeys;
-    ckeys.reserve(groups_.size());
-    for (const auto &[ckey, g] : groups_)
-        ckeys.push_back(&ckey);
-    std::sort(ckeys.begin(), ckeys.end(),
-              [](const Key128 *a, const Key128 *b) { return *a < *b; });
-
-    enc.u64(groups_.size());
-    for (const Key128 *ckey : ckeys) {
-        const Group &g = groups_.at(*ckey);
-        enc.key(*ckey);
-        enc.u32(g.slot);
-        enc.u32(g.resultBase);
-        enc.u32(g.resultSize);
-        const auto &members = g.shadow.members();
-        enc.u64(members.size());
-        for (const auto &[prefix, hop] : members) {
-            enc.prefix(prefix);
-            enc.u32(hop);
+    // Canonical (key-sorted) order: a restored cell must re-serialize
+    // byte-identically to its source image.  Members are already in
+    // Prefix order.
+    Entries groups = groupsBySlot();
+    std::sort(groups.begin(), groups.end());
+    enc.u64(groups.size());
+    for (const auto &[ckey, slot] : groups) {
+        enc.key(ckey);
+        enc.u32(slot);
+        enc.u32(resultBase_[slot]);
+        enc.u32(resultSize(slot));
+        enc.u64(shadow_.memberCount(slot));
+        for (const ShadowMember &m : shadow_.members(slot)) {
+            enc.prefix(shadow_.prefix(ckey, m.position));
+            enc.u32(m.nextHop);
         }
     }
 
@@ -829,37 +868,60 @@ SubCell::loadState(persist::Decoder &dec)
     table_.loadFilter(dec);
     table_.loadVectors(dec);
 
-    groups_.clear();
+    // The arrays by slot are refilled here, each group's members
+    // sorted into one block of a fresh pool.
+    shadow_ = ShadowGroups(config_.range.base, config_.stride,
+                           config_.capacity);
+    std::fill(resultBase_.begin(), resultBase_.end(), 0);
+    std::fill(resultClass_.begin(), resultClass_.end(), 0);
+    groups_ = 0;
     GroupImage &image = image_;
     uint64_t group_count = dec.count(32);
     if (group_count > config_.capacity)
         throw persist::DecodeError("subcell: group count over capacity");
+    if (group_count != index_.size())
+        throw persist::DecodeError("subcell: groups and Index disagree");
+    std::vector<uint8_t> taken(config_.capacity, 0);
+    std::vector<ShadowMember> members;
     for (uint64_t i = 0; i < group_count; ++i) {
         Key128 ckey = dec.key();
         uint32_t slot = dec.u32();
         if (slot >= table_.capacity() || !table_.valid(slot))
             throw persist::DecodeError("subcell: group slot invalid");
-        auto [it, inserted] = groups_.emplace(
-            ckey, Group(slot, config_.range.base, config_.stride));
-        if (!inserted)
-            throw persist::DecodeError("subcell: duplicate group key");
+        if (index_.findCode(ckey) != slot)
+            throw persist::DecodeError("subcell: group slot not indexed");
+        if (taken[slot]++)
+            throw persist::DecodeError("subcell: duplicate group slot");
         noteGroupAdded(ckey);
-        Group &g = it->second;
-        g.resultBase = dec.u32();
-        g.resultSize = dec.u32();
-        uint64_t members = dec.count(21);
+        uint32_t result_base = dec.u32();
+        uint32_t result_size = dec.u32();
+        if (result_size != 0 && !isPow2(result_size))
+            throw persist::DecodeError("subcell: result block invalid");
+        resultBase_[slot] = result_base;
+        resultClass_[slot] = static_cast<uint8_t>(
+            result_size == 0 ? 0 : ceilLog2(result_size) + 1);
+        uint64_t count = dec.count(21);
+        members.clear();
         unsigned longest = 0;
-        for (uint64_t m = 0; m < members; ++m) {
+        for (uint64_t m = 0; m < count; ++m) {
             Prefix prefix = dec.prefix();
             NextHop hop = dec.u32();
             if (!coversLength(prefix.length()) ||
                 collapsedKey(prefix) != ckey)
                 throw persist::DecodeError(
                     "subcell: member outside its group");
-            if (!g.shadow.announce(prefix, hop))
-                throw persist::DecodeError("subcell: duplicate member");
+            members.push_back({shadow_.position(prefix), hop});
             longest = std::max(longest, prefix.length());
         }
+        std::sort(members.begin(), members.end(),
+                  [](const ShadowMember &a, const ShadowMember &b) {
+                      return a.position < b.position;
+                  });
+        for (size_t m = 1; m < members.size(); ++m) {
+            if (members[m - 1].position == members[m].position)
+                throw persist::DecodeError("subcell: duplicate member");
+        }
+        shadow_.assign(slot, members);
 
         // Matched-length offsets are not snapshot bytes: re-derive
         // them from the shadow, exactly as refreshImage() wrote them.
@@ -867,12 +929,12 @@ SubCell::loadState(persist::Decoder &dec)
         // right for a group whose members all sit at the base.
         if (longest <= config_.range.base)
             continue;
-        g.shadow.computeImage(image);
-        if (image.lengths.size() > g.resultSize ||
-            uint64_t(g.resultBase) + g.resultSize > results_->highWater())
+        shadow_.computeImage(slot, image);
+        if (image.lengths.size() > result_size ||
+            uint64_t(result_base) + result_size > results_->highWater())
             throw persist::DecodeError("subcell: result block invalid");
         for (uint32_t i = 0; i < image.lengths.size(); ++i)
-            results_->setLengthOffset(g.resultBase + i, image.lengths[i]);
+            results_->setLengthOffset(result_base + i, image.lengths[i]);
     }
 
     recentlyRemoved_.clear();
@@ -907,11 +969,11 @@ SubCell::loadState(persist::Decoder &dec)
     // internally inconsistent.
     size_t live_routes = 0;
     size_t dirty = 0;
-    for (const auto &[ckey, g] : groups_) {
-        live_routes += g.shadow.memberCount();
-        if (table_.dirty(g.slot))
+    index_.forEach([&](const Key128 &, uint32_t slot) {
+        live_routes += shadow_.memberCount(slot);
+        if (table_.dirty(slot))
             ++dirty;
-    }
+    });
     if (routes_ != live_routes || dirtyCount_ != dirty)
         throw persist::DecodeError("subcell: counter cross-check failed");
 }

@@ -11,7 +11,9 @@
  *    eliminates false positives and carries the dirty bits, and a
  *    Bit-vector Table holding each group's 2^stride suffix bits and
  *    Result Table pointer — one GroupTable record per slot;
- *  - the shadow state (per-group member sets) that drives updates.
+ *  - the shadow state that drives updates: the Index registry holds
+ *    each group's collapsed prefix and Filter slot, and flat arrays
+ *    by slot hold its Result block and its members (ShadowGroups).
  *
  * What a lookup reads of a cell — the Index slots and hash lanes and
  * the GroupTable records, with the length range and stride — is its
@@ -39,7 +41,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -269,7 +270,7 @@ class SubCell
     size_t purgeDirty();
 
     /** Live (non-dirty) collapsed groups. */
-    size_t groupCount() const { return groups_.size() - dirtyCount_; }
+    size_t groupCount() const { return groups_ - dirtyCount_; }
 
     /** Original prefixes stored (excludes displaced ones). */
     size_t routeCount() const { return routes_; }
@@ -417,8 +418,9 @@ class SubCell
     /**
      * Deep consistency check (tests): every shadow member is
      * retrievable through the hardware lookup path of @p image and
-     * @p results with the matched length ShadowGroup::longestCover()
-     * derives, and the per-region group counts match a recount.
+     * @p results with the matched length ShadowGroups::longestCover()
+     * derives, the members of each group are sorted, and the route
+     * and per-region group counts match a recount.
      */
     bool selfCheck(const CellImage &image,
                    const ResultTable::Image &results) const;
@@ -453,21 +455,8 @@ class SubCell
     void loadState(persist::Decoder &dec);
 
   private:
-    /** Per-group state: the filter slot plus shadow members. */
-    struct Group
-    {
-        uint32_t slot = 0;
-        ShadowGroup shadow;
-        uint32_t resultBase = 0;
-        uint32_t resultSize = 0;   ///< Granted block size (0 = none).
-
-        Group(uint32_t s, unsigned base, unsigned stride)
-            : slot(s), shadow(base, stride)
-        {}
-    };
-
-    using GroupMap =
-        std::unordered_map<Key128, Group, Key128Hasher>;
+    /** (collapsed key, Filter slot) of each group: Index setup entries. */
+    using Entries = std::vector<std::pair<Key128, uint32_t>>;
 
     /** Collapsed key (Key128 of the group) for a covered prefix. */
     Key128
@@ -476,13 +465,30 @@ class SubCell
         return prefix.bits().masked(config_.range.base);
     }
 
-    /** Re-derive and write a group's hardware image. */
-    void refreshImage(const Key128 &ckey, Group &group);
+    /** Granted size of @p slot's Result block (0 = none). */
+    uint32_t
+    resultSize(uint32_t slot) const
+    {
+        const uint8_t cls = resultClass_[slot];
+        return cls == 0 ? 0 : uint32_t(1) << (cls - 1);
+    }
 
-    /** Summary bookkeeping after groups_ gained @p ckey. */
+    /** Give @p slot a fresh Result block for @p entries; free the old. */
+    void allocateResults(uint32_t slot, uint32_t entries);
+
+    /** Free @p slot's Result block, if any. */
+    void freeResults(uint32_t slot);
+
+    /** Every group's (key, slot), in Filter slot order. */
+    Entries groupsBySlot() const;
+
+    /** Re-derive and write a group's hardware image. */
+    void refreshImage(uint32_t slot);
+
+    /** Count a group added at @p ckey; summary bookkeeping. */
     void noteGroupAdded(const Key128 &ckey);
 
-    /** Summary bookkeeping after groups_ lost @p ckey. */
+    /** Count a group erased at @p ckey; summary bookkeeping. */
     void noteGroupErased(const Key128 &ckey);
 
     /** Name summary region @p region (or the always mask) in the log. */
@@ -498,15 +504,16 @@ class SubCell
     Hit softLookup(const Key128 &key, const Key128 &ckey) const;
 
     /**
-     * Rebuild the Index from the shadow state (slots preserved),
-     * retrying with fresh hash seeds up to Config::setupRetries
-     * times; groups that still cannot be placed are dismantled into
-     * @p displaced.  @return groups dismantled.
+     * Rebuild the Index over @p groups, every group of the cell
+     * (slots preserved), retrying with fresh hash seeds up to
+     * Config::setupRetries times; groups that still cannot be placed
+     * are dismantled into @p displaced.  @return groups dismantled.
      */
-    size_t resetupIndex(std::vector<Route> *displaced);
+    size_t resetupIndex(const Entries &groups,
+                        std::vector<Route> *displaced);
 
-    /** Dismantle a group, releasing all hardware resources. */
-    void dismantleGroup(const Key128 &ckey,
+    /** Dismantle the group at @p slot, releasing all its resources. */
+    void dismantleGroup(const Key128 &ckey, uint32_t slot,
                         std::vector<Route> *displaced);
 
     /**
@@ -533,9 +540,16 @@ class SubCell
     std::vector<uint32_t> regionGroups_;
     /** Scratch for deriving group images: refreshes allocate nothing. */
     GroupImage image_;
+    /** Index Table; its registry is the cell's one copy of group keys. */
     BloomierFilter index_;
     GroupTable table_;
-    GroupMap groups_;
+    /** Members by Filter slot. */
+    ShadowGroups shadow_;
+    /** By Filter slot: Result block base, and log2(size) + 1 (0 = none). */
+    std::vector<uint32_t> resultBase_;
+    std::vector<uint8_t> resultClass_;
+    /** Groups held, dirty ones included. */
+    size_t groups_ = 0;
     std::unordered_set<Prefix, PrefixHasher> recentlyRemoved_;
     size_t routes_ = 0;
     size_t dirtyCount_ = 0;

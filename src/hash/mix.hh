@@ -3,9 +3,9 @@
  * Software mixing hashes for in-memory containers.
  *
  * These are not part of the simulated hardware; they back the shadow
- * data structures (std::unordered_map over keys and prefixes) that the
- * update engine maintains in software, per the paper's shadow-copy
- * design (Section 4.4).
+ * data structures (the Bloomier key registries, hashed containers
+ * over prefixes) that the update engine maintains in software, per
+ * the paper's shadow-copy design (Section 4.4).
  */
 
 #ifndef CHISEL_HASH_MIX_HH

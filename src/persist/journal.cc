@@ -341,8 +341,10 @@ UpdateJournal::writeRecord(const JournalRecord &rec, uint64_t seq_after,
         return false;
     }
     ++written_;
-    ++sinceSync_;
-    if (fsyncEvery_ != 0 && sinceSync_ >= fsyncEvery_)
+    // A record written without a flush (an Outcome) rides with the
+    // next record's flush and batch fsync: it neither counts toward
+    // the batch nor makes one fall due.
+    if (flush && fsyncEvery_ != 0 && ++sinceSync_ >= fsyncEvery_)
         syncTo(seq_after);
     else if (flush && std::fflush(file_) != 0) {
         recordIoError("flush failed: " +

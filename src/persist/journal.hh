@@ -146,6 +146,8 @@ class UpdateJournal
      *
      * @param fsync_every fsync after every Nth record (1 = every
      *        record, the strict default; 0 = never, trusting the OS).
+     *        Outcome records do not count: each rides with the next
+     *        record's flush and fsync.
      */
     UpdateJournal(const std::string &path, uint64_t config_fingerprint,
                   size_t fsync_every = 1);

@@ -101,10 +101,11 @@ boundaryKeys(const Prefix &p, unsigned width, std::vector<Key128> &out)
 
 /** Engine geometry small enough that every structural path runs. */
 inline ChiselConfig
-tinyConfig(unsigned key_width, uint64_t seed)
+tinyConfig(unsigned key_width, uint64_t seed, unsigned stride = 4)
 {
     ChiselConfig c;
     c.keyWidth = key_width;
+    c.stride = stride;
     c.minCellCapacity = 8;
     c.capacityHeadroom = 1.0;
     c.spillCapacity = 4;
@@ -653,6 +654,8 @@ struct ProgramOptions
 {
     Layer layer = Layer::Engine;
     unsigned keyWidth = 32;
+    /** Collapse stride of the engines under test. */
+    unsigned stride = 4;
     uint64_t seed = 1;
     size_t steps = 300;
     size_t initialRoutes = 48;
@@ -703,7 +706,8 @@ runProgram(const ProgramOptions &opt)
     BinaryTrie oracle(initial);
     std::unique_ptr<Target> target =
         makeTarget(opt.layer, initial,
-                   tinyConfig(opt.keyWidth, opt.seed * 7 + 3), opt.faults);
+                   tinyConfig(opt.keyWidth, opt.seed * 7 + 3, opt.stride),
+                   opt.faults);
 
     fault::FaultInjector injector(opt.seed ^ 0xF1A9);
     for (fault::FaultPoint p :
@@ -714,7 +718,8 @@ runProgram(const ProgramOptions &opt)
 
     auto fail = [&](size_t step, const std::string &what) {
         return std::string(layerName(opt.layer)) + " w" +
-               std::to_string(opt.keyWidth) + " seed " +
+               std::to_string(opt.keyWidth) + " stride " +
+               std::to_string(opt.stride) + " seed " +
                std::to_string(opt.seed) + " step " +
                std::to_string(step) + ": " + what;
     };

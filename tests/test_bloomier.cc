@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -396,6 +397,151 @@ TEST(Bloomier, RejectsBadConfig)
     cfg.keyLen = 32;
     cfg.ratio = 0.5;
     EXPECT_THROW(BloomierFilter(16, cfg), ChiselError);
+}
+
+/**
+ * Erase-heavy churn over eight partitions, checked after every step
+ * against an unordered_map: the flat registry's backward-shift erase
+ * must keep every surviving key findable, with its code.
+ */
+TEST(Bloomier, EraseHeavyChurnMatchesReferenceMap)
+{
+    BloomierConfig cfg;
+    cfg.partitions = 8;
+    cfg.keyLen = 40;
+    cfg.seed = 0xC4A2;
+    BloomierFilter f(4096, cfg);
+    std::unordered_map<Key128, uint32_t, Key128Hasher> ref;
+    std::vector<Key128> pool;
+    for (const auto &[k, c] : randomEntries(3000, 40, 77))
+        pool.push_back(k);
+    Rng rng(78);
+
+    for (int step = 0; step < 20000; ++step) {
+        const Key128 &key = pool[rng.nextBelow(pool.size())];
+        // Erases outnumber inserts while the filter is fuller than a
+        // third, so the registry keeps filling and draining.
+        bool erase = ref.size() > 1000 ? rng.nextBool(0.7)
+                                       : rng.nextBool(0.3);
+        if (erase) {
+            EXPECT_EQ(f.erase(key), ref.erase(key) == 1);
+        } else if (!ref.contains(key)) {
+            auto code = static_cast<uint32_t>(rng.nextBelow(4096));
+            auto result = f.insert(key, code);
+            ASSERT_NE(result.method, BloomierFilter::InsertMethod::Duplicate);
+            ref.emplace(key, code);
+            for (const auto &[spilled, spilled_code] : result.spilled) {
+                ASSERT_EQ(ref.at(spilled), spilled_code);
+                ref.erase(spilled);
+            }
+        } else {
+            EXPECT_EQ(f.insert(key, 1).method,
+                      BloomierFilter::InsertMethod::Duplicate);
+        }
+        ASSERT_EQ(f.size(), ref.size()) << "step " << step;
+        if (step % 1000 == 999) {
+            ASSERT_TRUE(f.selfCheck()) << "step " << step;
+            for (const Key128 &k : pool) {
+                auto it = ref.find(k);
+                ASSERT_EQ(f.contains(k), it != ref.end());
+                if (it != ref.end())
+                    ASSERT_EQ(f.findCode(k), it->second);
+                else
+                    ASSERT_FALSE(f.findCode(k).has_value());
+            }
+        }
+    }
+}
+
+/**
+ * saveState writes the registry in key order: set up from the same
+ * entries in two orders and erase the same keys in two orders, and
+ * the registries' table layouts differ but the bytes do not.
+ */
+TEST(Bloomier, SaveStateBytesIgnoreInsertionOrder)
+{
+    BloomierConfig cfg;
+    cfg.partitions = 4;
+    auto entries = randomEntries(1500, 32, 91);
+    auto reversed = entries;
+    std::reverse(reversed.begin(), reversed.end());
+
+    BloomierFilter a(2048, cfg), b(2048, cfg);
+    ASSERT_TRUE(a.setup(entries).empty());
+    ASSERT_TRUE(b.setup(reversed).empty());
+    for (size_t i = 0; i < 600; ++i) {
+        a.erase(entries[i].first);
+        b.erase(entries[599 - i].first);
+    }
+    persist::Encoder ea, eb;
+    a.saveState(ea);
+    b.saveState(eb);
+    EXPECT_EQ(ea.buffer(), eb.buffer());
+
+    // A restored filter re-saves the same bytes.
+    BloomierFilter c(2048, cfg);
+    persist::Decoder dec(ea.buffer().data(), ea.buffer().size());
+    c.loadState(dec);
+    persist::Encoder ec;
+    c.saveState(ec);
+    EXPECT_EQ(ec.buffer(), ea.buffer());
+    EXPECT_TRUE(c.selfCheck());
+    EXPECT_EQ(c.size(), 900u);
+}
+
+/**
+ * Occupancy counts are bytes: a 256th key on one Index slot is
+ * refused — a panic on setup, a DecodeError on load — and 255 is fine.
+ */
+TEST(Bloomier, OccupancyPast255IsRefused)
+{
+    BloomierConfig cfg;
+    cfg.k = 2;
+    cfg.ratio = 1.0;
+    cfg.keyLen = 64;
+    BloomierFilter probe(1024, cfg);
+    // Keys whose first-segment slot is slot 0.
+    std::vector<std::pair<Key128, uint32_t>> crowd;
+    Rng rng(255);
+    while (crowd.size() < 256) {
+        Key128 k = Key128(rng.next64(), 0).masked(64);
+        if (probe.image().probe(k).slots[0] == 0)
+            crowd.emplace_back(k, static_cast<uint32_t>(crowd.size()));
+    }
+
+    auto snapshot = [&](size_t keys) {
+        persist::Encoder enc;
+        enc.u64(cfg.seed);
+        enc.u64(probe.slots());
+        for (size_t i = 0; i < probe.slots(); ++i)
+            enc.u32(0);
+        enc.u64(keys);
+        for (size_t i = 0; i < keys; ++i) {
+            enc.key(crowd[i].first);
+            enc.u32(crowd[i].second);
+        }
+        for (int i = 0; i < 6; ++i)
+            enc.u64(0);
+        return enc.buffer();
+    };
+    std::vector<uint8_t> full = snapshot(255);
+    persist::Decoder ok(full.data(), full.size());
+    BloomierFilter loaded(1024, cfg);
+    loaded.loadState(ok);
+    EXPECT_EQ(loaded.size(), 255u);
+
+    std::vector<uint8_t> over = snapshot(256);
+    persist::Decoder bad(over.data(), over.size());
+    BloomierFilter refused(1024, cfg);
+    EXPECT_THROW(refused.loadState(bad), persist::DecodeError);
+
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            BloomierFilter f(1024, cfg);
+            f.setup(crowd);
+        },
+        "occupancy past 255");
 }
 
 /** Property sweep: every (k, ratio, partitions, size) combination

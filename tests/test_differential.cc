@@ -83,6 +83,61 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(std::get<2>(info.param));
     });
 
+/**
+ * The engine and the journaled plane at other collapse strides: one
+ * suffix bit per group (stride 1), and vectors of a whole 64-bit word
+ * (6) and of four words (8).  Each gets the trie-oracle checks, the
+ * save/restore/re-save byte equality and the BitFlip scrub pass.
+ */
+using StridedParam = std::tuple<Layer, unsigned, unsigned>;
+
+class StridedDifferential : public ::testing::TestWithParam<StridedParam>
+{
+  protected:
+    ProgramOptions
+    options() const
+    {
+        ProgramOptions o;
+        o.layer = std::get<0>(GetParam());
+        o.keyWidth = std::get<1>(GetParam());
+        o.stride = std::get<2>(GetParam());
+        return o;
+    }
+};
+
+TEST_P(StridedDifferential, MatchesTrieOracle)
+{
+    ProgramOptions o = options();
+    o.steps = 600;
+    EXPECT_EQ(differential::runProgram(o), "");
+}
+
+TEST_P(StridedDifferential, MatchesTrieOracleAfterScrubUnderBitFlips)
+{
+    if (!CHISEL_FAULT_INJECTION_ENABLED)
+        GTEST_SKIP() << "fault injection compiled out";
+    ProgramOptions o = options();
+    o.steps = 300;
+    o.faults = true;
+    EXPECT_EQ(differential::runProgram(o), "");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Strides, StridedDifferential,
+    ::testing::Combine(::testing::Values(Layer::Engine, Layer::Journaled1),
+                       ::testing::Values(32u, 128u),
+                       ::testing::Values(1u, 6u, 8u)),
+    [](const ::testing::TestParamInfo<StridedParam> &info) {
+        std::string name = differential::layerName(std::get<0>(info.param));
+        for (char &c : name) {
+            if (c == '/')
+                c = '_';
+        }
+        return name + "_v" +
+               (std::get<1>(info.param) == 32 ? "4" : "6") + "_stride" +
+               std::to_string(std::get<2>(info.param));
+    });
+
 TEST(Differential, BoundaryKeysStraddleThePrefix)
 {
     std::vector<Key128> keys;

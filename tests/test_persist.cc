@@ -460,6 +460,21 @@ TEST(PersistJournal, OutcomeRidesWithTheNextWrite)
     EXPECT_EQ(types().size(), 8u);
     EXPECT_EQ(persist::scanJournal(path, fp).lastCommittedSeq, 4u);
     removeFile(path);
+
+    {
+        // Under fsync_every = 1 an Outcome makes no fsync fall due: it
+        // waits for the next record, and the Update stays its batch.
+        UpdateJournal journal(path, fp, /*fsync_every=*/1);
+        EXPECT_EQ(journal.append(u), 1u);
+        EXPECT_EQ(journal.lastDurableSeq(), 1u);
+        journal.appendOutcome(1, out);
+        EXPECT_EQ(types(), (std::vector<T>{T::Update}));
+        EXPECT_EQ(journal.append(u), 2u);
+        EXPECT_EQ(types(),
+                  (std::vector<T>{T::Update, T::Outcome, T::Update}));
+        EXPECT_EQ(journal.lastDurableSeq(), 2u);
+    }
+    removeFile(path);
 }
 
 TEST(PersistJournal, EmptyAndHeaderOnlyJournals)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Property-based suites cross-checking core components against
- * independent reference models: Key128 vs std::bitset, ShadowGroup
- * vs brute force, build-vs-announce engine equivalence, and
+ * independent reference models: Key128 vs std::bitset,
+ * build-vs-announce engine equivalence, and
  * Bloomier behaviour under heavy interleaved churn.
  */
 
@@ -13,7 +13,6 @@
 #include "bloom/bloomier.hh"
 #include "common/random.hh"
 #include "core/engine.hh"
-#include "core/shadow.hh"
 #include "route/synth.hh"
 #include "trie/binary_trie.hh"
 
@@ -123,74 +122,6 @@ TEST_P(Key128Reference, OperationsMatchBitsetModel)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Key128Reference,
                          ::testing::Values(1, 2, 3, 4, 5));
-
-// ---- ShadowGroup vs brute force ---------------------------------------------
-
-class ShadowReference : public ::testing::TestWithParam<unsigned>
-{};
-
-TEST_P(ShadowReference, ImageMatchesBruteForce)
-{
-    const unsigned stride = GetParam();
-    const unsigned base = 8;
-    Rng rng(1000 + stride);
-
-    ShadowGroup g(base, stride);
-    std::map<Prefix, NextHop> members;
-
-    for (int step = 0; step < 300; ++step) {
-        // Random member with length in [base, base+stride], suffix
-        // under a fixed collapsed prefix.
-        unsigned len = base + static_cast<unsigned>(
-            rng.nextBelow(stride + 1));
-        Prefix p = Prefix::ipv4(0x0A000000, base);
-        if (len > base) {
-            p = p.extended(rng.nextBelow(uint64_t(1) << (len - base)),
-                           len - base);
-        }
-
-        if (rng.nextBool(0.6)) {
-            NextHop nh = static_cast<NextHop>(rng.nextBelow(32));
-            g.announce(p, nh);
-            members[p] = nh;
-        } else {
-            g.withdraw(p);
-            members.erase(p);
-        }
-
-        if (step % 50 != 49)
-            continue;
-
-        // Brute force each slot against the member map.
-        GroupImage image = g.computeImage();
-        size_t hop_idx = 0;
-        for (uint64_t v = 0; v < (uint64_t(1) << stride); ++v) {
-            std::optional<std::pair<unsigned, NextHop>> best;
-            for (const auto &[mp, nh] : members) {
-                unsigned rel = mp.length() - base;
-                uint64_t suffix =
-                    rel == 0 ? 0 : mp.suffixBits(base);
-                if ((v >> (stride - rel)) == suffix) {
-                    if (!best || mp.length() > best->first)
-                        best = {mp.length(), nh};
-                }
-            }
-            bool set = (image.bits[v / 64] >> (v % 64)) & 1;
-            ASSERT_EQ(set, best.has_value()) << "slot " << v;
-            if (best) {
-                ASSERT_EQ(image.hops[hop_idx], best->second)
-                    << "slot " << v;
-                auto cover = g.longestCover(v);
-                ASSERT_TRUE(cover.has_value());
-                ASSERT_EQ(cover->prefix.length(), best->first);
-                ++hop_idx;
-            }
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Strides, ShadowReference,
-                         ::testing::Values(1u, 2u, 4u, 6u, 8u));
 
 // ---- Build vs announce equivalence ------------------------------------------
 

@@ -336,12 +336,15 @@ TEST(ConcurrentTtl, GcTickRetiresAndJournalsExpiries)
     EXPECT_EQ(updates[2].seq, 3u);
     EXPECT_EQ(updates[2].update.kind, UpdateKind::Expire);
     EXPECT_EQ(updates[2].update.prefix, p24(0x0A000000));
+    EXPECT_EQ(engine.journalSeq(), 3u);
+    // The last Outcome rides with the next record's flush; closing the
+    // journal writes it.
+    j.engine.reset();
     std::vector<JournalRecord> outcomes =
         j.records(JournalRecord::Type::Outcome);
     ASSERT_EQ(outcomes.size(), 3u);
     EXPECT_EQ(outcomes[2].seq, 3u);
     EXPECT_EQ(outcomes[2].cls, static_cast<uint8_t>(UpdateClass::Expire));
-    EXPECT_EQ(engine.journalSeq(), 3u);
 }
 
 TEST(ConcurrentTtl, JournalRefusalRejectsUpdate)

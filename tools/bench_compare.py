@@ -25,6 +25,9 @@ Comparison rules (per scenario):
       grow by the reciprocal of the allowed throughput shrink).
     * accesses_per_op: candidate must be <= baseline * --access-slack;
       skipped when either side is 0 (tracing compiled out).
+    * bytes_per_route (optional; lookup_dfz reports it): candidate must
+      be <= baseline * (1 + BYTES_SLACK); skipped unless both sides
+      carry it.
 
 Exit status: 0 all good, 1 validation failure or regression, 2 usage.
 """
@@ -53,6 +56,17 @@ REQUIRED_FIELDS = {
     "p99_ns": int,
     "accesses_per_op": (int, float),
 }
+
+# Optional fields: checked for type when present, never required.
+OPTIONAL_FIELDS = {
+    "bytes_per_route": (int, float),
+}
+
+# Memory per route may grow by at most this share over the baseline.
+# Resident bytes of one build vary by a few pages between runs, far
+# less than this.
+BYTES_SLACK = 0.10
+
 
 def fail(msg):
     print(f"bench_compare: FAIL: {msg}")
@@ -87,7 +101,17 @@ def validate(doc, path):
     ):
         ok = fail(f"{path}: ops_per_sec must be > 0")
 
-    for field in sorted(set(doc) - set(REQUIRED_FIELDS)):
+    for field, kind in OPTIONAL_FIELDS.items():
+        if field in doc and (
+            not isinstance(doc[field], kind) or isinstance(doc[field], bool)
+        ):
+            ok = fail(
+                f"{path}: field '{field}' has type "
+                f"{type(doc[field]).__name__}"
+            )
+
+    known = set(REQUIRED_FIELDS) | set(OPTIONAL_FIELDS)
+    for field in sorted(set(doc) - known):
         # Additive schema: tolerate, but say so -- a typo'd required
         # field shows up here right next to its "missing" failure.
         print(
@@ -135,6 +159,20 @@ def compare(scenario, base, cand, args):
                 f"{base['accesses_per_op']:.2f} -> "
                 f"{cand['accesses_per_op']:.2f} "
                 f"(ceiling {ceiling:.2f})"
+            )
+
+    if "bytes_per_route" in base and "bytes_per_route" in cand:
+        ceiling = base["bytes_per_route"] * (1 + BYTES_SLACK)
+        print(
+            f"bench_compare: {scenario:<10} B/route "
+            f"{base['bytes_per_route']:14.1f} -> "
+            f"{cand['bytes_per_route']:14.1f}"
+        )
+        if cand["bytes_per_route"] > ceiling:
+            ok = fail(
+                f"{scenario}: bytes/route regressed "
+                f"{base['bytes_per_route']:.1f} -> "
+                f"{cand['bytes_per_route']:.1f} (ceiling {ceiling:.1f})"
             )
     return ok
 
@@ -218,6 +256,27 @@ def self_test():
     check("candidate with extra field compares vs bare baseline",
           validate(richer, "t") and compare("t", base_doc, richer, Args),
           True)
+
+    sized = copy.deepcopy(base_doc)
+    sized["bytes_per_route"] = 80.0
+    check("bytes_per_route validates", validate(sized, "t"), True)
+
+    bad_type = copy.deepcopy(sized)
+    bad_type["bytes_per_route"] = "80"
+    check("string bytes_per_route rejected", validate(bad_type, "t"), False)
+
+    within = copy.deepcopy(sized)
+    within["bytes_per_route"] = 80.0 * (1 + BYTES_SLACK) - 0.1
+    check("bytes_per_route within slack passes",
+          compare("t", sized, within, Args), True)
+
+    bloated = copy.deepcopy(sized)
+    bloated["bytes_per_route"] = 80.0 * (1 + BYTES_SLACK) + 0.1
+    check("bytes_per_route regression caught",
+          compare("t", sized, bloated, Args), False)
+
+    check("bytes_per_route absent from baseline is skipped",
+          compare("t", base_doc, bloated, Args), True)
 
     if failures:
         print(f"bench_compare: self-test FAILED: {failures}")
