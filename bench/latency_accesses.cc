@@ -10,7 +10,8 @@
  *
  * The "Chisel traced" columns are measured by the telemetry access
  * tracer and count every table touch of the sub-cells the software
- * probes (those the cell-presence summary names) — work the hardware
+ * probes (those the cell-presence summary names and whose presence
+ * bit for the key's collapsed group is set) — work the hardware
  * performs in parallel across all cells, so the sequential depth
  * stays at the "model" constant.  Pass --metrics-json= / --trace= to
  * export the full histograms.

@@ -7,6 +7,8 @@
  *
  *     lookup      single-thread LPM throughput  -> BENCH_lookup.json
  *     lookup_dfz  the same at DFZ scale         -> BENCH_lookup_dfz.json
+ *     lookup_v6   the same over 200,000 IPv6 routes
+ *                                   -> BENCH_lookup_v6.json
  *     update      trace-replay update cost      -> BENCH_update.json
  *     concurrent  readers under a live writer   -> BENCH_concurrent.json
  *     concurrent_update
@@ -22,15 +24,15 @@
  * and must not be diffed.
  *
  *     perf_driver [--out-dir=DIR]
- *                 [--scenario=lookup|lookup_dfz|update|concurrent|
- *                             concurrent_update|all]
+ *                 [--scenario=lookup|lookup_dfz|lookup_v6|update|
+ *                             concurrent|concurrent_update|all]
  *                 [--quick]
  *
  * --quick shrinks tables and op counts for CI smoke runs (the
  * fingerprint changes with it, so quick and full runs never compare
- * against each other).  lookup_dfz keeps its 262,144-route table under
- * --quick: a smaller one would fit in cache, which is what it exists
- * to avoid.
+ * against each other).  lookup_dfz and lookup_v6 keep their tables
+ * under --quick: a smaller one would fit in cache, which is what they
+ * exist to avoid.
  */
 
 #include <algorithm>
@@ -39,6 +41,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -253,6 +256,22 @@ runLookup(const DriverOptions &opts)
     return r;
 }
 
+/**
+ * An engine over @p table, its resident growth per route recorded in
+ * @p r (tables this large outgrow the 2 MiB arena page).
+ */
+std::unique_ptr<ChiselEngine>
+buildMeasured(const RoutingTable &table, const ChiselConfig &config,
+              ScenarioResult &r)
+{
+    const uint64_t rss0 = residentBytes();
+    auto engine = std::make_unique<ChiselEngine>(table, config);
+    r.bytesPerRoute = (static_cast<double>(residentBytes()) -
+                       static_cast<double>(rss0)) /
+                      static_cast<double>(table.size());
+    return engine;
+}
+
 // ---- lookup_dfz -----------------------------------------------------
 
 ScenarioResult
@@ -274,13 +293,43 @@ runLookupDfz(const DriverOptions &opts)
         ":width=32:match=0.85:seed=df" + (opts.quick ? ":quick" : "")));
 
     RoutingTable table = generateScaledTable(tableSize, 32, 0xDF);
-    const uint64_t rss0 = residentBytes();
-    ChiselEngine engine(table);
-    r.bytesPerRoute = (static_cast<double>(residentBytes()) -
-                       static_cast<double>(rss0)) /
-                      static_cast<double>(tableSize);
-    measureLookups(engine,
+    std::unique_ptr<ChiselEngine> engine = buildMeasured(table, {}, r);
+    measureLookups(*engine,
                    generateLookupKeys(table, keyCount, 32, 0.85, 0xE0),
+                   opts.quick ? 200000 : 800000, r);
+    return r;
+}
+
+// ---- lookup_v6 ------------------------------------------------------
+
+ScenarioResult
+runLookupV6(const DriverOptions &opts)
+{
+    // perfbench's v6_churn table: 200,000 IPv6 routes in one engine,
+    // read through a 2^20-key stream, so the cells the summary names
+    // and the reads they cost are what it measures.
+    const size_t tableSize = 200000;
+    const size_t keyCount = size_t(1) << 20;
+
+    ScenarioResult r;
+    r.scenario = "lookup_v6";
+    r.tableSize = tableSize;
+    r.ops = opts.quick ? 2000000 : 8000000;
+    r.fingerprint = hex8(fnv1a(
+        "lookup_v6:v1:table=" + std::to_string(tableSize) +
+        ":keys=" + std::to_string(keyCount) +
+        ":width=128:match=0.85:seed=76" + (opts.quick ? ":quick" : "")));
+
+    SynthProfile profile;
+    profile.prefixes = tableSize;
+    profile.keyWidth = 128;
+    profile.seed = 0x76;
+    RoutingTable table = generateTable(profile);
+    ChiselConfig config;
+    config.keyWidth = 128;
+    std::unique_ptr<ChiselEngine> engine = buildMeasured(table, config, r);
+    measureLookups(*engine,
+                   generateLookupKeys(table, keyCount, 128, 0.85, 0x77),
                    opts.quick ? 200000 : 800000, r);
     return r;
 }
@@ -509,8 +558,9 @@ main(int argc, char **argv)
         } else {
             std::fprintf(stderr,
                          "usage: perf_driver [--out-dir=DIR] "
-                         "[--scenario=lookup|lookup_dfz|update|"
-                         "concurrent|concurrent_update|all] [--quick]\n");
+                         "[--scenario=lookup|lookup_dfz|lookup_v6|"
+                         "update|concurrent|concurrent_update|all] "
+                         "[--quick]\n");
             return 2;
         }
     }
@@ -522,6 +572,10 @@ main(int argc, char **argv)
     }
     if (all || opts.scenario == "lookup_dfz") {
         writeResult(opts, runLookupDfz(opts));
+        ran = true;
+    }
+    if (all || opts.scenario == "lookup_v6") {
+        writeResult(opts, runLookupV6(opts));
         ran = true;
     }
     if (all || opts.scenario == "update") {

@@ -38,6 +38,7 @@ class WriteLog
         IndexLanes,    ///< A cell's hash lanes and length rows.
         IndexSlots,    ///< A cell's Index slot words.
         Records,       ///< A cell's GroupTable record words (u64).
+        Presence,      ///< A cell's presence bitmap words (u64).
         Results,       ///< Result entries: next hop and meta byte.
         ResultMeta,    ///< Result meta bytes only (length offsets).
         ResultGrow,    ///< The Result Table grew to first + count.

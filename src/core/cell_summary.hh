@@ -19,6 +19,12 @@
  * per-region group counts as they create and erase groups, so a
  * false positive costs one probe and a false negative cannot happen.
  *
+ * The summary is the first of two stages.  A region names a cell if
+ * it holds any group under the key's top T bits, not the key's own
+ * group, so the engine then tests each named cell's presence bitmap
+ * (CellImage::mayHold: one bit per bucket of collapsed keys, kept
+ * exact the same way) and probes only the cells whose bit is set.
+ *
  * Bit j names cell n-1-j of an n-cell plan, so the lowest set bit is
  * the cell with the longest base — the priority encoder's winner.
  * Past 64 cells (stride 1 on wide keys), bit 63 stands for cell n-64

@@ -144,6 +144,10 @@ EngineImage::replay(const EngineImage &src, const WriteLog &log)
             std::copy_n(src.cells[w.cell].records.words() + w.first,
                         w.count, cells[w.cell].records.words() + w.first);
             break;
+          case Table::Presence:
+            std::copy_n(src.cells[w.cell].presence.begin() + w.first,
+                        w.count, cells[w.cell].presence.begin() + w.first);
+            break;
           case Table::Results:
             std::copy_n(src.results.slots.begin() + w.first, w.count,
                         results.slots.begin() + w.first);
@@ -378,11 +382,13 @@ namespace {
 
 /**
  * The engine's lookup over @p image.  @p probe(c, hit) probes cell c;
- * false abandons the lookup (a reader's parity error).
+ * false abandons the lookup (a reader's parity error).  @p skipped(c)
+ * hears of each candidate cell whose presence bit ruled it out.
  */
-template <class ProbeCell>
+template <class ProbeCell, class SkipCell>
 LookupResult
-lookupImage(const EngineImage &image, const Key128 &key, ProbeCell &&probe)
+lookupImage(const EngineImage &image, const Key128 &key, ProbeCell &&probe,
+            SkipCell &&skipped)
 {
     LookupResult out;
 
@@ -390,13 +396,19 @@ lookupImage(const EngineImage &image, const Key128 &key, ProbeCell &&probe)
     // hit with the longest base.  Software probes only the cells the
     // summary names, lowest bit (longest base) first, so the first
     // hit is that winner (cell ranges are disjoint).  Bit j is cell
-    // n-1-j; bit 63 also covers every cell below n-64.
+    // n-1-j; bit 63 also covers every cell below n-64.  Of those, a
+    // cell whose presence bit says it lacks the key's group is not
+    // probed at all.
     const size_t n = image.cells.size();
     for (uint64_t m = image.summary.candidates(key); m != 0 && !out.found;
          m &= m - 1) {
         unsigned j = static_cast<unsigned>(std::countr_zero(m));
         size_t lowest = j == 63 ? 0 : n - 1 - j;
         for (size_t c = n - j; c-- > lowest;) {
+            if (!image.cells[c].mayHold(key)) {
+                skipped(c);
+                continue;
+            }
             CellHit h;
             if (!probe(c, h))
                 return LookupResult{};
@@ -449,21 +461,30 @@ lookupImage(const EngineImage &image, const Key128 &key, ProbeCell &&probe)
 LookupResult
 EngineImage::lookup(const Key128 &key, bool *parity_ok) const
 {
-    return lookupImage(*this, key, [&](size_t c, CellHit &h) {
-        if (cells[c].probe(key, results, h) != CellImage::Probe::Parity)
-            return true;
-        *parity_ok = false;
-        return false;
-    });
+    return lookupImage(
+        *this, key,
+        [&](size_t c, CellHit &h) {
+            if (cells[c].probe(key, results, h) != CellImage::Probe::Parity)
+                return true;
+            *parity_ok = false;
+            return false;
+        },
+        [](size_t) {});
 }
 
 LookupResult
 ChiselEngine::lookupIn(const EngineImage &image, const Key128 &key) const
 {
-    return lookupImage(image, key, [&](size_t c, CellHit &h) {
-        h = cells_[c]->lookup(image.cells[c], image.results, key);
-        return true;
-    });
+    return lookupImage(
+        image, key,
+        [&](size_t c, CellHit &h) {
+            h = cells_[c]->lookup(image.cells[c], image.results, key);
+            return true;
+        },
+        [&]([[maybe_unused]] size_t c) {
+            // A skip must be a true negative: the registry agrees.
+            assert(!cells_[c]->holdsGroup(key));
+        });
 }
 
 LookupResult

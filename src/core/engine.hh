@@ -9,20 +9,22 @@
  * selects the hit from the sub-cell with the longest base — the
  * longest-prefix match, because the cells' length intervals are
  * disjoint and ascending.  Software probes the cells one at a time,
- * so it asks a CellSummary first which cells can hold a match and
- * probes only those, longest base first; the modeled access counts
- * still charge every cell.
+ * so it asks a CellSummary first which cells can hold a match, then
+ * each named cell's presence bitmap whether it holds the key's
+ * collapsed group, and probes only the cells both leave, longest base
+ * first; the modeled access counts still charge every cell.
  *
  * An engine is two parts (docs/ARCHITECTURE.md, "Memory layout"):
  *
  *  - an EngineImage, everything a lookup reads: the summary masks and,
- *    per cell, the hash lanes, Index slots and GroupTable records, in
- *    one huge-page-advised ImageArena; the Result Table entries, which
- *    grow, on hugePageResource(); the spill TCAM, the slow path and
- *    the default route;
+ *    per cell, the hash lanes, Index slots, GroupTable records and
+ *    presence bitmap, in one huge-page-advised ImageArena; the Result
+ *    Table entries, which grow, on hugePageResource(); the spill TCAM,
+ *    the slow path and the default route;
  *  - the writer-owned control state: shadow groups, Bloomier key
  *    registries and occupancy, free lists, the Result allocator,
- *    damper, TTL index and clock, and the counters.
+ *    per-region and per-bucket group counts, damper, TTL index and
+ *    clock, and the counters.
  *
  * A stand-alone engine is one control state plus its own image.  A
  * ConcurrentChisel keeps one engine and a copy of its image, rebinds
@@ -210,8 +212,9 @@ class EngineImage
 
     /**
      * Memory of the fixed-size lookup arrays (summary masks, cells'
-     * lanes, Index slots and records); declared before its users so
-     * it outlives them.  Behind a pointer so its address is stable.
+     * lanes, Index slots, records and presence bitmaps); declared
+     * before its users so it outlives them.  Behind a pointer so its
+     * address is stable.
      */
     std::unique_ptr<ImageArena> arena;
     /** Which cells can match a key; the cells keep it exact. */

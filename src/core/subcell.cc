@@ -58,6 +58,8 @@ SubCell::SubCell(const Config &config, ResultTable *results,
             "SubCell range wider than the stride allows");
     img_->base = config.range.base;
     img_->stride = config.stride;
+    bucketGroups_.assign(img_->buckets(), 0);
+    img_->presence.assign((img_->buckets() + 63) / 64, 0);
 }
 
 void
@@ -176,9 +178,20 @@ SubCell::refreshImage(uint32_t slot)
 }
 
 void
+SubCell::flipPresence(uint64_t bucket)
+{
+    img_->presence[bucket / 64] ^= uint64_t(1) << (bucket % 64);
+    if (log_ != nullptr)
+        log_->add(WriteLog::Table::Presence, logCell_, bucket / 64, 1);
+}
+
+void
 SubCell::noteGroupAdded(const Key128 &ckey)
 {
     ++groups_;
+    const uint64_t b = CellImage::bucketOf(ckey, bucketGroups_.size());
+    if (bucketGroups_[b] < kSaturated && bucketGroups_[b]++ == 0)
+        flipPresence(b);
     if (summaryBit_ == 0)
         return;
     if (!regional_) {
@@ -201,6 +214,11 @@ void
 SubCell::noteGroupErased(const Key128 &ckey)
 {
     --groups_;
+    const uint64_t b = CellImage::bucketOf(ckey, bucketGroups_.size());
+    assert(bucketGroups_[b] > 0);
+    // A saturated count no longer knows its groups: its bit stays set.
+    if (bucketGroups_[b] < kSaturated && --bucketGroups_[b] == 0)
+        flipPresence(b);
     if (summaryBit_ == 0)
         return;
     if (!regional_) {
@@ -808,6 +826,19 @@ SubCell::selfCheck(const CellImage &cell_image,
         for (const auto &[ckey, slot] : groups)
             ++recount[summary_->region(ckey)];
         if (recount != regionGroups_)
+            return false;
+    }
+
+    std::vector<uint32_t> recount(bucketGroups_.size(), 0);
+    for (const auto &[ckey, slot] : groups)
+        ++recount[CellImage::bucketOf(ckey, recount.size())];
+    if (cell_image.buckets() != recount.size() ||
+        cell_image.presence.size() != (recount.size() + 63) / 64)
+        return false;
+    for (size_t b = 0; b < recount.size(); ++b) {
+        const uint8_t count = bucketGroups_[b];
+        const bool bit = (cell_image.presence[b / 64] >> (b % 64)) & 1;
+        if ((count != recount[b] && count != kSaturated) || bit != (count > 0))
             return false;
     }
     return true;

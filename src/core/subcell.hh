@@ -29,9 +29,12 @@
  * The engine's CellSummary, when passed in the same way, learns which
  * regions hold this cell's groups: the cell counts its groups per
  * region and sets or clears its summary bit as a count leaves or
- * reaches zero, wherever a group is created or erased.  Neither the
- * offsets nor the summary are modeled hardware or snapshot bytes;
- * loadState() re-derives both from the shadow.
+ * reaches zero, wherever a group is created or erased.  The cell keeps
+ * its own presence bitmap the same way, one bit per bucket of
+ * collapsed keys (CellImage::mayHold), so the engine skips a cell the
+ * summary names but that lacks the key's group.  Neither the offsets,
+ * the summary nor the bitmap are modeled hardware or snapshot bytes;
+ * loadState() re-derives them from the shadow.
  */
 
 #ifndef CHISEL_CORE_SUBCELL_HH
@@ -52,6 +55,7 @@
 #include "core/group_table.hh"
 #include "core/result_table.hh"
 #include "core/shadow.hh"
+#include "hash/mix.hh"
 #include "health/damping.hh"
 #include "route/table.hh"
 
@@ -93,9 +97,9 @@ struct CellHit
 
 /**
  * What a lookup reads of one sub-cell: its Index image and GroupTable
- * records, and the length range and stride that address them.  None
- * of it changes between two installs except the words an update
- * writes (and, on a reseed, the lanes).
+ * records, its presence bitmap, and the length range and stride that
+ * address them.  None of it changes between two installs except the
+ * words an update writes (and, on a reseed, the lanes).
  */
 struct CellImage
 {
@@ -109,13 +113,14 @@ struct CellImage
 
     /** Empty tables in @p memory; the SubCell constructor sizes them. */
     explicit CellImage(std::pmr::memory_resource *memory)
-        : index(memory), records(memory)
+        : index(memory), records(memory), presence(memory)
     {}
 
     /** A copy of @p other whose tables live in @p memory. */
     CellImage(const CellImage &other, std::pmr::memory_resource *memory)
         : base(other.base), stride(other.stride),
-          index(other.index, memory), records(other.records, memory)
+          index(other.index, memory), records(other.records, memory),
+          presence(other.presence, memory)
     {}
 
     CellImage(CellImage &&) = default;
@@ -136,10 +141,37 @@ struct CellImage
         return key.extract(base, avail) << (stride - avail);
     }
 
+    /** Presence buckets: two per group the cell is provisioned for. */
+    uint64_t buckets() const { return 2 * uint64_t(records.capacity); }
+
+    /** Bucket of collapsed key @p ckey among @p buckets. */
+    static uint64_t
+    bucketOf(const Key128 &ckey, uint64_t buckets)
+    {
+        const uint64_t h = mix64(ckey.hi() ^ mix64(ckey.lo()));
+        return static_cast<uint64_t>(
+            (static_cast<unsigned __int128>(h) * buckets) >> 64);
+    }
+
+    /**
+     * False if this cell holds no group for @p key: the bit of its
+     * collapsed key's bucket is clear.  True may be another group's
+     * bucket (a false positive, which the probe's Filter compare
+     * rejects); a false negative cannot happen.
+     */
+    bool
+    mayHold(const Key128 &key) const
+    {
+        const uint64_t b = bucketOf(key.masked(base), buckets());
+        return (presence[b / 64] >> (b % 64)) & 1;
+    }
+
     unsigned base = 0;
     unsigned stride = 0;
     BloomierFilter::Image index;
     GroupTable::Image records;
+    /** One bit per bucket: set while the cell holds a group there. */
+    std::pmr::vector<uint64_t> presence;
 };
 
 /**
@@ -419,8 +451,10 @@ class SubCell
      * Deep consistency check (tests): every shadow member is
      * retrievable through the hardware lookup path of @p image and
      * @p results with the matched length ShadowGroups::longestCover()
-     * derives, the members of each group are sorted, and the route
-     * and per-region group counts match a recount.
+     * derives, the members of each group are sorted, the route,
+     * per-region and per-bucket group counts match a recount (a
+     * bucket count may instead be saturated), and each presence bit of
+     * @p image is set exactly where its bucket count is non-zero.
      */
     bool selfCheck(const CellImage &image,
                    const ResultTable::Image &results) const;
@@ -430,6 +464,13 @@ class SubCell
     selfCheck() const
     {
         return selfCheck(*img_, results_->image());
+    }
+
+    /** True if the Index registry holds @p key's group (debug checks). */
+    bool
+    holdsGroup(const Key128 &key) const
+    {
+        return index_.contains(key.masked(config_.range.base));
     }
 
     /**
@@ -485,14 +526,17 @@ class SubCell
     /** Re-derive and write a group's hardware image. */
     void refreshImage(uint32_t slot);
 
-    /** Count a group added at @p ckey; summary bookkeeping. */
+    /** Count a group added at @p ckey; summary and presence bookkeeping. */
     void noteGroupAdded(const Key128 &ckey);
 
-    /** Count a group erased at @p ckey; summary bookkeeping. */
+    /** Count a group erased at @p ckey; summary and presence bookkeeping. */
     void noteGroupErased(const Key128 &ckey);
 
     /** Name summary region @p region (or the always mask) in the log. */
     void logSummary(WriteLog::Table table, uint32_t region);
+
+    /** Flip presence bit @p bucket of the bound image, and log it. */
+    void flipPresence(uint64_t bucket);
 
     /** The matched length the shadow copy derives (for cross-checks). */
     unsigned shadowLength(const Key128 &ckey, uint64_t slot) const;
@@ -538,6 +582,13 @@ class SubCell
     bool regional_;
     /** Groups per summary region (regional cells; sized on first use). */
     std::vector<uint32_t> regionGroups_;
+    /**
+     * Groups per presence bucket.  A count that reaches kSaturated is
+     * never lowered again, so its bit stays set: a false positive,
+     * never a false negative.
+     */
+    std::vector<uint8_t> bucketGroups_;
+    static constexpr uint8_t kSaturated = 255;
     /** Scratch for deriving group images: refreshes allocate nothing. */
     GroupImage image_;
     /** Index Table; its registry is the cell's one copy of group keys. */

@@ -7,10 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "core/engine.hh"
+#include "persist/codec.hh"
 #include "route/synth.hh"
+#include "route/updates.hh"
+#include "telemetry/engine_telemetry.hh"
+#include "telemetry/metrics.hh"
+#include "telemetry/trace.hh"
 #include "trie/binary_trie.hh"
 
 namespace chisel {
@@ -394,6 +401,153 @@ TEST(Engine, RejectsOverlongAnnounce)
               UpdateClass::SingletonInsert);
     // Withdraw of an impossible prefix is just a no-op.
     EXPECT_EQ(e.withdraw(p40), UpdateClass::NoOp);
+}
+
+TEST(EnginePresence, SkipsACandidateCellWithoutTheKeysGroup)
+{
+#if !CHISEL_TRACING_ENABLED
+    GTEST_SKIP() << "access hooks compiled out";
+#endif
+    // Two cells whose bases lie below the summary's region prefix, so
+    // the summary names both for every key; only the shorter holds
+    // the key's group.
+    RoutingTable table;
+    table.add(Prefix::fromBitString("101"), 1);
+    table.add(Prefix::fromBitString("00000000"), 2);
+    ChiselConfig cfg;
+    cfg.keyWidth = 8;
+    cfg.stride = 3;
+    cfg.coverAllLengths = false;
+    ChiselEngine engine(table, cfg);
+    ASSERT_EQ(engine.cellCount(), 2u);
+    ASSERT_EQ(engine.cell(1).base(), 8u);
+
+    Key128 key;
+    key.deposit(0, 8, 0b10100000);
+    ASSERT_EQ(std::popcount(engine.image().summary.candidates(key)), 2);
+    ASSERT_FALSE(engine.image().cells[1].mayHold(key));
+    ASSERT_TRUE(engine.image().cells[0].mayHold(key));
+
+    telemetry::MetricRegistry registry;
+    telemetry::EngineTelemetry telemetry(registry);
+    engine.attachTelemetry(&telemetry);
+    LookupResult r = engine.lookup(key);
+    engine.attachTelemetry(nullptr);
+    EXPECT_TRUE(r.found);
+    EXPECT_EQ(r.nextHop, 1u);
+    EXPECT_EQ(r.matchedLength, 3u);
+
+    // One probe's four accesses: the longer cell, which the summary
+    // names first, costs no read.
+    auto reads = [&](const char *name) {
+        return registry
+            .findHistogram(std::string("engine.lookup.accesses.") + name)
+            ->sum();
+    };
+    EXPECT_EQ(reads("index"), uint64_t(cfg.k));
+    EXPECT_EQ(reads("filter"), 1u);
+    EXPECT_EQ(reads("bitvector"), 1u);
+    EXPECT_EQ(reads("result"), 1u);
+    EXPECT_TRUE(engine.selfCheck());
+}
+
+TEST(EnginePresence, SaturatedBucketStaysSetAndLookupsStayCorrect)
+{
+    // One /24 cell of minimum capacity.  256 new groups all land in
+    // one presence bucket: its count stops at 255 and is never lowered
+    // again, so the bit stays set after every group is gone.
+    RoutingTable table;
+    table.add(Prefix(Key128::fromIpv4(0x0A000000), 24), 1);
+    ChiselConfig cfg;
+    cfg.coverAllLengths = false;
+    ChiselEngine engine(table, cfg);
+    ASSERT_EQ(engine.cellCount(), 1u);
+    const CellImage &cell = engine.image().cells[0];
+    ASSERT_GE(engine.cell(0).capacity(), 257u);
+
+    const Key128 seed_key = Key128::fromIpv4(0xC0000000);
+    const uint64_t bucket = CellImage::bucketOf(seed_key, cell.buckets());
+    std::vector<Prefix> crowd;
+    for (uint32_t i = 0; crowd.size() < 256; ++i) {
+        ASSERT_LT(i, 1u << 24);
+        const Key128 bits = Key128::fromIpv4(i << 8);
+        if (i != 0x0A0000 &&
+            CellImage::bucketOf(bits, cell.buckets()) == bucket)
+            crowd.push_back(Prefix(bits, 24));
+    }
+
+    BinaryTrie oracle(table);
+    auto expectOracle = [&] {
+        for (const Prefix &p : crowd) {
+            for (unsigned low : {0x00u, 0x7fu, 0xffu}) {
+                Key128 key = p.bits();
+                key.deposit(24, 8, low);
+                auto want = oracle.lookup(key, 32);
+                LookupResult got = engine.lookup(key);
+                ASSERT_EQ(got.found, want.has_value());
+                if (want)
+                    EXPECT_EQ(got.nextHop, want->nextHop);
+            }
+        }
+    };
+
+    for (size_t i = 0; i < crowd.size(); ++i) {
+        const NextHop hop = static_cast<NextHop>(2 + i % 50);
+        ASSERT_EQ(engine.announce(crowd[i], hop).status,
+                  UpdateStatus::Applied);
+        oracle.insert(crowd[i], hop);
+    }
+    ASSERT_EQ(engine.spillCount(), 0u);
+    EXPECT_TRUE(engine.selfCheck());
+    expectOracle();
+
+    for (const Prefix &p : crowd) {
+        engine.withdraw(p);
+        oracle.erase(p);
+    }
+    EXPECT_EQ(engine.purgeDirty(), crowd.size());
+    EXPECT_EQ(engine.routeCount(), 1u);
+    EXPECT_TRUE(cell.mayHold(crowd.front().bits()));
+    EXPECT_TRUE(engine.selfCheck());
+    expectOracle();
+}
+
+/** saveState -> restoreState of a churned engine rebuilds the bitmaps. */
+void
+expectRestoreRebuildsPresence(unsigned width, uint64_t seed)
+{
+    RoutingTable table = generateScaledTable(3000, width, seed);
+    ChiselConfig cfg;
+    cfg.keyWidth = width;
+    ChiselEngine engine(table, cfg);
+    UpdateTraceGenerator gen(table, standardTraceProfiles()[0], width,
+                             seed + 1);
+    for (const Update &u : gen.generate(2000))
+        engine.apply(u);
+    ASSERT_TRUE(engine.selfCheck());
+
+    persist::Encoder enc;
+    engine.saveState(enc);
+    persist::Decoder dec(enc.buffer().data(), enc.buffer().size());
+    std::unique_ptr<ChiselEngine> restored =
+        ChiselEngine::restoreState(engine.config(), dec);
+    ASSERT_EQ(restored->cellCount(), engine.cellCount());
+    for (size_t c = 0; c < engine.cellCount(); ++c) {
+        EXPECT_EQ(restored->image().cells[c].presence,
+                  engine.image().cells[c].presence)
+            << "cell " << c;
+    }
+    EXPECT_TRUE(restored->selfCheck());
+}
+
+TEST(EnginePresence, RestoreRebuildsTheBitmapIpv4)
+{
+    expectRestoreRebuildsPresence(32, 0xB17);
+}
+
+TEST(EnginePresence, RestoreRebuildsTheBitmapIpv6)
+{
+    expectRestoreRebuildsPresence(128, 0xB16);
 }
 
 /** Parameterised sweep: stride x key width x seed, oracle equality. */

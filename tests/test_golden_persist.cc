@@ -126,6 +126,9 @@ checkGoldenSet(const std::string &name, unsigned width)
     persist::SnapshotLoadResult snap =
         persist::loadSnapshot(snapshot_path, nullptr);
     ASSERT_EQ(snap.status, persist::SnapshotLoadStatus::Ok) << snap.error;
+    // Derived state the snapshot does not hold (summary, presence
+    // bitmaps, length offsets) is rebuilt consistent with it.
+    EXPECT_TRUE(snap.engine->selfCheck());
     const ChiselConfig config = snap.engine->config();
     EXPECT_EQ(config.keyWidth, width);
     EXPECT_EQ(persist::encodeSnapshotImage(*snap.engine, snap.lastSeq),

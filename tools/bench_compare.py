@@ -25,9 +25,9 @@ Comparison rules (per scenario):
       grow by the reciprocal of the allowed throughput shrink).
     * accesses_per_op: candidate must be <= baseline * --access-slack;
       skipped when either side is 0 (tracing compiled out).
-    * bytes_per_route (optional; lookup_dfz reports it): candidate must
-      be <= baseline * (1 + BYTES_SLACK); skipped unless both sides
-      carry it.
+    * bytes_per_route (optional; lookup_dfz and lookup_v6 report it):
+      candidate must be <= baseline * (1 + BYTES_SLACK); skipped
+      unless both sides carry it.
 
 Exit status: 0 all good, 1 validation failure or regression, 2 usage.
 """
@@ -38,7 +38,7 @@ import os
 import sys
 
 SCHEMA = "chisel.bench.v1"
-SCENARIOS = ["lookup", "lookup_dfz", "update", "concurrent",
+SCENARIOS = ["lookup", "lookup_dfz", "lookup_v6", "update", "concurrent",
              "concurrent_update"]
 
 REQUIRED_FIELDS = {
