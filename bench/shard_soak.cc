@@ -453,7 +453,6 @@ runDetectRecover(uint64_t seed)
     popts.shards = kShards;
     popts.partitionBits = kPartitionBits;
     popts.engine.controlThread = false;
-    popts.engine.healthInterval = std::chrono::milliseconds(50);
     ShardedChisel plane(generateScaledTable(1000, 32, seed + 1), popts);
 
     const size_t victim = 2;

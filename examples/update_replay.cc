@@ -289,10 +289,18 @@ main(int argc, char **argv)
             popts.journalPath, configFingerprint(config),
             popts.fsyncEvery);
 
-    auto journalPurge = [&] {
-        if (journal)
+    // A purge is journaled like an update, before the engine changes
+    // (ConcurrentChisel::purgeDirtyNow's order): a journal that
+    // refused the record refuses the purge, so the engine never holds
+    // a state its journal does not describe.
+    auto purgeDirty = [&]() -> size_t {
+        if (journal) {
             journal->appendHousekeeping(
                 persist::JournalRecord::HousekeepingKind::PurgeDirty);
+            if (!journal->ioHealthy())
+                return 0;
+        }
+        return engine->purgeDirty();
     };
 
     // Health-state machine, sampled on a fixed update cadence.  The
@@ -308,8 +316,7 @@ main(int argc, char **argv)
         health::RecoveryAction action = hmon.takeAction();
         switch (action) {
           case health::RecoveryAction::PurgeDirty:
-            purged += engine->purgeDirty();
-            journalPurge();
+            purged += purgeDirty();
             hmon.actionCompleted(action, true);
             break;
           case health::RecoveryAction::Scrub:
@@ -391,10 +398,8 @@ main(int argc, char **argv)
             if (journal)
                 journal->appendSnapshotMark(covered);
         }
-        if (popts.purgeEvery != 0 && applied % popts.purgeEvery == 0) {
-            purged += engine->purgeDirty();
-            journalPurge();
-        }
+        if (popts.purgeEvery != 0 && applied % popts.purgeEvery == 0)
+            purged += purgeDirty();
         if (applied % 1024 == 0)
             sampleHealth();
     }

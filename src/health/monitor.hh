@@ -59,6 +59,24 @@ constexpr size_t kHealthStateCount =
 
 const char *healthStateName(HealthState s);
 
+/**
+ * The shed rule (docs/service.md, "Load shedding"), the one place
+ * that says what a state still serves: lookups until Degraded,
+ * updates only while Healthy or Recovering — so a Stressed engine
+ * sheds writes before reads.
+ */
+constexpr bool
+servesReads(HealthState s)
+{
+    return s != HealthState::Degraded && s != HealthState::Quarantined;
+}
+
+constexpr bool
+acceptsWrites(HealthState s)
+{
+    return s == HealthState::Healthy || s == HealthState::Recovering;
+}
+
 /** Recovery actions, in escalation order (docs/robustness.md). */
 enum class RecoveryAction : uint8_t
 {
@@ -147,7 +165,7 @@ struct MonitorConfig
 };
 
 /**
- * The state machine.  sample()/recommendedAction()/actionCompleted()
+ * The state machine.  sample()/takeAction()/actionCompleted()
  * must be externally serialized (ConcurrentChisel uses a dedicated
  * mutex); beginUpdate()/endUpdate()/watchdogExpired() and all const
  * accessors are lock-free and safe from any thread.

@@ -72,7 +72,7 @@ const char *msgTypeName(MsgType t);
 /** Status-reply codes (u8 on the wire). */
 enum class StatusCode : uint8_t
 {
-    Overloaded = 1,  ///< Shed by health state or admission tokens.
+    Overloaded = 1,  ///< Shed by the target shard's health state.
     Draining = 2,    ///< Graceful shutdown in progress.
     BadRequest = 3,  ///< Well-framed but protocol-violating request.
 };
@@ -142,6 +142,12 @@ RpcMessage makePong(uint64_t id, uint8_t health, bool draining,
                     uint64_t generation, uint64_t routes);
 RpcMessage makeStatus(uint64_t id, StatusCode code,
                       uint64_t retry_after_ms);
+
+/**
+ * Retry-after hint a server stamps into Overloaded and Draining
+ * replies; the client floors its jitter window at it.
+ */
+constexpr uint64_t kRetryAfterMs = 50;
 
 /**
  * Incremental message parser with the journal's poison discipline:

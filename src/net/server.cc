@@ -38,7 +38,7 @@ msToNs(int ms)
 
 ChiselService::ChiselService(shard::ShardedChisel &plane,
                              const ServiceOptions &options)
-    : plane_(plane), options_(options), admission_(options.admission)
+    : plane_(plane), options_(options)
 {}
 
 ChiselService::~ChiselService()
@@ -468,8 +468,7 @@ ChiselService::shed(const RpcMessage &req, health::HealthState why)
     overloaded_.fetch_add(1, std::memory_order_relaxed);
     shedUpdates_.fetch_add(req.updates.size(), std::memory_order_relaxed);
     CHISEL_FLIGHT_EVENT(NetShed, why, req.id, req.type);
-    return makeStatus(req.id, StatusCode::Overloaded,
-                      options_.retryAfterMs);
+    return makeStatus(req.id, StatusCode::Overloaded, kRetryAfterMs);
 }
 
 RpcMessage
@@ -516,8 +515,7 @@ ChiselService::serveUpdate(const RpcMessage &req)
         // Updates during drain are refused: the final snapshot must
         // cover everything this process ever acked.
         drainingReplies_.fetch_add(1, std::memory_order_relaxed);
-        return makeStatus(req.id, StatusCode::Draining,
-                          options_.retryAfterMs);
+        return makeStatus(req.id, StatusCode::Draining, kRetryAfterMs);
     }
     health::HealthState h = plane_.aggregateHealth();
     if (h != health::HealthState::Healthy)
@@ -537,26 +535,18 @@ ChiselService::serveUpdate(const RpcMessage &req)
     }
 
     // Per-shard shedding matrix: refuse the request when ANY update
-    // targets a shard that isn't accepting writes (Stressed sheds
-    // writes while reads still serve; Degraded/Quarantined refuse
-    // everything; a broadcast needs every shard writable).  Updates
-    // bound only for healthy shards sail through a sibling's
-    // quarantine untouched.
+    // targets a shard that isn't accepting writes (a broadcast needs
+    // every shard writable).  Updates bound only for writable shards
+    // sail through a sibling's quarantine untouched.
     for (const Update &u : req.updates) {
         size_t target = plane_.shardOf(u.prefix);
         bool broadcast = target == shard::ShardedChisel::kBroadcast;
         size_t lo = broadcast ? 0 : target;
         size_t hi = broadcast ? plane_.shards() : target + 1;
-        for (size_t s = lo; s < hi; ++s) {
-            health::HealthState sh = plane_.shardHealth(s);
-            if (sh != health::HealthState::Healthy &&
-                sh != health::HealthState::Recovering)
-                return shed(req, sh);
-        }
+        for (size_t s = lo; s < hi; ++s)
+            if (!plane_.shardWritable(s))
+                return shed(req, plane_.shardHealth(s));
     }
-    for (const Update &u : req.updates)
-        if (!admission_.tryAdmit(u.kind))
-            return shed(req, health::HealthState::Healthy);
 
     // Apply through the plane: each shard's engine journals the
     // update under its writer lock and reports the seq, and a refused

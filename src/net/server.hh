@@ -33,9 +33,8 @@
  *    serve — shed writes before reads); while Degraded or
  *    Quarantined, any request touching it fails fast with Overloaded
  *    instead of queuing behind a sick engine.  Everything sheds once
- *    a majority of shards are sick.  A token bucket
- *    (AdmissionController::tryAdmit) additionally meters update
- *    admission even while Healthy.
+ *    a majority of shards are sick.  Health state is the only shed
+ *    input (health::servesReads, health::acceptsWrites).
  *  - Durable acks: an update is acked only after its shard journal's
  *    lastDurableSeq() covers its record (every shard's, for a
  *    broadcast) — there is no window where a client saw an ack for
@@ -61,7 +60,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "health/admission.hh"
 #include "health/monitor.hh"
 #include "net/rpc.hh"
 
@@ -91,16 +89,6 @@ struct ServiceOptions
 
     /** Reply-flush budget of a graceful drain. */
     int drainDeadlineMs = 2000;
-
-    /** Retry-after hint stamped into Overloaded/Draining replies. */
-    uint64_t retryAfterMs = 50;
-
-    /**
-     * Update-admission metering for the RPC path (tryAdmit token
-     * buckets).  Disabled by default: health-state shedding alone
-     * governs.
-     */
-    health::AdmissionOptions admission;
 
     /**
      * Installed thread-locally on the serving thread, arming the
@@ -252,8 +240,6 @@ class ChiselService
 
     shard::ShardedChisel &plane_;
     ServiceOptions options_;
-
-    health::AdmissionController admission_;
 
     int listenFd_ = -1;
     int epollFd_ = -1;

@@ -10,7 +10,6 @@
 #include "net/socket.hh"
 #include "concurrent/concurrent_engine.hh"
 #include "health/monitor.hh"
-#include "replica/follower.hh"
 #include "shard/sharded.hh"
 #include "telemetry/flight.hh"
 #include "telemetry/json.hh"
@@ -256,8 +255,7 @@ IntrospectionServer::healthz() const
         w.member("attached", false);
     } else {
         health::HealthState state = engine->healthState();
-        bool serving = state != health::HealthState::Degraded &&
-                       state != health::HealthState::Quarantined;
+        bool serving = health::servesReads(state);
         status = serving ? 200 : 503;
         w.member("state", health::healthStateName(state));
         w.member("attached", true);
@@ -268,29 +266,6 @@ IntrospectionServer::healthz() const
         w.member("routes", uint64_t(engine->routeCount()));
         w.member("dirty_groups", uint64_t(engine->dirtyCount()));
         w.member("dirty_peak", uint64_t(engine->dirtyPeak()));
-    }
-    if (const replica::Follower *follower =
-            follower_.load(std::memory_order_acquire)) {
-        replica::FollowerStats rs = follower->stats();
-        // A standby that has not caught up must not take traffic; a
-        // promoted follower is the leader now and serves on its own
-        // engine health.
-        if (!rs.caughtUp)
-            status = 503;
-        w.key("replica");
-        w.beginObject();
-        w.member("caught_up", rs.caughtUp);
-        w.member("connected", rs.connected);
-        w.member("promoted", rs.promoted);
-        w.member("last_applied_seq", rs.lastAppliedSeq);
-        w.member("leader_last_seq", rs.leaderLastSeq);
-        w.member("lag_records", rs.lagRecords);
-        w.member("records_applied", rs.recordsApplied);
-        w.member("snapshots_installed", rs.snapshotsInstalled);
-        w.member("fence_rejects", rs.fenceRejects);
-        w.member("max_epoch_seen", rs.maxEpochSeen);
-        w.member("promoted_epoch", rs.promotedEpoch);
-        w.endObject();
     }
     w.endObject();
     return {status, "application/json", os.str()};

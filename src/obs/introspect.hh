@@ -48,7 +48,6 @@ class FlightRecorder;
 } // namespace chisel::telemetry
 
 namespace chisel::concurrent { class ConcurrentChisel; }
-namespace chisel::replica { class Follower; }
 namespace chisel::shard { class ShardedChisel; }
 
 namespace chisel::obs {
@@ -87,17 +86,6 @@ class IntrospectionServer
     void attachEngine(const concurrent::ConcurrentChisel *engine)
     {
         engine_.store(engine, std::memory_order_release);
-    }
-
-    /**
-     * Expose a warm standby through /healthz: adds a "replica"
-     * section and degrades the HTTP status to 503 until the follower
-     * is caughtUp() — so a load balancer health check keeps traffic
-     * off a standby that is still replaying.
-     */
-    void attachFollower(const replica::Follower *follower)
-    {
-        follower_.store(follower, std::memory_order_release);
     }
 
     /**
@@ -154,7 +142,6 @@ class IntrospectionServer
     std::atomic<const telemetry::MetricRegistry *> registry_{nullptr};
     std::atomic<const telemetry::FlightRecorder *> flight_{nullptr};
     std::atomic<const concurrent::ConcurrentChisel *> engine_{nullptr};
-    std::atomic<const replica::Follower *> follower_{nullptr};
     std::atomic<const shard::ShardedChisel *> sharded_{nullptr};
 
     int listenFd_ = -1;

@@ -28,9 +28,6 @@
  *    offering an older (or equal) epoch is answered with Fenced and
  *    dropped, so a revived stale leader can never write to a
  *    promoted follower.
- *
- * The follower serves /healthz 503 until caughtUp() (see
- * obs::IntrospectionServer::attachFollower).
  */
 
 #ifndef CHISEL_REPLICA_FOLLOWER_HH

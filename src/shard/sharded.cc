@@ -1,46 +1,20 @@
 #include "shard/sharded.hh"
 
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 
+#include "common/clock.hh"
 #include "common/logging.hh"
 #include "core/resize.hh"
+#include "hash/mix.hh"
 #include "persist/journal.hh"
 #include "telemetry/metrics.hh"
 
 namespace chisel::shard {
 
 namespace {
-
-uint64_t
-mix64(uint64_t x)
-{
-    // splitmix64 finalizer: full-avalanche mixing for the identity
-    // fields folded into the shard fingerprint.
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
-uint64_t
-steadyNowNs()
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-bool
-isSick(health::HealthState s)
-{
-    return s == health::HealthState::Degraded ||
-           s == health::HealthState::Quarantined;
-}
 
 /** Rank outcomes so a broadcast reports its worst shard. */
 int
@@ -63,11 +37,16 @@ shardJournalFingerprint(const ChiselConfig &config, size_t shard,
     // The elastic kernel survives live resizes (core/resize.hh), so a
     // shard journal stays valid across them; the mixed-in identity
     // refuses replay into any other slice or geometry.
+    // Each identity field is one splitmix64 step: the golden-ratio
+    // increment, then the full-avalanche finaliser.
+    auto field = [](uint64_t x) {
+        return mix64(x + 0x9E3779B97F4A7C15ULL);
+    };
     uint64_t fp = elasticFingerprint(config);
-    fp ^= mix64(0x53484152Du ^ static_cast<uint64_t>(shard));
-    fp ^= mix64(static_cast<uint64_t>(shard_count) << 32 |
+    fp ^= field(0x53484152Du ^ static_cast<uint64_t>(shard));
+    fp ^= field(static_cast<uint64_t>(shard_count) << 32 |
                 partition_bits);
-    fp ^= mix64(hash_seed);
+    fp ^= field(hash_seed);
     // Never collide with the reserved "accept anything" value.
     return fp ? fp : 1;
 }
@@ -307,7 +286,7 @@ ShardedChisel::shardHealth(size_t i) const
     if (induced !=
         static_cast<uint8_t>(health::HealthState::kCount)) {
         uint64_t until = sh.inducedUntilNs.load(std::memory_order_acquire);
-        if (until == 0 || steadyNowNs() < until)
+        if (until == 0 || monotonicNowNs() < until)
             return static_cast<health::HealthState>(induced);
     }
     return sh.engine->healthState();
@@ -327,7 +306,7 @@ ShardedChisel::induceHealth(size_t i, health::HealthState state,
     if (state == health::HealthState::Quarantined)
         sh.forcedQuarantines.fetch_add(1, std::memory_order_relaxed);
     sh.inducedUntilNs.store(ms == 0 ? 0
-                                    : steadyNowNs() + ms * 1'000'000ULL,
+                                    : monotonicNowNs() + ms * 1'000'000ULL,
                             std::memory_order_release);
     sh.inducedState.store(static_cast<uint8_t>(state),
                           std::memory_order_release);
@@ -336,7 +315,13 @@ ShardedChisel::induceHealth(size_t i, health::HealthState state,
 bool
 ShardedChisel::shardServing(size_t i) const
 {
-    return !isSick(shardHealth(i));
+    return health::servesReads(shardHealth(i));
+}
+
+bool
+ShardedChisel::shardWritable(size_t i) const
+{
+    return health::acceptsWrites(shardHealth(i));
 }
 
 size_t
@@ -344,7 +329,7 @@ ShardedChisel::sickShards() const
 {
     size_t n = 0;
     for (size_t i = 0; i < shards_.size(); ++i)
-        if (isSick(shardHealth(i)))
+        if (!shardServing(i))
             ++n;
     return n;
 }
@@ -362,7 +347,7 @@ ShardedChisel::aggregateHealth() const
     size_t quarantined = 0;
     for (size_t i = 0; i < shards_.size(); ++i) {
         health::HealthState s = shardHealth(i);
-        if (isSick(s))
+        if (!health::servesReads(s))
             ++sick;
         if (s == health::HealthState::Quarantined)
             ++quarantined;
@@ -391,7 +376,7 @@ ShardedChisel::status(size_t i) const
     st.state = shardHealth(i);
     st.induced = sh.inducedState.load(std::memory_order_acquire) !=
                  static_cast<uint8_t>(health::HealthState::kCount);
-    st.serving = !isSick(st.state);
+    st.serving = health::servesReads(st.state);
     st.generation = sh.engine->generation();
     st.routes = sh.engine->routeCount();
     st.updatesApplied = sh.engine->updatesApplied();

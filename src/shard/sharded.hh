@@ -18,8 +18,8 @@
  * snapshot-restore) runs on that shard's maintenance thread without
  * pausing siblings.  lookup()/apply() themselves route around
  * nothing — shedding is a service-layer decision (ChiselService
- * consults shardHealth() per request; /healthz turns 503 only when a
- * majority of shards are sick).
+ * asks shardServing()/shardWritable() per request; /healthz turns 503
+ * only when a majority of shards are sick).
  *
  * Persistence is per shard: each journal is stamped with a
  * fingerprint binding the engine geometry AND the shard identity
@@ -114,7 +114,7 @@ struct ShardStatus
 {
     health::HealthState state = health::HealthState::Healthy;
     bool induced = false;   ///< state comes from induceHealth().
-    bool serving = false;   ///< not Degraded/Quarantined.
+    bool serving = false;   ///< health::servesReads(state).
     uint64_t generation = 0;
     size_t routes = 0;
     uint64_t updatesApplied = 0;
@@ -219,10 +219,13 @@ class ShardedChisel
     void induceHealth(size_t i, health::HealthState state,
                       uint64_t ms = 0);
 
-    /** True unless shard @p i is Degraded/Quarantined. */
+    /** Shard @p i serves lookups (health::servesReads). */
     bool shardServing(size_t i) const;
 
-    /** Shards currently Degraded or Quarantined. */
+    /** Shard @p i accepts updates (health::acceptsWrites). */
+    bool shardWritable(size_t i) const;
+
+    /** Shards that serve no lookups (Degraded or Quarantined). */
     size_t sickShards() const;
 
     /** True when a strict majority of shards are sick. */

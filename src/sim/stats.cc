@@ -1,7 +1,5 @@
 #include "sim/stats.hh"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "common/clock.hh"
@@ -50,64 +48,6 @@ ScalarStat::reset()
     sum_ = 0.0;
     min_ = std::numeric_limits<double>::infinity();
     max_ = -std::numeric_limits<double>::infinity();
-}
-
-Histogram::Histogram(std::string name, size_t buckets)
-    : name_(std::move(name)), buckets_(buckets, 0)
-{
-}
-
-void
-Histogram::sample(uint64_t value)
-{
-    ++total_;
-    if (value >= buckets_.size())
-        ++overflow_;
-    else
-        ++buckets_[value];
-}
-
-uint64_t
-Histogram::quantile(double q) const
-{
-    if (total_ == 0)
-        return 0;
-    // Rank of the sample we need, at least 1 so that q=0 yields the
-    // smallest sampled value (the old truncating q*total also made
-    // q=1 land one bucket short whenever q*total was fractional).
-    uint64_t want = static_cast<uint64_t>(
-        std::ceil(std::clamp(q, 0.0, 1.0) *
-                  static_cast<double>(total_)));
-    want = std::max<uint64_t>(want, 1);
-    uint64_t acc = 0;
-    for (size_t i = 0; i < buckets_.size(); ++i) {
-        acc += buckets_[i];
-        if (acc >= want)
-            return i;
-    }
-    return buckets_.size();
-}
-
-std::string
-Histogram::str() const
-{
-    std::string s = name_ + ":";
-    for (size_t i = 0; i < buckets_.size(); ++i) {
-        if (buckets_[i] == 0)
-            continue;
-        s += " " + std::to_string(i) + ":" + std::to_string(buckets_[i]);
-    }
-    if (overflow_ > 0)
-        s += " overflow:" + std::to_string(overflow_);
-    return s;
-}
-
-void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    overflow_ = 0;
-    total_ = 0;
 }
 
 StopWatch::StopWatch()

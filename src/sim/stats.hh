@@ -1,8 +1,9 @@
 /**
  * @file
- * Lightweight statistics for experiments: counters, means, and
- * histograms with formatted output, in the spirit of a simulator's
- * stats package.
+ * Lightweight statistics for experiments: a running scalar (count,
+ * mean, min, max) with formatted output, and a monotonic interval
+ * timer.  Latency histograms live in the telemetry registry
+ * (telemetry/metrics.hh).
  */
 
 #ifndef CHISEL_SIM_STATS_HH
@@ -11,7 +12,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <vector>
 
 namespace chisel {
 
@@ -44,41 +44,6 @@ class ScalarStat
     double sum_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * Fixed-bucket histogram over [0, buckets); values at or beyond the
- * last bucket land in the overflow bucket.
- */
-class Histogram
-{
-  public:
-    Histogram(std::string name, size_t buckets);
-
-    void sample(uint64_t value);
-
-    uint64_t bucket(size_t i) const { return buckets_[i]; }
-    uint64_t overflow() const { return overflow_; }
-    uint64_t total() const { return total_; }
-    size_t size() const { return buckets_.size(); }
-
-    /**
-     * Smallest i such that at least a fraction q of the mass is at
-     * values <= i.  Edge cases: with no samples, 0; q <= 0 returns
-     * the smallest sampled value; q >= 1 the largest (or size() if
-     * any sample overflowed).
-     */
-    uint64_t quantile(double q) const;
-
-    std::string str() const;
-
-    void reset();
-
-  private:
-    std::string name_;
-    std::vector<uint64_t> buckets_;
-    uint64_t overflow_ = 0;
-    uint64_t total_ = 0;
 };
 
 /**

@@ -93,8 +93,6 @@ EngineTelemetry::snapshot(const ChiselEngine &engine)
         .set(static_cast<double>(rc.slowPathInserts));
     registry_.gauge(prefix_ + ".robustness.slowpath_drains")
         .set(static_cast<double>(rc.slowPathDrains));
-    registry_.gauge(prefix_ + ".robustness.slowpath_drained")
-        .set(static_cast<double>(rc.slowPathDrains));
     registry_.gauge(prefix_ + ".ttl.armed")
         .set(static_cast<double>(engine.ttlArmed()));
     registry_.gauge(prefix_ + ".robustness.slowpath_rejected")

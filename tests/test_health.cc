@@ -1,9 +1,9 @@
 /**
  * @file
  * Overload-resilience tests: flap damping (decay, hysteresis,
- * serialization), token-bucket admission, the health-state machine
- * (transitions, watchdog, quarantine ladder), the engine's
- * dirty-retention budget, and a property sweep that keeps
+ * serialization), the shed rule (what each health state serves), the
+ * health-state machine (transitions, watchdog, quarantine ladder), the
+ * engine's dirty-retention budget, and a property sweep that keeps
  * dirtyCount/groupCount/storage consistent with a reference model
  * across random flap sequences.
  *
@@ -17,7 +17,6 @@
 
 #include "common/random.hh"
 #include "core/engine.hh"
-#include "health/admission.hh"
 #include "health/damping.hh"
 #include "health/monitor.hh"
 #include "persist/codec.hh"
@@ -28,8 +27,6 @@
 namespace chisel {
 namespace {
 
-using health::AdmissionController;
-using health::AdmissionOptions;
 using health::DampingConfig;
 using health::FlapDamper;
 using health::HealthMonitor;
@@ -153,38 +150,31 @@ TEST(FlapDamper, LoadRejectsMalformedState)
     }
 }
 
-// ---- AdmissionController ---------------------------------------------------
+// ---- Shed rule -------------------------------------------------------------
 
-TEST(Admission, DisabledAdmitsEverything)
+// docs/service.md's "Load shedding" table, one row per state.
+TEST(ShedRule, MatchesTheServiceTable)
 {
-    AdmissionOptions opts;   // enabled = false
-    opts.announceTokensPerSec = 1.0;   // Ignored while disabled.
-    opts.tokenBurst = 1.0;
-    AdmissionController ac(opts);
-    EXPECT_FALSE(ac.enabled());
-    for (uint32_t i = 0; i < 100; ++i)
-        EXPECT_TRUE(ac.tryAdmit(UpdateKind::Announce));
-    EXPECT_EQ(ac.counters().admitted, 100u);
-    EXPECT_EQ(ac.counters().deferred, 0u);
-}
-
-TEST(Admission, TokenBucketMetersPerClass)
-{
-    AdmissionOptions opts;
-    opts.enabled = true;
-    opts.withdrawTokensPerSec = 1.0;   // Refill is negligible in-test.
-    opts.tokenBurst = 4.0;
-    AdmissionController ac(opts);
-
-    auto t0 = AdmissionController::Clock::now();
-    // Burst of 4 withdraws passes, the 5th is refused.
-    for (uint32_t i = 0; i < 4; ++i)
-        EXPECT_TRUE(ac.tryAdmit(UpdateKind::Withdraw, t0));
-    EXPECT_FALSE(ac.tryAdmit(UpdateKind::Withdraw, t0));
-    // Announces are unmetered (rate 0).
-    EXPECT_TRUE(ac.tryAdmit(UpdateKind::Announce, t0));
-    EXPECT_EQ(ac.counters().admitted, 5u);
-    EXPECT_EQ(ac.counters().deferred, 1u);
+    struct Row
+    {
+        HealthState state;
+        bool reads;
+        bool writes;
+    };
+    constexpr Row rows[] = {
+        {HealthState::Healthy, true, true},
+        {HealthState::Stressed, true, false},
+        {HealthState::Degraded, false, false},
+        {HealthState::Quarantined, false, false},
+        {HealthState::Recovering, true, true},
+    };
+    static_assert(std::size(rows) == health::kHealthStateCount);
+    for (const Row &r : rows) {
+        EXPECT_EQ(health::servesReads(r.state), r.reads)
+            << health::healthStateName(r.state);
+        EXPECT_EQ(health::acceptsWrites(r.state), r.writes)
+            << health::healthStateName(r.state);
+    }
 }
 
 // ---- HealthMonitor ---------------------------------------------------------

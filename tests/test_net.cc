@@ -4,10 +4,10 @@
  * feed, CRC/length/trailing-byte poisoning), server robustness rules
  * (idle-timeout and write-stall disconnects, bounded output queue
  * with backpressure, shed-before-queue under induced health states,
- * admission-token metering, ack-implies-durable under a torn or
- * refusing journal), client retry/backoff/reconnect behaviour, and
- * the graceful-drain reply flush.  The service fronts a one-shard
- * ShardedChisel plane throughout.
+ * ack-implies-durable under a torn or refusing journal), client
+ * retry/backoff/reconnect behaviour, and the graceful-drain reply
+ * flush.  The service fronts a one-shard ShardedChisel plane, except
+ * where a test needs a sibling shard.
  */
 
 #include <gtest/gtest.h>
@@ -106,18 +106,19 @@ announceOf(uint32_t addr, unsigned len, NextHop hop)
 }
 
 /**
- * A one-shard plane with two known routes and no control thread;
- * journaled under @p persist_dir when one is given.
+ * A plane of @p shards shards (one by default) with two known routes
+ * and no control thread; journaled under @p persist_dir when one is
+ * given.
  */
 struct Harness
 {
     explicit Harness(const std::string &persist_dir = {},
-                     ServiceOptions opts = {})
+                     ServiceOptions opts = {}, size_t shards = 1)
     {
         table.add(v4Prefix(0x0A000000u, 8), 100);    // 10.0.0.0/8
         table.add(v4Prefix(0x0A010000u, 16), 200);   // 10.1.0.0/16
         ShardedOptions popts;
-        popts.shards = 1;
+        popts.shards = shards;
         popts.engine.controlThread = false;
         popts.persistDir = persist_dir;
         plane = std::make_unique<ShardedChisel>(table, popts);
@@ -520,24 +521,52 @@ TEST(NetService, InducedHealthExpires)
               CallStatus::Ok);
 }
 
-TEST(NetService, AdmissionTokensMeterUpdatesWhileHealthy)
+TEST(NetService, RecoveringShardAcceptsUpdates)
 {
-    ServiceOptions sopts;
-    sopts.admission.enabled = true;
-    sopts.admission.announceTokensPerSec = 0.001;
-    sopts.admission.tokenBurst = 2.0;
-    Harness h({}, sopts);
+    Harness h;
+    ASSERT_TRUE(h.service->start());
+    h.plane->induceHealth(0, health::HealthState::Recovering, 60000);
+    ServiceClient client(h.clientOptions(/*attempts=*/1));
+
+    // Probation is not a shed state: the update applies and serves.
+    EXPECT_EQ(client.update({announceOf(0xC0A80000u, 16, 7)}).status,
+              CallStatus::Ok);
+    net::LookupCallResult l =
+        client.lookup({Key128::fromIpv4(0xC0A80001u)});
+    ASSERT_EQ(l.status, CallStatus::Ok);
+    EXPECT_TRUE(l.results[0].found);
+    EXPECT_EQ(l.results[0].nextHop, 7u);
+    EXPECT_EQ(h.service->stats().overloaded, 0u);
+}
+
+TEST(NetService, StressedShardRefusesBroadcastUpdates)
+{
+    Harness h({}, {}, /*shards=*/4);
     ASSERT_TRUE(h.service->start());
     ServiceClient client(h.clientOptions(/*attempts=*/1));
 
-    // The burst admits two announces; the third is shed even though
-    // the engine is perfectly Healthy.
-    EXPECT_EQ(client.update({announceOf(0xC0A80000u, 16, 1)}).status,
-              CallStatus::Ok);
-    EXPECT_EQ(client.update({announceOf(0xC0A90000u, 16, 2)}).status,
-              CallStatus::Ok);
-    EXPECT_EQ(client.update({announceOf(0xC0AA0000u, 16, 3)}).status,
+    const size_t stressed =
+        h.plane->shardOf(Key128::fromIpv4(0x0A010203u));
+    h.plane->induceHealth(stressed, health::HealthState::Stressed, 60000);
+    // A /24 owned by a sibling: the partition hashes the top byte.
+    uint32_t addr = 0x00AB0000u;
+    while (h.plane->shardOf(v4Prefix(addr, 24)) == stressed)
+        addr += 1u << 24;
+
+    // A prefix shorter than partitionBits lands on every shard, so one
+    // Stressed shard refuses it...
+    EXPECT_EQ(client.update({announceOf(0x40000000u, 4, 5)}).status,
               CallStatus::Overloaded);
+    EXPECT_EQ(h.service->stats().shedUpdates, 1u);
+
+    // ...while a sibling still takes the updates it owns and serves
+    // lookups.
+    EXPECT_EQ(client.update({announceOf(addr, 24, 9)}).status,
+              CallStatus::Ok);
+    net::LookupCallResult l = client.lookup({Key128::fromIpv4(addr | 1)});
+    ASSERT_EQ(l.status, CallStatus::Ok);
+    EXPECT_TRUE(l.results[0].found);
+    EXPECT_EQ(l.results[0].nextHop, 9u);
 }
 
 // ---- Connection deadlines and backpressure ---------------------------

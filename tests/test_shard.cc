@@ -522,6 +522,29 @@ TEST(ShardedPersist, FingerprintBindsShardIdentity)
     EXPECT_NE(a, shard::shardJournalFingerprint(config, 0, 4, 8, 2));
     EXPECT_EQ(a, shard::shardJournalFingerprint(config, 0, 4, 8, 1));
     EXPECT_NE(a, 0u);
+
+    // Literal identities: every shard journal on disk carries one of
+    // these, so a change here makes existing persist directories
+    // unreadable.
+    struct Pinned
+    {
+        size_t shard, count;
+        unsigned bits;
+        uint64_t seed, fingerprint;
+    };
+    const uint64_t seed = shard::ShardSelector::kDefaultSeed;
+    const Pinned pinned[] = {
+        {0, 4, 8, 1, 0xDE29A1FDCB048A5Aull},
+        {3, 4, 8, 1, 0xFFDC3FEB77529AFBull},
+        {0, 1, 8, seed, 0x561E71EB75F28BBCull},
+        {3, 4, 8, seed, 0x75C60D6724BA05A5ull},
+        {2, 4, 10, 0xC0FFEE, 0x6FB0599E8E946567ull},
+    };
+    for (const Pinned &p : pinned)
+        EXPECT_EQ(shard::shardJournalFingerprint(config, p.shard, p.count,
+                                                 p.bits, p.seed),
+                  p.fingerprint)
+            << "shard " << p.shard << " of " << p.count;
 }
 
 // A node whose history sits in a flat journal + snapshot pair (one

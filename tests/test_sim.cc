@@ -45,67 +45,6 @@ TEST(ScalarStat, StrMentionsName)
     EXPECT_NE(s.str().find("latency"), std::string::npos);
 }
 
-// ---- Histogram -------------------------------------------------------------
-
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h("h", 4);
-    h.sample(0);
-    h.sample(1);
-    h.sample(1);
-    h.sample(3);
-    h.sample(9);   // Overflow.
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(1), 2u);
-    EXPECT_EQ(h.bucket(2), 0u);
-    EXPECT_EQ(h.bucket(3), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-}
-
-TEST(Histogram, Quantile)
-{
-    Histogram h("q", 10);
-    for (uint64_t v = 0; v < 10; ++v)
-        for (int i = 0; i < 10; ++i)
-            h.sample(v);
-    EXPECT_EQ(h.quantile(0.5), 4u);
-    EXPECT_EQ(h.quantile(1.0), 9u);
-}
-
-TEST(Histogram, QuantileEdges)
-{
-    Histogram h("edges", 10);
-    h.sample(2);
-    h.sample(5);
-    h.sample(7);
-    // q=0 is the smallest sampled bucket, q=1 the largest; out-of-
-    // range fractions clamp rather than misbehave.
-    EXPECT_EQ(h.quantile(0.0), 2u);
-    EXPECT_EQ(h.quantile(-1.0), 2u);
-    EXPECT_EQ(h.quantile(1.0), 7u);
-    EXPECT_EQ(h.quantile(1.5), 7u);
-
-    Histogram empty("e", 4);
-    EXPECT_EQ(empty.quantile(0.0), 0u);
-    EXPECT_EQ(empty.quantile(0.5), 0u);
-    EXPECT_EQ(empty.quantile(1.0), 0u);
-
-    Histogram one("one", 4);
-    one.sample(3);
-    for (double q : {0.0, 0.5, 1.0})
-        EXPECT_EQ(one.quantile(q), 3u) << q;
-}
-
-TEST(Histogram, Reset)
-{
-    Histogram h("r", 4);
-    h.sample(2);
-    h.reset();
-    EXPECT_EQ(h.total(), 0u);
-    EXPECT_EQ(h.bucket(2), 0u);
-}
-
 // ---- StopWatch -------------------------------------------------------------
 
 TEST(StopWatch, MeasuresElapsed)
