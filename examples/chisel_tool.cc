@@ -10,10 +10,13 @@
  *   example_chisel_tool gen-trace  <table.txt> <updates> <out.txt> [seed]
  *   example_chisel_tool info       <table.txt>
  *   example_chisel_tool lookup     <table.txt> <queries>
- *   example_chisel_tool replay     <table.txt> <trace.txt> [journal]
- *   example_chisel_tool snapshot   <table.txt> <image>
- *   example_chisel_tool recover    <table.txt> <journal|-> [image]
+ *   example_chisel_tool replay     <table.txt> <trace.txt> [dir]
+ *   example_chisel_tool recover    <table.txt> <dir>
  *   example_chisel_tool journal-dump <journal>
+ *
+ * replay, recover and serve run a one-shard plane (shard/sharded.hh);
+ * a persist directory holds its journal and snapshots
+ * (DIR/shard-0/journal.log is what journal-dump reads).
  *
  * RPC service subcommands (docs/service.md; strict --flag parsing):
  *   example_chisel_tool serve    --port=N [--table=f] [--persist-dir=d] ...
@@ -30,7 +33,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <thread>
 
 #include "core/engine.hh"
@@ -40,7 +42,6 @@
 #include "obs/introspect.hh"
 #include "persist/journal.hh"
 #include "persist/recovery.hh"
-#include "persist/snapshot.hh"
 #include "route/reader.hh"
 #include "route/synth.hh"
 #include "route/updates.hh"
@@ -61,9 +62,8 @@ usage()
         "  chisel_tool gen-trace <table.txt> <updates> <out.txt> [seed]\n"
         "  chisel_tool info      <table.txt>\n"
         "  chisel_tool lookup    <table.txt> <queries>\n"
-        "  chisel_tool replay    <table.txt> <trace.txt> [journal]\n"
-        "  chisel_tool snapshot  <table.txt> <image>\n"
-        "  chisel_tool recover   <table.txt> <journal|-> [image]\n"
+        "  chisel_tool replay    <table.txt> <trace.txt> [dir]\n"
+        "  chisel_tool recover   <table.txt> <dir>\n"
         "  chisel_tool journal-dump <journal>\n"
         "service subcommands (--help on each for flags):\n"
         "  chisel_tool serve    --port=N [--table=f] [--persist-dir=d]\n"
@@ -79,6 +79,17 @@ configFor(const RoutingTable &table)
     ChiselConfig cfg;
     cfg.keyWidth = table.maxLength() > 32 ? 128 : 32;
     return cfg;
+}
+
+/** The one-shard plane seeded by @p table, persisted in @p dir. */
+shard::ShardedOptions
+planeOptions(const RoutingTable &table, const std::string &dir)
+{
+    shard::ShardedOptions o;
+    o.shards = 1;
+    o.config = configFor(table);
+    o.persistDir = dir;
+    return o;
 }
 
 int
@@ -136,9 +147,7 @@ info(int argc, char **argv)
         if (hist[l])
             std::printf("  /%-3u %zu\n", l, hist[l]);
     }
-    ChiselConfig cfg;
-    cfg.keyWidth = table.maxLength() > 32 ? 128 : 32;
-    ChiselEngine engine(table, cfg);
+    ChiselEngine engine(table, configFor(table));
     auto s = engine.storage();
     std::printf("Chisel plan %s: %.2f Mbits on-chip, %zu spilled\n",
                 engine.plan().str().c_str(), s.totalMbits(),
@@ -154,11 +163,9 @@ lookupBench(int argc, char **argv)
     RoutingTable table = readTableFile(argv[2]);
     size_t queries = std::strtoull(argv[3], nullptr, 10);
 
-    unsigned width = table.maxLength() > 32 ? 128 : 32;
-    ChiselConfig cfg;
-    cfg.keyWidth = width;
+    ChiselConfig cfg = configFor(table);
     ChiselEngine engine(table, cfg);
-    auto keys = generateLookupKeys(table, 65536, width, 0.9, 7);
+    auto keys = generateLookupKeys(table, 65536, cfg.keyWidth, 0.9, 7);
 
     StopWatch watch;
     uint64_t hits = 0;
@@ -190,54 +197,21 @@ replay(int argc, char **argv)
         std::printf("input: %zu malformed line(s) skipped of %zu\n",
                     report.skipped, report.lines);
 
-    ChiselConfig cfg = configFor(table);
-    ChiselEngine engine(table, cfg);
-
-    // Optional write-ahead journal: each update is made durable
-    // before it mutates the engine, so "recover" can rebuild this
-    // exact state after a crash (docs/persistence.md).
-    std::unique_ptr<persist::UpdateJournal> journal;
-    if (argc > 4)
-        journal = std::make_unique<persist::UpdateJournal>(
-            argv[4], configFingerprint(cfg));
-
+    // With a directory the plane journals every update before it
+    // applies it, and a directory that already holds a plane is
+    // recovered first: the trace extends that plane's own history.
+    std::string dir = argc > 4 ? argv[4] : "";
+    shard::ShardedChisel plane(table, planeOptions(table, dir));
+    UpdateStats stats;
     StopWatch watch;
-    for (const auto &u : trace) {
-        uint64_t seq = journal ? journal->append(u) : 0;
-        UpdateOutcome out = engine.apply(u);
-        if (journal)
-            journal->appendOutcome(seq, out);
-    }
-    if (journal)
-        journal->sync();
+    for (const auto &u : trace)
+        stats.record(plane.apply(u).outcome.cls);
     double secs = watch.seconds();
-    const auto &s = engine.updateStats();
     std::printf("%zu updates in %.2f s (%.0f/s), incremental "
                 "%.3f%%\n",
                 trace.size(), secs, trace.size() / secs,
-                100.0 * s.incrementalFraction());
-    if (journal)
-        std::printf("journaled %llu records to %s\n",
-                    static_cast<unsigned long long>(
-                        journal->recordsWritten()),
-                    argv[4]);
-    return 0;
-}
-
-int
-snapshotCmd(int argc, char **argv)
-{
-    if (argc < 4)
-        return usage();
-    RoutingTable table = readTableFile(argv[2]);
-    ChiselConfig cfg = configFor(table);
-    ChiselEngine engine(table, cfg);
-    size_t bytes = persist::saveSnapshot(argv[3], engine, 0);
-    std::printf("wrote %zu-byte snapshot of %zu routes to %s "
-                "(%llu Bloomier setups avoided on warm restart)\n",
-                bytes, engine.routeCount(), argv[3],
-                static_cast<unsigned long long>(
-                    engine.bloomierSetups()));
+                100.0 * stats.incrementalFraction());
+    std::printf("%zu routes after replay\n", plane.routeCount());
     return 0;
 }
 
@@ -246,33 +220,23 @@ recoverCmd(int argc, char **argv)
 {
     if (argc < 4)
         return usage();
-    persist::RecoveryOptions opts;
-    opts.initialTable = readTableFile(argv[2]);
-    opts.config = configFor(opts.initialTable);
-    if (std::strcmp(argv[3], "-") != 0)
-        opts.journalPath = argv[3];
-    if (argc > 4)
-        opts.snapshotPath = argv[4];
+    std::string dir = argv[3];
+    if (!std::filesystem::exists(dir + "/shards.meta")) {
+        std::fprintf(stderr, "%s holds no plane\n", dir.c_str());
+        return 1;
+    }
+    RoutingTable table = readTableFile(argv[2]);
+    shard::ShardedOptions o = planeOptions(table, dir);
+    o.audit = true;
+    shard::ShardedChisel plane(table, o);
 
-    persist::RecoveryReport rec = persist::recoverEngine(opts);
-    std::printf("source=%s fallbacks=%llu journal-records=%llu "
-                "replayed=%llu last-seq=%llu torn-tail=%s\n",
+    const shard::ShardRecovery &rec = plane.recovery()[0];
+    std::printf("source=%s fallbacks=%llu replayed=%llu last-seq=%llu\n",
                 persist::recoverySourceName(rec.source),
                 static_cast<unsigned long long>(rec.fallbacks),
-                static_cast<unsigned long long>(rec.journalRecords),
                 static_cast<unsigned long long>(rec.recordsReplayed),
-                static_cast<unsigned long long>(rec.lastSeq),
-                rec.journalTornTail ? "yes" : "no");
-    if (!rec.snapshotError.empty())
-        std::printf("snapshot unusable: %s\n",
-                    rec.snapshotError.c_str());
-    if (!rec.previousSnapshotError.empty())
-        std::printf("previous snapshot unusable: %s\n",
-                    rec.previousSnapshotError.c_str());
-    std::printf("%zu routes recovered, %llu Bloomier setups paid\n",
-                rec.engine->routeCount(),
-                static_cast<unsigned long long>(
-                    rec.engine->bloomierSetups()));
+                static_cast<unsigned long long>(rec.lastSeq));
+    std::printf("%zu routes recovered\n", rec.routes);
     std::printf("audit: %s (%llu missing, %llu mismatched, %llu "
                 "phantom)\n",
                 rec.auditPassed ? "PASS" : "FAIL",
@@ -371,8 +335,7 @@ serveSignal(int)
 int
 serveCmd(int argc, char **argv)
 {
-    std::string tablePath, persistDir, journalPath, snapshotPath;
-    std::string portFile;
+    std::string tablePath, persistDir, portFile;
     uint64_t port = 0, induceDegradedMs = 0;
     net::ServiceOptions sopts;
     uint64_t maxConnections = sopts.maxConnections;
@@ -392,14 +355,6 @@ serveCmd(int argc, char **argv)
                     "append to it (the durable-ack gate), snapshot "
                     "into it on drain",
                     &persistDir)
-        .stringFlag("journal",
-                    "flat journal to import while --persist-dir holds "
-                    "no plane yet (input only)",
-                    &journalPath)
-        .stringFlag("snapshot",
-                    "flat snapshot to import with --journal (input "
-                    "only)",
-                    &snapshotPath)
         .stringFlag("port-file",
                     "write the bound port here once listening",
                     &portFile)
@@ -426,40 +381,14 @@ serveCmd(int argc, char **argv)
         return flags.helpRequested() ? 0 : 2;
 
     // Boot state: a persist directory that already holds a plane is
-    // the whole truth.  Otherwise a named flat journal/snapshot pair
-    // is recovered once and its routes seed the one-shard plane, else
-    // the table file does, else it starts empty.
-    shard::ShardedOptions popts;
-    popts.shards = 1;
-    popts.persistDir = persistDir;
+    // the whole truth; otherwise the table file seeds the one-shard
+    // plane, else it starts empty.
     RoutingTable table;
     if (!tablePath.empty())
         table = readTableFile(tablePath);
-    popts.config = configFor(table);
-    bool flatInput = !journalPath.empty() || !snapshotPath.empty();
-    if (!persistDir.empty() &&
-        std::filesystem::exists(persistDir + "/shards.meta")) {
-        if (flatInput)
-            std::printf("%s already holds a plane; --journal and "
-                        "--snapshot are ignored\n",
-                        persistDir.c_str());
-    } else if (flatInput) {
-        persist::RecoveryOptions ropts;
-        ropts.journalPath = journalPath;
-        ropts.snapshotPath = snapshotPath;
-        ropts.initialTable = table;
-        ropts.config = popts.config;
-        persist::RecoveryReport rec = persist::recoverEngine(ropts);
-        std::printf("recovered %zu routes (source=%s, last-seq=%llu)\n",
-                    rec.engine->routeCount(),
-                    persist::recoverySourceName(rec.source),
-                    static_cast<unsigned long long>(rec.lastSeq));
-        table = rec.engine->exportTable();
-        popts.config = rec.engine->config();
-    }
 
     telemetry::TelemetrySession session(topts);
-    shard::ShardedChisel plane(table, popts);
+    shard::ShardedChisel plane(table, planeOptions(table, persistDir));
     if (!plane.recovery().empty())
         std::printf("%s: source=%s, %llu journal records replayed\n",
                     persistDir.c_str(),
@@ -708,8 +637,6 @@ main(int argc, char **argv)
         return rpcUpdate(argc, argv, UpdateKind::Withdraw);
     if (std::strcmp(argv[1], "replay") == 0)
         return replay(argc, argv);
-    if (std::strcmp(argv[1], "snapshot") == 0)
-        return snapshotCmd(argc, argv);
     if (std::strcmp(argv[1], "recover") == 0)
         return recoverCmd(argc, argv);
     if (std::strcmp(argv[1], "journal-dump") == 0)

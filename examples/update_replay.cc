@@ -1,8 +1,8 @@
 /**
  * @file
  * BGP update-daemon scenario: replay an update trace against a live
- * Chisel engine, printing the Figure-14-style classification, the
- * sustained rate, and a correctness audit afterwards.
+ * one-shard Chisel plane, printing the Figure-14-style classification,
+ * the sustained rate, and a correctness audit afterwards.
  *
  * Usage:
  *     example_update_replay [options] [trace.txt [table.txt]]
@@ -13,16 +13,16 @@
  * nonzero (telemetry/cli.hh FlagTable).
  *
  * Telemetry options: --metrics-json=<path> (telemetry snapshot with
- * per-update write histograms), --trace=<path> (Chrome trace_event
- * file).
+ * the plane's health and shard gauges); the flight recorder is always
+ * on.
  *
  * Persistence options (docs/persistence.md):
- *     --journal=<path>      write-ahead journal every update
- *     --snapshot=<path>     snapshot image path
- *     --snapshot-every=<n>  snapshot after every n applied updates
+ *     --persist-dir=<dir>   journal and checkpoint the plane in dir;
+ *                           a dir that already holds a plane is
+ *                           recovered, audited, and the trace resumes
+ *                           at its journal head
+ *     --snapshot-every=<n>  checkpoint after every n applied updates
  *     --fsync-every=<n>     fsync the journal every n records (default 1)
- *     --recover             recover from snapshot+journal, audit, then
- *                           resume the trace where the journal ends
  *     --crash-after=<n>     raise SIGKILL after n applied updates
  *                           (crash-recovery drills; implies journaling
  *                           is the only durable record of those updates)
@@ -38,7 +38,7 @@
  *                           set of prefixes cycling announce/withdraw
  *     --dirty-budget=<n>    per-cell dirty-group retention budget
  *                           (decay-ordered eviction above it; 0 = off)
- *     --purge-every=<n>     purgeDirty() every n applied updates,
+ *     --purge-every=<n>     purge dirty groups every n applied updates,
  *                           journaled as a Housekeeping record
  */
 
@@ -47,17 +47,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <memory>
-#include <utility>
 
-#include "core/engine.hh"
-#include "health/monitor.hh"
-#include "persist/journal.hh"
-#include "persist/recovery.hh"
-#include "persist/snapshot.hh"
 #include "route/reader.hh"
 #include "route/synth.hh"
 #include "route/updates.hh"
+#include "shard/sharded.hh"
 #include "sim/report.hh"
 #include "sim/stats.hh"
 #include "telemetry/cli.hh"
@@ -69,13 +63,11 @@ using namespace chisel;
 
 struct ReplayOptions
 {
-    std::string journalPath;
-    std::string snapshotPath;
+    std::string persistDir;
     uint64_t snapshotEvery = 0;   // 0 = never.
     uint64_t fsyncEvery = 1;
     uint64_t crashAfter = 0;      // 0 = never.
     uint64_t abortAfter = 0;      // 0 = never.
-    bool recover = false;
     size_t routes = 80000;
     size_t updates = 300000;
     bool flapStorm = false;
@@ -90,12 +82,13 @@ struct ReplayOptions
     void
     registerFlags(telemetry::FlagTable &flags)
     {
-        flags.stringFlag("journal", "write-ahead journal path",
-                         &journalPath)
-            .stringFlag("snapshot", "snapshot image path",
-                        &snapshotPath)
+        flags.stringFlag("persist-dir",
+                         "journal + snapshot directory: recover the "
+                         "plane it holds, resume the trace at its "
+                         "journal head, journal every update",
+                         &persistDir)
             .u64Flag("snapshot-every",
-                     "snapshot after every n applied updates "
+                     "checkpoint after every n applied updates "
                      "(0 = never)",
                      &snapshotEvery)
             .u64Flag("fsync-every",
@@ -108,10 +101,6 @@ struct ReplayOptions
                      "raise SIGABRT after n applied updates "
                      "(runs the flight-recorder crash handler)",
                      &abortAfter)
-            .boolFlag("recover",
-                      "recover from snapshot+journal, audit, then "
-                      "resume the trace",
-                      &recover)
             .sizeFlag("routes", "synthetic table size (default 80000)",
                       &routes)
             .sizeFlag("updates",
@@ -123,8 +112,8 @@ struct ReplayOptions
                      "per-cell dirty-group retention budget (0 = off)",
                      &dirtyBudget)
             .u64Flag("purge-every",
-                     "purgeDirty() every n applied updates, journaled "
-                     "as Housekeeping (0 = never)",
+                     "purge dirty groups every n applied updates, "
+                     "journaled as Housekeeping (0 = never)",
                      &purgeEvery);
     }
 };
@@ -135,12 +124,14 @@ struct ReplayOptions
  * the metrics file or the tail of stdout to an unflushed stream.
  */
 int
-finishRun(telemetry::TelemetrySession &session, ChiselEngine *engine,
-          int code)
+finishRun(telemetry::TelemetrySession &session,
+          const shard::ShardedChisel *plane, int code)
 {
     if (session.enabled()) {
-        if (engine != nullptr)
-            session.engineTelemetry()->snapshot(*engine);
+        if (plane != nullptr) {
+            plane->shardEngine(0).monitor().publish(session.registry());
+            plane->publish(session.registry());
+        }
         metricsReport(session.registry()).print();
         session.finish();
     }
@@ -161,7 +152,7 @@ main(int argc, char **argv)
     ReplayOptions popts;
     telemetry::FlagTable flags(
         "example_update_replay",
-        "Replay an update trace against a journaled Chisel engine "
+        "Replay an update trace against a journaled Chisel plane "
         "(positional: [trace.txt [table.txt]]).");
     popts.registerFlags(flags);
     if (!flags.parseStrict(argc, argv))
@@ -208,72 +199,59 @@ main(int argc, char **argv)
             std::printf("  line %zu: %s\n", lineno, reason.c_str());
     }
 
-    ChiselConfig config;
-    config.dirtyBudgetPerCell = popts.dirtyBudget;
-    std::unique_ptr<ChiselEngine> engine;
+    // A persist directory that already holds a plane is the whole
+    // truth: the plane recovers it (the table only seeds a first
+    // boot) and audits it against the table plus its journal.
+    shard::ShardedOptions sopts;
+    sopts.shards = 1;
+    sopts.config.dirtyBudgetPerCell = popts.dirtyBudget;
+    sopts.persistDir = popts.persistDir;
+    sopts.fsyncEvery = popts.fsyncEvery;
+    sopts.audit = true;
+    shard::ShardedChisel plane(table, sopts);
+    concurrent::ConcurrentChisel &engine = plane.shardEngine(0);
+    const bool journaled = !popts.persistDir.empty();
     size_t start = 0;   // First trace index still to apply.
 
-    if (popts.recover) {
-        persist::RecoveryOptions ropts;
-        ropts.journalPath = popts.journalPath;
-        ropts.snapshotPath = popts.snapshotPath;
-        ropts.config = config;
-        ropts.initialTable = table;
-        persist::RecoveryReport rec = persist::recoverEngine(ropts);
-
-        std::printf("Recovery: source=%s fallbacks=%llu "
-                    "journal-records=%llu replayed=%llu last-seq=%llu "
-                    "torn-tail=%s bloomier-setups=%llu\n",
+    if (journaled) {
+        const shard::ShardRecovery &rec = plane.recovery()[0];
+        std::printf("Recovery: source=%s fallbacks=%llu replayed=%llu "
+                    "last-seq=%llu routes=%zu\n",
                     persist::recoverySourceName(rec.source),
                     static_cast<unsigned long long>(rec.fallbacks),
-                    static_cast<unsigned long long>(rec.journalRecords),
-                    static_cast<unsigned long long>(
-                        rec.recordsReplayed),
+                    static_cast<unsigned long long>(rec.recordsReplayed),
                     static_cast<unsigned long long>(rec.lastSeq),
-                    rec.journalTornTail ? "yes" : "no",
-                    static_cast<unsigned long long>(
-                        rec.engine->bloomierSetups()));
-        if (!rec.snapshotError.empty())
-            std::printf("Recovery: snapshot unusable: %s\n",
-                        rec.snapshotError.c_str());
-        if (!rec.previousSnapshotError.empty())
-            std::printf("Recovery: previous snapshot unusable: %s\n",
-                        rec.previousSnapshotError.c_str());
+                    rec.routes);
         std::printf("Recovery audit: %s (%llu missing, %llu "
                     "mismatched, %llu phantom)\n",
                     rec.auditPassed ? "PASS" : "FAIL",
                     static_cast<unsigned long long>(rec.auditMissing),
-                    static_cast<unsigned long long>(
-                        rec.auditMismatched),
+                    static_cast<unsigned long long>(rec.auditMismatched),
                     static_cast<unsigned long long>(rec.auditPhantom));
-
-        engine = std::move(rec.engine);
-        session.attach(*engine);
         if (session.enabled())
             session.engineTelemetry()->recordRecovery(
-                rec.recordsReplayed, rec.snapshotLoads, rec.fallbacks);
+                rec.recordsReplayed,
+                rec.source == persist::RecoverySource::ColdSetup ? 0 : 1,
+                rec.fallbacks);
         if (!rec.auditPassed)
-            return finishRun(session, engine.get(), 2);
+            return finishRun(session, &plane, 2);
         if (rec.lastSeq > trace.size()) {
             std::fprintf(stderr,
                          "journal is ahead of the trace (seq %llu > "
                          "%zu updates)\n",
                          static_cast<unsigned long long>(rec.lastSeq),
                          trace.size());
-            return finishRun(session, engine.get(), 1);
+            return finishRun(session, &plane, 1);
         }
         start = static_cast<size_t>(rec.lastSeq);
-        std::printf("Resuming trace at update %zu of %zu\n", start,
-                    trace.size());
-    } else {
-        engine = std::make_unique<ChiselEngine>(table, config);
-        session.attach(*engine);
+        if (start > 0)
+            std::printf("Resuming trace at update %zu of %zu\n", start,
+                        trace.size());
     }
 
-    // The truth table tracks what the engine *should* hold: the
-    // initial table advanced through every update that entered the
-    // engine — including, on a recovered run, the pre-crash portion
-    // replayed from the journal.
+    // The truth table tracks what the plane *should* hold: the
+    // initial table advanced through every update that entered it —
+    // including, on a recovered run, the part its journal held.
     RoutingTable truth = table;
     for (size_t i = 0; i < start; ++i) {
         const Update &u = trace[i];
@@ -283,87 +261,32 @@ main(int argc, char **argv)
             truth.remove(u.prefix);
     }
 
-    std::unique_ptr<persist::UpdateJournal> journal;
-    if (!popts.journalPath.empty())
-        journal = std::make_unique<persist::UpdateJournal>(
-            popts.journalPath, configFingerprint(config),
-            popts.fsyncEvery);
-
-    // A purge is journaled like an update, before the engine changes
-    // (ConcurrentChisel::purgeDirtyNow's order): a journal that
-    // refused the record refuses the purge, so the engine never holds
-    // a state its journal does not describe.
-    auto purgeDirty = [&]() -> size_t {
-        if (journal) {
-            journal->appendHousekeeping(
-                persist::JournalRecord::HousekeepingKind::PurgeDirty);
-            if (!journal->ioHealthy())
-                return 0;
-        }
-        return engine->purgeDirty();
-    };
-
-    // Health-state machine, sampled on a fixed update cadence.  The
-    // single-image replay executes the cheap rungs itself (purge,
-    // scrub) and reports the rebuild rungs as unavailable.
-    health::HealthMonitor hmon;
-    health::HealthSignals events;
+    UpdateStats stats;
     size_t purged = 0;
-    auto sampleHealth = [&] {
-        health::HealthSignals sig = std::exchange(events, {});
-        health::setOccupancies(sig, *engine);
-        hmon.sample(sig);
-        health::RecoveryAction action = hmon.takeAction();
-        switch (action) {
-          case health::RecoveryAction::PurgeDirty:
-            purged += purgeDirty();
-            hmon.actionCompleted(action, true);
-            break;
-          case health::RecoveryAction::Scrub:
-            events.parityRecoveries += engine->scrub().cellsRecovered;
-            hmon.actionCompleted(action, true);
-            break;
-          case health::RecoveryAction::None:
-            break;
-          default:
-            hmon.actionCompleted(action, false);
-            break;
-        }
-    };
-
     StopWatch watch;
     size_t rejected = 0;
     uint64_t applied = 0;
     bool degraded = false;
     for (size_t i = start; i < trace.size(); ++i) {
         const Update &u = trace[i];
-        uint64_t seq = 0;
-        if (journal) {
-            seq = journal->append(u);   // Durable before applied.
-            if (seq == 0) {
-                // The journal could not durably log this update: the
-                // durability contract is void, so the replay stops
-                // acknowledging — the update is neither applied nor
-                // added to the truth, exactly as a daemon must stop
-                // acking peers it can no longer survive a crash for.
-                degraded = true;
-                std::printf(
-                    "DEGRADED: journal I/O failure (%s) after seq "
-                    "%llu; stopped acknowledging at update %zu of "
-                    "%zu\n",
-                    journal->ioError().c_str(),
-                    static_cast<unsigned long long>(
-                        journal->lastSeq()),
-                    i, trace.size());
-                break;
-            }
+        shard::ShardedChisel::ApplyResult r = plane.apply(u);
+        if (journaled && r.seq == 0) {
+            // The journal could not durably log this update: the
+            // durability contract is void, so the replay stops
+            // acknowledging — the update is neither applied nor
+            // added to the truth, exactly as a daemon must stop
+            // acking peers it can no longer survive a crash for.
+            degraded = true;
+            std::printf("DEGRADED: journal refused update %zu of %zu "
+                        "after seq %llu; stopped acknowledging\n",
+                        i, trace.size(),
+                        static_cast<unsigned long long>(
+                            engine.journalSeq()));
+            break;
         }
-        UpdateOutcome out = engine->apply(u);
-        if (journal)
-            journal->appendOutcome(seq, out);
-        health::addUpdateEvents(events, out);
+        stats.record(r.outcome.cls);
         ++applied;
-        if (out.ok()) {
+        if (r.outcome.ok()) {
             if (u.kind == UpdateKind::Announce)
                 truth.add(u.prefix, u.nextHop);
             else
@@ -390,24 +313,17 @@ main(int argc, char **argv)
             std::abort();
         }
         if (popts.snapshotEvery != 0 &&
-            !popts.snapshotPath.empty() &&
-            applied % popts.snapshotEvery == 0) {
-            uint64_t covered = journal ? seq : i + 1;
-            persist::saveSnapshot(popts.snapshotPath, *engine,
-                                  covered);
-            if (journal)
-                journal->appendSnapshotMark(covered);
-        }
+            applied % popts.snapshotEvery == 0)
+            plane.saveSnapshots();
         if (popts.purgeEvery != 0 && applied % popts.purgeEvery == 0)
-            purged += purgeDirty();
+            purged += engine.purgeDirtyNow();
         if (applied % 1024 == 0)
-            sampleHealth();
+            plane.healthTickAll();
     }
-    if (journal)
-        journal->sync();
+    if (journaled)
+        plane.ensureDurable(0, engine.journalSeq());
     double secs = watch.seconds();
 
-    const auto &s = engine->updateStats();
     std::printf("Applied in %.2f s: %.0f updates/sec (paper: "
                 "~276K/s host-class)\n",
                 secs, applied / secs);
@@ -419,11 +335,11 @@ main(int argc, char **argv)
                           UpdateClass::Resetup, UpdateClass::Spill,
                           UpdateClass::NoOp, UpdateClass::Expire}) {
         std::printf("%-12s %10llu %7.3f%%\n", updateClassName(c),
-                    static_cast<unsigned long long>(s.count(c)),
-                    100.0 * s.fraction(c));
+                    static_cast<unsigned long long>(stats.count(c)),
+                    100.0 * stats.fraction(c));
     }
     std::printf("Incremental fraction: %.3f%% (paper: >= 99.9%%)\n",
-                100.0 * s.incrementalFraction());
+                100.0 * stats.incrementalFraction());
 
     // Audit the final state against the oracle.
     BinaryTrie oracle(truth);
@@ -431,41 +347,37 @@ main(int argc, char **argv)
     size_t wrong = 0;
     for (const auto &k : keys) {
         auto a = oracle.lookup(k, 32);
-        auto b = engine->lookup(k);
+        LookupResult b = plane.lookup(k);
         if (a.has_value() != b.found ||
             (a && a->nextHop != b.nextHop))
             ++wrong;
     }
 
-    // Full-state audit: every truth route must be in the engine and
-    // vice versa — a lost or phantom update fails the run.
-    size_t lost = 0, phantom = 0;
+    // Full-state audit: every truth route must be served, and no
+    // route beyond them — with none lost, a route count above the
+    // truth's is exactly the phantoms.
+    size_t lost = 0;
     for (const auto &r : truth.routes()) {
-        auto nh = engine->find(r.prefix);
+        auto nh = engine.find(r.prefix);
         if (!nh || *nh != r.nextHop)
             ++lost;
     }
-    RoutingTable exported = engine->exportTable();
-    for (const auto &r : exported.routes()) {
-        auto nh = truth.find(r.prefix);
-        if (!nh || *nh != r.nextHop)
-            ++phantom;
-    }
+    size_t served = plane.routeCount();
+    size_t phantom = served > truth.size() ? served - truth.size() : 0;
 
-    RobustnessCounters rc = engine->robustness();
+    RobustnessCounters rc = engine.robustness();
+    const health::HealthMonitor &hmon = engine.monitor();
     std::printf("Post-replay oracle audit: %zu keys, %zu mismatches; "
                 "route count %zu vs truth %zu (%zu lost, %zu "
                 "phantom)\n",
-                keys.size(), wrong, engine->routeCount(),
-                truth.size(), lost, phantom);
+                keys.size(), wrong, served, truth.size(), lost,
+                phantom);
     std::printf("Robustness: %llu rejected, %llu TCAM overflows, "
-                "%llu slow-path diversions (%zu resident), %llu "
-                "drains, %llu setup retries, %llu parity "
-                "recoveries\n",
+                "%llu slow-path diversions, %llu drains, %llu setup "
+                "retries, %llu parity recoveries\n",
                 static_cast<unsigned long long>(rc.rejectedUpdates),
                 static_cast<unsigned long long>(rc.tcamOverflows),
                 static_cast<unsigned long long>(rc.slowPathInserts),
-                engine->slowPathCount(),
                 static_cast<unsigned long long>(rc.slowPathDrains),
                 static_cast<unsigned long long>(rc.setupRetries),
                 static_cast<unsigned long long>(rc.parityRecoveries));
@@ -475,33 +387,21 @@ main(int argc, char **argv)
                 hmon.stateName(),
                 static_cast<unsigned long long>(hmon.transitions()),
                 static_cast<unsigned long long>(hmon.samples()),
-                engine->dirtyCount(), engine->dirtyPeak(), purged,
+                engine.dirtyCount(), engine.dirtyPeak(), purged,
                 static_cast<unsigned long long>(rc.dirtyEvictions),
                 static_cast<unsigned long long>(rc.suppressedFlaps));
-    if (session.enabled())
-        hmon.publish(session.registry());
     if (rejected > 0)
         std::printf("Rejected updates during replay: %zu\n", rejected);
-    if (journal) {
-        std::printf("Journal: %llu records written, last seq %llu, "
-                    "%llu I/O errors (%s)\n",
+    if (journaled)
+        std::printf("Journal: last seq %llu, durable through %llu\n",
+                    static_cast<unsigned long long>(engine.journalSeq()),
                     static_cast<unsigned long long>(
-                        journal->recordsWritten()),
-                    static_cast<unsigned long long>(
-                        journal->lastSeq()),
-                    static_cast<unsigned long long>(
-                        journal->ioErrors()),
-                    journal->ioHealthy() ? "healthy" : "DEGRADED");
-        if (session.enabled())
-            session.registry()
-                .gauge("journal.io_errors")
-                .set(static_cast<double>(journal->ioErrors()));
-    }
+                        plane.lastDurableSeq(0)));
     if (degraded)
         std::printf("Run ended Degraded: the journal refused further "
                     "appends; unacknowledged trace tail was not "
                     "applied\n");
 
     int code = (wrong == 0 && lost == 0 && phantom == 0) ? 0 : 1;
-    return finishRun(session, engine.get(), code);
+    return finishRun(session, &plane, code);
 }

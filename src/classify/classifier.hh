@@ -82,10 +82,6 @@ class TwoFieldClassifier
     /** Cross-product entries materialised. */
     size_t crossProductSize() const { return cross_.size(); }
 
-    /** The underlying per-field engines (diagnostics). */
-    const ChiselEngine &srcEngine() const { return *srcEngine_; }
-    const ChiselEngine &dstEngine() const { return *dstEngine_; }
-
   private:
     struct PairHasher
     {

@@ -64,13 +64,6 @@ class Key128
         return static_cast<uint32_t>(hi_ >> 32);
     }
 
-    /** Place a 64-bit value in bit positions [0, 64). */
-    static constexpr Key128
-    fromTop64(uint64_t v)
-    {
-        return Key128(v, 0);
-    }
-
     /** Read the bit at MSB-first position @p pos (0 = leftmost). */
     constexpr bool
     bit(unsigned pos) const

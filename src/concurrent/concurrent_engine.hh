@@ -113,7 +113,7 @@ struct ConcurrentOptions
      */
     std::chrono::milliseconds healthInterval{0};
 
-    /** The monitor's resize streak, its cooldown and the watchdog. */
+    /** The monitor's resize streak. */
     health::MonitorConfig health;
 
     /**

@@ -515,9 +515,6 @@ class ChiselEngine
     size_t cellCount() const { return cells_.size(); }
     const SubCell &cell(size_t i) const { return *cells_[i]; }
 
-    /** The shared off-chip Result Table (diagnostics). */
-    const ResultTable &resultTable() const { return results_; }
-
     /** Deep consistency check across all sub-cells (tests). */
     bool selfCheck() const { return selfCheck(*image_); }
 

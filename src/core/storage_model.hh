@@ -42,16 +42,6 @@ struct StorageBreakdown
         return indexBits + filterBits + bitvectorBits;
     }
 
-    /** Parity bits relative to the protected payload. */
-    double
-    parityOverheadFraction() const
-    {
-        uint64_t t = totalBits();
-        return t == 0 ? 0.0
-                      : static_cast<double>(parityBits) /
-                            static_cast<double>(t);
-    }
-
     double
     totalMbits() const
     {

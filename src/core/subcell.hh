@@ -313,9 +313,6 @@ class SubCell
     /** High-water mark of dirtyCount() since construction/restore. */
     size_t dirtyPeak() const { return dirtyPeak_; }
 
-    /** The flap damper driving suppress/evict decisions (tests). */
-    const health::FlapDamper &damper() const { return damper_; }
-
     unsigned base() const { return config_.range.base; }
     unsigned top() const { return config_.range.top; }
     size_t capacity() const { return config_.capacity; }
@@ -366,7 +363,6 @@ class SubCell
     };
 
     const WriteCounters &writeCounters() const { return writes_; }
-    void resetWriteCounters() { writes_ = WriteCounters{}; }
 
     /** Index slots one partition rebuild rewrites. */
     size_t

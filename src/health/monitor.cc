@@ -95,7 +95,7 @@ HealthMonitor::watchdogExpired(Clock::time_point now) const
             .count();
     return now_ns - start >
            std::chrono::duration_cast<std::chrono::nanoseconds>(
-               config_.updateDeadline)
+               kUpdateDeadline)
                .count();
 }
 
@@ -236,7 +236,7 @@ HealthMonitor::sample(const HealthSignals &signals)
     } else if (config_.resizeAfter > 0 &&
                capacityStreak_ >= config_.resizeAfter) {
         capacityStreak_ = 0;
-        capacityCooldown_ = config_.resizeCooldown;
+        capacityCooldown_ = kResizeCooldown;
         pending_ = RecoveryAction::Resize;
     }
 

@@ -17,11 +17,11 @@
  *     Degraded        full parity scrub
  *     Quarantined     resetup; if still quarantined, snapshot restore
  *
- * The monitor only *recommends*; the owner (ConcurrentChisel, or
- * update_replay's single engine) executes actions under its own write
- * exclusion and reports completion.  Sampling is explicit — callers
- * feed a HealthSignals every tick — so tests drive the machine
- * deterministically with synthetic signals.
+ * The monitor only *recommends*; the owner (ConcurrentChisel)
+ * executes actions under its own write exclusion and reports
+ * completion.  Sampling is explicit — callers feed a HealthSignals
+ * every tick — so tests drive the machine deterministically with
+ * synthetic signals.
  *
  * See docs/robustness.md for the state diagram and the full
  * signal -> state -> action degradation matrix.
@@ -141,7 +141,18 @@ constexpr unsigned kQuarantineAfter = 3;
 /** Consecutive clean samples before Recovering -> Healthy. */
 constexpr unsigned kRecoverAfter = 3;
 
-/** The monitor's settable values: capacity resizes and the watchdog. */
+/**
+ * Samples after arming a Resize during which another cannot arm.  A
+ * resize is a full rebuild: its own setup retries (and the lag before
+ * occupancy reflects the grown capacity) would otherwise read as
+ * fresh pressure and thrash the engine through back-to-back rebuilds.
+ */
+constexpr unsigned kResizeCooldown = 25;
+
+/** Watchdog: one update taking longer than this is critical. */
+constexpr std::chrono::milliseconds kUpdateDeadline{2000};
+
+/** The monitor's one settable value: when capacity pressure resizes. */
 struct MonitorConfig
 {
     /**
@@ -150,18 +161,6 @@ struct MonitorConfig
      * armed.  0 disables capacity-driven resizes.
      */
     unsigned resizeAfter = 3;
-
-    /**
-     * Samples after arming a Resize during which another cannot arm.
-     * A resize is a full rebuild: its own setup retries (and the lag
-     * before occupancy reflects the grown capacity) would otherwise
-     * read as fresh pressure and thrash the engine through
-     * back-to-back rebuilds.
-     */
-    unsigned resizeCooldown = 25;
-
-    /** Watchdog: one update taking longer than this is critical. */
-    std::chrono::milliseconds updateDeadline{2000};
 };
 
 /**

@@ -40,17 +40,6 @@ class SramModel
      */
     uint64_t blocksFor(uint64_t depth, unsigned width_bits) const;
 
-    /**
-     * Block RAMs for a parity-protected table: each word carries one
-     * extra even-parity bit (docs/robustness.md), widening the array
-     * by one bit before the block-geometry rounding.
-     */
-    uint64_t
-    blocksForProtected(uint64_t depth, unsigned width_bits) const
-    {
-        return blocksFor(depth, width_bits + 1);
-    }
-
     const SramParams &params() const { return params_; }
 
   private:

@@ -19,14 +19,17 @@ recoverySourceName(RecoverySource s)
 uint64_t
 replayTail(std::unique_ptr<ChiselEngine> &engine,
            const JournalScan &scan, uint64_t from_seq,
-           uint64_t &last_seq)
+           uint64_t &last_seq, bool first_mark)
 {
     size_t start = 0;
     for (size_t i = 0; i < scan.records.size(); ++i) {
         const JournalRecord &rec = scan.records[i];
         if (rec.type == JournalRecord::Type::SnapshotMark &&
-            rec.seq == from_seq)
+            rec.seq == from_seq) {
             start = i + 1;
+            if (first_mark)
+                break;
+        }
     }
     if (start == 0 && from_seq > 0) {
         // No mark for this image (e.g. the mark's append was torn):
@@ -194,9 +197,11 @@ recoverEngine(const RecoveryOptions &options)
         }
     }
 
-    report.recordsReplayed =
-        replayTail(report.engine, scan, report.lastSeq,
-                   report.lastSeq);
+    // The rotated image may be any checkpoint of its seq but the last,
+    // so its tail starts at the first mark of that seq.
+    report.recordsReplayed = replayTail(
+        report.engine, scan, report.lastSeq, report.lastSeq,
+        report.source == RecoverySource::PreviousSnapshot);
 
     if (options.audit)
         auditEngine(*report.engine, options.initialTable, scan, report);

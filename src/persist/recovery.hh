@@ -145,7 +145,14 @@ RecoveryReport recoverEngine(const RecoveryOptions &options);
  * cannot place the cut, because Housekeeping records share the seq
  * of the update they follow — a purge right after the snapshot and a
  * purge right before it carry the same seq, and replaying the wrong
- * one resurrects or destroys dirty groups.  From the cut on, Update
+ * one resurrects or destroys dirty groups.  With @p first_mark the
+ * cut is the FIRST such mark instead: an image that may be an older
+ * checkpoint of its seq (the rotated `.prev`) then replays every
+ * purge and ResizeMark written after it.  Records between two marks
+ * of one seq are only those (every Update advances the seq), and
+ * re-running the ones the image already holds changes nothing — a
+ * second purge finds no dirty group, a ResizeMark whose config the
+ * engine runs is skipped.  From the cut on, Update
  * records with seq > from_seq are re-applied and Housekeeping records
  * re-run, so maintenance mutations land between the same updates they
  * originally did.  A ResizeMark past the cut re-runs the live
@@ -158,7 +165,7 @@ RecoveryReport recoverEngine(const RecoveryOptions &options);
  */
 uint64_t replayTail(std::unique_ptr<ChiselEngine> &engine,
                     const JournalScan &scan, uint64_t from_seq,
-                    uint64_t &last_seq);
+                    uint64_t &last_seq, bool first_mark = false);
 
 /**
  * The audit alone: compare @p engine route-by-route against the

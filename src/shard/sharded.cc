@@ -180,6 +180,9 @@ ShardedChisel::buildShard(size_t i, const std::vector<Route> &slice)
     rec.lastSeq = report.lastSeq;
     rec.auditRan = report.auditRan;
     rec.auditPassed = report.auditPassed;
+    rec.auditMissing = report.auditMissing;
+    rec.auditMismatched = report.auditMismatched;
+    rec.auditPhantom = report.auditPhantom;
     rec.routes = sh.engine->routeCount();
 }
 

@@ -106,6 +106,9 @@ struct ShardRecovery
     uint64_t lastSeq = 0;
     bool auditRan = false;
     bool auditPassed = false;
+    uint64_t auditMissing = 0;     ///< Reference routes absent.
+    uint64_t auditMismatched = 0;  ///< Present with the wrong next hop.
+    uint64_t auditPhantom = 0;     ///< Served routes not in reference.
     size_t routes = 0;
 };
 

@@ -138,7 +138,6 @@ bool
 FlagTable::parse(int &argc, char **argv, bool strict)
 {
     int out = 1;
-    bool ok = true;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strncmp(arg, "--", 2) != 0) {
@@ -201,7 +200,7 @@ FlagTable::parse(int &argc, char **argv, bool strict)
         }
     }
     argc = out;
-    return ok;
+    return true;
 }
 
 bool

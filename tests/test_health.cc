@@ -269,15 +269,14 @@ TEST(HealthMonitor, QuarantineLadderEscalatesOnFailure)
 
 TEST(HealthMonitor, WatchdogBypassesHysteresis)
 {
-    MonitorConfig cfg;
-    cfg.updateDeadline = std::chrono::milliseconds(10);
-    HealthMonitor mon(cfg);
+    HealthMonitor mon;
 
     auto t0 = HealthMonitor::Clock::now();
     mon.beginUpdate(t0);
     EXPECT_FALSE(mon.watchdogExpired(t0));
-    EXPECT_TRUE(
-        mon.watchdogExpired(t0 + std::chrono::milliseconds(11)));
+    EXPECT_FALSE(mon.watchdogExpired(t0 + health::kUpdateDeadline));
+    EXPECT_TRUE(mon.watchdogExpired(t0 + health::kUpdateDeadline +
+                                    std::chrono::milliseconds(1)));
 
     // A watchdog trip in the signal sample jumps straight to
     // Quarantined, no streak required.
@@ -287,8 +286,7 @@ TEST(HealthMonitor, WatchdogBypassesHysteresis)
     EXPECT_EQ(mon.watchdogExpirations(), 1u);
 
     mon.endUpdate();
-    EXPECT_FALSE(mon.watchdogExpired(
-        t0 + std::chrono::milliseconds(1000)));
+    EXPECT_FALSE(mon.watchdogExpired(t0 + 2 * health::kUpdateDeadline));
 }
 
 TEST(HealthMonitor, CapacityPressureArmsResizeAfterStreak)
@@ -324,7 +322,6 @@ TEST(HealthMonitor, ResizeCooldownSuppressesImmediateRearm)
 {
     MonitorConfig cfg;
     cfg.resizeAfter = 3;
-    cfg.resizeCooldown = 4;
     HealthMonitor mon(cfg);
 
     HealthSignals pressure;
@@ -337,7 +334,7 @@ TEST(HealthMonitor, ResizeCooldownSuppressesImmediateRearm)
     // The rebuild's own turbulence (setup retries, stale occupancy)
     // keeps the pressure signal hot; the cooldown keeps those samples
     // from arming a second rebuild on top of the first.
-    for (int i = 0; i < 4; ++i) {
+    for (unsigned i = 0; i < health::kResizeCooldown; ++i) {
         mon.sample(pressure);
         EXPECT_NE(mon.takeAction(), RecoveryAction::Resize);
     }

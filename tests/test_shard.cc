@@ -4,9 +4,10 @@
  * EpochManager slot lifecycle under many engine instances, front-end
  * partition determinism and Zipf-trace balance, routing correctness
  * against the trie oracle (including broadcast prefixes), per-shard
- * persistence with warm restart, geometry pinning and the one-time
- * import of a flat journal + snapshot pair, the shard-aware RPC
- * shedding matrix, and the /healthz + Prometheus shard surfaces.
+ * persistence with warm restart, geometry pinning, seeding from a
+ * bare engine's journal + snapshot pair and the `.prev` rung's replay
+ * cut, the shard-aware RPC shedding matrix, and the /healthz +
+ * Prometheus shard surfaces.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <string>
@@ -547,11 +549,11 @@ TEST(ShardedPersist, FingerprintBindsShardIdentity)
             << "shard " << p.shard << " of " << p.count;
 }
 
-// A node whose history sits in a flat journal + snapshot pair (one
-// engine, no shard lanes) moves onto a one-shard plane the way
-// `chisel_tool serve --persist-dir` does on first boot: recover the
-// pair once and seed the plane with the recovered routes.  Later
-// boots read only the plane's own directory.
+// A history written by a bare engine through the persist library (one
+// journal + snapshot pair, no shard lanes) moves onto a one-shard
+// plane by library calls alone: recover the pair once and seed the
+// plane with the recovered routes.  Later boots read only the plane's
+// own directory.
 TEST(ShardedPersist, FlatPairSeedsOneShardPlane)
 {
     std::string root = tempDir("flat");
@@ -673,6 +675,131 @@ TEST(ShardedPersist, PurgeSurvivesJournalTailRestart)
     EXPECT_EQ(readBytes(plane.shardDir(0) + "/snapshot.chs"),
               readBytes(state));
     std::filesystem::remove_all(dir);
+}
+
+// Two checkpoints with no update between them write two SnapshotMarks
+// of one seq, and a purge or a resize between them carries that seq
+// too: the rotated `.prev` image lacks it, the primary holds it.
+enum class SameSeqChange { Purge, Resize };
+
+/** What a shard serves, as far as its snapshot bytes can tell. */
+struct ShardState
+{
+    std::vector<uint8_t> image;
+    size_t dirty = 0;
+    ChiselConfig config;
+};
+
+ShardState
+stateOf(const ConcurrentChisel &engine)
+{
+    return {engine.snapshotImage(), engine.dirtyCount(), engine.config()};
+}
+
+void
+expectSameState(const ShardState &got, const ShardState &want)
+{
+    EXPECT_EQ(got.image, want.image);
+    EXPECT_EQ(got.dirty, want.dirty);
+    EXPECT_TRUE(got.config == want.config);
+}
+
+/**
+ * Seed a persistent one-shard plane from @p table, withdraw routes
+ * (leaving dirty groups), then checkpoint -> @p change -> checkpoint
+ * and close it.  @return the state it served last.
+ */
+ShardState
+checkpointAroundSameSeqChange(const RoutingTable &table,
+                              const ShardedOptions &o, SameSeqChange change)
+{
+    ShardedChisel plane(table, o);
+    ConcurrentChisel &engine = plane.shardEngine(0);
+    const std::vector<Route> &routes = table.routes();
+    for (size_t i = 0; i < routes.size(); i += 5) {
+        Update w;
+        w.kind = UpdateKind::Withdraw;
+        w.prefix = routes[i].prefix;
+        plane.apply(w);
+    }
+    EXPECT_EQ(plane.saveSnapshots(), 1u);
+    uint64_t seq = engine.journalSeq();
+    if (change == SameSeqChange::Purge) {
+        EXPECT_GT(engine.purgeDirtyNow(), 0u);
+        EXPECT_EQ(engine.dirtyCount(), 0u);
+    } else {
+        ChiselConfig grown = engine.config();
+        grown.spillCapacity *= 2;
+        EXPECT_TRUE(engine.resizeTo(grown));
+    }
+    EXPECT_EQ(engine.journalSeq(), seq);
+    EXPECT_EQ(plane.saveSnapshots(), 1u);
+    return stateOf(engine);
+}
+
+/**
+ * Reopen the history twice.  With the primary intact it replays
+ * nothing and re-saves nothing: the primary is the last checkpoint,
+ * and its mark the last of its seq.  With the primary corrupt the
+ * restart falls back to `.prev` and must replay what happened after
+ * it, so the reopened shard is the one that closed; cutting the tail
+ * at the last mark of the image's seq would skip the change.
+ */
+void
+expectSameSeqChangeSurvivesRestart(const std::string &name,
+                                   SameSeqChange change)
+{
+    std::string dir = tempDir(name);
+    RoutingTable table = generateScaledTable(1000, 32, /*seed=*/37);
+    ShardedOptions o = smallOptions(1, 8);
+    o.persistDir = dir;
+    o.audit = true;
+    ShardState before = checkpointAroundSameSeqChange(table, o, change);
+    std::string lane = dir + "/shard-0/";
+    auto files = [&] {
+        return std::vector<std::vector<uint8_t>>{
+            readBytes(lane + "snapshot.chs"),
+            readBytes(lane + "snapshot.chs.prev"),
+            readBytes(lane + "journal.log")};
+    };
+    const std::vector<std::vector<uint8_t>> saved = files();
+    {
+        ShardedChisel plane(table, o);
+        ASSERT_EQ(plane.recovery().size(), 1u);
+        EXPECT_EQ(plane.recovery()[0].source,
+                  persist::RecoverySource::Snapshot);
+        EXPECT_EQ(plane.recovery()[0].recordsReplayed, 0u);
+        EXPECT_TRUE(plane.recovery()[0].auditPassed);
+        expectSameState(stateOf(plane.shardEngine(0)), before);
+    }
+    ASSERT_EQ(files(), saved);
+
+    // Corrupt one payload byte of the primary: its CRC fails.
+    std::vector<uint8_t> bytes = saved[0];
+    ASSERT_GT(bytes.size(), 64u);
+    bytes[bytes.size() / 2] ^= 0xFF;
+    std::ofstream(lane + "snapshot.chs", std::ios::binary | std::ios::trunc)
+        .write(reinterpret_cast<const char *>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+
+    ShardedChisel plane(table, o);
+    ASSERT_EQ(plane.recovery().size(), 1u);
+    EXPECT_EQ(plane.recovery()[0].source,
+              persist::RecoverySource::PreviousSnapshot);
+    EXPECT_TRUE(plane.recovery()[0].auditPassed);
+    expectSameState(stateOf(plane.shardEngine(0)), before);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ShardedPersist, SameSeqPurgeSurvivesRestart)
+{
+    expectSameSeqChangeSurvivesRestart("same_seq_purge", SameSeqChange::Purge);
+}
+
+TEST(ShardedPersist, SameSeqResizeSurvivesRestart)
+{
+    expectSameSeqChangeSurvivesRestart("same_seq_resize",
+                                       SameSeqChange::Resize);
 }
 
 // The health ladder's SnapshotRestore rung restores the shard's lane
